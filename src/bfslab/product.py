@@ -64,18 +64,15 @@ __all__ = [
 
 # Documented optimizer defaults; callers override per key.
 DEFAULT_OPTS = {
-    "starts": 8,  # minimum seed count (theta powers + constant)
-    "max_sweeps": 5000,
+    "max_sweeps": 5000,  # sweep budget for the leading starts
     "quick_sweeps": 40,  # budget for non-leading starts
-    "full_starts": 3,  # leading starts that get the full budget
-    "sweep_rtol": 1e-10,
-    "span": 1.5,  # coordinate search half-width in log units
-    "golden_iters": 14,
+    "golden_iters": 14,  # golden-section steps per coordinate search
     "target": None,  # early exit once the objective is at or below
-    "decreasing_x": False,  # restrict the x factor to non-increasing steps
-    "table": True,  # consult the closed-form table first
 }
 
+_FULL_STARTS = 3  # leading starts that get the full budget
+_SWEEP_RTOL = 1e-10  # stop once a sweep improves J by less than this
+_SPAN = 1.5  # coordinate search half-width in log units
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _RATIO_CAP = 1e8
 
@@ -197,14 +194,14 @@ def _descend(J, u0: np.ndarray, o: dict, budget: int):
                 u[_i] = center
                 return val
 
-            t_new, f_new = _golden_coordinate(slice_fn, center, o["span"], o["golden_iters"])
+            t_new, f_new = _golden_coordinate(slice_fn, center, _SPAN, o["golden_iters"])
             if f_new < best:
                 u[i] = t_new
                 best = f_new
         if o["target"] is not None and best <= o["target"]:
             converged = True
             break
-        if prev - best <= o["sweep_rtol"] * max(abs(prev), 1e-300):
+        if prev - best <= _SWEEP_RTOL * max(abs(prev), 1e-300):
             converged = True
             break
     return u, best, converged
@@ -247,41 +244,33 @@ def _structured_seed(sp, z_supp, widths_supp, t_right_supp):
     return None
 
 
+def _split(u: np.ndarray, supp: np.ndarray, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Factors x = e^u and y = z / x on supp z, zero elsewhere."""
+    eu = np.exp(np.clip(u, -60.0, 60.0))
+    xv = np.zeros(supp.size)
+    yv = np.zeros(supp.size)
+    xv[supp] = eu
+    yv[supp] = zs / eu
+    return xv, yv
+
+
 def _optimize_product(E, F, z: StepFunction, o: dict):
     mspace = z.space
     supp = z.values > 0.0
     zs = z.values[supp]
-    widths_supp = mspace.widths[supp]
-    t_right_supp = mspace.breakpoints[1:][supp]
     fe = _norm_fn(E, mspace)
     ff = _norm_fn(F, mspace)
-    n = mspace.n_cells
-    monotone = bool(o["decreasing_x"])
 
-    def J(params: np.ndarray) -> float:
-        u = _monotone_embed(params) if monotone else params
-        eu = np.exp(np.clip(u, -60.0, 60.0))
-        xv = np.zeros(n)
-        yv = np.zeros(n)
-        xv[supp] = eu
-        yv[supp] = zs / eu
+    def J(u: np.ndarray) -> float:
+        xv, yv = _split(u, supp, zs)
         val = fe(xv) * ff(yv)
         return val if math.isfinite(val) else math.inf
 
-    seeds = _seed_vectors(E, F, zs, widths_supp, t_right_supp)
-    if monotone:
-        packed = []
-        for u in seeds:
-            v = np.empty_like(u)
-            v[0] = u[0]
-            if u.size > 1:
-                v[1:] = np.maximum(u[:-1] - u[1:], 0.0)
-            packed.append(v)
-        seeds = packed
+    seeds = _seed_vectors(E, F, zs, mspace.widths[supp], mspace.breakpoints[1:][supp])
     scored = sorted(range(len(seeds)), key=lambda i: (J(seeds[i]), i))
     best_u, best_val, any_converged = None, math.inf, False
     for rank, idx in enumerate(scored):
-        budget = o["max_sweeps"] if rank < o["full_starts"] else min(o["quick_sweeps"], o["max_sweeps"])
+        budget = o["max_sweeps"] if rank < _FULL_STARTS else min(o["quick_sweeps"], o["max_sweeps"])
         u, val, conv = _descend(J, seeds[idx], o, budget)
         if val < best_val:
             best_u, best_val = u, val
@@ -289,12 +278,7 @@ def _optimize_product(E, F, z: StepFunction, o: dict):
         if o["target"] is not None and best_val <= o["target"]:
             any_converged = True
             break
-    u = _monotone_embed(best_u) if monotone else best_u
-    eu = np.exp(np.clip(u, -60.0, 60.0))
-    xv = np.zeros(n)
-    yv = np.zeros(n)
-    xv[supp] = eu
-    yv[supp] = zs / eu
+    xv, yv = _split(best_u, supp, zs)
     return StepFunction(mspace, xv), StepFunction(mspace, yv), any_converged
 
 
@@ -449,12 +433,11 @@ def product_norm(
         wit = _zero_witness(z)
         return NormResult(0.0, "exact", wit), wit
     Ec, Fc = canonical(E), canonical(F)
-    if o["table"]:
-        hit = _closed_form(Ec, Fc, z)
-        if hit is not None:
-            res, wit = hit
-            wit = equalize_norms(wit, Ec, Fc)
-            return replace(res, witness=wit), wit
+    hit = _closed_form(Ec, Fc, z)
+    if hit is not None:
+        res, wit = hit
+        wit = equalize_norms(wit, Ec, Fc)
+        return replace(res, witness=wit), wit
     x, y, converged = _optimize_product(Ec, Fc, z, o)
     wit = _witness_from_pair(Ec, Fc, x, y, "optimizer")
     wit = equalize_norms(wit, Ec, Fc)

@@ -19,6 +19,17 @@ Conventions baked into the evaluators:
 * Marcinkiewicz norms take the sup of ``phi * x**`` (or ``phi * x*``
   for the starred variant) over the grid; for power ``phi`` the sup on
   each cell is attained at an endpoint, so the value is exact.
+
+The compiler gives each norm one kernel and reaches it through these
+identities, all exact on step functions:
+
+* ``Lp(inf, w)`` is ``LInftyWeighted(w)``.
+* ``Symmetrization(Lp(p, c*t^a), "star")`` is
+  ``LorentzLambdaP(c*t^(a + 1/p), p)``.
+* For a pure power ``w``, the star of ``LInftyWeighted(w)`` is
+  ``MarcinkiewiczStar(w)`` and its doublestar is ``Marcinkiewicz(w)``.
+* For ``w = c*t^a`` with ``a < 0``, both Marcinkiewicz norms are
+  infinite for every nonzero x, since ``w`` blows up at 0.
 """
 
 from __future__ import annotations
@@ -448,6 +459,28 @@ def _decreasing_profile(values: np.ndarray, widths: np.ndarray):
     return v, w, bp
 
 
+def _lam_p(widths: np.ndarray, q: float, cp: float, p: float) -> Callable[[np.ndarray], float]:
+    """Kernel ``(cp * ∫ x*(t)^p t^q dt)^(1/p)``, exact on step functions."""
+
+    def kernel(v):
+        v, _, bp = _decreasing_profile(v, widths)
+        live = int(np.searchsorted(-v, 0.0))
+        if live == 0:
+            return 0.0
+        if q <= -1.0:
+            return math.inf
+        prim = bp[: live + 1] ** (q + 1.0) / (q + 1.0)
+        terms = np.sort(v[:live] ** p * np.diff(prim))
+        return float((cp * np.sum(terms)) ** (1.0 / p))
+
+    return kernel
+
+
+def _singular_at_zero(v: np.ndarray) -> float:
+    """Sup of ``t^alpha * x*`` (or ``x**``) with alpha < 0: infinite unless x = 0."""
+    return math.inf if np.any(v > 0) else 0.0
+
+
 def _trunc_notes(mspace: MeasureSpace) -> tuple:
     tr = mspace.truncation()
     if tr is None:
@@ -465,18 +498,7 @@ def _compile(space: SpaceDescriptor, mspace: MeasureSpace) -> Optional[_Compiled
         if math.isinf(p):
             if w is None:
                 return _CompiledNorm(lambda v: float(v.max(initial=0.0)), "exact", tn)
-            pw = simplify_power(w)
-            sups = np.array([w.cell_sup(a, b) for a, b in zip(bp0[:-1], bp0[1:])])
-            kind = "exact" if pw is not None else "estimate"
-            notes = tn if pw is not None else tn + ("cell suprema sampled",)
-
-            def _sup_norm(v, s=sups):
-                live = v > 0
-                if not live.any():
-                    return 0.0
-                return float(np.max(v[live] * s[live]))
-
-            return _CompiledNorm(_sup_norm, kind, notes)
+            return _compile(LInftyWeighted(w), mspace)
         if w is None:
 
             def _lp_plain(v, p=p, wd=widths):
@@ -523,21 +545,7 @@ def _compile(space: SpaceDescriptor, mspace: MeasureSpace) -> Optional[_Compiled
         phi, p = space.phi, space.p
         pw = simplify_power(phi)
         if pw is not None:
-            q = pw.alpha * p - 1.0
-            cp = pw.coef**p
-
-            def _lam_p(v, wd=widths, q=q, cp=cp, p=p):
-                v, _, bp = _decreasing_profile(v, wd)
-                live = int(np.searchsorted(-v, 0.0))
-                if live == 0:
-                    return 0.0
-                if q <= -1.0:
-                    return math.inf
-                prim = bp[: live + 1] ** (q + 1.0) / (q + 1.0)
-                terms = np.sort(v[:live] ** p * np.diff(prim))
-                return float((cp * np.sum(terms)) ** (1.0 / p))
-
-            return _CompiledNorm(_lam_p, "exact", tn)
+            return _CompiledNorm(_lam_p(widths, pw.alpha * p - 1.0, pw.coef**p, p), "exact", tn)
 
         # fold the dt/t factor into the weight: (phi * t^(-1/p))^p = phi^p / t
         note = tn + ("fixed-order quadrature for the weight; dt/t absorbed",)
@@ -563,6 +571,8 @@ def _compile(space: SpaceDescriptor, mspace: MeasureSpace) -> Optional[_Compiled
     if isinstance(space, Marcinkiewicz):
         phi = space.phi
         pw = simplify_power(phi)
+        if pw is not None and pw.alpha < 0.0:
+            return _CompiledNorm(_singular_at_zero, "exact", tn + ("weight singular at 0",))
         if pw is not None:
             lim0 = pw.coef if pw.alpha == 0.0 else 0.0
 
@@ -603,6 +613,8 @@ def _compile(space: SpaceDescriptor, mspace: MeasureSpace) -> Optional[_Compiled
                 return float(np.max(v * pw(bp[1:]), initial=0.0))
 
             return _CompiledNorm(_mstar_pow, "exact", tn)
+        if pw is not None:
+            return _CompiledNorm(_singular_at_zero, "exact", tn + ("weight singular at 0",))
 
         def _mstar_generic(v, wd=widths, phi=phi):
             v, _, bp = _decreasing_profile(v, wd)
@@ -662,88 +674,50 @@ def _compile(space: SpaceDescriptor, mspace: MeasureSpace) -> Optional[_Compiled
 
 def _compile_symmetrization(space: Symmetrization, mspace: MeasureSpace) -> Optional[_CompiledNorm]:
     base = canonical(space.base)
-    widths = mspace.widths
-    tn = _trunc_notes(mspace)
-    if space.mode == "doublestar":
-        if isinstance(base, (LInftyWeighted,)) or (isinstance(base, Lp) and math.isinf(base.p)):
-            w = base.phi if isinstance(base, LInftyWeighted) else base.weight
-            pw = simplify_power(w) if w is not None else PowerWeight(0.0)
-            if pw is not None:
-                # sup w(t) x**(t) is the averaged-maximal norm with weight w
-                return _compile(Marcinkiewicz(pw), mspace)
-        if isinstance(base, Lp) and not math.isinf(base.p):
-            pw = simplify_power(base.weight) if base.weight is not None else PowerWeight(0.0)
-            if pw is not None:
-                nodes, gl_w = np.polynomial.legendre.leggauss(16)
-                p, q, cp = base.p, pw.alpha * base.p, pw.coef**base.p
-
-                def _dstar_lp(v, wd=widths, p=p, q=q, cp=cp, nodes=nodes, gl_w=gl_w):
-                    v, w_, bp = _decreasing_profile(v, wd)
-                    if v[0] <= 0:
-                        return 0.0
-                    cum = np.concatenate(([0.0], np.cumsum(v * w_)))
-                    a, b = bp[:-1], bp[1:]
-                    B = cum[:-1] - v * a
-                    # first cell: x** = v[0], integrand is a pure power
-                    if q <= -1.0:
-                        return math.inf
-                    total = cp * v[0] ** p * b[0] ** (q + 1.0) / (q + 1.0)
-                    if a.size > 1:
-                        mid = 0.5 * (a[1:, None] + b[1:, None])
-                        half = 0.5 * (b[1:, None] - a[1:, None])
-                        ts = mid + half * nodes[None, :]
-                        xdd = (B[1:, None] + v[1:, None] * ts) / ts
-                        integ = (xdd * ts ** pw.alpha) ** p
-                        total += cp * float(np.sum(gl_w[None, :] * half * integ))
-                    return float(total ** (1.0 / p))
-
-                return _CompiledNorm(
-                    _dstar_lp, "estimate", tn + ("x** integrated by per-cell quadrature",)
-                )
+    if space.mode == "star" and is_symmetric(base):
+        return _compile(base, mspace)
+    if isinstance(base, LInftyWeighted) or (isinstance(base, Lp) and math.isinf(base.p)):
+        w = base.phi if isinstance(base, LInftyWeighted) else base.weight
+        pw = simplify_power(w) if w is not None else PowerWeight(0.0)
+        if pw is None:
+            return None
+        if space.mode == "star":
+            return _compile(MarcinkiewiczStar(pw), mspace)
+        return _compile(Marcinkiewicz(pw), mspace)
+    if not isinstance(base, Lp):
         return None
+    pw = simplify_power(base.weight) if base.weight is not None else PowerWeight(0.0)
+    if pw is None:
+        return None
+    p, q, cp = base.p, pw.alpha * base.p, pw.coef**base.p
+    tn = _trunc_notes(mspace)
     if space.mode == "star":
-        if is_symmetric(base):
-            return _compile(base, mspace)
-        if isinstance(base, Lp) and not math.isinf(base.p):
-            pw = simplify_power(base.weight) if base.weight is not None else PowerWeight(0.0)
-            if pw is not None:
-                q = pw.alpha * base.p
-                cp = pw.coef**base.p
+        # q = alpha*p directly: the Lambda_p exponent (alpha + 1/p)*p - 1
+        # is the same number only up to rounding
+        return _CompiledNorm(_lam_p(mspace.widths, q, cp, p), "exact", tn)
+    nodes, gl_w = np.polynomial.legendre.leggauss(16)
 
-                def _star_lp(v, wd=widths, q=q, cp=cp, p=base.p):
-                    v, _, bp = _decreasing_profile(v, wd)
-                    live = int(np.searchsorted(-v, 0.0))
-                    if live == 0:
-                        return 0.0
-                    if q <= -1.0:
-                        return math.inf
-                    prim = bp[: live + 1] ** (q + 1.0) / (q + 1.0)
-                    terms = np.sort(v[:live] ** p * np.diff(prim))
-                    return float((cp * np.sum(terms)) ** (1.0 / p))
+    def _dstar_lp(v, wd=mspace.widths, p=p, q=q, cp=cp, nodes=nodes, gl_w=gl_w):
+        v, w_, bp = _decreasing_profile(v, wd)
+        if v[0] <= 0:
+            return 0.0
+        cum = np.concatenate(([0.0], np.cumsum(v * w_)))
+        a, b = bp[:-1], bp[1:]
+        B = cum[:-1] - v * a
+        # first cell: x** = v[0], integrand is a pure power
+        if q <= -1.0:
+            return math.inf
+        total = cp * v[0] ** p * b[0] ** (q + 1.0) / (q + 1.0)
+        if a.size > 1:
+            mid = 0.5 * (a[1:, None] + b[1:, None])
+            half = 0.5 * (b[1:, None] - a[1:, None])
+            ts = mid + half * nodes[None, :]
+            xdd = (B[1:, None] + v[1:, None] * ts) / ts
+            integ = (xdd * ts ** pw.alpha) ** p
+            total += cp * float(np.sum(gl_w[None, :] * half * integ))
+        return float(total ** (1.0 / p))
 
-                return _CompiledNorm(_star_lp, "exact", tn)
-        if isinstance(base, (LInftyWeighted,)) or (isinstance(base, Lp) and math.isinf(base.p)):
-            w = base.phi if isinstance(base, LInftyWeighted) else base.weight
-            if w is None:
-                w = PowerWeight(0.0)
-            pw = simplify_power(w)
-            if pw is not None and pw.alpha >= 0.0:
-
-                def _star_sup(v, wd=widths, pw=pw):
-                    v, _, bp = _decreasing_profile(v, wd)
-                    return float(np.max(v * pw(bp[1:]), initial=0.0))
-
-                return _CompiledNorm(_star_sup, "exact", tn)
-            if pw is not None:
-
-                def _star_sup_dec(v, wd=widths, pw=pw):
-                    v, _, bp = _decreasing_profile(v, wd)
-                    if v[0] <= 0:
-                        return 0.0
-                    return math.inf
-
-                return _CompiledNorm(_star_sup_dec, "exact", tn + ("weight singular at 0",))
-    return None
+    return _CompiledNorm(_dstar_lp, "estimate", tn + ("x** integrated by per-cell quadrature",))
 
 
 def _luxemburg_value(base_fn: Callable[[np.ndarray], float], phi: YoungFunction, values: np.ndarray) -> float:

@@ -435,8 +435,24 @@ def ominus(phi: YoungFunction, phi1: YoungFunction) -> Ominus:
     return Ominus(phi, phi1)
 
 
-def _phi_at(phi: YoungFunction, u: float) -> float:
-    return float(phi(u))
+def _bisect_inverse(phi: YoungFunction, v: float, lo: float | None, hi: float) -> float:
+    """Bisect ``inf { u : phi(u) > v }`` on ``[lo, hi]``, given ``phi(hi) > v``.
+
+    With ``lo`` None the lower end is found by halving down from ``hi``.
+    """
+    if lo is None:
+        lo = hi
+        while float(phi(lo)) > v and lo > 1e-300:
+            lo *= 0.5
+    for _ in range(200):
+        if hi - lo <= _INV_RTOL * max(hi, 1e-300):
+            break
+        mid = 0.5 * (lo + hi)
+        if float(phi(mid)) > v:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def inverse(phi: YoungFunction, v: float) -> float:
@@ -460,30 +476,17 @@ def inverse(phi: YoungFunction, v: float) -> float:
         return lo
     hi = max(lo * 2.0, 1.0)
     if math.isfinite(b):
-        top = _phi_at(phi, b) if math.isfinite(b) else math.inf
-        if top <= v:
+        if float(phi(b)) <= v:
             return b
         hi = b
     else:
         for _ in range(400):
-            if _phi_at(phi, hi) > v:
+            if float(phi(hi)) > v:
                 break
             hi *= 2.0
         else:
             return math.inf
-    if lo == 0.0:
-        lo = hi
-        while _phi_at(phi, lo) > v and lo > 1e-300:
-            lo *= 0.5
-    for _ in range(200):
-        if hi - lo <= _INV_RTOL * max(hi, 1e-300):
-            break
-        mid = 0.5 * (lo + hi)
-        if _phi_at(phi, mid) > v:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return _bisect_inverse(phi, v, lo if lo > 0.0 else None, hi)
 
 
 def inverse_batch(phi: YoungFunction, targets: np.ndarray) -> np.ndarray:
@@ -498,32 +501,20 @@ def inverse_batch(phi: YoungFunction, targets: np.ndarray) -> np.ndarray:
     for i, v in enumerate(targets):
         v = float(v)
         lo = max(floor, 1e-300)
-        if math.isfinite(b) and _phi_at(phi, b) <= v:
-            out[i] = b
-            floor = b
+        if math.isfinite(b) and float(phi(b)) <= v:
+            out[i] = floor = b
             continue
         hi = max(lo * 2.0, 1.0)
         if math.isfinite(b):
             hi = b
         else:
             for _ in range(400):
-                if _phi_at(phi, hi) > v:
+                if float(phi(hi)) > v:
                     break
                 hi *= 2.0
-        if floor == 0.0 or _phi_at(phi, max(floor, 1e-300)) > v:
-            lo = hi
-            while _phi_at(phi, lo) > v and lo > 1e-300:
-                lo *= 0.5
-        for _ in range(200):
-            if hi - lo <= _INV_RTOL * max(hi, 1e-300):
-                break
-            mid = 0.5 * (lo + hi)
-            if _phi_at(phi, mid) > v:
-                hi = mid
-            else:
-                lo = mid
-        out[i] = hi
-        floor = hi
+        if floor == 0.0 or float(phi(lo)) > v:
+            lo = None
+        out[i] = floor = _bisect_inverse(phi, v, lo, hi)
     return out
 
 
@@ -548,10 +539,6 @@ class RelationCertificate:
 
     def verdict(self) -> str:
         return "holds" if self.holds else "refuted"
-
-
-def _inverse_on_grid(phi: YoungFunction, grid: np.ndarray) -> np.ndarray:
-    return inverse_batch(phi, grid)
 
 
 def check_relation(
@@ -582,9 +569,9 @@ def check_relation(
     if regime not in ("all", "large", "small"):
         raise ValueError("regime must be all, large or small")
     grid = np.geomspace(u_lo, u_hi, samples)
-    inv1 = _inverse_on_grid(phi1, grid)
-    inv2 = _inverse_on_grid(phi2, grid)
-    inv = _inverse_on_grid(phi, grid)
+    inv1 = inverse_batch(phi1, grid)
+    inv2 = inverse_batch(phi2, grid)
+    inv = inverse_batch(phi, grid)
     prod = inv1 * inv2
     ok = (prod > 0) & np.isfinite(prod) & (inv > 0) & np.isfinite(inv)
     if not ok.any():

@@ -148,11 +148,14 @@ def test_product_norm_of_zero_input():
     assert res.value == 0.0 and wit.product == 0.0
 
 
-def test_product_norm_rejects_unknown_options():
+@pytest.mark.parametrize(
+    "key", ["bogus", "starts", "full_starts", "sweep_rtol", "span", "decreasing_x", "table"]
+)
+def test_product_norm_rejects_unknown_options(key):
     ms = unit_interval(8)
     z = StepFunction(ms, np.ones(8))
     with pytest.raises(ValueError):
-        product_norm(Lp(2.0), Lp(2.0), z, opts={"bogus": 1})
+        product_norm(Lp(2.0), Lp(2.0), z, opts={key: 1})
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,7 @@ from bfslab import (
     double_star,
     dual_descriptor,
     fundamental,
+    half_line,
     is_primitive,
     is_symmetric,
     lorentz_p1_exact,
@@ -47,6 +48,7 @@ from bfslab import (
     unit_interval,
     weak_lp,
 )
+from bfslab.weights import PowerLogWeight
 
 
 def _random_step(rng, mspace, lo=0.1, hi=3.0):
@@ -382,6 +384,66 @@ def test_star_symmetrization_matches_rearranged_norm():
     got = norm(Symmetrization(space, "star"), x)
     want = norm(space, rearrange(x))
     assert math.isclose(got.value, want.value, rel_tol=1e-12)
+
+
+def _grid16(name):
+    return unit_interval(16) if name == "unit" else half_line(16)
+
+
+@pytest.mark.parametrize("grid", ["unit", "half"])
+@pytest.mark.parametrize(
+    "p, alpha, coef", [(1.0, 0.5, 1.0), (2.0, 0.25, 1.5), (3.0, -0.2, 0.7), (1.0, -1.0, 1.0)]
+)
+def test_star_of_weighted_lp_is_lorentz_lambda_p(grid, p, alpha, coef):
+    rng = np.random.default_rng(31)
+    x = _random_step(rng, _grid16(grid))
+    got = norm(Symmetrization(Lp(p, PowerWeight(alpha, coef)), "star"), x)
+    want = norm(LorentzLambdaP(PowerWeight(alpha + 1.0 / p, coef), p), x)
+    assert math.isclose(got.value, want.value, rel_tol=1e-13)
+    assert (got.kind, got.notes) == (want.kind, want.notes)
+
+
+@pytest.mark.parametrize("grid", ["unit", "half"])
+@pytest.mark.parametrize(
+    "w", [PowerWeight(0.5, 2.0), PowerWeight(-0.3), PowerLogWeight(0.5, 1.0)], ids=["pow", "neg", "powlog"]
+)
+def test_weighted_lp_infinity_is_linfty_weighted(grid, w):
+    rng = np.random.default_rng(32)
+    x = _random_step(rng, _grid16(grid))
+    got = norm(Lp(math.inf, w), x)
+    want = norm(LInftyWeighted(w), x)
+    assert (got.value, got.kind, got.notes) == (want.value, want.kind, want.notes)
+    if isinstance(w, PowerLogWeight):
+        assert got.kind == "estimate"
+
+
+@pytest.mark.parametrize("grid", ["unit", "half"])
+@pytest.mark.parametrize("beta", [0.4, 1.0, -0.5])
+def test_star_of_weighted_sup_is_marcinkiewicz_star(grid, beta):
+    rng = np.random.default_rng(33)
+    x = _random_step(rng, _grid16(grid))
+    w = PowerWeight(beta, 1.5)
+    got = norm(Symmetrization(LInftyWeighted(w), "star"), x)
+    want = norm(MarcinkiewiczStar(w), x)
+    assert (got.value, got.kind, got.notes) == (want.value, want.kind, want.notes)
+
+
+@pytest.mark.parametrize(
+    "space",
+    [
+        Marcinkiewicz(PowerWeight(-0.5)),
+        MarcinkiewiczStar(PowerWeight(-0.5)),
+        Symmetrization(LInftyWeighted(PowerWeight(-0.5)), "doublestar"),
+    ],
+    ids=["marcinkiewicz", "marcinkiewicz_star", "doublestar"],
+)
+def test_negative_power_marcinkiewicz_is_infinite(space):
+    # t^-0.5 * x**(t) -> inf as t -> 0 for any nonzero x
+    ms = unit_interval(32)
+    res = norm(space, StepFunction(ms, np.ones(32)))
+    assert (res.value, res.kind) == (math.inf, "exact")
+    assert "weight singular at 0" in res.notes
+    assert norm(space, StepFunction(ms, np.zeros(32))).value == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -53,7 +53,6 @@ from .spaces import (
     lorentz_pq,
     norm,
     space_from_json,
-    space_to_json,
     weak_lp,
 )
 from .verify import (
@@ -295,8 +294,7 @@ def _cmd_indices(args) -> int:
         print(f"boyd: lower={_fmt(rep.lower)} upper={_fmt(rep.upper)} kind={rep.kind} method={rep.method}")
         for op in ("H", "H*"):
             bound = operator_norm(op, space)
-            hi = "inf" if bound.upper is None else _fmt(bound.upper)
-            print(f"norm[{op}]: lower={_fmt(bound.lower)} upper={hi}")
+            print(f"norm[{op}]: lower={_fmt(bound.lower)} upper={_fmt(bound.upper)}")
         return 0
     raise SpecError("indices needs --phi or --space")
 

@@ -29,7 +29,7 @@ import os
 
 import numpy as np
 
-from .weights import NonIntegrableWeight, Weight, weight_from_json, weight_to_json
+from .weights import Weight
 
 __all__ = [
     "MeasureSpace",
@@ -293,13 +293,15 @@ def rearrange(x: StepFunction) -> StepFunction:
     The (value, width) multiset is carried over verbatim, so the result
     is equimeasurable with the input exactly.  Cells whose width
     underflows the running breakpoint sum (possible only on grids
-    spanning hundreds of orders of magnitude) are merged away.
+    spanning hundreds of orders of magnitude) are merged away, and so
+    are trailing cells once the rounded running sum reaches the right
+    endpoint early: the grid always ends exactly at the space's length.
     """
     order = np.argsort(-x.values, kind="stable")
     vals = x.values[order]
     widths = x.space.widths[order]
-    bp = np.concatenate(([0.0], np.cumsum(widths)))
-    bp[-1] = x.space.breakpoints[-1]
+    bp = np.minimum(np.concatenate(([0.0], np.cumsum(widths))), x.space.length)
+    bp[-1] = x.space.length
     good = np.diff(bp) > 0
     if not good.all():
         vals, widths = vals[good], widths[good]
@@ -307,6 +309,19 @@ def rearrange(x: StepFunction) -> StepFunction:
         widths = np.diff(bp)
     space = x.space.with_breakpoints(bp, widths)
     return StepFunction(space, vals)
+
+
+def _refine(mspace: MeasureSpace, interior: int) -> MeasureSpace:
+    """Split every cell into ``interior + 1`` pieces: geometrically, or
+    linearly for the cell that touches 0."""
+    bp = mspace.breakpoints
+    pieces = []
+    for a, b in zip(bp[:-1], bp[1:]):
+        if a > 0:
+            pieces.append(np.geomspace(a, b, interior + 2)[:-1])
+        else:
+            pieces.append(np.linspace(a, b, interior + 2)[:-1])
+    return mspace.with_breakpoints(np.unique(np.concatenate(pieces + [bp[-1:]])))
 
 
 def _cum_integral(x: StepFunction) -> np.ndarray:

@@ -20,9 +20,9 @@ from .grid import (
     COUNTING,
     MeasureSpace,
     StepFunction,
+    _refine,
     dilate,
     half_line,
-    rearrange,
 )
 from .spaces import (
     Convexification,
@@ -235,18 +235,6 @@ def hardy_identity_residual(x: StepFunction, samples: int = 5) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _refine(mspace: MeasureSpace, interior: int = 4) -> MeasureSpace:
-    bp = mspace.breakpoints
-    pieces = []
-    for a, b in zip(bp[:-1], bp[1:]):
-        if a > 0:
-            pieces.append(np.geomspace(a, b, interior + 2)[:-1])
-        else:
-            pieces.append(np.linspace(a, b, interior + 2)[:-1])
-    new_bp = np.unique(np.concatenate(pieces + [bp[-1:]]))
-    return mspace.with_breakpoints(new_bp)
-
-
 def _step_below(fn: PiecewiseSmoothFn, mspace: MeasureSpace) -> StepFunction:
     """Step under-approximation of a non-increasing smooth function."""
     vals = np.asarray(fn(mspace.breakpoints[1:]), dtype=float)
@@ -277,11 +265,7 @@ def _p_hint(space: SpaceDescriptor) -> float:
     sp = canonical(space)
     if isinstance(sp, Lp):
         return sp.p
-    if isinstance(sp, LorentzLambdaP):
-        pw = simplify_power(sp.phi)
-        if pw is not None and pw.alpha > 0:
-            return 1.0 / pw.alpha
-    if isinstance(sp, (Marcinkiewicz, MarcinkiewiczStar, LorentzLambda)):
+    if isinstance(sp, (LorentzLambdaP, Marcinkiewicz, MarcinkiewiczStar, LorentzLambda)):
         pw = simplify_power(sp.phi)
         if pw is not None and pw.alpha > 0:
             return 1.0 / pw.alpha
@@ -329,7 +313,7 @@ def operator_norm(
         notes = (f"half-line truncated to [{tr[0]:g}, {tr[1]:g}]",)
     best = 0.0
     best_name = "none"
-    fine = _refine(mspace)
+    fine = _refine(mspace, 4)
     for name, x in _witness_family(mspace, _p_hint(space)):
         nx = norm(space, x).value
         if not (nx > 0 and math.isfinite(nx)):

@@ -156,13 +156,9 @@ def _merge_opts(opts: Optional[dict]) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _golden_coordinate(f1, center: float, span: float, iters: int, lo_floor=None):
+def _golden_coordinate(f1, center: float, span: float, iters: int):
     """Minimize a 1-d slice by golden section; returns (argmin, min)."""
     a, b = center - span, center + span
-    if lo_floor is not None:
-        a = max(a, lo_floor)
-        if a >= b:
-            return center, f1(center)
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc, fd = f1(c), f1(d)
@@ -528,8 +524,13 @@ def _ratio_ascent(
     family: Sequence[np.ndarray],
     o: dict,
     monotone: bool,
+    ascent: bool = True,
 ):
-    """Maximize num(y)/den(y); returns (best ratio, best y, capped flag)."""
+    """Maximize num(y)/den(y); returns (best ratio, best y, capped flag).
+
+    The best member of ``family`` seeds a coordinate ascent unless
+    ``ascent`` is False, in which case the family maximum is returned.
+    """
 
     def ratio(vals: np.ndarray) -> float:
         d = den_fn(vals)
@@ -547,6 +548,8 @@ def _ratio_ascent(
         return 0.0, None, False
     if best >= _RATIO_CAP:
         return math.inf, best_vals, True
+    if not ascent:
+        return best, best_vals, False
 
     o = dict(o, target=None)  # targets are for minimization callers only
     pos = best_vals > 0
@@ -696,22 +699,13 @@ def multiplier_norm(
     else:
         family = _default_test_family(mspace, mv)
     monotone = is_symmetric(Ec) and is_symmetric(Fc)
-    if not ascent:
-        best = 0.0
-        for vals in family:
-            d = fe(np.asarray(vals, dtype=float))
-            if d > 0 and math.isfinite(d):
-                r = num_fn(np.asarray(vals, dtype=float)) / d
-                best = max(best, r)
-        if best >= _RATIO_CAP:
-            return NormResult(math.inf, "estimate", None, ("ratio exceeded the cap",))
-        return NormResult(best, "estimate", None, ("lower bound over the supplied family",))
-    best, _, capped = _ratio_ascent(num_fn, fe, mspace, family, o, monotone)
+    best, _, capped = _ratio_ascent(num_fn, fe, mspace, family, o, monotone, ascent)
     if capped:
         return NormResult(
             math.inf, "estimate", None, ("ratio exceeded the cap: not a multiplier",)
         )
-    return NormResult(best, "estimate", None, ("lower bound from ratio ascent",))
+    note = "lower bound from ratio ascent" if ascent else "lower bound over the supplied family"
+    return NormResult(best, "estimate", None, (note,))
 
 
 def dual_norm_numeric(

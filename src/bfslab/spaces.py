@@ -41,9 +41,9 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .grid import (
-    HALF_LINE,
     MeasureSpace,
     StepFunction,
+    _refine,
     double_star,
     half_line,
     rearrange,
@@ -673,9 +673,8 @@ def _compile(space: SpaceDescriptor, mspace: MeasureSpace) -> Optional[_Compiled
 
 
 def _compile_symmetrization(space: Symmetrization, mspace: MeasureSpace) -> Optional[_CompiledNorm]:
-    base = canonical(space.base)
-    if space.mode == "star" and is_symmetric(base):
-        return _compile(base, mspace)
+    # canonical has already collapsed the star of a symmetric base
+    base = space.base
     if isinstance(base, LInftyWeighted) or (isinstance(base, Lp) and math.isinf(base.p)):
         w = base.phi if isinstance(base, LInftyWeighted) else base.weight
         pw = simplify_power(w) if w is not None else PowerWeight(0.0)
@@ -821,16 +820,8 @@ def symmetrization_norm(space: SpaceDescriptor, mode: str, x: StepFunction) -> N
 def _doublestar_step(x: StepFunction, interior: int = 8) -> StepFunction:
     """Step over-approximation of x** on a refinement of the sorted grid."""
     xs = rearrange(x)
-    bp = xs.space.breakpoints
-    pieces = []
-    for a, b in zip(bp[:-1], bp[1:]):
-        if a > 0:
-            pieces.append(np.geomspace(a, b, interior + 2)[:-1])
-        else:
-            pieces.append(np.linspace(a, b, interior + 2)[:-1])
-    new_bp = np.unique(np.concatenate(pieces + [bp[-1:]]))
-    space = xs.space.with_breakpoints(new_bp)
-    lefts = new_bp[:-1]
+    space = _refine(xs.space, interior)
+    lefts = space.breakpoints[:-1]
     vals = np.empty(lefts.size)
     if lefts[0] == 0.0:
         vals[0] = float(xs.values[0])

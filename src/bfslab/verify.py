@@ -16,14 +16,15 @@ import io
 import json
 import math
 import zlib
-from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional
+from dataclasses import dataclass, field, replace
+from typing import Mapping, Optional
 
 import numpy as np
 
 from .grid import StepFunction, counting, half_line, unit_interval
 from .operators import hardy_identity_residual
 from .product import (
+    calderon_norm,
     lozanovskii_factorize,
     multiplier_norm,
     orlicz_factor_witness,
@@ -38,11 +39,13 @@ from .spaces import (
     Lp,
     Marcinkiewicz,
     MarcinkiewiczStar,
+    OrliczCL,
     Product,
     Symmetrization,
     fundamental,
     lorentz_p1_exact,
     lorentz_pq,
+    luxemburg_norm,
     norm,
     weak_lp,
 )
@@ -168,11 +171,29 @@ def _positive_profile(rng, mspace, lo=0.05, hi=3.0) -> StepFunction:
     return StepFunction(mspace, rng.uniform(lo, hi, size=mspace.n_cells))
 
 
-def _two_sided(values_up, values_dn, cap) -> tuple:
-    """Measured equivalence constants from per-instance ratios."""
-    c_up = max(values_up) if values_up else math.inf
-    c_dn = max(values_dn) if values_dn else math.inf
-    return c_up, c_dn, (c_up <= cap and c_dn <= cap)
+def _equivalence(cfg: SuiteConfig, inputs: dict, E, F, T, ms, key: int, count: int, gamma_range) -> dict:
+    """Measured two-sided constants of the claim ``E ⊙ F = T`` up to equivalence.
+
+    Profile i is drawn from seed ``key + i``.  The instance records
+    ``lhs = max |z|_{E⊙F} / |z|_T`` and ``rhs`` the reverse maximum, and
+    passes while both stay under the cap.  A profile whose target is not
+    positive and finite, or whose product is not finite, counts as an
+    unbounded ratio both ways.
+    """
+    cap = cfg.tol("cap", _EQUIV_CAP)
+    ups, dns = [], []
+    for i in range(count):
+        z = _decreasing_profile(_rng(cfg, key + i), ms, gamma_range=gamma_range)
+        res, _ = product_norm(E, F, z, opts=_OPT_FAST)
+        t = norm(T, z).value
+        if not (t > 0 and math.isfinite(t) and math.isfinite(res.value)):
+            ups.append(math.inf)
+            dns.append(math.inf)
+            continue
+        ups.append(res.value / t)
+        dns.append(t / res.value)
+    c_up, c_dn = max(ups, default=math.inf), max(dns, default=math.inf)
+    return _instance(inputs, c_up, c_dn, [c_up, c_dn], cap, c_up <= cap and c_dn <= cap)
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +271,7 @@ def _suite_fundamental_product(cfg: SuiteConfig) -> list:
             ind = StepFunction(ms, (ms.breakpoints[1:] <= tau * (1 + 1e-12)).astype(float))
             fe = fundamental(E, tau, ms).value
             ff = fundamental(F, tau, ms).value
-            res, _ = product_norm(E, F, ind, opts=dict(_OPT_FAST))
+            res, _ = product_norm(E, F, ind, opts=_OPT_FAST)
             lo, hi = floor * fe * ff, fe * ff * (1.0 + slack)
             ok = lo - 1e-9 * max(1.0, lo) <= res.value <= hi
             out.append(
@@ -308,7 +329,7 @@ def _suite_theorem7(cfg: SuiteConfig) -> list:
     for i in range(6):
         rng = _rng(cfg, 10_000 + i)
         z = _decreasing_profile(rng, ms, gamma_range=(0.05, 0.55))
-        res, _ = product_norm(LorentzLambda(phi), MarcinkiewiczStar(psi), z, opts=dict(_OPT_FAST))
+        res, _ = product_norm(LorentzLambda(phi), MarcinkiewiczStar(psi), z, opts=_OPT_FAST)
         target = norm(LorentzLambda(both), z).value
         ok = target <= c_fwd * res.value * (1 + slack) and res.value <= c_rev * target * (1 + slack)
         out.append(
@@ -322,23 +343,14 @@ def _suite_theorem7(cfg: SuiteConfig) -> list:
             )
         )
     # (iii) equivalences for the integral-form scale: measured constants
-    cap = cfg.tol("cap", _EQUIV_CAP)
     identities = [
         ("lambda1_lambda1", LorentzLambdaP(phi, 1.0), LorentzLambdaP(psi, 1.0), LorentzLambdaP(both, 0.5)),
         ("lambda1_mstar", LorentzLambdaP(phi, 1.0), MarcinkiewiczStar(psi), LorentzLambdaP(both, 1.0)),
         ("mstar_mstar", MarcinkiewiczStar(phi), MarcinkiewiczStar(psi), MarcinkiewiczStar(both)),
     ]
     for name, E, F, T in identities:
-        ups, dns = [], []
-        for i in range(4):
-            rng = _rng(cfg, 20_000 + _case_key(name) % 1000 + i)
-            z = _decreasing_profile(rng, ms, gamma_range=(0.05, 0.55))
-            res, _ = product_norm(E, F, z, opts=dict(_OPT_FAST))
-            t = norm(T, z).value
-            ups.append(res.value / t)
-            dns.append(t / res.value)
-        c_up, c_dn, ok = _two_sided(ups, dns, cap)
-        out.append(_instance({"part": "iii", "identity": name}, c_up, c_dn, [c_up, c_dn], cap, ok))
+        key = 20_000 + _case_key(name) % 1000
+        out.append(_equivalence(cfg, {"part": "iii", "identity": name}, E, F, T, ms, key, 4, (0.05, 0.55)))
     return out
 
 
@@ -388,34 +400,17 @@ def _suite_theorem6(cfg: SuiteConfig) -> list:
     raw subtraction gauge is far too slow for the optimizer inner loop.
     """
     out = []
-    cap = cfg.tol("cap", _EQUIV_CAP)
     ms = unit_interval(cfg.n(24))
+    gammas = (0.05, 0.35)
     base = Lp(1.0)
-    from .spaces import OrliczCL, luxemburg_norm
-
     pair_cases = [
         ("squares", Power(1.0, 2.0), Power(1.0, 2.0)),
         ("p3_p15", Power(1.0, 3.0), Power(1.0, 1.5)),
         ("shifted", ShiftedPower(1.0, 0.4, 2.0), Power(1.0, 2.0)),
     ]
     for name, phi1, phi2 in pair_cases:
-        phi = oplus(phi1, phi2)
-        E1 = OrliczCL(base, phi1)
-        E2 = OrliczCL(base, phi2)
-        ups, dns = [], []
-        for i in range(3):
-            rng = _rng(cfg, _case_key(name) + i)
-            z = _decreasing_profile(rng, ms, gamma_range=(0.05, 0.35))
-            res, _ = product_norm(E1, E2, z, opts=dict(_OPT_FAST))
-            t = luxemburg_norm(base, phi, z).value
-            if not (t > 0 and math.isfinite(t) and math.isfinite(res.value)):
-                ups.append(math.inf)
-                dns.append(math.inf)
-                continue
-            ups.append(res.value / t)
-            dns.append(t / res.value)
-        c_up, c_dn, ok = _two_sided(ups, dns, cap)
-        out.append(_instance({"case": name}, c_up, c_dn, [c_up, c_dn], cap, ok))
+        E1, E2, T = OrliczCL(base, phi1), OrliczCL(base, phi2), OrliczCL(base, oplus(phi1, phi2))
+        out.append(_equivalence(cfg, {"case": name}, E1, E2, T, ms, _case_key(name), 3, gammas))
     # complement by subtraction: phi2 = phi (-) phi1 with phi = u^2,
     # phi1 = u^4, whose exact complement is u^4/4
     phi, phi1 = Power(1.0, 2.0), Power(1.0, 4.0)
@@ -424,21 +419,13 @@ def _suite_theorem6(cfg: SuiteConfig) -> list:
     gauge_tol = cfg.tol("gauge_rel", 0.02)
     for i in range(3):
         rng = _rng(cfg, _case_key("ominus_gauge") + i)
-        z = _decreasing_profile(rng, ms, gamma_range=(0.05, 0.35))
+        z = _decreasing_profile(rng, ms, gamma_range=gammas)
         got = luxemburg_norm(base, phi2_numeric, z).value
         want = luxemburg_norm(base, phi2_closed, z).value
         ok = abs(got - want) <= gauge_tol * want
         out.append(_instance({"case": "ominus_gauge", "i": i}, got, want, got / want, gauge_tol, ok))
-    ups, dns = [], []
-    for i in range(3):
-        rng = _rng(cfg, _case_key("ominus_product") + i)
-        z = _decreasing_profile(rng, ms, gamma_range=(0.05, 0.35))
-        res, _ = product_norm(OrliczCL(base, phi1), OrliczCL(base, phi2_closed), z, opts=dict(_OPT_FAST))
-        t = luxemburg_norm(base, phi, z).value
-        ups.append(res.value / t)
-        dns.append(t / res.value)
-    c_up, c_dn, ok = _two_sided(ups, dns, cap)
-    out.append(_instance({"case": "ominus_product"}, c_up, c_dn, [c_up, c_dn], cap, ok))
+    E1, E2, T = OrliczCL(base, phi1), OrliczCL(base, phi2_closed), OrliczCL(base, phi)
+    out.append(_equivalence(cfg, {"case": "ominus_product"}, E1, E2, T, ms, _case_key("ominus_product"), 3, gammas))
     return out
 
 
@@ -448,45 +435,33 @@ def _suite_theorem5_witness(cfg: SuiteConfig) -> list:
     tol_norm = cfg.tol("norm", 1e-8)
     tol_prod = cfg.tol("pointwise", 1e-10)
     base = Lp(1.0)
-    phi, phi1, phi2 = Power(1.0, 2.0), Power(1.0, 4.0), Power(1.0, 4.0)
-    from .spaces import luxemburg_norm
-
-    for i in range(cfg.count(20)):
-        rng = _rng(cfg, i)
-        z = _positive_profile(rng, ms, lo=0.0, hi=2.0)
-        w = orlicz_factor_witness(base, phi1, phi2, phi, z, D=1.0)
-        big = luxemburg_norm(base, phi, z).value
-        bound = math.sqrt(1.0 * big)
-        ok_norms = w.norm_x <= bound + tol_norm and w.norm_y <= bound + tol_norm
-        prod = w.x.values * w.y.values
-        ok_split = np.allclose(prod, z.values, rtol=tol_prod, atol=tol_prod)
-        out.append(
-            _instance({"i": i, "branch": "power"}, max(w.norm_x, w.norm_y), bound, 1.0, tol_norm, ok_norms and ok_split)
-        )
-    # jump-point branch: flat Young functions near zero exercise a_phi > 0
-    sphi = ShiftedPower(1.0, 1.0, 1.0)
-    sphi_i = ShiftedPower(1.0, 1.0, 2.0)
-    for i in range(3):
-        rng = _rng(cfg, 50_000 + i)
-        vals = rng.uniform(0.0, 3.0, size=ms.n_cells)
-        vals[rng.uniform(size=ms.n_cells) < 0.4] *= 0.05  # push cells into the flat part
-        z = StepFunction(ms, vals)
-        w = orlicz_factor_witness(base, sphi_i, sphi_i, sphi, z, D=1.0)
-        big = luxemburg_norm(base, sphi, z).value
-        bound = math.sqrt(big)
-        ok_norms = w.norm_x <= bound + tol_norm and w.norm_y <= bound + tol_norm
-        ok_split = np.allclose(w.x.values * w.y.values, z.values, rtol=tol_prod, atol=tol_prod)
-        out.append(
-            _instance({"i": i, "branch": "jump"}, max(w.norm_x, w.norm_y), bound, 1.0, tol_norm, ok_norms and ok_split)
-        )
+    # (branch, factor Young function, target, seed offset, count); the jump
+    # branch's Young functions are flat near zero, which exercises a_phi > 0
+    branches = [
+        ("power", Power(1.0, 4.0), Power(1.0, 2.0), 0, cfg.count(20)),
+        ("jump", ShiftedPower(1.0, 1.0, 2.0), ShiftedPower(1.0, 1.0, 1.0), 50_000, 3),
+    ]
+    for branch, phi_i, phi, key, count in branches:
+        for i in range(count):
+            rng = _rng(cfg, key + i)
+            if branch == "power":
+                z = _positive_profile(rng, ms, lo=0.0, hi=2.0)
+            else:
+                vals = rng.uniform(0.0, 3.0, size=ms.n_cells)
+                vals[rng.uniform(size=ms.n_cells) < 0.4] *= 0.05  # push cells into the flat part
+                z = StepFunction(ms, vals)
+            w = orlicz_factor_witness(base, phi_i, phi_i, phi, z, D=1.0)
+            bound = math.sqrt(luxemburg_norm(base, phi, z).value)
+            ok_norms = w.norm_x <= bound + tol_norm and w.norm_y <= bound + tol_norm
+            ok_split = np.allclose(w.x.values * w.y.values, z.values, rtol=tol_prod, atol=tol_prod)
+            inputs = {"i": i, "branch": branch}
+            out.append(_instance(inputs, max(w.norm_x, w.norm_y), bound, 1.0, tol_norm, ok_norms and ok_split))
     return out
 
 
 def _suite_lozanovskii(cfg: SuiteConfig) -> list:
     out = []
     eps = cfg.tol("eps", 0.05)
-    from .spaces import OrliczCL
-
     spaces = [
         ("L1.5", Lp(1.5), unit_interval(cfg.n(32))),
         ("L3", Lp(3.0), unit_interval(cfg.n(32))),
@@ -502,7 +477,7 @@ def _suite_lozanovskii(cfg: SuiteConfig) -> list:
             else:
                 z = _positive_profile(rng, ms, lo=0.01, hi=2.0)
             l1 = norm(Lp(1.0), z).value
-            w = lozanovskii_factorize(E, z, eps, opts=dict(_OPT_FAST))
+            w = lozanovskii_factorize(E, z, eps, opts=_OPT_FAST)
             ok = w.product <= (1.0 + eps) * l1 and w.product >= l1 - 1e-9
             ok = ok and "not_within_epsilon" not in w.notes
             out.append(_instance({"space": name, "i": i}, w.product, l1, w.product / l1, eps, ok))
@@ -564,8 +539,6 @@ def _suite_duality_product(cfg: SuiteConfig) -> list:
 
 
 def _suite_theorem10(cfg: SuiteConfig) -> list:
-    out = []
-    cap = cfg.tol("cap", _EQUIV_CAP)
     ms = half_line(cfg.n(24))
     a, b = 0.3, 0.7
     diff = b - a
@@ -574,23 +547,13 @@ def _suite_theorem10(cfg: SuiteConfig) -> list:
         ("b", Marcinkiewicz(PowerWeight(a)), MarcinkiewiczStar(PowerWeight(diff)), Marcinkiewicz(PowerWeight(b))),
         ("c", Marcinkiewicz(PowerWeight(a)), LorentzLambda(PowerWeight(diff)), LorentzLambda(PowerWeight(b))),
     ]
-    for name, E, Fm, T in parts:
-        ups, dns = [], []
-        for i in range(cfg.count(5)):
-            rng = _rng(cfg, _case_key(name) + i)
-            z = _decreasing_profile(rng, ms, gamma_range=(0.05, 0.25))
-            res, _ = product_norm(E, Fm, z, opts=dict(_OPT_FAST))
-            t = norm(T, z).value
-            ups.append(res.value / t)
-            dns.append(t / res.value)
-        c_up, c_dn, ok = _two_sided(ups, dns, cap)
-        out.append(_instance({"part": name, "a": a, "b": b}, c_up, c_dn, [c_up, c_dn], cap, ok))
-    return out
+    return [
+        _equivalence(cfg, {"part": name, "a": a, "b": b}, E, Fm, T, ms, _case_key(name), cfg.count(5), (0.05, 0.25))
+        for name, E, Fm, T in parts
+    ]
 
 
 def _suite_example3_4(cfg: SuiteConfig) -> list:
-    out = []
-    cap = cfg.tol("cap", _EQUIV_CAP)
     ms = half_line(cfg.n(24))
     p, q, r = 2.0, 4.0, 2.0
     s4 = p * q / (r * (q - p))
@@ -620,23 +583,13 @@ def _suite_example3_4(cfg: SuiteConfig) -> list:
             lorentz_pq(p, r),
         ),
     ]
-    for name, E, Fm, T in cases:
-        ups, dns = [], []
-        for i in range(cfg.count(4)):
-            rng = _rng(cfg, _case_key(name) + i)
-            z = _decreasing_profile(rng, ms, gamma_range=(0.05, 0.2))
-            res, _ = product_norm(E, Fm, z, opts=dict(_OPT_FAST))
-            t = norm(T, z).value
-            ups.append(res.value / t)
-            dns.append(t / res.value)
-        c_up, c_dn, ok = _two_sided(ups, dns, cap)
-        out.append(_instance({"case": name}, c_up, c_dn, [c_up, c_dn], cap, ok))
-    return out
+    return [
+        _equivalence(cfg, {"case": name}, E, Fm, T, ms, _case_key(name), cfg.count(4), (0.05, 0.2))
+        for name, E, Fm, T in cases
+    ]
 
 
 def _suite_theorem11_instances(cfg: SuiteConfig) -> list:
-    out = []
-    cap = cfg.tol("cap", _EQUIV_CAP)
     ms = half_line(cfg.n(24))
     p, r = 2.0, 3.0
     cases = [
@@ -653,18 +606,10 @@ def _suite_theorem11_instances(cfg: SuiteConfig) -> list:
             lorentz_pq(p, 2.0),
         ),
     ]
-    for name, E, Fm, T in cases:
-        ups, dns = [], []
-        for i in range(cfg.count(4)):
-            rng = _rng(cfg, _case_key(name) + i)
-            z = _decreasing_profile(rng, ms, gamma_range=(0.05, 0.2))
-            res, _ = product_norm(E, Fm, z, opts=dict(_OPT_FAST))
-            t = norm(T, z).value
-            ups.append(res.value / t)
-            dns.append(t / res.value)
-        c_up, c_dn, ok = _two_sided(ups, dns, cap)
-        out.append(_instance({"case": name}, c_up, c_dn, [c_up, c_dn], cap, ok))
-    return out
+    return [
+        _equivalence(cfg, {"case": name}, E, Fm, T, ms, _case_key(name), cfg.count(4), (0.05, 0.2))
+        for name, E, Fm, T in cases
+    ]
 
 
 def _suite_perfectness(cfg: SuiteConfig) -> list:
@@ -715,14 +660,12 @@ def _suite_lemma4_instances(cfg: SuiteConfig) -> list:
         h_f, hs_f = 1.0 / (1.0 - d), 1.0 / d
         c1 = (2.0 * h_e) ** theta * (2.0 * h_f) ** (1.0 - theta)
         c2 = (h_e + hs_e) ** theta * (h_f + hs_f) ** (1.0 - theta)
-        from .product import calderon_norm
-
         for i in range(cfg.count(3)):
             rng = _rng(cfg, _case_key(name) + i)
             z = _decreasing_profile(rng, ms, gamma_range=(0.05, min(c, d) * 0.5))
-            plain = calderon_norm(E, F, theta, z, opts=dict(_OPT_FAST)).value
+            plain = calderon_norm(E, F, theta, z, opts=_OPT_FAST).value
             starred = calderon_norm(
-                Symmetrization(E, "star"), Symmetrization(F, "star"), theta, z, opts=dict(_OPT_FAST)
+                Symmetrization(E, "star"), Symmetrization(F, "star"), theta, z, opts=_OPT_FAST
             ).value
             ok = plain <= c1 * starred * (1 + slack) and starred <= c2 * plain * (1 + slack)
             out.append(
@@ -798,14 +741,7 @@ def run_suite(name: str, config: Optional[SuiteConfig] = None, **kw) -> CheckRep
         raise ValueError(f"unknown suite {name!r}; registered: {', '.join(registered_suites())}")
     cfg = config if config is not None else SuiteConfig(suite=name, **kw)
     if cfg.suite != name:
-        cfg = SuiteConfig(
-            suite=name,
-            seed=cfg.seed,
-            grid_n=cfg.grid_n,
-            instances=cfg.instances,
-            tolerances=cfg.tolerances,
-            params=cfg.params,
-        )
+        cfg = replace(cfg, suite=name)
     instances = SUITES[name](cfg)
     if not instances:
         raise RuntimeError(f"suite {name!r} produced no instances; refusing a vacuous pass")

@@ -19,7 +19,8 @@ from bfslab.grid import (
     step_to_json,
     unit_interval,
 )
-from bfslab.weights import PowerWeight
+from bfslab.spaces import Lp, Symmetrization, norm
+from bfslab.weights import PowerLogWeight, PowerWeight
 
 
 def test_unit_interval_shape():
@@ -162,3 +163,23 @@ def test_json_round_trip_is_exact():
         back = step_from_json(json.loads(json.dumps(step_to_json(x))))
         assert back.space == x.space
         assert np.array_equal(back.values, x.values)
+
+
+@pytest.mark.parametrize("n", [128, 256, 512, 1024])
+def test_rearrange_ends_at_the_length_on_fine_unit_grids(n):
+    # the running width sum can round past 1 before the last cell
+    ms = unit_interval(n)
+    for seed in range(50):
+        x = StepFunction(ms, np.random.default_rng(seed).uniform(0.1, 3.0, n))
+        xs = rearrange(x)
+        assert xs.space.breakpoints[-1] == ms.length
+        assert np.all(np.diff(xs.values) <= 0)
+        assert integrate(xs) == pytest.approx(integrate(x), rel=1e-12)
+
+
+def test_rearrange_fallbacks_work_on_fine_unit_grids():
+    ms = unit_interval(256)
+    x = StepFunction(ms, np.random.default_rng(0).uniform(0.1, 3.0, 256))
+    assert np.isfinite(double_star(x, 0.5))
+    star = Symmetrization(Lp(np.inf, PowerLogWeight(0.5, 1)), "star")
+    assert np.isfinite(norm(star, x).value)

@@ -4,11 +4,22 @@ shapes, and a couple of cheap suites run end to end."""
 import csv
 import io
 import json
+import math
+import zlib
 
+import numpy as np
 import pytest
 
 from bfslab import (
+    LorentzLambda,
+    Marcinkiewicz,
+    MarcinkiewiczStar,
+    PowerWeight,
+    StepFunction,
     SuiteConfig,
+    half_line,
+    norm,
+    product_norm,
     registered_suites,
     report_to_csv,
     report_to_json,
@@ -117,3 +128,40 @@ def test_run_all_honours_the_name_filter():
     reports = run_all(seed=7, names=["holder_rogers", "reverse_chebyshev"], instances=10)
     assert [r.suite for r in reports] == ["holder_rogers", "reverse_chebyshev"]
     assert all(r.passed for r in reports)
+
+
+def test_theorem10_constants_match_a_direct_recomputation():
+    # Oracle for the shared two-sided runner: redraw each part's profiles
+    # from the suite's seed scheme and recompute both ratio maxima.
+    seed, n, count = 7, 8, 2
+    rep = run_suite("theorem10", seed=seed, grid_n=n, instances=count)
+    ms = half_line(n)
+    opts = {"max_sweeps": 300, "quick_sweeps": 25, "golden_iters": 10}
+    a, b = 0.3, 0.7
+    parts = {
+        "a": (LorentzLambda(PowerWeight(a)), MarcinkiewiczStar(PowerWeight(b - a)), LorentzLambda(PowerWeight(b))),
+        "b": (Marcinkiewicz(PowerWeight(a)), MarcinkiewiczStar(PowerWeight(b - a)), Marcinkiewicz(PowerWeight(b))),
+        "c": (Marcinkiewicz(PowerWeight(a)), LorentzLambda(PowerWeight(b - a)), LorentzLambda(PowerWeight(b))),
+    }
+    assert [inst["inputs"]["part"] for inst in rep.instances] == list(parts)
+    for inst in rep.instances:
+        E, F, T = parts[inst["inputs"]["part"]]
+        key = zlib.crc32(inst["inputs"]["part"].encode()) % 100_000
+        ups, dns = [], []
+        for i in range(count):
+            rng = np.random.default_rng([seed, zlib.crc32(b"theorem10"), key + i])
+            t = np.maximum(ms.breakpoints[1:], ms.breakpoints[1] * 0.5)
+            gamma = rng.uniform(0.05, 0.25)
+            vals = t**-gamma * np.exp(-np.cumsum(rng.exponential(0.12, size=n)))
+            z = StepFunction(ms, vals / float(np.sum(vals * ms.widths)))
+            p = product_norm(E, F, z, opts=opts)[0].value
+            q = norm(T, z).value
+            ups.append(p / q)
+            dns.append(q / p)
+        c_up, c_dn = max(ups), max(dns)
+        assert inst["lhs"] == c_up
+        assert inst["rhs"] == c_dn
+        assert inst["constant"] == [c_up, c_dn]
+        assert inst["tolerance"] == 50.0
+        assert inst["pass"] is (c_up <= 50.0 and c_dn <= 50.0)
+        assert math.isfinite(c_up) and math.isfinite(c_dn)

@@ -1,11 +1,13 @@
 """Variational norms built from factorizations.
 
 The product norm ``inf { |x|_E |y|_F : z = x y }`` is computed by a
-closed-form table where one exists and otherwise by multi-start
-coordinate descent over ``x = exp(u)`` on the support of z.  Every
-numeric result is a certified upper bound: the witness pair is returned
-and its norms are recomputed through the public norm evaluators, so the
-reported value can never undercut its own certificate.
+closed-form table where one exists and otherwise by lockstep multi-start
+coordinate descent over ``x = exp(u)`` on the support of z: the seeded
+starts are the rows of one matrix, and each golden-section step
+evaluates all live starts in one batched kernel call.  Every numeric
+result is a certified upper bound: the witness pair is returned and its
+norms are recomputed through the public norm evaluators, so the reported
+value can never undercut its own certificate.
 
 Multiplier and dual norms run the same machinery in the opposite
 direction (ratio ascent over a test family), so those values are lower
@@ -36,6 +38,7 @@ from .spaces import (
     NormResult,
     Product,
     SpaceDescriptor,
+    _rowwise,
     canonical,
     dual_descriptor,
     is_primitive,
@@ -75,6 +78,9 @@ _SWEEP_RTOL = 1e-10  # stop once a sweep improves J by less than this
 _SPAN = 1.5  # coordinate search half-width in log units
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _RATIO_CAP = 1e8
+# objectives may overflow, divide by 0 or multiply 0 by inf; the
+# engine maps every such value to +inf or 0 as the scalar code did
+_QUIET = {"divide": "ignore", "invalid": "ignore", "over": "ignore"}
 
 
 @dataclass(frozen=True)
@@ -138,7 +144,7 @@ def _norm_fn(space: SpaceDescriptor, mspace: MeasureSpace) -> Callable[[np.ndarr
     def fn(values: np.ndarray) -> float:
         return norm(sp, StepFunction(mspace, values)).value
 
-    return fn
+    return _rowwise(fn)
 
 
 def _merge_opts(opts: Optional[dict]) -> dict:
@@ -156,60 +162,106 @@ def _merge_opts(opts: Optional[dict]) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _golden_coordinate(f1, center: float, span: float, iters: int):
-    """Minimize a 1-d slice by golden section; returns (argmin, min)."""
-    a, b = center - span, center + span
+def _golden_rows(J, P: np.ndarray, i: int, iters: int):
+    """Golden-section search of every row of P along coordinate i.
+
+    One J call per step evaluates the new point of each row; the first
+    pair (c, d) goes in one call of 2k rows.  Returns (argmin, min) per row.
+    """
+    k = P.shape[0]
+    a = P[:, i] - _SPAN
+    b = P[:, i] + _SPAN
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
-    fc, fd = f1(c), f1(d)
+    Q = np.concatenate((P, P))
+    Q[:k, i] = c
+    Q[k:, i] = d
+    f = J(Q)
+    fc, fd = f[:k], f[k:]
     for _ in range(iters):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f1(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = f1(d)
-    return (c, fc) if fc < fd else (d, fd)
+        left = fc < fd  # keep [a, d], else keep [c, b]
+        b = np.where(left, d, b)
+        a = np.where(left, a, c)
+        g = _GOLDEN * (b - a)
+        new = np.where(left, b - g, a + g)
+        c, d = np.where(left, new, d), np.where(left, c, new)
+        P[:, i] = new
+        f = J(P)
+        fc, fd = np.where(left, f, fd), np.where(left, fc, f)
+    take = fc < fd
+    return np.where(take, c, d), np.where(take, fc, fd)
 
 
-def _descend(J, u0: np.ndarray, o: dict, budget: int):
-    """Cyclic coordinate descent with golden line searches."""
-    u = u0.copy()
-    best = J(u)
-    converged = False
-    for _ in range(budget):
-        prev = best
-        for i in range(u.size):
-            center = u[i]
+def _descend(J, U: np.ndarray, f0: np.ndarray, budgets: np.ndarray, iters: int, target):
+    """Cyclic coordinate descent with golden line searches, every start at once.
 
-            def slice_fn(t, _i=i):
-                u[_i] = t
-                val = J(u)
-                u[_i] = center
-                return val
+    Row r of U is a start, with f0[r] = J(U[r]); J maps a (k, m) matrix
+    to its k objective values.  A sweep runs a golden-section search
+    along each coordinate in turn, for all live rows together.  Row r
+    stops after budgets[r] sweeps, or converged once a sweep ends at or
+    below ``target`` or improves J by at most _SWEEP_RTOL.  Returns
+    (U, best J per row, converged per row).
 
-            t_new, f_new = _golden_coordinate(slice_fn, center, _SPAN, o["golden_iters"])
-            if f_new < best:
-                u[i] = t_new
-                best = f_new
-        if o["target"] is not None and best <= o["target"]:
-            converged = True
-            break
-        if prev - best <= _SWEEP_RTOL * max(abs(prev), 1e-300):
-            converged = True
-            break
-    return u, best, converged
+    Rows are independent, so the schedule changes no result.  The caller
+    takes the rows in rank order and stops at the first one at or below
+    ``target``, so the rows after it are dropped as soon as it gets
+    there; and row 0 runs its first sweep alone, as it often reaches the
+    target within it.
+    """
+    U = np.array(U, dtype=float, order="C")
+    best = np.array(f0, dtype=float)
+    sweeps = np.zeros(len(U), dtype=int)
+    converged = np.zeros(len(U), dtype=bool)
+    live = budgets > 0
+    waiting = np.zeros(len(U), dtype=bool)
+    if target is not None and live[0]:
+        waiting[1:] = live[1:]
+        live[1:] = False
+
+    def drop_after_target():
+        if target is not None:
+            hit = np.flatnonzero(best <= target)
+            if hit.size:
+                live[hit[0] + 1 :] = False
+                waiting[hit[0] + 1 :] = False
+
+    drop_after_target()
+    while live.any():
+        prev = best.copy()
+        for i in range(U.shape[1]):
+            rows = np.flatnonzero(live)
+            t, f = _golden_rows(J, U[rows], i, iters)
+            better = f < best[rows]
+            U[rows[better], i] = t[better]
+            best[rows[better]] = f[better]
+            drop_after_target()
+        rows = np.flatnonzero(live)
+        sweeps[rows] += 1
+        p, b = prev[rows], best[rows]
+        done = p - b <= _SWEEP_RTOL * np.maximum(np.abs(p), 1e-300)
+        if target is not None:
+            done |= b <= target
+        converged[rows] = done
+        live[rows] = ~done & (sweeps[rows] < budgets[rows])
+        live |= waiting
+        waiting[:] = False
+    return U, best, converged
 
 
 def _monotone_embed(v: np.ndarray) -> np.ndarray:
-    """Map free parameters (head, nonneg decrements) to a non-increasing u."""
+    """Map free parameters (head, nonneg decrements) to a non-increasing u, per row."""
     u = np.empty_like(v)
-    u[0] = v[0]
-    if v.size > 1:
-        u[1:] = v[0] - np.cumsum(np.maximum(v[1:], 0.0))
+    u[..., 0] = v[..., 0]
+    u[..., 1:] = v[..., :1] - np.cumsum(np.maximum(v[..., 1:], 0.0), axis=-1)
     return u
+
+
+def _monotone_params(u: np.ndarray) -> np.ndarray:
+    """Free parameters (head, decrements) of u; inverts _monotone_embed on non-increasing u."""
+    v = np.empty_like(u)
+    v[0] = u[0]
+    v[1:] = np.maximum(u[:-1] - u[1:], 0.0)
+    return v
 
 
 def _seed_vectors(E, F, z_supp, widths_supp, t_right_supp) -> list:
@@ -241,12 +293,13 @@ def _structured_seed(sp, z_supp, widths_supp, t_right_supp):
 
 
 def _split(u: np.ndarray, supp: np.ndarray, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Factors x = e^u and y = z / x on supp z, zero elsewhere."""
+    """Factors x = e^u and y = z / x on supp z, zero elsewhere; one pair per row of u."""
     eu = np.exp(np.clip(u, -60.0, 60.0))
-    xv = np.zeros(supp.size)
-    yv = np.zeros(supp.size)
-    xv[supp] = eu
-    yv[supp] = zs / eu
+    shape = u.shape[:-1] + supp.shape
+    xv = np.zeros(shape)
+    yv = np.zeros(shape)
+    xv[..., supp] = eu
+    yv[..., supp] = zs / eu
     return xv, yv
 
 
@@ -257,24 +310,27 @@ def _optimize_product(E, F, z: StepFunction, o: dict):
     fe = _norm_fn(E, mspace)
     ff = _norm_fn(F, mspace)
 
-    def J(u: np.ndarray) -> float:
-        xv, yv = _split(u, supp, zs)
+    def J(U: np.ndarray) -> np.ndarray:
+        xv, yv = _split(U, supp, zs)
         val = fe(xv) * ff(yv)
-        return val if math.isfinite(val) else math.inf
+        return np.where(np.isfinite(val), val, math.inf)
 
-    seeds = _seed_vectors(E, F, zs, mspace.widths[supp], mspace.breakpoints[1:][supp])
-    scored = sorted(range(len(seeds)), key=lambda i: (J(seeds[i]), i))
-    best_u, best_val, any_converged = None, math.inf, False
-    for rank, idx in enumerate(scored):
-        budget = o["max_sweeps"] if rank < _FULL_STARTS else min(o["quick_sweeps"], o["max_sweeps"])
-        u, val, conv = _descend(J, seeds[idx], o, budget)
+    seeds = np.array(_seed_vectors(E, F, zs, mspace.widths[supp], mspace.breakpoints[1:][supp]))
+    with np.errstate(**_QUIET):
+        f0 = J(seeds)
+        rank = np.argsort(f0, kind="stable")
+        budgets = np.full(rank.size, min(o["quick_sweeps"], o["max_sweeps"]))
+        budgets[:_FULL_STARTS] = o["max_sweeps"]
+        U, vals, conv = _descend(J, seeds[rank], f0[rank], budgets, o["golden_iters"], o["target"])
+    best_r, best_val, any_converged = None, math.inf, False
+    for r, val in enumerate(vals.tolist()):
         if val < best_val:
-            best_u, best_val = u, val
-            any_converged = conv
+            best_r, best_val = r, val
+            any_converged = bool(conv[r])
         if o["target"] is not None and best_val <= o["target"]:
             any_converged = True
             break
-    xv, yv = _split(best_u, supp, zs)
+    xv, yv = _split(U[best_r], supp, zs)
     return StepFunction(mspace, xv), StepFunction(mspace, yv), any_converged
 
 
@@ -518,8 +574,8 @@ def _default_test_family(mspace: MeasureSpace, m_vals: np.ndarray) -> list:
 
 
 def _ratio_ascent(
-    num_fn: Callable[[np.ndarray], float],
-    den_fn: Callable[[np.ndarray], float],
+    num_fn: Callable[[np.ndarray], np.ndarray],
+    den_fn: Callable[[np.ndarray], np.ndarray],
     mspace: MeasureSpace,
     family: Sequence[np.ndarray],
     o: dict,
@@ -528,22 +584,25 @@ def _ratio_ascent(
 ):
     """Maximize num(y)/den(y); returns (best ratio, best y, capped flag).
 
-    The best member of ``family`` seeds a coordinate ascent unless
-    ``ascent`` is False, in which case the family maximum is returned.
+    ``num_fn`` and ``den_fn`` map a (k, n) array to k values.  The best
+    member of ``family`` seeds a coordinate ascent unless ``ascent`` is
+    False, in which case the family maximum is returned.
     """
 
-    def ratio(vals: np.ndarray) -> float:
+    def ratio(vals: np.ndarray) -> np.ndarray:
         d = den_fn(vals)
-        if not (d > 0.0 and math.isfinite(d)):
-            return 0.0
         r = num_fn(vals) / d
-        return r if math.isfinite(r) else math.inf
+        r = np.where(np.isfinite(r), r, math.inf)
+        return np.where((d > 0.0) & np.isfinite(d), r, 0.0)
 
     best_vals, best = None, 0.0
-    for vals in family:
-        r = ratio(np.asarray(vals, dtype=float))
-        if r > best:
-            best, best_vals = r, np.asarray(vals, dtype=float)
+    if len(family):
+        fam = np.array(family, dtype=float)
+        with np.errstate(**_QUIET):
+            ratios = ratio(fam).tolist()
+        for vals, r in zip(fam, ratios):
+            if r > best:
+                best, best_vals = r, vals
     if best_vals is None:
         return 0.0, None, False
     if best >= _RATIO_CAP:
@@ -551,28 +610,24 @@ def _ratio_ascent(
     if not ascent:
         return best, best_vals, False
 
-    o = dict(o, target=None)  # targets are for minimization callers only
     pos = best_vals > 0
     if not pos.any():
         return best, best_vals, False
     u0 = np.log(best_vals[pos])
 
-    def J(params: np.ndarray) -> float:
+    def J(params: np.ndarray) -> np.ndarray:
         u = _monotone_embed(params) if monotone else params
-        vals = np.zeros(mspace.n_cells)
-        vals[pos] = np.exp(np.clip(u, -60.0, 60.0))
+        vals = np.zeros((len(u), mspace.n_cells))
+        vals[:, pos] = np.exp(np.clip(u, -60.0, 60.0))
         return -ratio(vals)
 
-    if monotone:
-        v = np.empty_like(u0)
-        v[0] = u0[0]
-        if u0.size > 1:
-            v[1:] = np.maximum(u0[:-1] - u0[1:], 0.0)
-        u0 = v
-    u, neg, _ = _descend(J, u0, o, min(o["max_sweeps"], 200))
-    if -neg > best:
-        best = -neg
-        u_final = _monotone_embed(u) if monotone else u
+    p0 = (_monotone_params(u0) if monotone else u0)[None]
+    budget = np.array([min(o["max_sweeps"], 200)])
+    with np.errstate(**_QUIET):  # targets are for minimization callers only
+        P, neg, _ = _descend(J, p0, J(p0), budget, o["golden_iters"], None)
+    if -neg[0] > best:
+        best = -float(neg[0])
+        u_final = _monotone_embed(P[0]) if monotone else P[0]
         best_vals = np.zeros(mspace.n_cells)
         best_vals[pos] = np.exp(np.clip(u_final, -60.0, 60.0))
     if best >= _RATIO_CAP:
@@ -691,7 +746,7 @@ def multiplier_norm(
     ff = _norm_fn(Fc, mspace)
     mv = m.values
 
-    def num_fn(vals: np.ndarray) -> float:
+    def num_fn(vals: np.ndarray) -> np.ndarray:
         return ff(mv * vals)
 
     if witnesses is not None:
@@ -722,8 +777,8 @@ def dual_norm_numeric(
     fe = _norm_fn(Ec, mspace)
     yw = y.values * mspace.widths
 
-    def pairing(vals: np.ndarray) -> float:
-        return float(np.sum(vals * yw))
+    def pairing(vals: np.ndarray) -> np.ndarray:
+        return (vals * yw).sum(-1)
 
     family = _default_test_family(mspace, y.values)
     dec = bool(np.all(np.diff(y.values) <= 1e-15))

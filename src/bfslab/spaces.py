@@ -41,6 +41,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .grid import (
+    COUNTING,
     MeasureSpace,
     StepFunction,
     _refine,
@@ -448,37 +449,81 @@ class _CompiledNorm:
 _COMPILE_CACHE: dict = {}
 
 
+# Kernels take one row (n,) or a batch (k, n).  A batch must give each
+# row's one-row value bit for bit: kernels that sum over a row first make
+# their input C-contiguous (numpy groups a row sum differently on other
+# layouts), and rows whose live cells differ go one at a time.
+
+
+def _each_row(kernel: Callable, v: np.ndarray) -> np.ndarray:
+    """One call of ``kernel`` per row of ``v``: the norms as an array."""
+    return np.array([kernel(row) for row in v], dtype=float)
+
+
+def _rowwise(kernel: Callable[[np.ndarray], float]) -> Callable:
+    """Give a one-row kernel the batched ``(k, n)`` contract, row by row."""
+
+    def batched(v):
+        return kernel(v) if v.ndim == 1 else _each_row(kernel, v)
+
+    return batched
+
+
+def _out(s):
+    """A 0-d result as a float; a batch of row results as it is."""
+    return s if s.ndim else float(s)
+
+
+def _root(s, p: float):
+    """``s ** (1/p)`` per row, as a scalar power (the vectorized power
+    differs from it in the last bit for some inputs)."""
+    if s.ndim:
+        return np.array([x ** (1.0 / p) for x in s])
+    return float(s ** (1.0 / p))
+
+
+def _fill(v: np.ndarray, value: float):
+    """``value`` for one row, or for every row of a batch."""
+    return value if v.ndim == 1 else np.full(v.shape[0], value)
+
+
 def _decreasing_profile(values: np.ndarray, widths: np.ndarray):
-    """Sorted cell values with the breakpoints they induce."""
-    order = np.argsort(-values, kind="stable")
-    v = values[order]
+    """Sorted cell values with the breakpoints they induce, per row."""
+    order = (-values).argsort(kind="stable")
     w = widths[order]
-    bp = np.empty(v.size + 1)
-    bp[0] = 0.0
-    np.cumsum(w, out=bp[1:])
+    if values.ndim > 1:
+        order += np.arange(0, values.size, values.shape[-1])[:, None]  # flat indices
+    v = values.take(order)
+    bp = np.zeros(v.shape[:-1] + (v.shape[-1] + 1,))
+    w.cumsum(-1, out=bp[..., 1:])
     return v, w, bp
 
 
 def _lam_p(widths: np.ndarray, q: float, cp: float, p: float) -> Callable[[np.ndarray], float]:
     """Kernel ``(cp * ∫ x*(t)^p t^q dt)^(1/p)``, exact on step functions."""
 
-    def kernel(v):
-        v, _, bp = _decreasing_profile(v, widths)
-        live = int(np.searchsorted(-v, 0.0))
+    def kernel(x):
+        x = np.ascontiguousarray(x)
+        v, _, bp = _decreasing_profile(x, widths)
+        live = (v > 0).sum(-1)
+        if live.ndim:
+            if (live != live[0]).any():
+                return _each_row(kernel, x)
+            live = live[0]
         if live == 0:
-            return 0.0
+            return _fill(x, 0.0)
         if q <= -1.0:
-            return math.inf
-        prim = bp[: live + 1] ** (q + 1.0) / (q + 1.0)
-        terms = np.sort(v[:live] ** p * np.diff(prim))
-        return float((cp * np.sum(terms)) ** (1.0 / p))
+            return _fill(x, math.inf)
+        prim = bp[..., : live + 1] ** (q + 1.0) / (q + 1.0)
+        terms = np.sort(v[..., :live] ** p * (prim[..., 1:] - prim[..., :-1]))
+        return _root(cp * terms.sum(-1), p)
 
     return kernel
 
 
 def _singular_at_zero(v: np.ndarray) -> float:
     """Sup of ``t^alpha * x*`` (or ``x**``) with alpha < 0: infinite unless x = 0."""
-    return math.inf if np.any(v > 0) else 0.0
+    return _out(np.where((v > 0).any(-1), math.inf, 0.0))
 
 
 def _trunc_notes(mspace: MeasureSpace) -> tuple:
@@ -497,13 +542,13 @@ def _compile(space: SpaceDescriptor, mspace: MeasureSpace) -> Optional[_Compiled
         p, w = space.p, space.weight
         if math.isinf(p):
             if w is None:
-                return _CompiledNorm(lambda v: float(v.max(initial=0.0)), "exact", tn)
+                return _CompiledNorm(lambda v: _out(v.max(-1, initial=0.0)), "exact", tn)
             return _compile(LInftyWeighted(w), mspace)
         if w is None:
 
             def _lp_plain(v, p=p, wd=widths):
-                terms = np.sort(v**p * wd)
-                return float(np.sum(terms) ** (1.0 / p))
+                terms = np.sort(np.ascontiguousarray(v) ** p * wd)
+                return _root(terms.sum(-1), p)
 
             return _CompiledNorm(_lp_plain, "exact", tn)
         cell_w = []
@@ -519,13 +564,22 @@ def _compile(space: SpaceDescriptor, mspace: MeasureSpace) -> Optional[_Compiled
         cell_w = np.asarray(cell_w)
 
         def _lp_weighted(v, p=p, cw=cell_w):
+            # a batch is summed over the live cells of its first row, so
+            # rows with other live cells go one by one
+            v = np.ascontiguousarray(v)
             live = v > 0
-            if not live.any():
-                return 0.0
-            if np.any(np.isinf(cw[live])):
-                return math.inf
-            terms = np.sort(v[live] ** p * cw[live])
-            return float(np.sum(terms) ** (1.0 / p))
+            if v.ndim > 1:
+                if (live != live[0]).any():
+                    return _each_row(_lp_weighted, v)
+                live = live[0]
+            idx = live.nonzero()[0]
+            if not idx.size:
+                return _fill(v, 0.0)
+            cwl = cw[idx]
+            if np.isinf(cwl).any():
+                return _fill(v, math.inf)
+            terms = np.sort(v.take(idx, -1) ** p * cwl)
+            return _root(terms.sum(-1), p)
 
         notes = tn if exact else tn + ("fixed-order quadrature for the weight",)
         return _CompiledNorm(_lp_weighted, "exact" if exact else "estimate", notes)
@@ -534,10 +588,10 @@ def _compile(space: SpaceDescriptor, mspace: MeasureSpace) -> Optional[_Compiled
         phi = space.phi
 
         def _lam(v, wd=widths, phi=phi):
-            v, _, bp = _decreasing_profile(v, wd)
+            v, _, bp = _decreasing_profile(np.ascontiguousarray(v), wd)
             ph = np.asarray(phi(bp), dtype=float)
-            ph[0] = 0.0
-            return float(np.sum(v * np.diff(ph)))
+            ph[..., 0] = 0.0
+            return _out((v * (ph[..., 1:] - ph[..., :-1])).sum(-1))
 
         return _CompiledNorm(_lam, "exact", tn)
 
@@ -566,7 +620,7 @@ def _compile(space: SpaceDescriptor, mspace: MeasureSpace) -> Optional[_Compiled
                 total += v[i] ** p * cell
             return float(total ** (1.0 / p))
 
-        return _CompiledNorm(_lam_p_quad, "estimate", note)
+        return _CompiledNorm(_rowwise(_lam_p_quad), "estimate", note)
 
     if isinstance(space, Marcinkiewicz):
         phi = space.phi
@@ -578,12 +632,12 @@ def _compile(space: SpaceDescriptor, mspace: MeasureSpace) -> Optional[_Compiled
 
             def _marc_pow(v, wd=widths, pw=pw, lim0=lim0):
                 v, w, bp = _decreasing_profile(v, wd)
-                cum = np.cumsum(v * w)
-                cand = pw(bp[1:]) * (cum / bp[1:])
-                best = float(np.max(cand, initial=0.0))
+                t = bp[..., 1:]
+                cand = pw(t) * ((v * w).cumsum(-1) / t)
+                best = cand.max(-1, initial=0.0)
                 if lim0:
-                    best = max(best, lim0 * float(v[0]))
-                return best
+                    best = np.maximum(best, lim0 * v[..., 0])
+                return _out(best)
 
             return _CompiledNorm(_marc_pow, "exact", tn)
         frac = np.linspace(0.0, 1.0, 10)
@@ -601,7 +655,7 @@ def _compile(space: SpaceDescriptor, mspace: MeasureSpace) -> Optional[_Compiled
             g = np.where(np.isnan(g), 0.0, g)
             return float(np.max(g, initial=0.0))
 
-        return _CompiledNorm(_marc_generic, "estimate", tn + ("cell suprema sampled",))
+        return _CompiledNorm(_rowwise(_marc_generic), "estimate", tn + ("cell suprema sampled",))
 
     if isinstance(space, MarcinkiewiczStar):
         phi = space.phi
@@ -610,7 +664,7 @@ def _compile(space: SpaceDescriptor, mspace: MeasureSpace) -> Optional[_Compiled
 
             def _mstar_pow(v, wd=widths, pw=pw):
                 v, _, bp = _decreasing_profile(v, wd)
-                return float(np.max(v * pw(bp[1:]), initial=0.0))
+                return _out((v * pw(bp[..., 1:])).max(-1, initial=0.0))
 
             return _CompiledNorm(_mstar_pow, "exact", tn)
         if pw is not None:
@@ -625,7 +679,7 @@ def _compile(space: SpaceDescriptor, mspace: MeasureSpace) -> Optional[_Compiled
                 best = max(best, v[i] * phi.cell_sup(bp[i], bp[i + 1]))
             return float(best)
 
-        return _CompiledNorm(_mstar_generic, "estimate", tn + ("cell suprema sampled",))
+        return _CompiledNorm(_rowwise(_mstar_generic), "estimate", tn + ("cell suprema sampled",))
 
     if isinstance(space, LInftyWeighted):
         phi = space.phi
@@ -635,10 +689,9 @@ def _compile(space: SpaceDescriptor, mspace: MeasureSpace) -> Optional[_Compiled
         notes = tn if pw is not None else tn + ("cell suprema sampled",)
 
         def _wsup(v, s=sups):
-            live = v > 0
-            if not live.any():
-                return 0.0
-            return float(np.max(v[live] * s[live]))
+            # dead cells count as 0, below every live v * s; masking s
+            # keeps an infinite sup on a dead cell out of the product
+            return _out((v * np.where(v > 0, s, 0.0)).max(-1, initial=0.0))
 
         return _CompiledNorm(_wsup, kind, notes)
 
@@ -652,7 +705,7 @@ def _compile(space: SpaceDescriptor, mspace: MeasureSpace) -> Optional[_Compiled
             return _luxemburg_value(basec.fn, phi, v)
 
         return _CompiledNorm(
-            _lux, "estimate", basec.notes + (f"luxemburg bisection, rtol {_LUX_RTOL:g}",)
+            _rowwise(_lux), "estimate", basec.notes + (f"luxemburg bisection, rtol {_LUX_RTOL:g}",)
         )
 
     if isinstance(space, Convexification):
@@ -664,7 +717,7 @@ def _compile(space: SpaceDescriptor, mspace: MeasureSpace) -> Optional[_Compiled
         def _conv(v, basec=basec, p=p):
             return basec.fn(v**p) ** (1.0 / p)
 
-        return _CompiledNorm(_conv, basec.kind, basec.notes)
+        return _CompiledNorm(_rowwise(_conv), basec.kind, basec.notes)
 
     if isinstance(space, Symmetrization):
         return _compile_symmetrization(space, mspace)
@@ -716,7 +769,7 @@ def _compile_symmetrization(space: Symmetrization, mspace: MeasureSpace) -> Opti
             total += cp * float(np.sum(gl_w[None, :] * half * integ))
         return float(total ** (1.0 / p))
 
-    return _CompiledNorm(_dstar_lp, "estimate", tn + ("x** integrated by per-cell quadrature",))
+    return _CompiledNorm(_rowwise(_dstar_lp), "estimate", tn + ("x** integrated by per-cell quadrature",))
 
 
 def _luxemburg_value(base_fn: Callable[[np.ndarray], float], phi: YoungFunction, values: np.ndarray) -> float:
@@ -759,9 +812,12 @@ def _luxemburg_value(base_fn: Callable[[np.ndarray], float], phi: YoungFunction,
 def norm_evaluator(space: SpaceDescriptor, mspace: MeasureSpace) -> Optional[_CompiledNorm]:
     """Compiled fast-path norm for ``space`` on ``mspace``, or None.
 
-    The returned object's ``fn`` maps a per-cell value array straight to
-    the norm value; callers in the variational engine hold on to it
-    across thousands of evaluations.
+    The returned object's ``fn`` maps a per-cell value array of shape
+    ``(n,)`` straight to the norm value as a float, and a ``(k, n)``
+    array of k >= 1 rows to an array of their k norms.  Batching never moves
+    a bit: ``fn(V)[i] == fn(V[i])`` exactly, for any memory layout of V.
+    Callers in the variational engine hold on to ``fn`` across thousands
+    of evaluations.
     """
     key = (space, mspace)
     hit = _COMPILE_CACHE.get(key)
@@ -818,9 +874,13 @@ def symmetrization_norm(space: SpaceDescriptor, mode: str, x: StepFunction) -> N
 
 
 def _doublestar_step(x: StepFunction, interior: int = 8) -> StepFunction:
-    """Step over-approximation of x** on a refinement of the sorted grid."""
+    """Step over-approximation of x** on a refinement of the sorted grid.
+
+    A counting grid is not refined: each cell is an atom, so the step is
+    ``[x*(1), x**(1), ..., x**(n-1)]`` on the sorted grid itself.
+    """
     xs = rearrange(x)
-    space = _refine(xs.space, interior)
+    space = xs.space if xs.space.kind == COUNTING else _refine(xs.space, interior)
     lefts = space.breakpoints[:-1]
     vals = np.empty(lefts.size)
     if lefts[0] == 0.0:

@@ -376,6 +376,30 @@ def test_doublestar_norm_bounds_the_maximal_average():
     assert any("x**" in note for note in res.notes)
 
 
+def test_doublestar_fallback_on_a_counting_grid_example():
+    # x* = [3, 2, 1, 0.5]; the upper step [x*(1), x**(1), x**(2), x**(3)]
+    # is [3, 3, 2.5, 2], and Λ(t^0.5) sums it against sqrt(i) - sqrt(i-1)
+    x = StepFunction(counting(4), [3.0, 1.0, 2.0, 0.5])
+    res = norm(Symmetrization(LorentzLambda(PowerWeight(0.5)), "doublestar"), x)
+    want = 3.0 + 3.0 * (math.sqrt(2) - 1) + 2.5 * (math.sqrt(3) - math.sqrt(2)) + 2.0 * (2 - math.sqrt(3))
+    assert math.isclose(res.value, want, rel_tol=1e-14)
+    assert res.value == 5.573132184970986
+    assert res.kind == "estimate"
+
+
+@pytest.mark.parametrize("n", [4, 7, 32, 129, 512, 1024])
+def test_doublestar_fallback_on_counting_grids_matches_cesaro_means(n):
+    rng = np.random.default_rng(n)
+    x = StepFunction(counting(n), rng.uniform(0.0, 3.0, n))
+    res = norm(Symmetrization(LorentzLambda(PowerWeight(0.5)), "doublestar"), x)
+    xs = np.sort(x.values)[::-1]
+    cesaro = np.cumsum(xs) / np.arange(1, n + 1)  # x**(j) on the atoms 1..n
+    step = np.concatenate(([xs[0]], cesaro[:-1]))  # left endpoints 0, 1, ..., n-1
+    want = float(np.sum(step * np.diff(np.sqrt(np.arange(n + 1.0)))))
+    assert math.isclose(res.value, want, rel_tol=1e-12)
+    assert res.kind == "estimate"
+
+
 def test_star_symmetrization_matches_rearranged_norm():
     rng = np.random.default_rng(21)
     ms = unit_interval(16)

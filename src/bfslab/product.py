@@ -166,33 +166,46 @@ def _golden_rows(J, P: np.ndarray, i: int, iters: int):
     """Golden-section search of every row of P along coordinate i.
 
     One J call per step evaluates the new point of each row; the first
-    pair (c, d) goes in one call of 2k rows.  Returns (argmin, min) per row.
+    pair (c, d) goes in one call of 2k rows.  The bracket of each row is
+    kept in Python floats: on the few rows of a descent that costs less
+    per step than array bookkeeping, and it is the one-row arithmetic
+    exactly.  Returns (argmin, min) lists, one entry per row.
     """
     k = P.shape[0]
-    a = P[:, i] - _SPAN
-    b = P[:, i] + _SPAN
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
+    center = P[:, i].tolist()
+    a = [t - _SPAN for t in center]
+    b = [t + _SPAN for t in center]
+    c = [hi - _GOLDEN * (hi - lo) for lo, hi in zip(a, b)]
+    d = [lo + _GOLDEN * (hi - lo) for lo, hi in zip(a, b)]
     Q = np.concatenate((P, P))
     Q[:k, i] = c
     Q[k:, i] = d
-    f = J(Q)
+    f = J(Q).tolist()
     fc, fd = f[:k], f[k:]
+    rows = range(k)
     for _ in range(iters):
-        left = fc < fd  # keep [a, d], else keep [c, b]
-        b = np.where(left, d, b)
-        a = np.where(left, a, c)
-        g = _GOLDEN * (b - a)
-        new = np.where(left, b - g, a + g)
-        c, d = np.where(left, new, d), np.where(left, c, new)
+        left = [fc[r] < fd[r] for r in rows]  # keep [a, d], else keep [c, b]
+        new = []
+        for r in rows:
+            if left[r]:
+                b[r], d[r], fd[r] = d[r], c[r], fc[r]
+                c[r] = b[r] - _GOLDEN * (b[r] - a[r])
+                new.append(c[r])
+            else:
+                a[r], c[r], fc[r] = c[r], d[r], fd[r]
+                d[r] = a[r] + _GOLDEN * (b[r] - a[r])
+                new.append(d[r])
         P[:, i] = new
-        f = J(P)
-        fc, fd = np.where(left, f, fd), np.where(left, fc, f)
-    take = fc < fd
-    return np.where(take, c, d), np.where(take, fc, fd)
+        for r, val in enumerate(J(P).tolist()):
+            if left[r]:
+                fc[r] = val
+            else:
+                fd[r] = val
+    take = [fc[r] < fd[r] for r in rows]
+    return [c[r] if take[r] else d[r] for r in rows], [fc[r] if take[r] else fd[r] for r in rows]
 
 
-def _descend(J, U: np.ndarray, f0: np.ndarray, budgets: np.ndarray, iters: int, target):
+def _lockstep_descent(J, U: np.ndarray, f0: np.ndarray, budgets: np.ndarray, iters: int, target):
     """Cyclic coordinate descent with golden line searches, every start at once.
 
     Row r of U is a start, with f0[r] = J(U[r]); J maps a (k, m) matrix
@@ -202,35 +215,29 @@ def _descend(J, U: np.ndarray, f0: np.ndarray, budgets: np.ndarray, iters: int, 
     below ``target`` or improves J by at most _SWEEP_RTOL.  Returns
     (U, best J per row, converged per row).
 
-    Rows are independent, so the schedule changes no result.  The caller
+    Rows are independent, so the schedule changes no result.  _select
     takes the rows in rank order and stops at the first one at or below
     ``target``, so the rows after it are dropped as soon as it gets
-    there; and row 0 runs its first sweep alone, as it often reaches the
-    target within it.
+    there; the rows before it run on.
     """
     U = np.array(U, dtype=float, order="C")
     best = np.array(f0, dtype=float)
     sweeps = np.zeros(len(U), dtype=int)
     converged = np.zeros(len(U), dtype=bool)
     live = budgets > 0
-    waiting = np.zeros(len(U), dtype=bool)
-    if target is not None and live[0]:
-        waiting[1:] = live[1:]
-        live[1:] = False
 
     def drop_after_target():
         if target is not None:
             hit = np.flatnonzero(best <= target)
             if hit.size:
                 live[hit[0] + 1 :] = False
-                waiting[hit[0] + 1 :] = False
 
     drop_after_target()
     while live.any():
         prev = best.copy()
         for i in range(U.shape[1]):
             rows = np.flatnonzero(live)
-            t, f = _golden_rows(J, U[rows], i, iters)
+            t, f = map(np.array, _golden_rows(J, U[rows], i, iters))
             better = f < best[rows]
             U[rows[better], i] = t[better]
             best[rows[better]] = f[better]
@@ -243,17 +250,30 @@ def _descend(J, U: np.ndarray, f0: np.ndarray, budgets: np.ndarray, iters: int, 
             done |= b <= target
         converged[rows] = done
         live[rows] = ~done & (sweeps[rows] < budgets[rows])
-        live |= waiting
-        waiting[:] = False
     return U, best, converged
+
+
+def _select(vals: np.ndarray, converged: np.ndarray, target):
+    """Rank-order pick of the best start: (row, converged flag).
+
+    The first strict improvement wins, and the scan stops at the first
+    row at or below ``target``, which then counts as converged.
+    """
+    best_r, best_val, any_converged = None, math.inf, False
+    for r, val in enumerate(vals.tolist()):
+        if val < best_val:
+            best_r, best_val = r, val
+            any_converged = bool(converged[r])
+        if target is not None and best_val <= target:
+            return best_r, True
+    return best_r, any_converged
 
 
 def _monotone_embed(v: np.ndarray) -> np.ndarray:
     """Map free parameters (head, nonneg decrements) to a non-increasing u, per row."""
-    u = np.empty_like(v)
-    u[..., 0] = v[..., 0]
-    u[..., 1:] = v[..., :1] - np.cumsum(np.maximum(v[..., 1:], 0.0), axis=-1)
-    return u
+    dec = np.maximum(v, 0.0)
+    dec[..., 0] = 0.0
+    return v[..., :1] - dec.cumsum(-1)
 
 
 def _monotone_params(u: np.ndarray) -> np.ndarray:
@@ -321,15 +341,8 @@ def _optimize_product(E, F, z: StepFunction, o: dict):
         rank = np.argsort(f0, kind="stable")
         budgets = np.full(rank.size, min(o["quick_sweeps"], o["max_sweeps"]))
         budgets[:_FULL_STARTS] = o["max_sweeps"]
-        U, vals, conv = _descend(J, seeds[rank], f0[rank], budgets, o["golden_iters"], o["target"])
-    best_r, best_val, any_converged = None, math.inf, False
-    for r, val in enumerate(vals.tolist()):
-        if val < best_val:
-            best_r, best_val = r, val
-            any_converged = bool(conv[r])
-        if o["target"] is not None and best_val <= o["target"]:
-            any_converged = True
-            break
+        U, vals, conv = _lockstep_descent(J, seeds[rank], f0[rank], budgets, o["golden_iters"], o["target"])
+    best_r, any_converged = _select(vals, conv, o["target"])
     xv, yv = _split(U[best_r], supp, zs)
     return StepFunction(mspace, xv), StepFunction(mspace, yv), any_converged
 
@@ -589,11 +602,14 @@ def _ratio_ascent(
     False, in which case the family maximum is returned.
     """
 
+    def ratio_one(n: float, d: float) -> float:
+        if not (d > 0.0 and math.isfinite(d)):
+            return 0.0
+        r = n / d
+        return r if math.isfinite(r) else math.inf
+
     def ratio(vals: np.ndarray) -> np.ndarray:
-        d = den_fn(vals)
-        r = num_fn(vals) / d
-        r = np.where(np.isfinite(r), r, math.inf)
-        return np.where((d > 0.0) & np.isfinite(d), r, 0.0)
+        return np.array(list(map(ratio_one, num_fn(vals).tolist(), den_fn(vals).tolist())))
 
     best_vals, best = None, 0.0
     if len(family):
@@ -610,8 +626,8 @@ def _ratio_ascent(
     if not ascent:
         return best, best_vals, False
 
-    pos = best_vals > 0
-    if not pos.any():
+    pos = np.flatnonzero(best_vals > 0)
+    if not pos.size:
         return best, best_vals, False
     u0 = np.log(best_vals[pos])
 
@@ -623,8 +639,9 @@ def _ratio_ascent(
 
     p0 = (_monotone_params(u0) if monotone else u0)[None]
     budget = np.array([min(o["max_sweeps"], 200)])
-    with np.errstate(**_QUIET):  # targets are for minimization callers only
-        P, neg, _ = _descend(J, p0, J(p0), budget, o["golden_iters"], None)
+    with np.errstate(**_QUIET):
+        # no target: the ascent maximizes the ratio as far as it goes
+        P, neg, _ = _lockstep_descent(J, p0, J(p0), budget, o["golden_iters"], None)
     if -neg[0] > best:
         best = -float(neg[0])
         u_final = _monotone_embed(P[0]) if monotone else P[0]

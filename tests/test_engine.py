@@ -274,8 +274,8 @@ def test_lozanovskii_target_exit_matches_the_oracle(monkeypatch, alpha):
 
 
 def test_an_unreachable_target_runs_every_start_like_the_oracle(monkeypatch):
-    # a target below the Hölder floor is never met: the staggered start
-    # and the rank-order stop must then leave every start's result intact
+    # a target below the Hölder floor is never met: the rank-order stop
+    # must then leave every start's result intact
     E, F = LorentzLambda(PW(0.6)), Marcinkiewicz(PW(0.4))
     z = _profile(counting(10), seed=5)
     opts = dict(_FAST, max_sweeps=20, quick_sweeps=3, target=1e-6)
@@ -349,7 +349,40 @@ def test_descend_batches_are_row_independent():
 
     U0 = np.random.default_rng(1).normal(size=(4, 3))
     budgets = np.array([8, 8, 2, 2])
-    U, best, conv = P._descend(J, U0, J(U0), budgets, 10, None)
+    U, best, conv = P._lockstep_descent(J, U0, J(U0), budgets, 10, None)
     for r in range(4):
-        u, b, c = P._descend(J, U0[r : r + 1], J(U0[r : r + 1]), budgets[r : r + 1], 10, None)
+        u, b, c = P._lockstep_descent(J, U0[r : r + 1], J(U0[r : r + 1]), budgets[r : r + 1], 10, None)
         assert np.array_equal(u[0], U[r]) and b[0] == best[r] and c[0] == conv[r]
+
+
+def test_a_later_row_reaching_the_target_first_stops_only_the_rows_after_it():
+    # two basins: around A the floor is 1 (above the target), around B it
+    # is 0.  Row 2 starts next to B and meets the target in its first
+    # sweep, while row 0 (in A) and row 1 (far out in B) still run; row 1
+    # meets the target sweeps later, so the rank-order pick is row 1, and
+    # rows 3 and 4 (also next to B) are never needed.
+    A, B = np.array([5.0, 5.0]), np.array([-5.0, -5.0])
+
+    def J(U):
+        return np.minimum(((U - A) ** 2).sum(-1) + 1.0, ((U - B) ** 2).sum(-1))
+
+    U0 = np.array([A + [3.0, -2.0], B + [4.0, 4.0], B + [0.3, -0.2], B + [0.5, 0.5], B + [-0.4, 0.1]])
+    target, iters = 0.01, 10
+    budgets = np.full(5, 30)
+
+    _, first, _ = P._lockstep_descent(J, U0, J(U0), np.ones(5, dtype=int), iters, None)
+    assert first[2] <= target < min(first[0], first[1])
+
+    U, vals, conv = P._lockstep_descent(J, U0, J(U0), budgets, iters, target)
+    picked, converged = P._select(vals, conv, target)
+
+    o = {"golden_iters": iters, "target": target}
+    want, best_val = None, math.inf
+    for r in range(5):
+        u, val, c = _descend(J, U0[r], o, int(budgets[r]))
+        assert np.array_equal(U[r], u) and vals[r] == val and conv[r] == c
+        if val < best_val:
+            want, best_val = r, val
+        if best_val <= target:
+            break
+    assert picked == want == 1 and converged

@@ -61,7 +61,7 @@ from .verify import (
     report_to_json,
     run_suite,
 )
-from .weights import PowerWeight
+from .weights import PowerWeight, weight_from_json
 from .young import Power, ShiftedPower, check_relation, inverse, ominus, oplus, young_from_json
 
 __all__ = ["main"]
@@ -269,8 +269,6 @@ def _cmd_young(args) -> int:
 
 def _parse_weight(spec: str) -> PowerWeight:
     if spec.startswith("@"):
-        from .weights import weight_from_json
-
         return weight_from_json(_load_json(spec[1:]))
     try:
         parts = [float(v) for v in spec.split(",")]

@@ -54,11 +54,12 @@ from .weights import (
     NonIntegrableWeight,
     PowerWeight,
     Weight,
+    WeightProduct,
     simplify_power,
     weight_from_json,
     weight_to_json,
 )
-from .young import Power, YoungFunction, young_from_json, young_to_json
+from .young import Power, YoungFunction, _threshold, young_from_json, young_to_json
 
 __all__ = [
     "Lp",
@@ -586,6 +587,9 @@ def _compile(space: SpaceDescriptor, mspace: MeasureSpace) -> Optional[_Compiled
 
     if isinstance(space, LorentzLambda):
         phi = space.phi
+        pw = simplify_power(phi)
+        if pw is not None and pw.alpha < 0.0:
+            return _CompiledNorm(_singular_at_zero, "exact", tn + ("weight singular at 0",))
 
         def _lam(v, wd=widths, phi=phi):
             v, _, bp = _decreasing_profile(np.ascontiguousarray(v), wd)
@@ -593,6 +597,8 @@ def _compile(space: SpaceDescriptor, mspace: MeasureSpace) -> Optional[_Compiled
             ph[..., 0] = 0.0
             return _out((v * (ph[..., 1:] - ph[..., :-1])).sum(-1))
 
+        if pw is not None and pw.alpha > 1.0:
+            return _CompiledNorm(_lam, "estimate", tn + ("weight not concave: not a norm",))
         return _CompiledNorm(_lam, "exact", tn)
 
     if isinstance(space, LorentzLambdaP):
@@ -603,8 +609,6 @@ def _compile(space: SpaceDescriptor, mspace: MeasureSpace) -> Optional[_Compiled
 
         # fold the dt/t factor into the weight: (phi * t^(-1/p))^p = phi^p / t
         note = tn + ("fixed-order quadrature for the weight; dt/t absorbed",)
-        from .weights import WeightProduct
-
         phi_eff = WeightProduct(phi, PowerWeight(-1.0 / p))
 
         def _lam_p_quad(v, wd=widths, phi=phi_eff, p=p):
@@ -696,7 +700,7 @@ def _compile(space: SpaceDescriptor, mspace: MeasureSpace) -> Optional[_Compiled
         return _CompiledNorm(_wsup, kind, notes)
 
     if isinstance(space, OrliczCL):
-        basec = _compile(canonical(space.base), mspace)
+        basec = norm_evaluator(space.base, mspace)
         if basec is None:
             return None
         phi = space.phi
@@ -709,7 +713,7 @@ def _compile(space: SpaceDescriptor, mspace: MeasureSpace) -> Optional[_Compiled
         )
 
     if isinstance(space, Convexification):
-        basec = _compile(canonical(space.base), mspace)
+        basec = norm_evaluator(space.base, mspace)
         if basec is None:
             return None
         p = space.p
@@ -773,40 +777,19 @@ def _compile_symmetrization(space: Symmetrization, mspace: MeasureSpace) -> Opti
 
 
 def _luxemburg_value(base_fn: Callable[[np.ndarray], float], phi: YoungFunction, values: np.ndarray) -> float:
+    """Least ``lam`` with ``|phi(values / lam)|_base <= 1``, to relative
+    width ``_LUX_RTOL`` and from above, so the modular at it is <= 1."""
     if not np.any(values > 0):
         return 0.0
-
-    def mod(lam: float) -> float:
-        ph = np.asarray(phi(values / lam), dtype=float)
-        if np.any(~np.isfinite(ph)):
-            return math.inf
-        return base_fn(ph)
-
     hi = float(values.max())
-    if hi <= 0 or not math.isfinite(hi):
+    if not math.isfinite(hi):
         return math.inf
-    steps = 0
-    while mod(hi) > 1.0:
-        hi *= 2.0
-        steps += 1
-        if steps > 400:
-            return math.inf
-    lo = hi / 2.0
-    while mod(lo) <= 1.0:
-        hi = lo
-        lo /= 2.0
-        steps += 1
-        if lo < 1e-300 or steps > 800:
-            return hi
-    for _ in range(200):
-        if hi - lo <= _LUX_RTOL * hi:
-            break
-        mid = math.sqrt(lo * hi)
-        if mod(mid) <= 1.0:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+
+    def fits(lam: float) -> bool:
+        ph = np.asarray(phi(values / lam), dtype=float)
+        return bool(np.isfinite(ph).all()) and base_fn(ph) <= 1.0
+
+    return _threshold(fits, hi, _LUX_RTOL)
 
 
 def norm_evaluator(space: SpaceDescriptor, mspace: MeasureSpace) -> Optional[_CompiledNorm]:
@@ -839,7 +822,9 @@ def norm(space: SpaceDescriptor, x: StepFunction) -> NormResult:
 
     Primitive descriptors are evaluated in closed form; variational ones
     (Product, Multiplier, Calderon, table-less Dual) are delegated to
-    the product engine and come back as certified bounds.
+    the product engine and come back as certified bounds.  A
+    symmetrization without a compiled kernel is the base norm of the
+    rearrangement, or of a step bounding x** from above.
     """
     sp = canonical(space)
     compiled = norm_evaluator(sp, x.space)
@@ -849,38 +834,33 @@ def norm(space: SpaceDescriptor, x: StepFunction) -> NormResult:
         inner = norm(sp.base, x.with_values(x.values**sp.p))
         return NormResult(inner.value ** (1.0 / sp.p), inner.kind, inner.witness, inner.notes)
     if isinstance(sp, Symmetrization):
-        return symmetrization_norm(sp.base, sp.mode, x)
+        if sp.mode == "star":
+            return norm(sp.base, rearrange(x))
+        res = norm(sp.base, _doublestar_step(x))
+        kind = "estimate" if res.kind == "exact" else res.kind
+        return NormResult(res.value, kind, res.witness, res.notes + ("x** sampled at cell left endpoints (pointwise upper step)",))
     if isinstance(sp, OrliczCL):
-        return luxemburg_norm(sp.base, sp.phi, x)
+        raise ValueError("luxemburg_norm needs a primitive base space")
     from . import product as _product
 
     return _product.variational_norm(sp, x)
 
 
 def symmetrization_norm(space: SpaceDescriptor, mode: str, x: StepFunction) -> NormResult:
-    """Norm of x* (mode 'star') or of x** (mode 'doublestar') in ``space``."""
-    if mode == "star":
-        compiled = norm_evaluator(Symmetrization(space, "star"), x.space)
-        if compiled is not None:
-            return NormResult(compiled.fn(x.values), compiled.kind, None, compiled.notes)
-        res = norm(space, rearrange(x))
-        return NormResult(res.value, res.kind, res.witness, res.notes)
-    if mode != "doublestar":
-        raise ValueError("mode must be 'star' or 'doublestar'")
-    step = _doublestar_step(x)
-    res = norm(space, step)
-    kind = "estimate" if res.kind == "exact" else res.kind
-    return NormResult(res.value, kind, res.witness, res.notes + ("x** sampled at cell left endpoints (pointwise upper step)",))
+    """Norm of x* (mode 'star') or of x** (mode 'doublestar') in ``space``:
+    ``norm(Symmetrization(space, mode), x)``."""
+    return norm(Symmetrization(space, mode), x)
 
 
-def _doublestar_step(x: StepFunction, interior: int = 8) -> StepFunction:
-    """Step over-approximation of x** on a refinement of the sorted grid.
+def _doublestar_step(x: StepFunction) -> StepFunction:
+    """Step over-approximation of x** on the sorted grid with each cell
+    cut in 8.
 
     A counting grid is not refined: each cell is an atom, so the step is
     ``[x*(1), x**(1), ..., x**(n-1)]`` on the sorted grid itself.
     """
     xs = rearrange(x)
-    space = xs.space if xs.space.kind == COUNTING else _refine(xs.space, interior)
+    space = xs.space if xs.space.kind == COUNTING else _refine(xs.space, 8)
     lefts = space.breakpoints[:-1]
     vals = np.empty(lefts.size)
     if lefts[0] == 0.0:
@@ -924,24 +904,16 @@ def modular(base: SpaceDescriptor, phi: YoungFunction, x: StepFunction) -> float
 
 
 def luxemburg_norm(base: SpaceDescriptor, phi: YoungFunction, x: StepFunction) -> NormResult:
-    """Gauge ``inf{lam : modular(x/lam) <= 1}`` by monotone bisection.
+    """Gauge ``inf{lam : modular(x/lam) <= 1}``: ``norm(OrliczCL(base, phi), x)``.
 
-    The returned value is the upper end of a bracket of relative width
-    1e-10, so the modular at the result is guaranteed <= 1.
+    The compiled gauge returns the upper end of a bracket of relative
+    width 1e-10, so the modular at the result is guaranteed <= 1.  An
+    infinite gauge carries a note that x is outside the space.
     """
-    sp = canonical(OrliczCL(base, phi))
-    if not isinstance(sp, OrliczCL):
-        return norm(sp, x)
-    compiled = norm_evaluator(canonical(base), x.space)
-    if compiled is None:
-        raise ValueError("luxemburg_norm needs a primitive base space")
-    if not np.any(x.values > 0):
-        return NormResult(0.0, "exact", None, compiled.notes)
-    value = _luxemburg_value(compiled.fn, phi, x.values)
-    notes = compiled.notes + (f"luxemburg bisection, rtol {_LUX_RTOL:g}",)
-    if math.isinf(value):
-        notes = notes + ("modular stays above 1: x is outside the space",)
-    return NormResult(value, "estimate", None, notes)
+    res = norm(OrliczCL(base, phi), x)
+    if math.isinf(res.value):
+        return NormResult(res.value, res.kind, res.witness, res.notes + ("modular stays above 1: x is outside the space",))
+    return res
 
 
 # ---------------------------------------------------------------------------

@@ -21,11 +21,14 @@ refinement (relative tolerance 1e-10).  Convexity is not guaranteed for
 these two node kinds, so sampled convexity checks exempt them.
 
 Inverses are right-continuous: ``inverse(phi, v) = inf { u : phi(u) > v }``,
-computed in closed form for power atoms and by bisection otherwise.
+computed in closed form for power atoms and otherwise by ``_threshold``,
+the one bracket-and-bisect search, which the Luxemburg gauges of
+:mod:`bfslab.spaces` share.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -226,8 +229,6 @@ class YoungMax(_YoungBase):
 def _structure_key(phi: "YoungFunction") -> str:
     """Deterministic structural key used to canonicalise commutative
     nodes (so swapped operands evaluate through the same code path)."""
-    import json
-
     return json.dumps(young_to_json(phi), sort_keys=True)
 
 
@@ -380,7 +381,7 @@ class Ominus(_YoungBase):
         if not math.isinf(bp):
             # Some admissible v pushes u*v past the finite domain of phi.
             limit = bp / u
-            if (math.isinf(v_top) and True) or v_top > limit:
+            if v_top > limit:
                 probe = min(v_top, limit * (1 + 1e-9))
                 if probe > limit and float(phi1(min(probe, b1))) < math.inf:
                     return math.inf
@@ -435,24 +436,62 @@ def ominus(phi: YoungFunction, phi1: YoungFunction) -> Ominus:
     return Ominus(phi, phi1)
 
 
-def _bisect_inverse(phi: YoungFunction, v: float, lo: float | None, hi: float) -> float:
-    """Bisect ``inf { u : phi(u) > v }`` on ``[lo, hi]``, given ``phi(hi) > v``.
+def _threshold(above, hi: float, rtol: float, lo: float | None = None) -> float:
+    """Least ``t > 0`` with ``above(t)``, for a predicate that is false
+    below some point and true above it.
 
-    With ``lo`` None the lower end is found by halving down from ``hi``.
+    Doubles ``hi`` until ``above(hi)`` holds (infinity if doubling would
+    overflow first).  Without ``lo`` the lower end is found by halving
+    down from ``hi``; a given ``lo`` must have ``above(lo)`` false.  Then
+    bisects at the geometric midpoint until the bracket is ``rtol``
+    narrow and returns its upper end, where ``above`` holds.
     """
+    while not above(hi):
+        if hi * 2.0 == math.inf:
+            return math.inf
+        hi *= 2.0
     if lo is None:
-        lo = hi
-        while float(phi(lo)) > v and lo > 1e-300:
-            lo *= 0.5
+        lo = hi / 2.0
+        while above(lo):
+            hi = lo
+            lo /= 2.0
+            if lo < 1e-300:
+                return hi
     for _ in range(200):
-        if hi - lo <= _INV_RTOL * max(hi, 1e-300):
+        if hi - lo <= rtol * hi:
             break
-        mid = 0.5 * (lo + hi)
-        if float(phi(mid)) > v:
+        prod = lo * hi  # overflows once the bracket is above ~1e154
+        mid = math.sqrt(prod) if prod < math.inf else math.sqrt(lo) * math.sqrt(hi)
+        if above(mid):
             hi = mid
         else:
             lo = mid
     return hi
+
+
+def _inverse(phi: YoungFunction, v: float, floor: float = 0.0) -> float:
+    """``inf { u : phi(u) > v }``; ``floor`` is a guess at a lower bound
+    (the previous result of an ascending batch), used once checked."""
+    if isinstance(phi, (Power, ShiftedPower)):
+        return phi.inverse_exact(v)
+    if isinstance(phi, Capped):
+        return min(_inverse(phi.inner, v, floor), phi.b_phi)
+    a, b = phi.a_phi, phi.b_phi
+    if v == math.inf:
+        return b
+    if v == 0.0 and a > 0.0:
+        return a
+
+    def above(u: float) -> bool:
+        return float(phi(u)) > v
+
+    if math.isfinite(b) and not above(b):
+        return b
+    lo = a if a > 0.0 else None
+    if floor > a and not above(floor):
+        lo = floor
+    hi = b if math.isfinite(b) else max(2.0 * (lo or 0.0), 1.0)
+    return _threshold(above, hi, _INV_RTOL, lo)
 
 
 def inverse(phi: YoungFunction, v: float) -> float:
@@ -460,61 +499,20 @@ def inverse(phi: YoungFunction, v: float) -> float:
 
     Saturates at ``b_phi`` when the target exceeds the essential range;
     ``inverse(phi, 0)`` is ``a_phi``.  Closed form for power atoms,
-    bisection to relative tolerance 1e-12 otherwise.
+    geometric bisection to relative tolerance 1e-12 otherwise.
     """
     if v < 0:
         raise ValueError("inverse takes nonnegative targets")
-    if isinstance(phi, (Power, ShiftedPower)):
-        return phi.inverse_exact(v)
-    if isinstance(phi, Capped):
-        return min(inverse(phi.inner, v), phi.b_phi)
-    b = phi.b_phi
-    if v == math.inf:
-        return b
-    lo = phi.a_phi
-    if v == 0.0 and lo > 0.0:
-        return lo
-    hi = max(lo * 2.0, 1.0)
-    if math.isfinite(b):
-        if float(phi(b)) <= v:
-            return b
-        hi = b
-    else:
-        for _ in range(400):
-            if float(phi(hi)) > v:
-                break
-            hi *= 2.0
-        else:
-            return math.inf
-    return _bisect_inverse(phi, v, lo if lo > 0.0 else None, hi)
+    return _inverse(phi, float(v))
 
 
 def inverse_batch(phi: YoungFunction, targets: np.ndarray) -> np.ndarray:
     """Inverse over an ascending target array, warm-starting each
     bisection at the previous result (the inverse is non-decreasing)."""
-    targets = np.asarray(targets, dtype=float)
-    if isinstance(phi, (Power, ShiftedPower)):
-        return np.array([phi.inverse_exact(float(v)) for v in targets])
-    out = np.empty(targets.size)
-    floor = phi.a_phi
-    b = phi.b_phi
-    for i, v in enumerate(targets):
-        v = float(v)
-        lo = max(floor, 1e-300)
-        if math.isfinite(b) and float(phi(b)) <= v:
-            out[i] = floor = b
-            continue
-        hi = max(lo * 2.0, 1.0)
-        if math.isfinite(b):
-            hi = b
-        else:
-            for _ in range(400):
-                if float(phi(hi)) > v:
-                    break
-                hi *= 2.0
-        if floor == 0.0 or float(phi(lo)) > v:
-            lo = None
-        out[i] = floor = _bisect_inverse(phi, v, lo, hi)
+    out = np.empty(np.size(targets))
+    floor = 0.0
+    for i, v in enumerate(np.asarray(targets, dtype=float)):
+        out[i] = floor = _inverse(phi, float(v), floor)
     return out
 
 

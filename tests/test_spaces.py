@@ -22,12 +22,15 @@ from bfslab import (
     Marcinkiewicz,
     MarcinkiewiczStar,
     Multiplier,
+    Oplus,
     OrliczCL,
     Power,
     PowerWeight,
     Product,
     StepFunction,
+    ShiftedPower,
     Symmetrization,
+    YoungMax,
     YoungSum,
     canonical,
     counting,
@@ -45,6 +48,7 @@ from bfslab import (
     rearrange,
     space_from_json,
     space_to_json,
+    symmetrization_norm,
     unit_interval,
     weak_lp,
 )
@@ -360,6 +364,30 @@ def test_luxemburg_requires_primitive_base():
         luxemburg_norm(Product(Lp(2.0), Lp(2.0)), Power(1.0, 2.0), x)
 
 
+@pytest.mark.parametrize(
+    "phi",
+    [
+        ShiftedPower(0.3, 1.0, 2.0),
+        YoungSum((Power(1.0, 2.0), Power(0.5, 3.0))),
+        YoungMax((Power(1.0, 2.0), Power(0.5, 3.0))),
+        Capped(Power(1.0, 2.0), 200.0),
+        Oplus(Power(1.0, 3.0), Power(1.0, 1.5)),
+    ],
+    ids=["shifted", "sum", "max", "capped", "oplus"],
+)
+def test_luxemburg_norm_is_the_norm_of_its_orlicz_descriptor(phi):
+    x = _random_step(np.random.default_rng(22), unit_interval(8))
+    assert luxemburg_norm(Lp(1.0), phi, x).value == norm(OrliczCL(Lp(1.0), phi), x).value
+
+
+def test_luxemburg_norm_notes_a_function_outside_the_space():
+    # t^-1 is not integrable on the first cell, so every modular is infinite
+    x = StepFunction(unit_interval(8), np.ones(8))
+    res = luxemburg_norm(Lp(1.0, PowerWeight(-1.0)), YoungSum((Power(1.0, 1.0), Power(1.0, 2.0))), x)
+    assert (res.value, res.kind) == (math.inf, "estimate")
+    assert res.notes[-1] == "modular stays above 1: x is outside the space"
+
+
 # ---------------------------------------------------------------------------
 # symmetrization
 
@@ -468,6 +496,47 @@ def test_negative_power_marcinkiewicz_is_infinite(space):
     assert (res.value, res.kind) == (math.inf, "exact")
     assert "weight singular at 0" in res.notes
     assert norm(space, StepFunction(ms, np.zeros(32))).value == 0.0
+
+
+def _halves(ms):
+    first = (ms.breakpoints[1:] <= 0.5 + 1e-12).astype(float)
+    return StepFunction(ms, first), StepFunction(ms, 1.0 - first)
+
+
+def test_lorentz_lambda_with_a_convex_power_is_an_estimate():
+    # t^2 is not concave: the indicator of (0, 1] outweighs its two halves
+    ms = unit_interval(16)
+    a, b = _halves(ms)
+    E = LorentzLambda(PowerWeight(2.0))
+    whole = norm(E, StepFunction(ms, a.values + b.values))
+    assert whole.value > norm(E, a).value + norm(E, b).value
+    assert whole.kind == "estimate"
+    assert "weight not concave: not a norm" in whole.notes
+
+
+def test_negative_power_lorentz_lambda_is_infinite():
+    ms = unit_interval(16)
+    a, _ = _halves(ms)
+    E = LorentzLambda(PowerWeight(-0.5))
+    res = norm(E, a)
+    assert (res.value, res.kind) == (math.inf, "exact")
+    assert "weight singular at 0" in res.notes
+    assert norm(E, StepFunction(ms, np.zeros(16))).value == 0.0
+
+
+@pytest.mark.parametrize("grid", ["unit", "half", "counting"])
+@pytest.mark.parametrize("mode", ["star", "doublestar"])
+@pytest.mark.parametrize(
+    "base",
+    [Lp(2.0), Lp(2.0, PowerWeight(0.3)), LorentzLambda(PowerWeight(0.6)), LInftyWeighted(PowerWeight(0.4))],
+    ids=["lp", "lp_weighted", "lorentz_lambda", "linfty_weighted"],
+)
+def test_symmetrization_norm_is_the_norm_of_its_descriptor(grid, mode, base):
+    ms = counting(8) if grid == "counting" else _grid16(grid)
+    x = _random_step(np.random.default_rng(34), ms)
+    got = symmetrization_norm(base, mode, x)
+    want = norm(Symmetrization(base, mode), x)
+    assert (got.value, got.kind, got.notes) == (want.value, want.kind, want.notes)
 
 
 # ---------------------------------------------------------------------------

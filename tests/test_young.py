@@ -140,6 +140,31 @@ def test_inverse_batch_matches_scalar_inverse():
         assert np.all(np.diff(batch) >= -1e-12 * np.abs(batch[1:]))
 
 
+_NUMERIC_INVERSES = [
+    YoungSum((Power(1.0, 1.0), Power(1.0, 1.0))),
+    YoungSum((Power(0.7, 1.5), Power(2.0, 4.0))),
+    YoungMax((Power(1.0, 2.0), Power(0.5, 3.0))),
+    Capped(YoungSum((Power(1.0, 1.0), Power(1.0, 2.0))), 1e150),
+]
+
+
+@pytest.mark.parametrize("phi", _NUMERIC_INVERSES, ids=["sum_linear", "sum_powers", "max", "capped_sum"])
+def test_numeric_inverses_bracket_the_answer(phi):
+    targets = np.geomspace(1e-6, 1e200, 42)
+    batches = (inverse_batch(phi, targets), inverse_batch(phi, targets[::-1])[::-1])
+    for i, v in enumerate(targets):
+        for u in (inverse(phi, float(v)), float(batches[0][i]), float(batches[1][i])):
+            assert float(phi(u)) > v
+            assert float(phi(u * (1.0 - 1e-11))) <= v
+
+
+def test_inverse_of_a_huge_target():
+    # 2u = 1e200 at 5e199, past 400 doublings from 1 (2^400 ~ 2.6e120)
+    phi = YoungSum((Power(1.0, 1.0), Power(1.0, 1.0)))
+    assert math.isclose(inverse(phi, 1e200), 5e199, rel_tol=1e-12)
+    assert math.isclose(inverse_batch(phi, np.array([1.0, 1e200]))[1], 5e199, rel_tol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # infimal splitting
 

@@ -23,7 +23,6 @@ measures and integrals.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 
@@ -47,7 +46,6 @@ __all__ = [
     "common_refinement",
     "step_to_json",
     "step_from_json",
-    "dumps_step",
 ]
 
 UNIT_INTERVAL = "unit_interval"
@@ -256,9 +254,6 @@ class StepFunction:
     def max(self) -> float:
         return float(np.max(self.values)) if self.values.size else 0.0
 
-    def support_measure(self) -> float:
-        return _canonical_sum(self.space.widths[self.values > 0])
-
     def __call__(self, t):
         """Pointwise evaluation; cells are left-closed, 0 outside (0, L)."""
         t = np.asarray(t, dtype=float)
@@ -423,7 +418,3 @@ def step_from_json(data: dict) -> StepFunction:
     else:
         space = MeasureSpace(kind, bp)
     return StepFunction(space, [float(v) for v in data["values"]])
-
-
-def dumps_step(x: StepFunction) -> str:
-    return json.dumps(step_to_json(x), sort_keys=True)

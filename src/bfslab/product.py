@@ -24,7 +24,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .grid import MeasureSpace, StepFunction, step_from_json, step_to_json
+from .grid import COUNTING, MeasureSpace, StepFunction, step_from_json, step_to_json
 from .spaces import (
     Calderon,
     Convexification,
@@ -39,6 +39,8 @@ from .spaces import (
     Product,
     SpaceDescriptor,
     _rowwise,
+    _weight_or_none,
+    _weight_pow,
     canonical,
     dual_descriptor,
     is_primitive,
@@ -372,7 +374,8 @@ def _closed_lp_pair(E: Lp, F: Lp, z: StepFunction):
     if not ok:
         return None
     r = 1.0 / (1.0 / E.p + 1.0 / F.p)
-    target = Lp(r, w) if r >= 1.0 else Convexification(Lp(1.0, w), r)
+    # |z|_{E ⊙ F} = |z w|_r = (∫ z^r w^r)^(1/r)
+    target = Lp(r, w) if r >= 1.0 else Convexification(Lp(1.0, _weight_or_none(_weight_pow(w, r))), r)
     res = norm(target, z)
     if E.weight is None and F.weight is None:
         xv = z.values ** (r / E.p)
@@ -673,9 +676,11 @@ def _multiplier_table(E, F, m: StepFunction) -> Optional[NormResult]:
             s = 1.0 / (1.0 / F.p - 1.0 / E.p)
             res = norm(Lp(s), m)
             return replace(res, notes=res.notes + ("Lebesgue multiplier exponent rule",))
-        if F.p == E.p:
+        if F.p == E.p or m.space.kind == COUNTING:
+            # on sequences l^p lies in l^q for q > p, so the multipliers are l^inf as well
+            note = "equal exponents" if F.p == E.p else "l^p lies in l^q on sequences"
             res = norm(Lp(math.inf), m)
-            return replace(res, notes=res.notes + ("equal exponents: bounded multipliers",))
+            return replace(res, notes=res.notes + (f"{note}: bounded multipliers",))
         if float(np.max(m.values, initial=0.0)) == 0.0:
             return NormResult(0.0, "exact", None, ())
         return NormResult(
@@ -878,8 +883,7 @@ def orlicz_factor_witness(
         raise ValueError("z is outside the Orlicz space of phi")
     g = np.zeros_like(z.values)
     pos = z.values > 0
-    # evaluate pointwise: composite Young functions only accept scalars
-    g[pos] = np.array([float(phi(t)) for t in z.values[pos] / N])
+    g[pos] = phi._eval(z.values[pos] / N)
     inv1 = inverse_batch(phi1, g)
     inv2 = inverse_batch(phi2, g)
     z1 = np.zeros_like(z.values)

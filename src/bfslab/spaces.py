@@ -20,16 +20,22 @@ Conventions baked into the evaluators:
   for the starred variant) over the grid; for power ``phi`` the sup on
   each cell is attained at an endpoint, so the value is exact.
 
-The compiler gives each norm one kernel and reaches it through these
-identities, all exact on step functions:
+Each norm has one kernel.  ``canonical`` rewrites a descriptor onto
+the kernel's form through these identities, all exact on step
+functions, so every layer that dispatches on the canonical form
+(convexification rules, the dual table, structured seeds, index
+tables) sees the rewritten space:
 
-* ``Lp(inf, w)`` is ``LInftyWeighted(w)``.
 * ``Symmetrization(Lp(p, c*t^a), "star")`` is
   ``LorentzLambdaP(c*t^(a + 1/p), p)``.
-* For a pure power ``w``, the star of ``LInftyWeighted(w)`` is
-  ``MarcinkiewiczStar(w)`` and its doublestar is ``Marcinkiewicz(w)``.
-* For ``w = c*t^a`` with ``a < 0``, both Marcinkiewicz norms are
-  infinite for every nonzero x, since ``w`` blows up at 0.
+* For a pure power ``w``, the star of ``LInftyWeighted(w)`` or of
+  ``Lp(inf, w)`` is ``MarcinkiewiczStar(w)`` and its doublestar is
+  ``Marcinkiewicz(w)``.
+
+``Lp(inf, w)`` itself stays an ``Lp``, whose kernel is that of
+``LInftyWeighted(w)``: the closed forms for ``Lp`` pairs keep matching
+it.  For ``w = c*t^a`` with ``a < 0``, both Marcinkiewicz norms are
+infinite for every nonzero x, since ``w`` blows up at 0.
 """
 
 from __future__ import annotations
@@ -364,9 +370,16 @@ def canonical(space: SpaceDescriptor) -> SpaceDescriptor:
                     return Lp(new_p, _weight_or_none(w))
         return OrliczCL(base, phi)
     if isinstance(space, Symmetrization):
-        base = canonical(space.base)
-        if space.mode == "star" and is_symmetric(base):
+        base, star = canonical(space.base), space.mode == "star"
+        if star and is_symmetric(base):
             return base
+        if isinstance(base, (Lp, LInftyWeighted)):
+            p, w = (base.p, base.weight) if isinstance(base, Lp) else (math.inf, base.phi)
+            w = _weight_pow(w, 1.0)  # the weight as a pure power, or None
+            if w is not None and math.isinf(p):
+                return MarcinkiewiczStar(w) if star else Marcinkiewicz(w)
+            if w is not None and star:
+                return LorentzLambdaP(PowerWeight(w.alpha + 1.0 / p, w.coef), p)
         return Symmetrization(base, space.mode)
     if isinstance(space, Calderon):
         E, F = canonical(space.E), canonical(space.F)
@@ -409,11 +422,12 @@ def _conjugate(p: float) -> float:
 def dual_descriptor(space: SpaceDescriptor) -> Optional[SpaceDescriptor]:
     """Symbolic Koethe dual, or None when no table entry applies."""
     space = space if isinstance(space, _VARIATIONAL) else canonical(space)
-    if isinstance(space, Lp):
-        w = _weight_pow(space.weight, -1.0)
+    if isinstance(space, (Lp, LInftyWeighted)):
+        p, w = (space.p, space.weight) if isinstance(space, Lp) else (math.inf, space.phi)
+        w = _weight_pow(w, -1.0)
         if w is None:
             return None
-        return Lp(_conjugate(space.p), _weight_or_none(w))
+        return Lp(_conjugate(p), _weight_or_none(w))
     if isinstance(space, LorentzLambda):
         pw = simplify_power(space.phi)
         if pw is not None:
@@ -500,28 +514,6 @@ def _decreasing_profile(values: np.ndarray, widths: np.ndarray):
     return v, w, bp
 
 
-def _lam_p(widths: np.ndarray, q: float, cp: float, p: float) -> Callable[[np.ndarray], float]:
-    """Kernel ``(cp * ∫ x*(t)^p t^q dt)^(1/p)``, exact on step functions."""
-
-    def kernel(x):
-        x = np.ascontiguousarray(x)
-        v, _, bp = _decreasing_profile(x, widths)
-        live = (v > 0).sum(-1)
-        if live.ndim:
-            if (live != live[0]).any():
-                return _each_row(kernel, x)
-            live = live[0]
-        if live == 0:
-            return _fill(x, 0.0)
-        if q <= -1.0:
-            return _fill(x, math.inf)
-        prim = bp[..., : live + 1] ** (q + 1.0) / (q + 1.0)
-        terms = np.sort(v[..., :live] ** p * (prim[..., 1:] - prim[..., :-1]))
-        return _root(cp * terms.sum(-1), p)
-
-    return kernel
-
-
 def _singular_at_zero(v: np.ndarray) -> float:
     """Sup of ``t^alpha * x*`` (or ``x**``) with alpha < 0: infinite unless x = 0."""
     return _out(np.where((v > 0).any(-1), math.inf, 0.0))
@@ -605,7 +597,26 @@ def _compile(space: SpaceDescriptor, mspace: MeasureSpace) -> Optional[_Compiled
         phi, p = space.phi, space.p
         pw = simplify_power(phi)
         if pw is not None:
-            return _CompiledNorm(_lam_p(widths, pw.alpha * p - 1.0, pw.coef**p, p), "exact", tn)
+            q, cp = pw.alpha * p - 1.0, pw.coef**p
+
+            def _lam_p_pow(x, wd=widths, q=q, cp=cp, p=p):
+                # (cp * ∫ x*(t)^p t^q dt)^(1/p), exact on step functions
+                x = np.ascontiguousarray(x)
+                v, _, bp = _decreasing_profile(x, wd)
+                live = (v > 0).sum(-1)
+                if live.ndim:
+                    if (live != live[0]).any():
+                        return _each_row(_lam_p_pow, x)
+                    live = live[0]
+                if live == 0:
+                    return _fill(x, 0.0)
+                if q <= -1.0:
+                    return _fill(x, math.inf)
+                prim = bp[..., : live + 1] ** (q + 1.0) / (q + 1.0)
+                terms = np.sort(v[..., :live] ** p * (prim[..., 1:] - prim[..., :-1]))
+                return _root(cp * terms.sum(-1), p)
+
+            return _CompiledNorm(_lam_p_pow, "exact", tn)
 
         # fold the dt/t factor into the weight: (phi * t^(-1/p))^p = phi^p / t
         note = tn + ("fixed-order quadrature for the weight; dt/t absorbed",)
@@ -723,57 +734,38 @@ def _compile(space: SpaceDescriptor, mspace: MeasureSpace) -> Optional[_Compiled
 
         return _CompiledNorm(_rowwise(_conv), basec.kind, basec.notes)
 
-    if isinstance(space, Symmetrization):
-        return _compile_symmetrization(space, mspace)
-
-    return None
-
-
-def _compile_symmetrization(space: Symmetrization, mspace: MeasureSpace) -> Optional[_CompiledNorm]:
-    # canonical has already collapsed the star of a symmetric base
-    base = space.base
-    if isinstance(base, LInftyWeighted) or (isinstance(base, Lp) and math.isinf(base.p)):
-        w = base.phi if isinstance(base, LInftyWeighted) else base.weight
-        pw = simplify_power(w) if w is not None else PowerWeight(0.0)
+    # canonical leaves one symmetrization with a kernel: the doublestar of L^p(c*t^a), p finite
+    if isinstance(space, Symmetrization) and space.mode == "doublestar" and isinstance(space.base, Lp):
+        pw = _weight_pow(space.base.weight, 1.0)
         if pw is None:
             return None
-        if space.mode == "star":
-            return _compile(MarcinkiewiczStar(pw), mspace)
-        return _compile(Marcinkiewicz(pw), mspace)
-    if not isinstance(base, Lp):
-        return None
-    pw = simplify_power(base.weight) if base.weight is not None else PowerWeight(0.0)
-    if pw is None:
-        return None
-    p, q, cp = base.p, pw.alpha * base.p, pw.coef**base.p
-    tn = _trunc_notes(mspace)
-    if space.mode == "star":
-        # q = alpha*p directly: the Lambda_p exponent (alpha + 1/p)*p - 1
-        # is the same number only up to rounding
-        return _CompiledNorm(_lam_p(mspace.widths, q, cp, p), "exact", tn)
-    nodes, gl_w = np.polynomial.legendre.leggauss(16)
+        p = space.base.p
+        q, cp, alpha = pw.alpha * p, pw.coef**p, pw.alpha
+        nodes, gl_w = np.polynomial.legendre.leggauss(16)
 
-    def _dstar_lp(v, wd=mspace.widths, p=p, q=q, cp=cp, nodes=nodes, gl_w=gl_w):
-        v, w_, bp = _decreasing_profile(v, wd)
-        if v[0] <= 0:
-            return 0.0
-        cum = np.concatenate(([0.0], np.cumsum(v * w_)))
-        a, b = bp[:-1], bp[1:]
-        B = cum[:-1] - v * a
-        # first cell: x** = v[0], integrand is a pure power
-        if q <= -1.0:
-            return math.inf
-        total = cp * v[0] ** p * b[0] ** (q + 1.0) / (q + 1.0)
-        if a.size > 1:
-            mid = 0.5 * (a[1:, None] + b[1:, None])
-            half = 0.5 * (b[1:, None] - a[1:, None])
-            ts = mid + half * nodes[None, :]
-            xdd = (B[1:, None] + v[1:, None] * ts) / ts
-            integ = (xdd * ts ** pw.alpha) ** p
-            total += cp * float(np.sum(gl_w[None, :] * half * integ))
-        return float(total ** (1.0 / p))
+        def _dstar_lp(v, wd=widths, p=p, q=q, cp=cp, alpha=alpha, nodes=nodes, gl_w=gl_w):
+            v, w_, bp = _decreasing_profile(v, wd)
+            if v[0] <= 0:
+                return 0.0
+            cum = np.concatenate(([0.0], np.cumsum(v * w_)))
+            a, b = bp[:-1], bp[1:]
+            B = cum[:-1] - v * a
+            # first cell: x** = v[0], integrand is a pure power
+            if q <= -1.0:
+                return math.inf
+            total = cp * v[0] ** p * b[0] ** (q + 1.0) / (q + 1.0)
+            if a.size > 1:
+                mid = 0.5 * (a[1:, None] + b[1:, None])
+                half = 0.5 * (b[1:, None] - a[1:, None])
+                ts = mid + half * nodes[None, :]
+                xdd = (B[1:, None] + v[1:, None] * ts) / ts
+                integ = (xdd * ts**alpha) ** p
+                total += cp * float(np.sum(gl_w[None, :] * half * integ))
+            return float(total ** (1.0 / p))
 
-    return _CompiledNorm(_rowwise(_dstar_lp), "estimate", tn + ("x** integrated by per-cell quadrature",))
+        return _CompiledNorm(_rowwise(_dstar_lp), "estimate", tn + ("x** integrated by per-cell quadrature",))
+
+    return None
 
 
 def _luxemburg_value(base_fn: Callable[[np.ndarray], float], phi: YoungFunction, values: np.ndarray) -> float:
@@ -784,9 +776,11 @@ def _luxemburg_value(base_fn: Callable[[np.ndarray], float], phi: YoungFunction,
     hi = float(values.max())
     if not math.isfinite(hi):
         return math.inf
+    if np.any(values < 0):
+        raise ValueError("Young functions take nonnegative arguments")
 
     def fits(lam: float) -> bool:
-        ph = np.asarray(phi(values / lam), dtype=float)
+        ph = phi._eval(values / lam)
         return bool(np.isfinite(ph).all()) and base_fn(ph) <= 1.0
 
     return _threshold(fits, hi, _LUX_RTOL)

@@ -82,6 +82,7 @@ class _YoungBase:
         return out if np.ndim(u) else float(out[0])
 
     def _eval(self, u: np.ndarray) -> np.ndarray:
+        """Values at a float array of any shape, unchecked (``__call__`` checks)."""
         raise NotImplementedError
 
 
@@ -172,8 +173,7 @@ class Capped(_YoungBase):
         return min(self.b, self.inner.b_phi)
 
     def _eval(self, u):
-        inner = np.atleast_1d(np.asarray(self.inner(u), dtype=float))
-        return np.where(u > self.b, math.inf, inner)
+        return np.where(u > self.b, math.inf, self.inner._eval(u))
 
 
 @dataclass(frozen=True)
@@ -197,7 +197,7 @@ class YoungSum(_YoungBase):
     def _eval(self, u):
         out = np.zeros_like(u)
         for t in self.terms:
-            out = out + np.atleast_1d(np.asarray(t(u), dtype=float))
+            out = out + t._eval(u)
         return out
 
 
@@ -220,9 +220,9 @@ class YoungMax(_YoungBase):
         return min(t.b_phi for t in self.terms)
 
     def _eval(self, u):
-        out = np.atleast_1d(np.asarray(self.terms[0](u), dtype=float))
+        out = self.terms[0]._eval(u)
         for t in self.terms[1:]:
-            out = np.maximum(out, np.atleast_1d(np.asarray(t(u), dtype=float)))
+            out = np.maximum(out, t._eval(u))
         return out
 
 
@@ -232,16 +232,21 @@ def _structure_key(phi: "YoungFunction") -> str:
     return json.dumps(young_to_json(phi), sort_keys=True)
 
 
+def _at(fn, v: float) -> float:
+    """``fn`` at the one point ``v``, for an array function ``fn``."""
+    return float(fn(np.array([v]))[0])
+
+
 def _golden_min(f, lo: float, hi: float, rtol: float = _GOLDEN_RTOL) -> float:
-    """Golden-section minimum of a unimodal function on [lo, hi] in the
-    log domain; returns the best value found."""
+    """Golden-section minimum of a unimodal array function on [lo, hi]
+    in the log domain; returns the best value found."""
     if not (lo > 0 and hi > lo):
-        return f(max(lo, hi))
+        return _at(f, max(lo, hi))
     a, b = math.log(lo), math.log(hi)
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
-    fc, fd = f(math.exp(c)), f(math.exp(d))
+    fc, fd = _at(f, math.exp(c)), _at(f, math.exp(d))
     best = min(fc, fd)
     for _ in range(200):
         if b - a <= rtol * max(1.0, abs(a), abs(b)):
@@ -249,17 +254,33 @@ def _golden_min(f, lo: float, hi: float, rtol: float = _GOLDEN_RTOL) -> float:
         if fc <= fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
-            fc = f(math.exp(c))
+            fc = _at(f, math.exp(c))
         else:
             a, c, fc = c, d, fd
             d = a + invphi * (b - a)
-            fd = f(math.exp(d))
+            fd = _at(f, math.exp(d))
         best = min(best, fc, fd)
     return best
 
 
+def _log_scan(obj, lo: float, hi: float):
+    """``obj`` on the 512-point log grid over [lo, hi]: the values, their
+    argmin k, and the bracket of k's neighbours for ``_golden_min``."""
+    grid = np.geomspace(lo, hi, _OPLUS_GRID)
+    vals = obj(grid)
+    k = int(np.argmin(vals))
+    return vals, k, (grid[max(k - 1, 0)], grid[min(k + 1, grid.size - 1)])
+
+
+class _Splitting(_YoungBase):
+    """⊕ and ⊖ nodes: each argument is its own grid search, ``eval_scalar``."""
+
+    def _eval(self, u):
+        return np.array([self.eval_scalar(x) for x in u.ravel().tolist()]).reshape(u.shape)
+
+
 @dataclass(frozen=True)
-class Oplus(_YoungBase):
+class Oplus(_Splitting):
     """Infimal product splitting of two Young functions.
 
     Evaluation minimises ``phi1(v) + phi2(u / v)`` over a log grid that
@@ -291,54 +312,39 @@ class Oplus(_YoungBase):
 
     def eval_scalar(self, u: float) -> float:
         f, g = self._children
-        if u == 0.0:
-            return 0.0
-        if u <= self.a_phi:
+        if u == 0.0 or u <= self.a_phi:
             return 0.0
         if u > self.b_phi:
             return math.inf
         b1, b2 = f.b_phi, g.b_phi
-        scale = math.sqrt(u) if u > 0 else 1.0
+        scale = math.sqrt(u)  # u > 0 here, so lo > 0 below
         lo = max(scale * 1e-9, u / b2 if not math.isinf(b2) else 0.0)
         hi = scale * 1e9 if math.isinf(b1) else b1
-        if lo <= 0:
-            lo = scale * 1e-9
         if hi <= lo:
-            lo, hi = hi * 0.5, lo * 2.0 if lo > 0 else 1.0
+            lo, hi = hi * 0.5, lo * 2.0
         # Symmetrise the window under v -> u / v so swapped operands
         # scan the identical candidate set.
         lo, hi = min(lo, u / hi), max(hi, u / lo)
 
-        def obj(v: float) -> float:
+        def obj(v):
             w = u / v
-            if v > b1 or w > b2:
-                return math.inf
-            return float(f(v)) + float(g(w))
+            return np.where((v <= b1) & (w <= b2), f._eval(v) + g._eval(w), math.inf)
 
-        grid = np.geomspace(lo, hi, _OPLUS_GRID)
         with np.errstate(over="ignore", invalid="ignore"):
-            fv = np.atleast_1d(np.asarray(f(grid), dtype=float))
-            gv = np.atleast_1d(np.asarray(g(u / grid), dtype=float))
-            tot = np.where((grid <= b1) & (u / grid <= b2), fv + gv, math.inf)
-        k = int(np.argmin(tot))
-        best = float(tot[k])
-        # Boundary candidates where one factor sits exactly at its
-        # vanishing threshold.
-        for v_cand in (f.a_phi, (u / g.a_phi) if g.a_phi > 0 else 0.0):
-            if v_cand and lo <= v_cand <= hi:
-                best = min(best, obj(v_cand))
-        if math.isfinite(best):
-            blo = grid[max(k - 1, 0)]
-            bhi = grid[min(k + 1, grid.size - 1)]
-            best = min(best, _golden_min(obj, blo, bhi))
+            tot, k, bracket = _log_scan(obj, lo, hi)
+            best = float(tot[k])
+            # Boundary candidates where one factor sits exactly at its
+            # vanishing threshold.
+            for v_cand in (f.a_phi, (u / g.a_phi) if g.a_phi > 0 else 0.0):
+                if v_cand and lo <= v_cand <= hi:
+                    best = min(best, _at(obj, v_cand))
+            if math.isfinite(best):
+                best = min(best, _golden_min(obj, *bracket))
         return best
-
-    def _eval(self, u):
-        return np.array([self.eval_scalar(float(ui)) for ui in u])
 
 
 @dataclass(frozen=True)
-class Ominus(_YoungBase):
+class Ominus(_Splitting):
     """Partial inverse of the infimal splitting:
     ``sup over v of phi(u * v) - phi1(v)`` (v with ``phi1(v)`` finite).
 
@@ -355,7 +361,7 @@ class Ominus(_YoungBase):
         # Derived numerically: largest u with value 0, largest with
         # finite value, scanned on a log grid.
         us = np.geomspace(1e-8, 1e8, 129)
-        vals = np.array([self.eval_scalar(float(t)) for t in us])
+        vals = self._eval(us)
         zero = us[vals <= 0.0]
         fin = us[np.isfinite(vals)]
         a = float(zero[-1]) if zero.size else 0.0
@@ -377,50 +383,33 @@ class Ominus(_YoungBase):
             return 0.0
         phi, phi1 = self.phi, self.phi1
         b1, bp = phi1.b_phi, phi.b_phi
-        v_top = b1
         if not math.isinf(bp):
             # Some admissible v pushes u*v past the finite domain of phi.
             limit = bp / u
-            if v_top > limit:
-                probe = min(v_top, limit * (1 + 1e-9))
-                if probe > limit and float(phi1(min(probe, b1))) < math.inf:
+            if b1 > limit:
+                probe = min(b1, limit * (1 + 1e-9))
+                if probe > limit and _at(phi1._eval, min(probe, b1)) < math.inf:
                     return math.inf
-        hi = min(v_top, 1e8)
-        lo = 1e-8
+        lo, hi = 1e-8, min(b1, 1e8)
         if hi <= lo:
             hi = lo * 10.0
-        grid = np.geomspace(lo, hi, _OPLUS_GRID)
+
+        def obj(v):
+            # the supremum as a minimum: phi1(v) - phi(u*v), where phi1 is finite
+            g1 = phi1._eval(v)
+            return np.where(np.isfinite(g1), g1 - phi._eval(u * v), math.inf)
+
         with np.errstate(over="ignore", invalid="ignore"):
-            fv = np.atleast_1d(np.asarray(phi(np.minimum(u * grid, np.inf)), dtype=float))
-            gv = np.atleast_1d(np.asarray(phi1(grid), dtype=float))
-            diff = np.where(np.isfinite(gv), fv - gv, -math.inf)
-        k = int(np.argmax(diff))
-        best = float(diff[k])
-        if math.isinf(best) and best > 0:
-            return math.inf
-        # Unbounded growth at the top edge of the window.
-        if k >= grid.size - 2 and math.isinf(v_top):
-            tail = diff[-3:]
-            if np.all(np.diff(tail) > 0) and (best > _UNBOUNDED or best > 1e3 * max(abs(float(diff[grid.size // 2])), 1e-300)):
+            neg, k, bracket = _log_scan(obj, lo, hi)
+            low = float(neg[k])
+            if low == -math.inf:
                 return math.inf
-
-        def neg_obj(v: float) -> float:
-            g1 = float(phi1(v))
-            if not math.isfinite(g1):
-                return math.inf
-            fy = float(phi(u * v))
-            if not math.isfinite(fy):
-                return -math.inf
-            return -(fy - g1)
-
-        blo = grid[max(k - 1, 0)]
-        bhi = grid[min(k + 1, grid.size - 1)]
-        refined = -_golden_min(neg_obj, blo, bhi)
-        best = max(best, refined)
-        return max(0.0, best)
-
-    def _eval(self, u):
-        return np.array([self.eval_scalar(float(ui)) for ui in u])
+            # Unbounded growth at the top edge of the window.
+            if k >= neg.size - 2 and math.isinf(b1) and np.all(np.diff(neg[-3:]) < 0):
+                if -low > _UNBOUNDED or -low > 1e3 * max(abs(float(neg[neg.size // 2])), 1e-300):
+                    return math.inf
+            low = min(low, _golden_min(obj, *bracket))
+        return max(0.0, -low)
 
 
 YoungFunction = _YoungBase
@@ -483,7 +472,7 @@ def _inverse(phi: YoungFunction, v: float, floor: float = 0.0) -> float:
         return a
 
     def above(u: float) -> bool:
-        return float(phi(u)) > v
+        return _at(phi._eval, u) > v
 
     if math.isfinite(b) and not above(b):
         return b
@@ -650,14 +639,14 @@ def check_condition_power_bound(
     b = phi.b_phi
     s_hi = min(b, 1e6) if math.isfinite(b) else 1e6
     s_grid = np.geomspace(1e-6, s_hi, s_samples)
-    s_vals = np.array([float(phi(min(s, b))) for s in s_grid])
+    s_vals = phi._eval(np.minimum(s_grid, b))
     good = np.isfinite(s_vals) & (s_vals > 0)
     s_grid, s_vals = s_grid[good], s_vals[good]
     if s_grid.size == 0:
         return (False, math.inf, 0.0)
     t_grid = np.geomspace(1e-6, 0.5, t_samples)
     st = np.outer(s_grid, t_grid)
-    st_vals = np.array([np.atleast_1d(np.asarray(phi(row), dtype=float)) for row in st])
+    st_vals = phi._eval(st)
     ratio = st_vals / s_vals[:, None]
     pos = ratio > 0
     if not pos.any():
@@ -686,9 +675,9 @@ def is_midpoint_convex_sampled(
     hi = min(b, 1e6) if math.isfinite(b) else 1e6
     u = np.exp(rng.uniform(math.log(1e-6), math.log(hi), size=(pairs, 2)))
     mid = 0.5 * (u[:, 0] + u[:, 1])
-    f = np.array([float(phi(x)) for x in u[:, 0]])
-    g = np.array([float(phi(x)) for x in u[:, 1]])
-    h = np.array([float(phi(x)) for x in mid])
+    f = phi._eval(u[:, 0])
+    g = phi._eval(u[:, 1])
+    h = phi._eval(mid)
     fin = np.isfinite(f) & np.isfinite(g)
     lhs = h[fin]
     rhs = 0.5 * (f[fin] + g[fin])

@@ -26,8 +26,10 @@ from bfslab import (
     StepFunction,
     calderon_norm,
     counting,
+    dual_descriptor,
     dual_norm_numeric,
     equalize_norms,
+    half_line,
     lozanovskii_factorize,
     multiplier_norm,
     norm,
@@ -37,6 +39,7 @@ from bfslab import (
     witness_from_json,
     witness_to_json,
 )
+from bfslab.weights import PowerLogWeight
 
 _FAST = {"max_sweeps": 300, "quick_sweeps": 25, "golden_iters": 10}
 
@@ -73,6 +76,28 @@ def test_lp_pair_below_one_lands_in_the_concavified_space():
     want = float(np.sum(np.sqrt(z.values) * ms.widths)) ** 2
     assert math.isclose(res.value, want, rel_tol=1e-12)
     assert np.allclose(wit.x.values * wit.y.values, z.values, rtol=1e-12)
+
+
+@pytest.mark.parametrize("grid", ["unit", "half"])
+@pytest.mark.parametrize(
+    "E, F",
+    [(Lp(1.0, PowerWeight(0.5)), Lp(1.5, PowerWeight(0.2))), (Lp(1.0, PowerWeight(0.3, 2.0)), Lp(1.0, PowerWeight(-0.1)))],
+    ids=["r0.6", "r0.5"],
+)
+def test_weighted_lp_pair_below_one_is_the_norm_of_zw(grid, E, F):
+    # |z|_{E ⊙ F} = |z w|_r with w = w_E w_F: per cell ∫ (z_i c t^a)^r dt
+    ms = unit_interval(16) if grid == "unit" else half_line(16)
+    z = StepFunction(ms, np.random.default_rng(0).uniform(0.1, 2.0, 16))
+    r = 1.0 / (1.0 / E.p + 1.0 / F.p)
+    a = E.weight.alpha + F.weight.alpha
+    c = E.weight.coef * F.weight.coef
+    lo, hi = ms.breakpoints[:-1], ms.breakpoints[1:]
+    cells = (z.values * c) ** r * (hi ** (a * r + 1.0) - lo ** (a * r + 1.0)) / (a * r + 1.0)
+    want = float(np.sum(cells)) ** (1.0 / r)
+    res, wit = product_norm(E, F, z)
+    assert res.kind == "exact"
+    assert math.isclose(res.value, want, rel_tol=1e-12)
+    assert res.value <= wit.product
 
 
 def test_weighted_lp_pair_with_cancelling_weights():
@@ -239,10 +264,21 @@ def test_multiplier_table_entries():
     assert math.isclose(res.value, norm(Lp(2.0), m).value, rel_tol=1e-12)
     res = multiplier_norm(Lp(2.0), Lp(2.0), m)
     assert math.isclose(res.value, float(np.max(m.values)), rel_tol=1e-12)
-    res = multiplier_norm(Lp(1.5), Lp(3.0), m)
+    res = multiplier_norm(Lp(1.5), Lp(3.0), _random_step(rng, unit_interval(8)))
     assert math.isinf(res.value)
-    zero = StepFunction(ms, np.zeros(8))
+    zero = StepFunction(unit_interval(8), np.zeros(8))
     assert multiplier_norm(Lp(1.5), Lp(3.0), zero).value == 0.0
+
+
+def test_sequence_multipliers_into_a_larger_exponent_are_bounded():
+    # l^p lies in l^q for q > p, so M(l^p, l^q) = l^inf; unit vectors attain max |m|
+    m = StepFunction(counting(8), np.random.default_rng(1).uniform(0.2, 2.0, 8))
+    res = multiplier_norm(Lp(2.0), Lp(4.0), m)
+    assert (res.value, res.kind) == (float(np.max(m.values)), "exact")
+    numeric = multiplier_norm(Lp(2.0), Lp(4.0), m, use_table=False, opts=_FAST)
+    assert numeric.value <= res.value * (1 + 1e-12)
+    zero = StepFunction(counting(8), np.zeros(8))
+    assert multiplier_norm(Lp(2.0), Lp(4.0), zero).value == 0.0
 
 
 def test_multiplier_numeric_path_matches_the_exponent_rule():
@@ -296,13 +332,23 @@ def test_dual_norm_numeric_without_table_entry():
     rng = np.random.default_rng(55)
     ms = unit_interval(12)
     y = _random_step(rng, ms)
-    E = LInftyWeighted(PowerWeight(0.3))
+    w = PowerLogWeight(0.3, 1.0)
+    E = LInftyWeighted(w)
     res = dual_norm_numeric(E, y, opts=_FAST)
-    b = ms.breakpoints[1:]
-    want = float(np.sum(y.values * ms.widths * b**-0.3))
+    sups = np.array([w.cell_sup(a, b) for a, b in zip(ms.breakpoints[:-1], ms.breakpoints[1:])])
+    want = float(np.sum(y.values * ms.widths / sups))
     assert res.kind == "estimate"
     assert res.value <= want * (1 + 1e-9)
     assert res.value >= want * 0.98
+
+
+def test_weighted_sup_dual_entry_matches_the_lp_spelling():
+    w = PowerWeight(0.3)
+    assert dual_descriptor(LInftyWeighted(w)) == dual_descriptor(Lp(math.inf, w)) == Lp(1.0, PowerWeight(-0.3))
+    m = StepFunction(unit_interval(16), np.random.default_rng(1).uniform(0.1, 2.0, 16))
+    sup = multiplier_norm(LInftyWeighted(w), Lp(1.0), m)
+    assert (sup.value, sup.kind) == (multiplier_norm(Lp(math.inf, w), Lp(1.0), m).value, "exact")
+    assert math.isclose(sup.value, norm(Lp(1.0, PowerWeight(-0.3)), m).value, rel_tol=1e-15)
 
 
 def test_dual_norm_numeric_requires_primitive_space():

@@ -45,6 +45,7 @@ from bfslab import (
     luxemburg_norm,
     modular,
     norm,
+    norm_evaluator,
     rearrange,
     space_from_json,
     space_to_json,
@@ -279,10 +280,26 @@ def test_canonical_calderon_of_lp_pair():
 
 def test_canonical_symmetrization_collapse():
     assert canonical(Symmetrization(Lp(2.0), "star")) == Lp(2.0)
-    kept = canonical(Symmetrization(Lp(2.0, PowerWeight(0.5)), "star"))
-    assert isinstance(kept, Symmetrization)
+    # |x* t^0.5|_2 = (∫ (t^1 x*)^2 dt/t)^(1/2)
+    got = canonical(Symmetrization(Lp(2.0, PowerWeight(0.5)), "star"))
+    assert got == LorentzLambdaP(PowerWeight(1.0), 2.0)
     kept_ds = canonical(Symmetrization(Lp(2.0), "doublestar"))
     assert isinstance(kept_ds, Symmetrization)
+
+
+def test_canonical_symmetrization_of_weighted_sup_and_lp():
+    w = PowerWeight(0.4)
+    for base in (LInftyWeighted(w), Lp(math.inf, w)):
+        assert canonical(Symmetrization(base, "star")) == MarcinkiewiczStar(w)
+        assert canonical(Symmetrization(base, "doublestar")) == Marcinkiewicz(w)
+    got = canonical(Symmetrization(Lp(4.0, PowerWeight(-0.25, 3.0)), "star"))
+    assert got == LorentzLambdaP(PowerWeight(0.0, 3.0), 4.0)
+    # the rewrite feeds the convexification rules
+    conv = Convexification(Symmetrization(LInftyWeighted(w), "star"), 2.0)
+    assert canonical(conv) == MarcinkiewiczStar(PowerWeight(0.2))
+    # a weight that is not a pure power keeps the structure
+    log_w = PowerLogWeight(0.4, 1.0)
+    assert canonical(Symmetrization(LInftyWeighted(log_w), "star")) == Symmetrization(LInftyWeighted(log_w), "star")
 
 
 def test_canonical_dual_collapse():
@@ -378,6 +395,12 @@ def test_luxemburg_requires_primitive_base():
 def test_luxemburg_norm_is_the_norm_of_its_orlicz_descriptor(phi):
     x = _random_step(np.random.default_rng(22), unit_interval(8))
     assert luxemburg_norm(Lp(1.0), phi, x).value == norm(OrliczCL(Lp(1.0), phi), x).value
+
+
+def test_luxemburg_gauge_rejects_a_negative_cell():
+    gauge = norm_evaluator(OrliczCL(Lp(1.0), ShiftedPower(0.3, 1.0, 2.0)), unit_interval(4))
+    with pytest.raises(ValueError, match="nonnegative"):
+        gauge.fn(np.array([1.0, -0.5, 2.0, 0.5]))
 
 
 def test_luxemburg_norm_notes_a_function_outside_the_space():
@@ -548,7 +571,8 @@ def test_structure_predicates():
     assert is_primitive(Dual(Lp(2.0)))
     assert not is_primitive(Product(Lp(2.0), Lp(2.0)))
     assert not is_primitive(Multiplier(Lp(2.0), Lp(2.0)))
-    assert not is_primitive(Dual(LInftyWeighted(PowerWeight(0.3))))
+    assert is_primitive(Dual(LInftyWeighted(PowerWeight(0.3))))
+    assert not is_primitive(Dual(LInftyWeighted(PowerLogWeight(0.3, 1.0))))
     assert is_primitive(OrliczCL(Lp(1.0), Power(1.0, 2.0)))
 
     assert is_symmetric(Lp(2.0))

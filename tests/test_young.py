@@ -225,6 +225,33 @@ def test_oplus_respects_null_zone_and_cap():
 
 
 # ---------------------------------------------------------------------------
+# array evaluation
+
+
+_NODES = {
+    "power": Power(2.0, 3.0),
+    "shifted": ShiftedPower(0.5, 1.5, 2.0),
+    "capped": Capped(Power(1.0, 2.0), 3.0),
+    "sum": YoungSum((Power(1.0, 1.0), ShiftedPower(1.0, 2.0, 2.0))),
+    "max": YoungMax((Power(1.0, 2.0), Power(3.0, 1.0))),
+    "oplus": Oplus(Power(1.0, 3.0), Power(1.0, 1.5)),
+    "ominus": Ominus(Power(1.0, 1.0), Power(1.0, 2.0)),
+    "nested_oplus": Oplus(Oplus(Power(1.0, 2.0), Power(1.0, 2.0)), Capped(Power(1.0, 2.0), 4.0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NODES))
+def test_array_evaluation_is_the_scalar_evaluation(name):
+    phi = _NODES[name]
+    flat = np.geomspace(1e-2, 1e2, 6)
+    for u in (flat, flat.reshape(2, 3)):
+        got = phi(u)
+        assert got.shape == u.shape
+        want = np.array([phi(float(t)) for t in u.ravel()]).reshape(u.shape)
+        assert np.array_equal(got, want)
+
+
+# ---------------------------------------------------------------------------
 # residual splitting
 
 

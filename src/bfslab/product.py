@@ -586,6 +586,10 @@ def _default_test_family(mspace: MeasureSpace, m_vals: np.ndarray) -> list:
         for k in (1.0 / 3.0, 0.5, 1.0, 2.0, 3.0):
             prof = np.where(pos, m_vals**k, 0.0)
             out.append(prof)
+    if mspace.kind == COUNTING:
+        # on sequences a unit vector at the largest multiplier cell
+        # attains sup |m y|_F / |y|_E for l^p into l^q, q >= p
+        out.append(np.eye(1, n, int(np.argmax(m_vals)))[0])
     return out
 
 

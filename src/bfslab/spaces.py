@@ -41,6 +41,7 @@ infinite for every nonzero x, since ``w`` blows up at 0.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
@@ -65,7 +66,7 @@ from .weights import (
     weight_from_json,
     weight_to_json,
 )
-from .young import Power, YoungFunction, _threshold, young_from_json, young_to_json
+from .young import Power, YoungFunction, _log, _threshold, young_from_json, young_to_json
 
 __all__ = [
     "Lp",
@@ -461,7 +462,9 @@ class _CompiledNorm:
         self.notes = notes
 
 
-_COMPILE_CACHE: dict = {}
+# least recently used entries go first once the cache holds this many
+_COMPILE_CACHE_CAP = 1024
+_COMPILE_CACHE: OrderedDict = OrderedDict()
 
 
 # Kernels take one row (n,) or a batch (k, n).  A batch must give each
@@ -716,11 +719,11 @@ def _compile(space: SpaceDescriptor, mspace: MeasureSpace) -> Optional[_Compiled
             return None
         phi = space.phi
 
-        def _lux(v, basec=basec, phi=phi):
-            return _luxemburg_value(basec.fn, phi, v)
+        def _lux(v, base_fn=basec.fn, phi=phi):
+            return _luxemburg_value(base_fn, phi, v)
 
         return _CompiledNorm(
-            _rowwise(_lux), "estimate", basec.notes + (f"luxemburg bisection, rtol {_LUX_RTOL:g}",)
+            _lux, "estimate", basec.notes + (f"luxemburg gauge, secant bracket search, rtol {_LUX_RTOL:g}",)
         )
 
     if isinstance(space, Convexification):
@@ -768,22 +771,38 @@ def _compile(space: SpaceDescriptor, mspace: MeasureSpace) -> Optional[_Compiled
     return None
 
 
-def _luxemburg_value(base_fn: Callable[[np.ndarray], float], phi: YoungFunction, values: np.ndarray) -> float:
-    """Least ``lam`` with ``|phi(values / lam)|_base <= 1``, to relative
-    width ``_LUX_RTOL`` and from above, so the modular at it is <= 1."""
-    if not np.any(values > 0):
-        return 0.0
-    hi = float(values.max())
-    if not math.isfinite(hi):
-        return math.inf
-    if np.any(values < 0):
+def _luxemburg_value(base_fn: Callable, phi: YoungFunction, v: np.ndarray):
+    """Per row, the least ``lam`` with ``|phi(row / lam)|_base <= 1``, to
+    relative width ``_LUX_RTOL`` and from above, so the modular at it is
+    <= 1.  All rows search in lockstep: one step is one ``phi`` call and
+    one ``base_fn`` call over every row still searching."""
+    V = np.atleast_2d(v)
+    if (V < 0).any():
         raise ValueError("Young functions take nonnegative arguments")
+    top = V.max(-1)
+    pos = (V > 0).any(-1)
+    out = np.where(pos, math.inf, 0.0)
+    rows = np.flatnonzero(pos & np.isfinite(top))
+    if rows.size:
+        Vr = V[rows]
 
-    def fits(lam: float) -> bool:
-        ph = phi._eval(values / lam)
-        return bool(np.isfinite(ph).all()) and base_fn(ph) <= 1.0
+        def probe(idx, lam):
+            ph = phi._eval(Vr[idx] / lam[:, None])
+            fin = np.isfinite(ph).all(-1)
+            mod = np.full(idx.size, math.inf)
+            if fin.any():
+                mod[fin] = base_fn(ph[fin])
+            mod = mod.tolist()
+            return [m <= 1.0 for m in mod], [_log(m) for m in mod]
 
-    return _threshold(fits, hi, _LUX_RTOL)
+        top = top[rows]
+        if math.isfinite(phi.b_phi):
+            # no lam below top / b_phi fits: there phi is infinite on the top cell
+            floor = top / phi.b_phi
+            out[rows] = _threshold(probe, np.maximum(top, 2.0 * floor), _LUX_RTOL, floor)
+        else:
+            out[rows] = _threshold(probe, top, _LUX_RTOL)
+    return _out(out if v.ndim > 1 else out[0])
 
 
 def norm_evaluator(space: SpaceDescriptor, mspace: MeasureSpace) -> Optional[_CompiledNorm]:
@@ -799,10 +818,13 @@ def norm_evaluator(space: SpaceDescriptor, mspace: MeasureSpace) -> Optional[_Co
     key = (space, mspace)
     hit = _COMPILE_CACHE.get(key)
     if hit is not None:
+        _COMPILE_CACHE.move_to_end(key)
         return hit
     compiled = _compile(canonical(space), mspace)
     if compiled is not None:
         _COMPILE_CACHE[key] = compiled
+        if len(_COMPILE_CACHE) > _COMPILE_CACHE_CAP:
+            _COMPILE_CACHE.popitem(last=False)
     return compiled
 
 

@@ -16,14 +16,20 @@ and its partial inverse
 
     (phi (-) phi1)(u) = sup over v of phi(u * v) - phi1(v),
 
-both evaluated on a symmetric 512-point log grid with golden-section
-refinement (relative tolerance 1e-10).  Convexity is not guaranteed for
-these two node kinds, so sampled convexity checks exempt them.
+both evaluated for every cell of an argument array at once: one
+512-point log-grid scan per cell, symmetric for (+), then rescans of the
+bracket around each cell's best point on a grid of the same size until
+it is 1e-10 narrow in log (about four rescans).  Cells go in blocks of
+bounded size.  Convexity is not guaranteed for these two node kinds, so
+sampled convexity checks exempt them.
 
 Inverses are right-continuous: ``inverse(phi, v) = inf { u : phi(u) > v }``,
 computed in closed form for power atoms and otherwise by ``_threshold``,
-the one bracket-and-bisect search, which the Luxemburg gauges of
-:mod:`bfslab.spaces` share.
+the one bracket search, which the Luxemburg gauges of
+:mod:`bfslab.spaces` share.  It runs many rows in lockstep and narrows
+each bracket by safeguarded secant (Illinois) steps on
+(log t, log residual), falling back to the geometric midpoint; it
+returns the bracket's upper end.
 """
 
 from __future__ import annotations
@@ -57,7 +63,9 @@ __all__ = [
 ]
 
 _OPLUS_GRID = 512
-_GOLDEN_RTOL = 1e-10
+_UNIT = np.linspace(0.0, 1.0, _OPLUS_GRID)
+_SCAN_POINTS = 1 << 16  # grid points per block of ⊕/⊖ cells: bounds the memory of one call
+_SPLIT_RTOL = 1e-10
 _INV_RTOL = 1e-12
 _RELATION_CAP = 1e8
 _UNBOUNDED = 1e30
@@ -237,46 +245,68 @@ def _at(fn, v: float) -> float:
     return float(fn(np.array([v]))[0])
 
 
-def _golden_min(f, lo: float, hi: float, rtol: float = _GOLDEN_RTOL) -> float:
-    """Golden-section minimum of a unimodal array function on [lo, hi]
-    in the log domain; returns the best value found."""
-    if not (lo > 0 and hi > lo):
-        return _at(f, max(lo, hi))
-    a, b = math.log(lo), math.log(hi)
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = _at(f, math.exp(c)), _at(f, math.exp(d))
-    best = min(fc, fd)
-    for _ in range(200):
-        if b - a <= rtol * max(1.0, abs(a), abs(b)):
-            break
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = _at(f, math.exp(c))
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = _at(f, math.exp(d))
-        best = min(best, fc, fd)
+def _log_grid(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Row i: ``_OPLUS_GRID`` points evenly spaced in log over [lo[i], hi[i]],
+    with both ends exact."""
+    la = np.log(lo)[:, None]
+    grid = np.exp(la + (np.log(hi)[:, None] - la) * _UNIT)
+    grid[:, 0], grid[:, -1] = lo, hi
+    return grid
+
+
+def _log_scan(obj, u: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """``obj(v, u)`` on the log grid of each cell's window [lo, hi] (one
+    window may serve every cell): the values, each cell's argmin k, and
+    the bracket of k's neighbours."""
+    grid = _log_grid(lo, hi)
+    vals = obj(grid, u[:, None])
+    k = vals.argmin(-1)
+    grid = np.broadcast_to(grid, vals.shape)
+    r = np.arange(k.size)
+    return vals, k, grid[r, np.maximum(k - 1, 0)], grid[r, np.minimum(k + 1, _OPLUS_GRID - 1)]
+
+
+def _rescan(obj, u: np.ndarray, best: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """``best`` lowered to the least value of ``obj`` found by rescanning
+    each cell's bracket [lo, hi] on the same grid size, around the new
+    argmin each time, until the bracket is ``_SPLIT_RTOL`` narrow in log.
+
+    Each rescan narrows a bracket by a factor of at least 255, so about
+    four follow the first scan; the loop ends because that tolerance is
+    far above the float spacing.
+    """
+    best = best.copy()
+    rows = np.arange(best.size)
+    while rows.size:
+        la, lb = np.log(lo), np.log(hi)
+        wide = lb - la > _SPLIT_RTOL * np.maximum(1.0, np.maximum(np.abs(la), np.abs(lb)))
+        rows, lo, hi = rows[wide], lo[wide], hi[wide]
+        if rows.size:
+            vals, k, lo, hi = _log_scan(obj, u[rows], lo, hi)
+            best[rows] = np.minimum(best[rows], vals[np.arange(rows.size), k])
     return best
 
 
-def _log_scan(obj, lo: float, hi: float):
-    """``obj`` on the 512-point log grid over [lo, hi]: the values, their
-    argmin k, and the bracket of k's neighbours for ``_golden_min``."""
-    grid = np.geomspace(lo, hi, _OPLUS_GRID)
-    vals = obj(grid)
-    k = int(np.argmin(vals))
-    return vals, k, (grid[max(k - 1, 0)], grid[min(k + 1, grid.size - 1)])
-
-
 class _Splitting(_YoungBase):
-    """⊕ and ⊖ nodes: each argument is its own grid search, ``eval_scalar``."""
+    """⊕ and ⊖ nodes: one grid search per cell, all cells of a block at once.
+
+    ``_cells`` maps a flat block of arguments to values; ``_eval`` feeds
+    it blocks of at most ``_SCAN_POINTS / _OPLUS_GRID`` cells, so memory
+    stays bounded however large the argument array is.  A cell's value
+    depends on that cell alone.
+    """
 
     def _eval(self, u):
-        return np.array([self.eval_scalar(x) for x in u.ravel().tolist()]).reshape(u.shape)
+        flat = u.ravel()
+        out = np.empty(flat.size)
+        step = _SCAN_POINTS // _OPLUS_GRID
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for s in range(0, flat.size, step):
+                out[s : s + step] = self._cells(flat[s : s + step])
+        return out.reshape(u.shape)
+
+    def _cells(self, u: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
 
 
 @dataclass(frozen=True)
@@ -285,8 +315,8 @@ class Oplus(_Splitting):
 
     Evaluation minimises ``phi1(v) + phi2(u / v)`` over a log grid that
     is symmetric under ``v -> u / v`` (so the operation is exactly
-    commutative), followed by golden-section refinement.  Not convex in
-    general; exempt from convexity checks.
+    commutative), followed by rescans around the best point.  Not convex
+    in general; exempt from convexity checks.
     """
 
     phi1: "YoungFunction"
@@ -311,36 +341,44 @@ class Oplus(_Splitting):
         return b1 * b2
 
     def eval_scalar(self, u: float) -> float:
+        return _at(self._eval, u)
+
+    def _cells(self, u):
         f, g = self._children
-        if u == 0.0 or u <= self.a_phi:
-            return 0.0
-        if u > self.b_phi:
-            return math.inf
+        zero = (u == 0.0) | (u <= self.a_phi)
+        out = np.where(zero, 0.0, np.where(u > self.b_phi, math.inf, u))  # NaN stays NaN
+        live = np.flatnonzero(~zero & (u <= self.b_phi))
+        if not live.size:
+            return out
+        u = u[live]
         b1, b2 = f.b_phi, g.b_phi
-        scale = math.sqrt(u)  # u > 0 here, so lo > 0 below
-        lo = max(scale * 1e-9, u / b2 if not math.isinf(b2) else 0.0)
-        hi = scale * 1e9 if math.isinf(b1) else b1
-        if hi <= lo:
-            lo, hi = hi * 0.5, lo * 2.0
+        scale = np.sqrt(u)  # u > 0 here, so lo > 0 below
+        lo = np.maximum(scale * 1e-9, u / b2)
+        hi = scale * 1e9 if math.isinf(b1) else np.full(u.size, b1)
+        flip = hi <= lo
+        lo, hi = np.where(flip, hi * 0.5, lo), np.where(flip, lo * 2.0, hi)
         # Symmetrise the window under v -> u / v so swapped operands
         # scan the identical candidate set.
-        lo, hi = min(lo, u / hi), max(hi, u / lo)
+        lo, hi = np.minimum(lo, u / hi), np.maximum(hi, u / lo)
 
-        def obj(v):
+        def obj(v, u):
             w = u / v
             return np.where((v <= b1) & (w <= b2), f._eval(v) + g._eval(w), math.inf)
 
-        with np.errstate(over="ignore", invalid="ignore"):
-            tot, k, bracket = _log_scan(obj, lo, hi)
-            best = float(tot[k])
-            # Boundary candidates where one factor sits exactly at its
-            # vanishing threshold.
-            for v_cand in (f.a_phi, (u / g.a_phi) if g.a_phi > 0 else 0.0):
-                if v_cand and lo <= v_cand <= hi:
-                    best = min(best, _at(obj, v_cand))
-            if math.isfinite(best):
-                best = min(best, _golden_min(obj, *bracket))
-        return best
+        vals, k, blo, bhi = _log_scan(obj, u, lo, hi)
+        best = vals[np.arange(u.size), k]
+        # Boundary candidates where one factor sits exactly at its
+        # vanishing threshold.
+        cands = [np.full(u.size, f.a_phi)] if f.a_phi else []
+        if g.a_phi > 0:
+            cands.append(u / g.a_phi)
+        for v in cands:
+            inside = (lo <= v) & (v <= hi)
+            best = np.where(inside, np.minimum(best, obj(v[:, None], u[:, None])[:, 0]), best)
+        fin = np.flatnonzero(np.isfinite(best))
+        best[fin] = _rescan(obj, u[fin], best[fin], blo[fin], bhi[fin])
+        out[live] = best
+        return out
 
 
 @dataclass(frozen=True)
@@ -379,37 +417,47 @@ class Ominus(_Splitting):
         return self._ab[1]
 
     def eval_scalar(self, u: float) -> float:
-        if u == 0.0:
-            return 0.0
+        return _at(self._eval, u)
+
+    def _cells(self, u):
         phi, phi1 = self.phi, self.phi1
         b1, bp = phi1.b_phi, phi.b_phi
+        out = np.where(u == 0.0, 0.0, u)  # NaN stays NaN
+        live = (u != 0.0) & ~np.isnan(u)
         if not math.isinf(bp):
             # Some admissible v pushes u*v past the finite domain of phi.
             limit = bp / u
-            if b1 > limit:
-                probe = min(b1, limit * (1 + 1e-9))
-                if probe > limit and _at(phi1._eval, min(probe, b1)) < math.inf:
-                    return math.inf
+            probe = np.minimum(b1, limit * (1 + 1e-9))
+            past = live & (b1 > limit) & (probe > limit)
+            past[past] = phi1._eval(probe[past]) < math.inf
+            out[past] = math.inf
+            live &= ~past
+        live = np.flatnonzero(live)
+        if not live.size:
+            return out
+        u = u[live]
         lo, hi = 1e-8, min(b1, 1e8)
         if hi <= lo:
             hi = lo * 10.0
 
-        def obj(v):
+        def obj(v, u):
             # the supremum as a minimum: phi1(v) - phi(u*v), where phi1 is finite
             g1 = phi1._eval(v)
             return np.where(np.isfinite(g1), g1 - phi._eval(u * v), math.inf)
 
-        with np.errstate(over="ignore", invalid="ignore"):
-            neg, k, bracket = _log_scan(obj, lo, hi)
-            low = float(neg[k])
-            if low == -math.inf:
-                return math.inf
+        # one window for every cell: phi1 is evaluated on a single grid row
+        neg, k, blo, bhi = _log_scan(obj, u, np.array([lo]), np.array([hi]))
+        low = neg[np.arange(u.size), k]
+        unbounded = low == -math.inf
+        if math.isinf(b1):
             # Unbounded growth at the top edge of the window.
-            if k >= neg.size - 2 and math.isinf(b1) and np.all(np.diff(neg[-3:]) < 0):
-                if -low > _UNBOUNDED or -low > 1e3 * max(abs(float(neg[neg.size // 2])), 1e-300):
-                    return math.inf
-            low = min(low, _golden_min(obj, *bracket))
-        return max(0.0, -low)
+            edge = (k >= _OPLUS_GRID - 2) & (np.diff(neg[:, -3:]) < 0).all(-1)
+            big = (-low > _UNBOUNDED) | (-low > 1e3 * np.maximum(np.abs(neg[:, _OPLUS_GRID // 2]), 1e-300))
+            unbounded |= edge & big
+        fin = np.flatnonzero(~unbounded & np.isfinite(low))
+        low[fin] = _rescan(obj, u[fin], low[fin], blo[fin], bhi[fin])
+        out[live] = np.where(unbounded, math.inf, np.maximum(0.0, -low))
+        return out
 
 
 YoungFunction = _YoungBase
@@ -425,62 +473,181 @@ def ominus(phi: YoungFunction, phi1: YoungFunction) -> Ominus:
     return Ominus(phi, phi1)
 
 
-def _threshold(above, hi: float, rtol: float, lo: float | None = None) -> float:
-    """Least ``t > 0`` with ``above(t)``, for a predicate that is false
-    below some point and true above it.
+def _log(x: float) -> float:
+    """``log x`` for a level ``x >= 0``, with ``-inf`` at 0."""
+    return math.log(x) if x > 0.0 else -math.inf
 
-    Doubles ``hi`` until ``above(hi)`` holds (infinity if doubling would
-    overflow first).  Without ``lo`` the lower end is found by halving
-    down from ``hi``; a given ``lo`` must have ``above(lo)`` false.  Then
-    bisects at the geometric midpoint until the bracket is ``rtol``
-    narrow and returns its upper end, where ``above`` holds.
-    """
-    while not above(hi):
-        if hi * 2.0 == math.inf:
-            return math.inf
-        hi *= 2.0
-    if lo is None:
-        lo = hi / 2.0
-        while above(lo):
-            hi = lo
-            lo /= 2.0
-            if lo < 1e-300:
-                return hi
-    for _ in range(200):
-        if hi - lo <= rtol * hi:
-            break
-        prod = lo * hi  # overflows once the bracket is above ~1e154
-        mid = math.sqrt(prod) if prod < math.inf else math.sqrt(lo) * math.sqrt(hi)
-        if above(mid):
-            hi = mid
+
+def _stale_factor(r: float, r_prev: float) -> float:
+    """The Anderson-Bjorck factor for the residual at a bracket end that
+    a secant step left in place twice: 1 - r / r_prev, or 1/2 (Illinois)
+    when that is not in (0, 1)."""
+    m = 1.0 - r / r_prev if r_prev else 0.5
+    return m if 0.0 < m < 1.0 else 0.5
+
+
+class _Bracket:
+    """One row of ``_threshold``: its bracket, the residuals at its ends,
+    and the point ``t`` it asks about next."""
+
+    __slots__ = ("lo", "hi", "r_lo", "r_hi", "stage", "step", "side", "widths", "t")
+
+    def __init__(self, hi: float, lo: float | None):
+        self.lo, self.hi = lo, hi
+        self.r_lo = self.r_hi = math.nan
+        self.stage, self.t = ("up", hi) if lo is None else ("floor", lo)
+        self.step = 2.0  # bracketing factor, squared after every move
+        self.side = None
+        self.widths = (math.inf,) * 3
+
+    def update(self, above: bool, r: float, rtol: float) -> float | None:
+        """Take the verdict at ``t``: the row's result once it is settled,
+        else None with the next ``t`` set."""
+        t = self.t
+        if self.stage == "floor":
+            if above:  # the floor is the result if the predicate fails just below it
+                self.hi, self.r_hi, self.stage = t, r, "down"
+                self.t = t * (1.0 - 0.5 * rtol)
+            else:
+                self.lo, self.r_lo, self.stage, self.t = t, r, "up", self.hi
+            return None
+        if self.stage != "search":
+            if not above and self.stage == "up":
+                if t * 2.0 == math.inf:
+                    return math.inf
+                self.t = self.hi = self._move(t, r, self.lo, self.r_lo, rtol, up=True)
+                self.lo, self.r_lo = t, r
+                return None
+            if above and (self.stage == "down" or self.lo is None):
+                if t < 2e-300:
+                    return t
+                self.t = self._move(t, r, self.hi if self.stage == "down" else None, self.r_hi, rtol, up=False)
+                self.hi, self.r_hi, self.stage = t, r, "down"
+                return None
+            self.stage = "search"
+        if above:
+            if self.side == "hi":  # the stale end's residual shrinks (Anderson-Bjorck)
+                self.r_lo *= _stale_factor(r, self.r_hi)
+            self.hi, self.r_hi, self.side = t, r, "hi"
         else:
-            lo = mid
-    return hi
+            if self.side == "lo":
+                self.r_hi *= _stale_factor(r, self.r_lo)
+            self.lo, self.r_lo, self.side = t, r, "lo"
+        return self._next(rtol)
+
+    def _move(self, t: float, r: float, t0, r0: float, rtol: float, up: bool) -> float:
+        """The next bracketing point beyond ``t``: the zero of the secant
+        through (t0, r0) and (t, r), extrapolated 10 % further, where it
+        lies beyond ``t`` within the square of the current factor; else
+        ``t`` moved by that factor."""
+        far = t * self.step if up else t / self.step
+        if up and far == math.inf:
+            far = t * 2.0
+        far = max(far, 1e-300)
+        self.step *= self.step
+        if t0 is not None and r != r0 and math.isfinite(r) and math.isfinite(r0):
+            x = math.log(t)
+            d = 1.1 * r * (x - math.log(t0)) / (r - r0)  # the distance ahead, in log
+            d = -d if up else d
+            y = x + max(d, rtol) if up else x - max(d, rtol)
+            if 0.0 < d < 2.0 * abs(math.log(far) - x) and -690.0 < y < 709.0:
+                return math.exp(y)
+        return far
+
+    def _next(self, rtol: float) -> float | None:
+        lo, hi = self.lo, self.hi
+        if hi - lo <= rtol * hi:
+            return hi
+        la, lb = math.log(lo), math.log(hi)
+        w = lb - la
+        x = 0.5 * (la + lb)
+        rl, rh = self.r_lo, self.r_hi
+        # secant unless the last three steps failed to halve the bracket,
+        # a residual is infinite or NaN, or the ends do not straddle; a 0
+        # at one end puts the secant point on that end, and the clamp
+        # below then tests just inside it
+        if w <= 0.5 * self.widths[0] and rl * rh <= 0.0 and rl != rh and math.isfinite(rl * rh):
+            s = lb - rh * w / (rh - rl)
+            if la <= s <= lb:
+                # a little toward the stale end, so an accurate step lands
+                # there and the next one closes the bracket
+                x = s - 0.4 * rtol if self.side == "hi" else s + 0.4 * rtol if self.side == "lo" else s
+        self.widths = self.widths[1:] + (w,)
+        # at least rtol/2 inside each end: a step that lands on the
+        # threshold is followed by one that closes the bracket
+        d = 0.5 * rtol * lo
+        self.t = min(max(math.exp(x), lo + d), hi - d)
+        return None
 
 
-def _inverse(phi: YoungFunction, v: float, floor: float = 0.0) -> float:
-    """``inf { u : phi(u) > v }``; ``floor`` is a guess at a lower bound
-    (the previous result of an ascending batch), used once checked."""
+def _threshold(probe, hi, rtol: float, lo=None) -> np.ndarray:
+    """Per row, the least ``t > 0`` where the row's predicate holds, for
+    predicates that are false below some point and true above it.
+
+    ``probe(rows, t)`` evaluates rows ``rows`` at their points ``t`` (two
+    arrays) at once and returns, per row, the verdict and a residual:
+    ``log`` of the level the predicate compares, minus ``log`` of its
+    threshold level.  Rows advance in lockstep, one ``probe`` call per
+    step, and each row's arithmetic is its own, so a row's result does
+    not depend on the other rows.
+
+    ``hi`` and ``lo`` hold a start per row.  A row with a floor ``lo``
+    (where the predicate is false below it, ``lo < hi``) first tries the
+    floor and the point just below it, then ``hi``.  From ``hi`` the
+    bracket grows up until the predicate holds (infinity if doubling
+    would overflow first) and, without a point where it fails, down until
+    it fails: each move goes to the zero of the secant through the last
+    two points, when that lies ahead, else by a factor 2, 4, 16, ....
+    Then each step narrows the bracket by a safeguarded secant step on
+    (log t, residual), of the Illinois kind: an end that two steps in a
+    row left in place has its residual scaled down (by the
+    Anderson-Bjorck factor, or by 1/2), and the point is nudged 0.4 rtol
+    toward that end.  The step is the geometric midpoint instead when a
+    residual is infinite or NaN, the ends do not straddle 0, the secant
+    point leaves the bracket, or the last three steps did not halve it.
+    A row ends once its bracket is ``rtol`` narrow, with the bracket's
+    upper end, where the predicate holds.
+    """
+    rows = [_Bracket(float(h), None if lo is None else float(lo[i])) for i, h in enumerate(hi)]
+    out = np.empty(len(rows))
+    live = list(range(len(rows)))
+    while live:
+        above, resid = probe(np.array(live), np.array([rows[i].t for i in live]))
+        nxt = []
+        for i, a, r in zip(live, above, resid):
+            res = rows[i].update(a, r, rtol)
+            if res is None:
+                nxt.append(i)
+            else:
+                out[i] = res
+        live = nxt
+    return out
+
+
+def _inverse(phi: YoungFunction, v: np.ndarray) -> np.ndarray:
+    """``inf { u : phi(u) > v }`` for every target of the flat array ``v``."""
     if isinstance(phi, (Power, ShiftedPower)):
-        return phi.inverse_exact(v)
+        return np.array([phi.inverse_exact(x) for x in v.tolist()])
     if isinstance(phi, Capped):
-        return min(_inverse(phi.inner, v, floor), phi.b_phi)
+        return np.minimum(_inverse(phi.inner, v), phi.b_phi)
     a, b = phi.a_phi, phi.b_phi
-    if v == math.inf:
-        return b
-    if v == 0.0 and a > 0.0:
-        return a
+    out = np.where(v == math.inf, b, math.nan)
+    if a > 0.0:
+        out[v == 0.0] = a
+    if math.isfinite(b):
+        out[np.isnan(out) & (_at(phi._eval, b) <= v)] = b
+    rows = np.flatnonzero(np.isnan(out) & ~np.isnan(v))
+    if rows.size:
+        vr = v[rows]
 
-    def above(u: float) -> bool:
-        return _at(phi._eval, u) > v
+        def probe(idx, u):
+            ph = phi._eval(u).tolist()
+            vs = vr[idx].tolist()
+            return [p > t for p, t in zip(ph, vs)], [_log(p) - _log(t) for p, t in zip(ph, vs)]
 
-    if math.isfinite(b) and not above(b):
-        return b
-    lo = a if a > 0.0 else None
-    if floor > a and not above(floor):
-        lo = floor
-    hi = b if math.isfinite(b) else max(2.0 * (lo or 0.0), 1.0)
-    return _threshold(above, hi, _INV_RTOL, lo)
+        hi = b if math.isfinite(b) else max(2.0 * a, 1.0)
+        out[rows] = _threshold(probe, [hi] * rows.size, _INV_RTOL, [a] * rows.size if a > 0.0 else None)
+    return out
 
 
 def inverse(phi: YoungFunction, v: float) -> float:
@@ -488,21 +655,17 @@ def inverse(phi: YoungFunction, v: float) -> float:
 
     Saturates at ``b_phi`` when the target exceeds the essential range;
     ``inverse(phi, 0)`` is ``a_phi``.  Closed form for power atoms,
-    geometric bisection to relative tolerance 1e-12 otherwise.
+    otherwise ``_threshold`` to relative tolerance 1e-12.
     """
     if v < 0:
         raise ValueError("inverse takes nonnegative targets")
-    return _inverse(phi, float(v))
+    return float(_inverse(phi, np.array([float(v)]))[0])
 
 
 def inverse_batch(phi: YoungFunction, targets: np.ndarray) -> np.ndarray:
-    """Inverse over an ascending target array, warm-starting each
-    bisection at the previous result (the inverse is non-decreasing)."""
-    out = np.empty(np.size(targets))
-    floor = 0.0
-    for i, v in enumerate(np.asarray(targets, dtype=float)):
-        out[i] = floor = _inverse(phi, float(v), floor)
-    return out
+    """Inverse at every target, as a flat array; the numeric searches of
+    all targets run in lockstep and each equals ``inverse`` bit for bit."""
+    return _inverse(phi, np.asarray(targets, dtype=float).ravel())
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bfslab import (
+    Capped,
     Convexification,
     LInftyWeighted,
     LorentzLambda,
@@ -21,12 +22,17 @@ from bfslab import (
     Marcinkiewicz,
     MarcinkiewiczStar,
     OrliczCL,
+    Power,
     PowerWeight,
     ShiftedPower,
     Symmetrization,
+    YoungMax,
+    YoungSum,
     counting,
     half_line,
     norm_evaluator,
+    ominus,
+    oplus,
     unit_interval,
 )
 from bfslab.weights import PowerLogWeight
@@ -121,3 +127,28 @@ def test_batched_kernels_match_row_calls_bit_for_bit(kind, n, seed):
             rows = [compiled.fn(W[i]) for i in range(W.shape[0])]
             assert all(type(r) is float for r in rows), (name, layout)
             assert np.array_equal(_bits(got), _bits(rows)), (name, layout, got, rows)
+
+
+GAUGE_PHIS = {
+    "shifted": ShiftedPower(0.3, 1.0, 2.0),
+    "sum": YoungSum((Power(1.0, 2.0), Power(0.5, 3.0))),
+    "max": YoungMax((Power(1.0, 2.0), Power(0.5, 3.0))),
+    # values reach 3, so the cap binds on some rows and not on others
+    "capped": Capped(Power(1.0, 2.0), 2.0),
+    "oplus": oplus(Power(1.0, 3.0), Power(1.0, 1.5)),
+    "ominus": ominus(Power(1.0, 2.0), Power(1.0, 4.0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GAUGE_PHIS))
+def test_lockstep_gauge_rows_match_row_calls_bit_for_bit(name):
+    # the rows of a batch search their brackets in lockstep, next to
+    # all-zero rows and rows with other live cells; each ends where its
+    # one-row search ends
+    fn = norm_evaluator(OrliczCL(Lp(1.0), GAUGE_PHIS[name]), unit_interval(8)).fn
+    V = _batch(np.random.default_rng(11), 8)
+    for W in (V, np.asfortranarray(V[::-1]), V[[2, 5, 2, 0]]):
+        got = fn(W)
+        rows = [fn(row) for row in W]
+        assert np.array_equal(_bits(got), _bits(rows)), (name, got, rows)
+    assert got[0] == got[2] == 0.0

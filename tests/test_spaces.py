@@ -6,10 +6,12 @@ quadratic-formula gauges.
 """
 
 import math
+from collections import OrderedDict
 
 import numpy as np
 import pytest
 
+import bfslab.spaces as spaces
 from bfslab import (
     Calderon,
     Capped,
@@ -399,8 +401,10 @@ def test_luxemburg_norm_is_the_norm_of_its_orlicz_descriptor(phi):
 
 def test_luxemburg_gauge_rejects_a_negative_cell():
     gauge = norm_evaluator(OrliczCL(Lp(1.0), ShiftedPower(0.3, 1.0, 2.0)), unit_interval(4))
-    with pytest.raises(ValueError, match="nonnegative"):
-        gauge.fn(np.array([1.0, -0.5, 2.0, 0.5]))
+    # a row whose only nonzero cell is negative, alone and in a batch
+    for v in ([1.0, -0.5, 2.0, 0.5], [-1.0, 0.0, 0.0, 0.0], [[1.0, 2.0, 0.0, 0.5], [-1.0, 0.0, 0.0, 0.0]]):
+        with pytest.raises(ValueError, match="nonnegative"):
+            gauge.fn(np.array(v))
 
 
 def test_luxemburg_norm_notes_a_function_outside_the_space():
@@ -639,3 +643,14 @@ def test_space_json_rejects_unknown_kind():
         space_from_json({"kind": "banach"})
     with pytest.raises(TypeError):
         space_to_json(42)
+
+
+def test_compile_cache_is_a_bounded_lru(monkeypatch):
+    monkeypatch.setattr(spaces, "_COMPILE_CACHE", OrderedDict())
+    hot_grid = unit_interval(8)
+    hot = norm_evaluator(Lp(2.0), hot_grid)
+    for n in range(1, 1101):
+        norm_evaluator(Lp(2.0), counting(n))  # a new grid: a miss every time
+        assert norm_evaluator(Lp(2.0), hot_grid) is hot
+        assert len(spaces._COMPILE_CACHE) <= spaces._COMPILE_CACHE_CAP
+    assert len(spaces._COMPILE_CACHE) == spaces._COMPILE_CACHE_CAP

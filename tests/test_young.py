@@ -6,16 +6,20 @@ minimisation independent of the evaluator under test.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import bfslab.spaces as spaces
 from bfslab import (
     Capped,
+    Lp,
     Ominus,
     Oplus,
     Power,
     ShiftedPower,
+    StepFunction,
     YoungMax,
     YoungSum,
     check_condition_power_bound,
@@ -23,8 +27,11 @@ from bfslab import (
     inverse,
     inverse_batch,
     is_midpoint_convex_sampled,
+    luxemburg_norm,
+    modular,
     ominus,
     oplus,
+    unit_interval,
     young_from_json,
     young_to_json,
 )
@@ -136,7 +143,7 @@ def test_inverse_batch_matches_scalar_inverse():
     ):
         batch = inverse_batch(phi, targets)
         scalar = np.array([inverse(phi, float(v)) for v in targets])
-        assert np.allclose(batch, scalar, rtol=1e-10, atol=0.0)
+        assert np.array_equal(batch, scalar)
         assert np.all(np.diff(batch) >= -1e-12 * np.abs(batch[1:]))
 
 
@@ -249,6 +256,183 @@ def test_array_evaluation_is_the_scalar_evaluation(name):
         assert got.shape == u.shape
         want = np.array([phi(float(t)) for t in u.ravel()]).reshape(u.shape)
         assert np.array_equal(got, want)
+
+
+# The scan-plus-golden evaluation of the splitting nodes, one argument at a
+# time, kept here as the reference for the batched rescans.
+
+
+def _at(fn, v):
+    return float(fn(np.array([v]))[0])
+
+
+def _golden_reference(f, lo, hi, rtol=1e-10):
+    if not (lo > 0 and hi > lo):
+        return _at(f, max(lo, hi))
+    a, b = math.log(lo), math.log(hi)
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = _at(f, math.exp(c)), _at(f, math.exp(d))
+    best = min(fc, fd)
+    for _ in range(200):
+        if b - a <= rtol * max(1.0, abs(a), abs(b)):
+            break
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = _at(f, math.exp(c))
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = _at(f, math.exp(d))
+        best = min(best, fc, fd)
+    return best
+
+
+def _scan_reference(obj, lo, hi):
+    grid = np.geomspace(lo, hi, 512)
+    vals = obj(grid)
+    k = int(np.argmin(vals))
+    return vals, k, (grid[max(k - 1, 0)], grid[min(k + 1, grid.size - 1)])
+
+
+def _reference_eval(phi, u):
+    if isinstance(phi, (Oplus, Ominus)):
+        ref = _oplus_reference if isinstance(phi, Oplus) else _ominus_reference
+        return np.array([ref(phi, float(x)) for x in u.ravel()]).reshape(u.shape)
+    return phi._eval(u)
+
+
+def _oplus_reference(phi, u):
+    f, g = phi._children
+    if u == 0.0 or u <= phi.a_phi:
+        return 0.0
+    if u > phi.b_phi:
+        return math.inf
+    b1, b2 = f.b_phi, g.b_phi
+    scale = math.sqrt(u)
+    lo = max(scale * 1e-9, u / b2 if not math.isinf(b2) else 0.0)
+    hi = scale * 1e9 if math.isinf(b1) else b1
+    if hi <= lo:
+        lo, hi = hi * 0.5, lo * 2.0
+    lo, hi = min(lo, u / hi), max(hi, u / lo)
+
+    def obj(v):
+        w = u / v
+        return np.where((v <= b1) & (w <= b2), _reference_eval(f, v) + _reference_eval(g, w), math.inf)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        tot, k, bracket = _scan_reference(obj, lo, hi)
+        best = float(tot[k])
+        for v_cand in (f.a_phi, (u / g.a_phi) if g.a_phi > 0 else 0.0):
+            if v_cand and lo <= v_cand <= hi:
+                best = min(best, _at(obj, v_cand))
+        if math.isfinite(best):
+            best = min(best, _golden_reference(obj, *bracket))
+    return best
+
+
+def _ominus_reference(node, u):
+    if u == 0.0:
+        return 0.0
+    phi, phi1 = node.phi, node.phi1
+    b1, bp = phi1.b_phi, phi.b_phi
+    if not math.isinf(bp):
+        limit = bp / u
+        if b1 > limit:
+            probe = min(b1, limit * (1 + 1e-9))
+            if probe > limit and _at(lambda v: _reference_eval(phi1, v), probe) < math.inf:
+                return math.inf
+    lo, hi = 1e-8, min(b1, 1e8)
+    if hi <= lo:
+        hi = lo * 10.0
+
+    def obj(v):
+        g1 = _reference_eval(phi1, v)
+        return np.where(np.isfinite(g1), g1 - _reference_eval(phi, u * v), math.inf)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        neg, k, bracket = _scan_reference(obj, lo, hi)
+        low = float(neg[k])
+        if low == -math.inf:
+            return math.inf
+        if k >= neg.size - 2 and math.isinf(b1) and np.all(np.diff(neg[-3:]) < 0):
+            if -low > 1e30 or -low > 1e3 * max(abs(float(neg[neg.size // 2])), 1e-300):
+                return math.inf
+        low = min(low, _golden_reference(obj, *bracket))
+    return max(0.0, -low)
+
+
+_SPLITTING_NODES = {
+    "oplus": Oplus(Power(1.0, 3.0), Power(1.0, 1.5)),
+    "ominus": Ominus(Power(1.0, 1.0), Power(1.0, 2.0)),
+    "nested_oplus": Oplus(Oplus(Power(1.0, 2.0), Power(1.0, 2.0)), Capped(Power(1.0, 2.0), 4.0)),
+    "oplus_null_zone": Oplus(ShiftedPower(2.0, 1.0, 2.0), Capped(Power(1.0, 2.0), 5.0)),
+    "ominus_square_quartic": Ominus(Power(1.0, 2.0), Power(1.0, 4.0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SPLITTING_NODES))
+def test_splitting_nodes_agree_with_the_scan_and_golden_reference(name):
+    phi = _SPLITTING_NODES[name]
+    us = np.geomspace(1e-2, 1e2, 3 if name == "nested_oplus" else 9)
+    got = phi(us)
+    want = np.array([_reference_eval(phi, np.array([u]))[0] for u in us])
+    assert np.all(want > 0)
+    if isinstance(phi, Oplus):
+        assert np.all(got <= want * (1 + 1e-10)), (got, want)
+    else:
+        assert np.all(np.abs(got - want) <= 1e-10 * want), (got, want)
+
+
+def test_splitting_memory_stays_bounded_on_a_large_argument():
+    # the scans go in blocks of cells, so a 96 x 48 argument (the
+    # power-bound certificate's matrix) never holds all its grids at once
+    phi = oplus(Power(1.0, 2.0), Power(1.0, 4.0))
+    u = np.outer(np.geomspace(1e-6, 1e6, 96), np.geomspace(1e-6, 0.5, 48))
+    tracemalloc.start()
+    try:
+        phi._eval(u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20
+
+
+def _decreasing_profile(ms, gamma, seed):
+    """A power singularity times a random decay, of unit mass."""
+    rng = np.random.default_rng(seed)
+    t = np.maximum(ms.breakpoints[1:], ms.breakpoints[1] * 0.5)
+    vals = t**-gamma * np.exp(-np.cumsum(rng.uniform(0.0, 0.3, ms.n_cells)))
+    return StepFunction(ms, vals / float(np.sum(vals * ms.widths)))
+
+
+# a power node's gauge is a closed form: canonical rewrites its Orlicz space to an Lp
+@pytest.mark.parametrize("name", sorted(set(_NODES) - {"power"}))
+def test_gauges_bracket_the_threshold_in_few_modular_evaluations(name, monkeypatch):
+    phi = _NODES[name]
+    steps = []
+    search = spaces._threshold
+
+    def counted(probe, *args):
+        def counting_probe(rows, t):
+            steps.append(rows.size)
+            return probe(rows, t)
+
+        return search(counting_probe, *args)
+
+    monkeypatch.setattr(spaces, "_threshold", counted)
+    ms = unit_interval(12)
+    # a nested node costs about 2,500 inner cells per cell: one profile
+    for i, gamma in enumerate((0.2,) if name == "nested_oplus" else (0.05, 0.2, 0.35)):
+        x = _decreasing_profile(ms, gamma, i)
+        steps.clear()
+        lam = luxemburg_norm(Lp(1.0), phi, x).value
+        # one row: a step is one modular evaluation (bisection takes 35-37)
+        assert len(steps) <= 12, (gamma, len(steps))
+        assert modular(Lp(1.0), phi, x.with_values(x.values / lam)) <= 1.0
+        assert modular(Lp(1.0), phi, x.with_values(x.values / (lam * (1.0 - 1e-9)))) > 1.0
 
 
 # ---------------------------------------------------------------------------

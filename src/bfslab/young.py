@@ -64,7 +64,7 @@ __all__ = [
 
 _OPLUS_GRID = 512
 _UNIT = np.linspace(0.0, 1.0, _OPLUS_GRID)
-_SCAN_POINTS = 1 << 16  # grid points per block of ⊕/⊖ cells: bounds the memory of one call
+_SCAN_POINTS = 1 << 13  # grid points per block of ⊕/⊖ cells (16 cells): bounds the memory of one call
 _SPLIT_RTOL = 1e-10
 _INV_RTOL = 1e-12
 _RELATION_CAP = 1e8

@@ -88,7 +88,7 @@ class MeasureSpace:
     Instances are immutable; operations return new spaces.
     """
 
-    __slots__ = ("kind", "breakpoints", "t_min", "t_max", "widths")
+    __slots__ = ("kind", "breakpoints", "t_min", "t_max", "widths", "_hash")
 
     def __init__(
         self,
@@ -137,6 +137,8 @@ class MeasureSpace:
         object.__setattr__(self, "t_min", t_min)
         object.__setattr__(self, "t_max", t_max)
         object.__setattr__(self, "widths", w)
+        # computed once: compile-cache lookups hash every grid they touch
+        object.__setattr__(self, "_hash", hash((kind, bp.tobytes())))
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("MeasureSpace is immutable")
@@ -169,7 +171,7 @@ class MeasureSpace:
         )
 
     def __hash__(self):
-        return hash((self.kind, self.breakpoints.tobytes()))
+        return self._hash
 
     def __repr__(self):
         return f"MeasureSpace({self.kind!r}, {self.n_cells} cells on (0, {self.length:g}))"

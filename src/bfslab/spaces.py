@@ -797,7 +797,8 @@ def _luxemburg_value(base_fn: Callable, phi: YoungFunction, v: np.ndarray):
 
         top = top[rows]
         if math.isfinite(phi.b_phi):
-            # no lam below top / b_phi fits: there phi is infinite on the top cell
+            # phi is infinite past b_phi, so no lam below top / b_phi fits,
+            # and where the top cell hits the cap the gauge is that floor
             floor = top / phi.b_phi
             out[rows] = _threshold(probe, np.maximum(top, 2.0 * floor), _LUX_RTOL, floor)
         else:

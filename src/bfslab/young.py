@@ -27,7 +27,7 @@ Inverses are right-continuous: ``inverse(phi, v) = inf { u : phi(u) > v }``,
 computed in closed form for power atoms and otherwise by ``_threshold``,
 the one bracket search, which the Luxemburg gauges of
 :mod:`bfslab.spaces` share.  It runs many rows in lockstep and narrows
-each bracket by safeguarded secant (Illinois) steps on
+each bracket by safeguarded secant steps of the Illinois kind on
 (log t, log residual), falling back to the geometric midpoint; it
 returns the bracket's upper end.
 """
@@ -492,10 +492,10 @@ class _Bracket:
 
     __slots__ = ("lo", "hi", "r_lo", "r_hi", "stage", "step", "side", "widths", "t")
 
-    def __init__(self, hi: float, lo: float | None):
-        self.lo, self.hi = lo, hi
+    def __init__(self, hi: float, floor: float | None):
+        self.lo, self.hi = floor, hi
         self.r_lo = self.r_hi = math.nan
-        self.stage, self.t = ("up", hi) if lo is None else ("floor", lo)
+        self.stage, self.t = ("up", hi) if floor is None else ("floor", floor)
         self.step = 2.0  # bracketing factor, squared after every move
         self.side = None
         self.widths = (math.inf,) * 3
@@ -580,7 +580,7 @@ class _Bracket:
         return None
 
 
-def _threshold(probe, hi, rtol: float, lo=None) -> np.ndarray:
+def _threshold(probe, hi, rtol: float, floor=None) -> np.ndarray:
     """Per row, the least ``t > 0`` where the row's predicate holds, for
     predicates that are false below some point and true above it.
 
@@ -591,9 +591,10 @@ def _threshold(probe, hi, rtol: float, lo=None) -> np.ndarray:
     step, and each row's arithmetic is its own, so a row's result does
     not depend on the other rows.
 
-    ``hi`` and ``lo`` hold a start per row.  A row with a floor ``lo``
-    (where the predicate is false below it, ``lo < hi``) first tries the
-    floor and the point just below it, then ``hi``.  From ``hi`` the
+    ``hi`` and ``floor`` hold a start per row.  A row with a floor (a
+    guess below ``hi`` where the predicate should fail just below) tries
+    it first: the floor is the result if the predicate holds there and
+    fails just below; else the search goes on from there.  From ``hi`` the
     bracket grows up until the predicate holds (infinity if doubling
     would overflow first) and, without a point where it fails, down until
     it fails: each move goes to the zero of the secant through the last
@@ -608,7 +609,7 @@ def _threshold(probe, hi, rtol: float, lo=None) -> np.ndarray:
     A row ends once its bracket is ``rtol`` narrow, with the bracket's
     upper end, where the predicate holds.
     """
-    rows = [_Bracket(float(h), None if lo is None else float(lo[i])) for i, h in enumerate(hi)]
+    rows = [_Bracket(float(h), None if floor is None else float(floor[i])) for i, h in enumerate(hi)]
     out = np.empty(len(rows))
     live = list(range(len(rows)))
     while live:

@@ -456,7 +456,7 @@ class Ominus(_Splitting):
             unbounded |= edge & big
         fin = np.flatnonzero(~unbounded & np.isfinite(low))
         low[fin] = _rescan(obj, u[fin], low[fin], blo[fin], bhi[fin])
-        out[live] = np.where(unbounded, math.inf, np.maximum(0.0, -low))
+        out[live] = np.where(unbounded, math.inf, np.where(low < 0.0, -low, 0.0))
         return out
 
 

@@ -70,7 +70,6 @@ FAMILIES = {
     "star_weighted_sup": Symmetrization(LInftyWeighted(PW(0.5)), "star"),
     "doublestar_weighted_sup": Symmetrization(LInftyWeighted(PW(0.5)), "doublestar"),
 }
-SLOW = {"orlicz"}  # a Luxemburg gauge per row: small grids only
 
 GRIDS = [("counting", n) for n in (1, 2, 7, 16, 33, 256)] + [
     (kind, n) for kind in ("unit", "half") for n in (7, 16, 33, 256)
@@ -117,8 +116,6 @@ def test_batched_kernels_match_row_calls_bit_for_bit(kind, n, seed):
     rng = np.random.default_rng(seed)
     V = _batch(rng, n)
     for name, space in FAMILIES.items():
-        if name in SLOW and n > 33:
-            continue
         compiled = norm_evaluator(space, ms)
         assert compiled is not None, name
         for layout, W in _layouts(V).items():

@@ -791,7 +791,8 @@ def _luxemburg_value(base_fn: Callable, phi: YoungFunction, v: np.ndarray):
             fin = np.isfinite(ph).all(-1)
             mod = np.full(idx.size, math.inf)
             if fin.any():
-                mod[fin] = base_fn(ph[fin])
+                live = ph[fin]  # one row goes to the kernel as a row: its faster path
+                mod[fin] = base_fn(live) if len(live) > 1 else base_fn(live[0])
             mod = mod.tolist()
             return [m <= 1.0 for m in mod], [_log(m) for m in mod]
 

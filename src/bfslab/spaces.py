@@ -797,13 +797,10 @@ def _luxemburg_value(base_fn: Callable, phi: YoungFunction, v: np.ndarray):
             return [m <= 1.0 for m in mod], [_log(m) for m in mod]
 
         top = top[rows]
-        if math.isfinite(phi.b_phi):
-            # phi is infinite past b_phi, so no lam below top / b_phi fits,
-            # and where the top cell hits the cap the gauge is that floor
-            floor = top / phi.b_phi
-            out[rows] = _threshold(probe, np.maximum(top, 2.0 * floor), _LUX_RTOL, floor)
-        else:
-            out[rows] = _threshold(probe, top, _LUX_RTOL)
+        # phi is infinite past b_phi, so no lam below top / b_phi fits,
+        # and where the top cell hits the cap the gauge is that floor
+        floor = top / phi.b_phi if math.isfinite(phi.b_phi) else None
+        out[rows] = _threshold(probe, top if floor is None else np.maximum(top, 2.0 * floor), _LUX_RTOL, floor)
     return _out(out if v.ndim > 1 else out[0])
 
 

@@ -3,11 +3,15 @@
 The product norm ``inf { |x|_E |y|_F : z = x y }`` is computed by a
 closed-form table where one exists and otherwise by lockstep multi-start
 coordinate descent over ``x = exp(u)`` on the support of z: the seeded
-starts are the rows of one matrix, and each golden-section step
-evaluates all live starts in one batched kernel call.  Every numeric
-result is a certified upper bound: the witness pair is returned and its
-norms are recomputed through the public norm evaluators, so the reported
-value can never undercut its own certificate.
+starts are the rows of one matrix, and their golden-section line searches
+share batched kernel calls.  Each call looks ahead: a call evaluates
+every point that the next few golden steps could probe, and each start
+then walks its own tree of brackets with its real comparisons, so the
+results are those of one step per call, bit for bit, from a fraction of
+the calls.  Every numeric result is a certified upper bound: the
+witness pair is returned and its norms are recomputed through the
+public norm evaluators, so the reported value can never undercut its
+own certificate.
 
 Multiplier and dual norms run the same machinery in the opposite
 direction (ratio ascent over a test family), so those values are lower
@@ -18,7 +22,9 @@ fired.
 
 from __future__ import annotations
 
+import functools
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
@@ -79,6 +85,7 @@ _FULL_STARTS = 3  # leading starts that get the full budget
 _SWEEP_RTOL = 1e-10  # stop once a sweep improves J by less than this
 _SPAN = 1.5  # coordinate search half-width in log units
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_CALL_ROWS = 32  # fixed cost of one objective call, in rows (measured at n = 16)
 _RATIO_CAP = 1e8
 # objectives may overflow, divide by 0 or multiply 0 by inf; the
 # engine maps every such value to +inf or 0 as the scalar code did
@@ -155,6 +162,14 @@ def _merge_opts(opts: Optional[dict]) -> dict:
         unknown = set(opts) - set(DEFAULT_OPTS)
         if unknown:
             raise ValueError(f"unknown optimizer options: {sorted(unknown)}")
+        for key, val in opts.items():
+            if key == "target":
+                if val is None:
+                    continue
+                if isinstance(val, bool) or not isinstance(val, numbers.Real) or math.isnan(val):
+                    raise ValueError(f"optimizer option 'target' must be None or a real number, got {val!r}")
+            elif isinstance(val, bool) or not isinstance(val, numbers.Integral) or val < 0:
+                raise ValueError(f"optimizer option {key!r} must be an integer >= 0, got {val!r}")
         merged.update(opts)
     return merged
 
@@ -164,57 +179,127 @@ def _merge_opts(opts: Optional[dict]) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _golden_rows(J, P: np.ndarray, i: int, iters: int):
+def _call_rows(*fns) -> int:
+    """Fixed cost of one objective call over the kernels ``fns``, in rows.
+
+    A kernel that runs row by row (``spaces._rowwise``) has no per-call
+    cost to share: a batch of k rows costs k calls.  An objective over
+    one gets 0, so its searches take one golden step per call.
+    """
+    return 0 if any(getattr(fn, "rowwise", False) for fn in fns) else _CALL_ROWS
+
+
+@functools.lru_cache(maxsize=1024)
+def _lookahead(k: int, steps: int, first: bool, call_rows: int) -> int:
+    """Golden steps one J call takes for k rows with ``steps`` left.
+
+    A call of depth d probes 2^d - 1 points per row, or 2^d on a
+    search's first call, whose depth counts the (c, d) pair as a step.
+    The depth minimises the cost per step, (call_rows + k * points) / d.
+    """
+    pad = 0 if first else 1
+
+    def per_step(d):
+        return (call_rows + k * (2**d - pad)) / d
+
+    depth = 1
+    while depth < steps + first and per_step(depth + 1) < per_step(depth):
+        depth += 1
+    return depth
+
+
+def _golden_rows(J, P: np.ndarray, i: int, iters: int, call_rows: int = _CALL_ROWS):
     """Golden-section search of every row of P along coordinate i.
 
-    One J call per step evaluates the new point of each row; the first
-    pair (c, d) goes in one call of 2k rows.  The bracket of each row is
-    kept in Python floats: on the few rows of a descent that costs less
-    per step than array bookkeeping, and it is the one-row arithmetic
-    exactly.  Returns (argmin, min) lists, one entry per row.
+    Where a golden step probes depends only on its bracket and on whether
+    fc < fd, not on the value the probe returns.  So each J call looks d
+    steps ahead: it evaluates every point those steps could probe, a
+    binary tree of brackets per row (2^d - 1 points, or 2^d on the first
+    call: c, d and both branches of each later step), and each row then
+    walks its tree with its real comparisons.  Probes, values and picks
+    are those of one step per call, bit for bit; _lookahead picks d
+    from k and from ``call_rows``, the fixed cost of a J call in rows.
+
+    The brackets are kept in Python floats, the one-row arithmetic
+    exactly, as four lists A, B, C, D over the nodes of a tree level.  A
+    level holds blocks of k rows: growing one level puts the children
+    that keep [a, d] (fc < fd) first, then those that keep [c, b], so
+    the node a row reaches by comparisons b_1, b_2, ... (1 = keep
+    [c, b]) sits in block sum(b_l * 2^(l-1)).  The batch holds the probe
+    blocks level after level; column i of P is overwritten.  Returns
+    (argmin, min) lists, one entry per row.
     """
     k = P.shape[0]
     center = P[:, i].tolist()
-    a = [t - _SPAN for t in center]
-    b = [t + _SPAN for t in center]
-    c = [hi - _GOLDEN * (hi - lo) for lo, hi in zip(a, b)]
-    d = [lo + _GOLDEN * (hi - lo) for lo, hi in zip(a, b)]
-    Q = np.concatenate((P, P))
-    Q[:k, i] = c
-    Q[k:, i] = d
-    f = J(Q).tolist()
-    fc, fd = f[:k], f[k:]
-    rows = range(k)
-    for _ in range(iters):
-        left = [fc[r] < fd[r] for r in rows]  # keep [a, d], else keep [c, b]
-        new = []
-        for r in rows:
-            if left[r]:
-                b[r], d[r], fd[r] = d[r], c[r], fc[r]
-                c[r] = b[r] - _GOLDEN * (b[r] - a[r])
-                new.append(c[r])
+    A = [t - _SPAN for t in center]
+    B = [t + _SPAN for t in center]
+    C = [b - _GOLDEN * (b - a) for a, b in zip(A, B)]
+    D = [a + _GOLDEN * (b - a) for a, b in zip(A, B)]
+    fc, fd, left = [None] * k, [None] * k, [False] * k
+    first, done = True, 0
+    while first or done < iters:
+        depth = _lookahead(k, iters - done, first, call_rows)
+        if first:
+            # blocks 0 and 1 are c and d; the tree's root is the bracket itself
+            probes, off = C + D, 0
+        else:
+            # this call's first comparison is known: the root is its step
+            probes, off = [], 1
+            for r, lt in enumerate(left):
+                if lt:
+                    B[r], D[r] = D[r], C[r]
+                    C[r] = B[r] - _GOLDEN * (B[r] - A[r])
+                    probes.append(C[r])
+                else:
+                    A[r], C[r] = C[r], D[r]
+                    D[r] = A[r] + _GOLDEN * (B[r] - A[r])
+                    probes.append(D[r])
+        for _ in range(depth - 1):
+            cl = [d - _GOLDEN * (d - a) for a, d in zip(A, D)]
+            dr = [c + _GOLDEN * (b - c) for b, c in zip(B, C)]
+            probes += cl + dr
+            A, B, C, D = A + C, D + B, cl + D, C + dr
+        if len(probes) == k:
+            Q = P
+        else:
+            Q = np.empty((len(probes), P.shape[1]))
+            Q.reshape(-1, k, P.shape[1])[:] = P  # one copy of P per block
+        Q[:, i] = probes
+        f = J(Q).tolist()
+        at = []
+        for r in range(k):
+            if first:
+                vc, vd = f[r], f[k + r]
             else:
-                a[r], c[r], fc[r] = c[r], d[r], fd[r]
-                d[r] = a[r] + _GOLDEN * (b[r] - a[r])
-                new.append(d[r])
-        P[:, i] = new
-        for r, val in enumerate(J(P).tolist()):
-            if left[r]:
-                fc[r] = val
-            else:
-                fd[r] = val
-    take = [fc[r] < fd[r] for r in rows]
-    return [c[r] if take[r] else d[r] for r in rows], [fc[r] if take[r] else fd[r] for r in rows]
+                vc, vd = (f[r], fc[r]) if left[r] else (fd[r], f[r])
+            block = 0
+            for lev in range(1, depth):
+                keep_cb = not vc < vd
+                block += keep_cb << (lev - 1)
+                v = f[((1 << lev) - off + block) * k + r]
+                vc, vd = (vd, v) if keep_cb else (v, vc)
+            at.append(block * k + r)
+            fc[r], fd[r], left[r] = vc, vd, vc < vd
+        if depth > 1:
+            A, B, C, D = ([X[j] for j in at] for X in (A, B, C, D))
+        done += depth - first
+        first = False
+    return [c if lt else d for c, d, lt in zip(C, D, left)], [
+        vc if lt else vd for vc, vd, lt in zip(fc, fd, left)
+    ]
 
 
-def _lockstep_descent(J, U: np.ndarray, f0: np.ndarray, budgets: np.ndarray, iters: int, target):
+def _lockstep_descent(
+    J, U: np.ndarray, f0: np.ndarray, budgets: np.ndarray, iters: int, target, call_rows: int = _CALL_ROWS
+):
     """Cyclic coordinate descent with golden line searches, every start at once.
 
     Row r of U is a start, with f0[r] = J(U[r]); J maps a (k, m) matrix
     to its k objective values.  A sweep runs a golden-section search
     along each coordinate in turn, for all live rows together.  Row r
     stops after budgets[r] sweeps, or converged once a sweep ends at or
-    below ``target`` or improves J by at most _SWEEP_RTOL.  Returns
+    below ``target`` or improves J by at most _SWEEP_RTOL.  ``call_rows``
+    is the fixed cost of one J call in rows (see _call_rows).  Returns
     (U, best J per row, converged per row).
 
     Rows are independent, so the schedule changes no result.  _select
@@ -239,7 +324,7 @@ def _lockstep_descent(J, U: np.ndarray, f0: np.ndarray, budgets: np.ndarray, ite
         prev = best.copy()
         for i in range(U.shape[1]):
             rows = np.flatnonzero(live)
-            t, f = map(np.array, _golden_rows(J, U[rows], i, iters))
+            t, f = map(np.array, _golden_rows(J, U[rows], i, iters, call_rows))
             better = f < best[rows]
             U[rows[better], i] = t[better]
             best[rows[better]] = f[better]
@@ -317,6 +402,8 @@ def _structured_seed(sp, z_supp, widths_supp, t_right_supp):
 def _split(u: np.ndarray, supp: np.ndarray, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Factors x = e^u and y = z / x on supp z, zero elsewhere; one pair per row of u."""
     eu = np.exp(np.clip(u, -60.0, 60.0))
+    if zs.size == supp.size:
+        return eu, zs / eu
     shape = u.shape[:-1] + supp.shape
     xv = np.zeros(shape)
     yv = np.zeros(shape)
@@ -343,7 +430,9 @@ def _optimize_product(E, F, z: StepFunction, o: dict):
         rank = np.argsort(f0, kind="stable")
         budgets = np.full(rank.size, min(o["quick_sweeps"], o["max_sweeps"]))
         budgets[:_FULL_STARTS] = o["max_sweeps"]
-        U, vals, conv = _lockstep_descent(J, seeds[rank], f0[rank], budgets, o["golden_iters"], o["target"])
+        U, vals, conv = _lockstep_descent(
+            J, seeds[rank], f0[rank], budgets, o["golden_iters"], o["target"], _call_rows(fe, ff)
+        )
     best_r, any_converged = _select(vals, conv, o["target"])
     xv, yv = _split(U[best_r], supp, zs)
     return StepFunction(mspace, xv), StepFunction(mspace, yv), any_converged
@@ -648,7 +737,8 @@ def _ratio_ascent(
     budget = np.array([min(o["max_sweeps"], 200)])
     with np.errstate(**_QUIET):
         # no target: the ascent maximizes the ratio as far as it goes
-        P, neg, _ = _lockstep_descent(J, p0, J(p0), budget, o["golden_iters"], None)
+        call_rows = _call_rows(num_fn, den_fn)
+        P, neg, _ = _lockstep_descent(J, p0, J(p0), budget, o["golden_iters"], None, call_rows)
     if -neg[0] > best:
         best = -float(neg[0])
         u_final = _monotone_embed(P[0]) if monotone else P[0]
@@ -774,6 +864,8 @@ def multiplier_norm(
 
     def num_fn(vals: np.ndarray) -> np.ndarray:
         return ff(mv * vals)
+
+    num_fn.rowwise = getattr(ff, "rowwise", False)
 
     if witnesses is not None:
         family = [w.values for w in witnesses]

@@ -484,6 +484,7 @@ def _rowwise(kernel: Callable[[np.ndarray], float]) -> Callable:
     def batched(v):
         return kernel(v) if v.ndim == 1 else _each_row(kernel, v)
 
+    batched.rowwise = True  # a batch of k rows costs k one-row calls
     return batched
 
 
@@ -494,7 +495,10 @@ def _out(s):
 
 def _root(s, p: float):
     """``s ** (1/p)`` per row, as a scalar power (the vectorized power
-    differs from it in the last bit for some inputs)."""
+    differs from it in the last bit for some inputs); ``s`` itself when
+    p == 1, since ``x ** 1.0 == x``."""
+    if p == 1.0:
+        return _out(s)
     if s.ndim:
         return np.array([x ** (1.0 / p) for x in s])
     return float(s ** (1.0 / p))
@@ -648,10 +652,10 @@ def _compile(space: SpaceDescriptor, mspace: MeasureSpace) -> Optional[_Compiled
         if pw is not None:
             lim0 = pw.coef if pw.alpha == 0.0 else 0.0
 
-            def _marc_pow(v, wd=widths, pw=pw, lim0=lim0):
+            def _marc_pow(v, wd=widths, coef=pw.coef, alpha=pw.alpha, lim0=lim0):
                 v, w, bp = _decreasing_profile(v, wd)
                 t = bp[..., 1:]
-                cand = pw(t) * ((v * w).cumsum(-1) / t)
+                cand = coef * t**alpha * ((v * w).cumsum(-1) / t)
                 best = cand.max(-1, initial=0.0)
                 if lim0:
                     best = np.maximum(best, lim0 * v[..., 0])
@@ -680,9 +684,9 @@ def _compile(space: SpaceDescriptor, mspace: MeasureSpace) -> Optional[_Compiled
         pw = simplify_power(phi)
         if pw is not None and pw.alpha >= 0.0:
 
-            def _mstar_pow(v, wd=widths, pw=pw):
+            def _mstar_pow(v, wd=widths, coef=pw.coef, alpha=pw.alpha):
                 v, _, bp = _decreasing_profile(v, wd)
-                return _out((v * pw(bp[..., 1:])).max(-1, initial=0.0))
+                return _out((v * (coef * bp[..., 1:] ** alpha)).max(-1, initial=0.0))
 
             return _CompiledNorm(_mstar_pow, "exact", tn)
         if pw is not None:

@@ -20,7 +20,11 @@ from bfslab import (
     Lp,
     Marcinkiewicz,
     MarcinkiewiczStar,
+    OrliczCL,
+    Power,
     PowerWeight,
+    Product,
+    ShiftedPower,
     StepFunction,
     counting,
     dual_norm_numeric,
@@ -214,18 +218,26 @@ THEOREM_PAIRS = {
     "thm10_marc_lambda": (Marcinkiewicz(PW(0.3)), LorentzLambda(PW(0.4))),
     "ex3_weak_mstar": (weak_lp(4.0), MarcinkiewiczStar(PW(0.25))),
     "lemma4_calderon": (Convexification(Lp(1.0, PW(-0.4)), 2.0), Convexification(LInftyWeighted(PW(0.4)), 2.0)),
+    "thm7_lambdap_lambdap": (LorentzLambdaP(PW(0.5), 1.0), LorentzLambdaP(PW(0.3), 1.0)),
+    "orlicz_pair": (OrliczCL(Lp(1.0), ShiftedPower(0.4, 1.0, 2.0)), OrliczCL(Lp(1.0), Power(1.0, 2.0))),
 }
+# the Orlicz pair runs where the gauges benchmark runs it: its gauge
+# kernel costs ~40x a sorted-profile kernel per row
+_PAIR_GRIDS = {"orlicz_pair": ("unit8",)}
+_GRIDS = {"unit16": lambda: unit_interval(16), "half16": lambda: half_line(16), "unit8": lambda: unit_interval(8)}
 
 
 # ---------------------------------------------------------------------------
 # product norms
 
 
-@pytest.mark.parametrize("grid", ["unit16", "half16"])
-@pytest.mark.parametrize("pair", sorted(THEOREM_PAIRS))
-def test_product_norm_matches_the_serial_oracle(monkeypatch, grid, pair):
+@pytest.mark.parametrize(
+    "pair, grid",
+    [(pair, grid) for pair in sorted(THEOREM_PAIRS) for grid in _PAIR_GRIDS.get(pair, ("half16", "unit16"))],
+)
+def test_product_norm_matches_the_serial_oracle(monkeypatch, pair, grid):
     E, F = THEOREM_PAIRS[pair]
-    ms = unit_interval(16) if grid == "unit16" else half_line(16)
+    ms = _GRIDS[grid]()
     z = _profile(ms, seed=len(pair) + (7 if grid == "half16" else 0), gamma=0.3 if grid == "unit16" else 0.15)
     (res, wit), (res0, wit0) = _both(
         monkeypatch, "_optimize_product", _optimize_product, lambda: product_norm(E, F, z, opts=dict(_FAST))
@@ -386,3 +398,65 @@ def test_a_later_row_reaching_the_target_first_stops_only_the_rows_after_it():
         if best_val <= target:
             break
     assert picked == want == 1 and converged
+
+
+# ---------------------------------------------------------------------------
+# the look-ahead line search against the serial one
+
+
+def _bumps_with_a_wall(U):
+    # +inf beyond a wall on coordinate 0, a bumpy bowl elsewhere
+    return np.where(U[:, 0] > 0.4, np.inf, np.sin(3.0 * U).sum(-1) + (U**2).sum(-1))
+
+
+LINE_OBJECTIVES = {
+    "constant": lambda U: np.ones(len(U)),  # every comparison ties, fc == fd
+    "inf_everywhere": lambda U: np.full(len(U), np.inf),
+    "bumps_with_a_wall": _bumps_with_a_wall,
+}
+
+
+@pytest.mark.parametrize("iters", [0, 1, 2, 3, 10, 14])
+@pytest.mark.parametrize("k", [1, 2, 7, 33])
+@pytest.mark.parametrize("objective", sorted(LINE_OBJECTIVES))
+def test_golden_rows_match_the_serial_search_row_by_row(objective, k, iters):
+    J = LINE_OBJECTIVES[objective]
+    P0 = np.random.default_rng(100 * k + iters).normal(size=(k, 3))
+    t, f = P._golden_rows(J, P0.copy(), 0, iters)
+    for r in range(k):
+
+        def f1(x, r=r):
+            u = P0[r].copy()
+            u[0] = x
+            return float(J(u[None])[0])
+
+        tc, fc = _golden_coordinate(f1, P0[r, 0], P._SPAN, iters)
+        assert (t[r].hex(), f[r].hex()) == (tc.hex(), fc.hex())
+
+
+def test_golden_rows_look_ahead_several_steps_per_call():
+    calls = []
+
+    def J(U):
+        calls.append(len(U))
+        return _bumps_with_a_wall(U)
+
+    P._golden_rows(J, np.random.default_rng(3).normal(size=(7, 3)), 1, 10)
+    # one call per golden step would be 1 + 10
+    assert len(calls) <= 5
+
+
+def test_row_by_row_kernels_keep_one_golden_step_per_call():
+    # a batch of a row-by-row kernel costs one call per row, so looking
+    # ahead would only add rows: such objectives step once per call
+    ms = counting(8)
+    assert P._call_rows(P._norm_fn(Lp(2.0), ms)) == P._CALL_ROWS
+    assert P._call_rows(P._norm_fn(Lp(2.0), ms), P._norm_fn(Product(Lp(2.0), Lp(4.0)), ms)) == 0
+    calls = []
+
+    def J(U):
+        calls.append(len(U))
+        return _bumps_with_a_wall(U)
+
+    P._golden_rows(J, np.zeros((3, 2)), 0, 10, call_rows=0)
+    assert calls == [6] + [3] * 10

@@ -183,6 +183,33 @@ def test_product_norm_rejects_unknown_options(key):
         product_norm(Lp(2.0), Lp(2.0), z, opts={key: 1})
 
 
+@pytest.mark.parametrize(
+    "key, val",
+    [
+        ("golden_iters", 2.5),
+        ("golden_iters", -3),
+        ("golden_iters", "10"),
+        ("quick_sweeps", -5),
+        ("max_sweeps", 2.5),
+        ("max_sweeps", True),
+        ("target", math.nan),
+        ("target", "1.0"),
+        ("target", False),
+    ],
+)
+def test_product_norm_rejects_invalid_option_values(key, val):
+    z = StepFunction(unit_interval(8), np.ones(8))
+    with pytest.raises(ValueError, match=key):
+        product_norm(LorentzLambda(PowerWeight(0.5)), MarcinkiewiczStar(PowerWeight(0.3)), z, opts={key: val})
+
+
+def test_product_norm_accepts_boundary_option_values():
+    z = StepFunction(unit_interval(8), np.linspace(2.0, 1.0, 8))
+    opts = {"max_sweeps": np.int64(2), "quick_sweeps": 0, "golden_iters": 0, "target": -math.inf}
+    res, wit = product_norm(LorentzLambda(PowerWeight(0.5)), MarcinkiewiczStar(PowerWeight(0.3)), z, opts=opts)
+    assert wit.method == "optimizer" and math.isfinite(res.value)
+
+
 # ---------------------------------------------------------------------------
 # optimizer path
 
@@ -371,6 +398,22 @@ def test_mass_factorization_on_lebesgue_spaces():
     assert math.isclose(wit.product, l1, rel_tol=1e-12)
     assert "not_within_epsilon" not in wit.notes
     assert np.allclose(wit.x.values * wit.y.values, z.values, rtol=1e-12)
+
+
+def test_weighted_sup_mass_factorization_reaches_the_step_floor():
+    # The unit ball of L∞(t^0.3) on a step grid is a box: |x| = max x_i s_i
+    # with s_i = b_i^0.3 the weight's sup over cell i, and the dual norm is
+    # |y| = Σ y_i c_i with c_i = ∫_cell t^-0.3.  So the infimum over step
+    # factorizations is Σ z_i s_i c_i, above the (1 + ε)·L¹ target: the
+    # note not_within_epsilon is the honest answer, not an optimizer stall.
+    ms = unit_interval(16)
+    z = StepFunction(ms, np.random.default_rng(0).uniform(0.1, 2.0, 16))
+    a, b = ms.breakpoints[:-1], ms.breakpoints[1:]
+    exact = float(np.sum(z.values * b**0.3 * (b**0.7 - a**0.7) / 0.7))
+    assert exact > 1.05 * norm(Lp(1.0), z).value
+    wit = lozanovskii_factorize(LInftyWeighted(PowerWeight(0.3)), z, eps=0.05)
+    assert exact * (1.0 - 1e-12) <= wit.product <= exact * (1.0 + 1e-3)
+    assert "not_within_epsilon" in wit.notes
 
 
 def test_mass_factorization_edge_cases():

@@ -1,10 +1,13 @@
 """Variational norms built from factorizations.
 
-The product norm ``inf { |x|_E |y|_F : z = x y }`` is computed by a
-closed-form table where one exists and otherwise by lockstep multi-start
-coordinate descent over ``x = exp(u)`` on the support of z: the seeded
-starts are the rows of one matrix, and their golden-section line searches
-share batched kernel calls.  Each call looks ahead: a call evaluates
+The product norm ``inf { |x|_E |y|_F : z = x y }`` has a closed form
+where ``canonical`` rewrites ``Product(E, F)`` by an exact identity
+(``spaces._product_rule``): the value is the norm of the rewritten
+space, and the witness splits z by the exponent share the rule reports.
+Elsewhere lockstep multi-start coordinate descent over ``x = exp(u)`` on
+the support of z computes it: the seeded starts are the rows of one
+matrix, and their golden-section line searches share batched kernel
+calls.  Each call looks ahead: a call evaluates
 every point that the next few golden steps could probe, and each start
 then walks its own tree of brackets with its real comparisons, so the
 results are those of one step per call, bit for bit, from a fraction of
@@ -44,9 +47,9 @@ from .spaces import (
     NormResult,
     Product,
     SpaceDescriptor,
+    _is_plain_sup,
+    _product_rule,
     _rowwise,
-    _weight_or_none,
-    _weight_pow,
     canonical,
     dual_descriptor,
     is_primitive,
@@ -55,7 +58,7 @@ from .spaces import (
     norm,
     norm_evaluator,
 )
-from .weights import PowerWeight, simplify_power
+from .weights import NonIntegrableWeight, PowerWeight, simplify_power
 from .young import YoungFunction, check_relation, inverse, inverse_batch
 
 __all__ = [
@@ -443,71 +446,23 @@ def _optimize_product(E, F, z: StepFunction, o: dict):
 # ---------------------------------------------------------------------------
 
 
-def _combine_weights(w1, w2):
-    """Pointwise product of two optional power weights, or None if mixed."""
-    a = w1 if w1 is not None else PowerWeight(0.0, 1.0)
-    b = w2 if w2 is not None else PowerWeight(0.0, 1.0)
-    pa, pb = simplify_power(a), simplify_power(b)
-    if pa is None or pb is None:
-        return False, None
-    combined = PowerWeight(pa.alpha + pb.alpha, pa.coef * pb.coef)
-    if combined.alpha == 0.0 and combined.coef == 1.0:
-        return True, None
-    return True, combined
-
-
-def _closed_lp_pair(E: Lp, F: Lp, z: StepFunction):
+def _balanced_factor(E: Lp, F: Lp, z: StepFunction) -> Optional[np.ndarray]:
+    """The x that balances the two weighted cell masses of a Lebesgue pair:
+    optimal among cell-constant factors.  None when no such x exists: an
+    infinite exponent, or a cell mass that is not finite and positive."""
     if not (math.isfinite(E.p) and math.isfinite(F.p)):
         return None
-    ok, w = _combine_weights(E.weight, F.weight)
-    if not ok:
+    a, b = z.space.breakpoints[:-1], z.space.breakpoints[1:]
+    w1 = E.weight if E.weight is not None else PowerWeight(0.0, 1.0)
+    w2 = F.weight if F.weight is not None else PowerWeight(0.0, 1.0)
+    try:
+        W1 = np.array([w1.cell_integral_pow(ai, bi, E.p) for ai, bi in zip(a, b)])
+        W2 = np.array([w2.cell_integral_pow(ai, bi, F.p) for ai, bi in zip(a, b)])
+    except (NonIntegrableWeight, ArithmeticError):
         return None
-    r = 1.0 / (1.0 / E.p + 1.0 / F.p)
-    # |z|_{E ⊙ F} = |z w|_r = (∫ z^r w^r)^(1/r)
-    target = Lp(r, w) if r >= 1.0 else Convexification(Lp(1.0, _weight_or_none(_weight_pow(w, r))), r)
-    res = norm(target, z)
-    if E.weight is None and F.weight is None:
-        xv = z.values ** (r / E.p)
-        notes = ()
-    else:
-        # optimal among cell-constant factors: balance the two cell masses
-        a, b = z.space.breakpoints[:-1], z.space.breakpoints[1:]
-        w1 = E.weight if E.weight is not None else PowerWeight(0.0, 1.0)
-        w2 = F.weight if F.weight is not None else PowerWeight(0.0, 1.0)
-        try:
-            W1 = np.array([w1.cell_integral_pow(ai, bi, E.p) for ai, bi in zip(a, b)])
-            W2 = np.array([w2.cell_integral_pow(ai, bi, F.p) for ai, bi in zip(a, b)])
-        except Exception:
-            return None
-        if not (np.all(np.isfinite(W1)) and np.all(np.isfinite(W2)) and np.all(W1 > 0) and np.all(W2 > 0)):
-            return None
-        xv = (z.values**F.p * W2 / W1) ** (1.0 / (E.p + F.p))
-        xv = np.where(z.values > 0, xv, 0.0)
-        notes = ("witness is optimal among cell-constant factors",)
-    x = z.with_values(np.where(z.values > 0, xv, 0.0))
-    y = _safe_quotient(z, x)
-    wit = _witness_from_pair(E, F, x, y, "closed_form", notes)
-    return NormResult(res.value, res.kind, wit, res.notes + notes), wit
-
-
-def _conv_rep(sp):
-    if isinstance(sp, Convexification):
-        return sp.base, sp.p
-    return sp, 1.0
-
-
-def _closed_common_base(E, F, z: StepFunction):
-    baseE, pE = _conv_rep(E)
-    baseF, pF = _conv_rep(F)
-    if baseE != baseF or not is_primitive(baseE):
+    if not (np.all(np.isfinite(W1)) and np.all(np.isfinite(W2)) and np.all(W1 > 0) and np.all(W2 > 0)):
         return None
-    r = 1.0 / (1.0 / pE + 1.0 / pF)
-    target = canonical(Convexification(baseE, r))
-    res = norm(target, z)
-    x = z.with_values(z.values ** (r / pE))
-    y = _safe_quotient(z, x)
-    wit = _witness_from_pair(E, F, x, y, "closed_form", ())
-    return NormResult(res.value, res.kind, wit, res.notes), wit
+    return (z.values**F.p * W2 / W1) ** (1.0 / (E.p + F.p))
 
 
 def _closed_mstar_pair(E: MarcinkiewiczStar, F: MarcinkiewiczStar, z: StepFunction):
@@ -549,27 +504,29 @@ def _witness_from_pair(E, F, x, y, method, notes=()) -> FactorizationWitness:
 
 
 def _closed_form(E, F, z: StepFunction):
-    if isinstance(E, Lp) and math.isinf(E.p) and E.weight is None:
-        res = norm(F, z)
-        x = z.with_values((z.values > 0).astype(float))
-        wit = _witness_from_pair(E, F, x, z.with_values(z.values.copy()), "closed_form")
-        return NormResult(res.value, res.kind, wit, res.notes), wit
-    if isinstance(F, Lp) and math.isinf(F.p) and F.weight is None:
-        res = norm(E, z)
-        y = z.with_values((z.values > 0).astype(float))
-        wit = _witness_from_pair(E, F, z.with_values(z.values.copy()), y, "closed_form")
-        return NormResult(res.value, res.kind, wit, res.notes), wit
-    if isinstance(E, Lp) and isinstance(F, Lp):
-        hit = _closed_lp_pair(E, F, z)
-        if hit is not None:
-            return hit
-    hit = _closed_common_base(E, F, z)
-    if hit is not None:
-        return hit
+    """The rewrite ``canonical(Product(E, F))`` as a value, with the witness
+    x = z^s on supp z for the share s the rule reports.  A weighted Lebesgue
+    pair balances its cell masses instead; without such a balance only equal
+    factors (split evenly) have a closed form.  Sup-Marcinkiewicz pairs get a
+    constructive bound."""
+    rule = _product_rule(E, F)
+    if rule is not None:
+        target, s = rule
+        notes = ()
+        if isinstance(E, Lp) and isinstance(F, Lp) and (E.weight is not None or F.weight is not None):
+            xv = _balanced_factor(E, F, z)
+            notes = ("witness is optimal among cell-constant factors",)
+            if xv is None and E == F:
+                xv, notes = z.values**0.5, ()
+        else:
+            xv = z.values**s
+        if xv is not None:
+            res = norm(target, z)
+            x = z.with_values(np.where(z.values > 0, xv, 0.0))
+            wit = _witness_from_pair(E, F, x, _safe_quotient(z, x), "closed_form", notes)
+            return NormResult(res.value, res.kind, wit, res.notes + notes), wit
     if isinstance(E, MarcinkiewiczStar) and isinstance(F, MarcinkiewiczStar):
-        hit = _closed_mstar_pair(E, F, z)
-        if hit is not None:
-            return hit
+        return _closed_mstar_pair(E, F, z)
     return None
 
 
@@ -644,9 +601,9 @@ def calderon_norm(
         res = norm(E, z)
         return replace(res, notes=res.notes + ("equal factors: intermediate space is E itself",))
     collapsed = canonical(Calderon(E, F, theta))
-    if not isinstance(collapsed, (Calderon, Product)):
+    if not isinstance(collapsed, Calderon):
         res = norm(collapsed, z)
-        return replace(res, notes=res.notes + ("weighted-Lebesgue interpolation closed form",))
+        return replace(res, notes=res.notes + ("interpolation closed form: a product identity",))
     res, wit = product_norm(
         Convexification(E, 1.0 / theta), Convexification(F, 1.0 / (1.0 - theta)), z, opts
     )
@@ -754,8 +711,15 @@ def _power_exponent(space) -> Optional[float]:
     return pw.alpha if pw is not None else None
 
 
+def _zero_or_inf(m: StepFunction, note: str) -> NormResult:
+    """The multiplier norm of a space that admits no nonzero multipliers."""
+    if float(np.max(m.values, initial=0.0)) == 0.0:
+        return NormResult(0.0, "exact", None, ())
+    return NormResult(math.inf, "exact", None, (note,))
+
+
 def _multiplier_table(E, F, m: StepFunction) -> Optional[NormResult]:
-    if isinstance(E, Lp) and math.isinf(E.p) and E.weight is None:
+    if _is_plain_sup(E):
         res = norm(F, m)
         return replace(res, notes=res.notes + ("multipliers from L^inf form the target space",))
     if isinstance(F, Lp) and F.p == 1.0 and F.weight is None:
@@ -775,14 +739,7 @@ def _multiplier_table(E, F, m: StepFunction) -> Optional[NormResult]:
             note = "equal exponents" if F.p == E.p else "l^p lies in l^q on sequences"
             res = norm(Lp(math.inf), m)
             return replace(res, notes=res.notes + (f"{note}: bounded multipliers",))
-        if float(np.max(m.values, initial=0.0)) == 0.0:
-            return NormResult(0.0, "exact", None, ())
-        return NormResult(
-            math.inf,
-            "exact",
-            None,
-            ("no nonzero multipliers when the target exponent is larger",),
-        )
+        return _zero_or_inf(m, "no nonzero multipliers when the target exponent is larger")
     return None
 
 
@@ -798,9 +755,7 @@ def _multiplier_identification(E, F, m: StepFunction) -> Optional[NormResult]:
     ratio_w = PowerWeight(diff, coefF / coefE)
     if isinstance(E, LorentzLambda) and isinstance(F, LorentzLambda):
         if diff < 0:
-            if float(np.max(m.values, initial=0.0)) == 0.0:
-                return NormResult(0.0, "exact", None, ())
-            return NormResult(math.inf, "exact", None, ("weight ratio unbounded near zero",))
+            return _zero_or_inf(m, "weight ratio unbounded near zero")
         val = norm(MarcinkiewiczStar(ratio_w), m)
         lo_const = aE if aE > 0 else None
         notes = ("identified with the sup-form Marcinkiewicz space of the weight ratio",)
@@ -809,9 +764,7 @@ def _multiplier_identification(E, F, m: StepFunction) -> Optional[NormResult]:
         return NormResult(val.value, "estimate", None, notes)
     if isinstance(E, Marcinkiewicz) and isinstance(F, LorentzLambda):
         if diff <= 0:
-            if float(np.max(m.values, initial=0.0)) == 0.0:
-                return NormResult(0.0, "exact", None, ())
-            return NormResult(math.inf, "exact", None, ("weight ratio not increasing",))
+            return _zero_or_inf(m, "weight ratio not increasing")
         val = norm(LorentzLambda(ratio_w), m)
         notes = (
             "identified with the Lorentz space of the weight ratio",
@@ -820,9 +773,7 @@ def _multiplier_identification(E, F, m: StepFunction) -> Optional[NormResult]:
         return NormResult(val.value, "estimate", None, notes)
     if isinstance(E, Marcinkiewicz) and isinstance(F, Marcinkiewicz):
         if diff < 0:
-            if float(np.max(m.values, initial=0.0)) == 0.0:
-                return NormResult(0.0, "exact", None, ())
-            return NormResult(math.inf, "exact", None, ("weight ratio unbounded near zero",))
+            return _zero_or_inf(m, "weight ratio unbounded near zero")
         val = norm(MarcinkiewiczStar(ratio_w), m)
         return NormResult(
             val.value,
@@ -850,6 +801,8 @@ def multiplier_norm(
     by the same method).
     """
     o = _merge_opts(opts)
+    if witnesses is not None and any(w.space != m.space for w in witnesses):
+        raise ValueError("witnesses must live on the grid of the multiplier")
     Ec, Fc = canonical(E), canonical(F)
     if use_table:
         hit = _multiplier_table(Ec, Fc, m)

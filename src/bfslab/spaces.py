@@ -23,17 +23,24 @@ Conventions baked into the evaluators:
 Each norm has one kernel.  ``canonical`` rewrites a descriptor onto
 the kernel's form through these identities, all exact on step
 functions, so every layer that dispatches on the canonical form
-(convexification rules, the dual table, structured seeds, index
-tables) sees the rewritten space:
+(convexification rules, the dual and multiplier tables, structured
+seeds, index tables, compiled kernels) sees the rewritten space:
 
 * ``Symmetrization(Lp(p, c*t^a), "star")`` is
   ``LorentzLambdaP(c*t^(a + 1/p), p)``.
 * For a pure power ``w``, the star of ``LInftyWeighted(w)`` or of
   ``Lp(inf, w)`` is ``MarcinkiewiczStar(w)`` and its doublestar is
   ``Marcinkiewicz(w)``.
+* The products of canonical factors (``_product_rule``, with
+  ``1/r = 1/p + 1/q`` and ``1/inf = 0``): ``L^inf ⊙ F = F`` for the
+  unweighted ``L^inf``; ``Lp(p, u) ⊙ Lp(q, v) = Lp(r, u*v)`` for pure
+  powers, the r-concavification of ``Lp(1, (u*v)^r)`` when r < 1; and
+  ``B^(p) ⊙ B^(q) = B^(r)`` for one primitive base B.
+* ``Calderon(E, F, theta)`` is the product of ``E^(1/theta)`` and
+  ``F^(1/(1-theta))``, so it collapses by the same rule.
 
 ``Lp(inf, w)`` itself stays an ``Lp``, whose kernel is that of
-``LInftyWeighted(w)``: the closed forms for ``Lp`` pairs keep matching
+``LInftyWeighted(w)``: the product rule for ``Lp`` pairs keeps matching
 it.  For ``w = c*t^a`` with ``a < 0``, both Marcinkiewicz norms are
 infinite for every nonzero x, since ``w`` blows up at 0.
 """
@@ -324,6 +331,43 @@ def _weight_or_none(w: Optional[Weight]) -> Optional[Weight]:
     return w
 
 
+def _hoelder(p: float, q: float) -> float:
+    """``r`` with ``1/r = 1/p + 1/q``, taking ``1/inf = 0``."""
+    inv = 1.0 / p + 1.0 / q
+    return math.inf if inv == 0.0 else 1.0 / inv
+
+
+def _is_plain_sup(space: SpaceDescriptor) -> bool:
+    return isinstance(space, Lp) and math.isinf(space.p) and space.weight is None
+
+
+def _product_rule(E: SpaceDescriptor, F: SpaceDescriptor) -> Optional[tuple]:
+    """``(E ⊙ F, s)`` for canonical factors with an exact product identity, or None.
+
+    ``s`` is the exponent share of the split behind the identity, x = z^s
+    on supp z: 0 for ``L^inf ⊙ F``, 1 for ``E ⊙ L^inf`` and ``r / p_E``
+    otherwise, with ``p_E`` from the decomposition the identity uses.
+    """
+    if _is_plain_sup(E):
+        return F, 0.0
+    if _is_plain_sup(F):
+        return E, 1.0
+    if isinstance(E, Lp) and isinstance(F, Lp):
+        u, v = _weight_pow(E.weight, 1.0), _weight_pow(F.weight, 1.0)
+        if u is not None and v is not None:
+            # L^p(u) ⊙ L^q(v) = L^r(uv); below r = 1 as the r-concavification of L^1((uv)^r)
+            r, w = _hoelder(E.p, F.p), PowerWeight(u.alpha + v.alpha, u.coef * v.coef)
+            if r >= 1.0:
+                return Lp(r, _weight_or_none(w)), r / E.p
+            return Convexification(Lp(1.0, _weight_or_none(_weight_pow(w, r))), r), r / E.p
+    # B^(p) as (B, p); a space that is not a convexification is its own base, p = 1
+    (baseE, pE), (baseF, pF) = ((S.base, S.p) if isinstance(S, Convexification) else (S, 1.0) for S in (E, F))
+    if baseE == baseF and is_primitive(baseE):
+        r = _hoelder(pE, pF)
+        return canonical(Convexification(baseE, r)), r / pE
+    return None
+
+
 def canonical(space: SpaceDescriptor) -> SpaceDescriptor:
     """Collapse rewrites that hold with equal norms (exactly).
 
@@ -383,25 +427,19 @@ def canonical(space: SpaceDescriptor) -> SpaceDescriptor:
                 return LorentzLambdaP(PowerWeight(w.alpha + 1.0 / p, w.coef), p)
         return Symmetrization(base, space.mode)
     if isinstance(space, Calderon):
-        E, F = canonical(space.E), canonical(space.F)
-        th = space.theta
-        if isinstance(E, Lp) and isinstance(F, Lp):
-            wE = _weight_pow(E.weight, th)
-            wF = _weight_pow(F.weight, 1.0 - th)
-            if wE is not None and wF is not None:
-                inv_p = th / E.p + (1.0 - th) / F.p
-                p = math.inf if inv_p == 0.0 else 1.0 / inv_p
-                w = PowerWeight(wE.alpha + wF.alpha, wE.coef * wF.coef)
-                if p >= 1.0:
-                    return Lp(p, _weight_or_none(w))
-        return Calderon(E, F, th)
+        # E^theta F^(1-theta) is the product of E^(1/theta) and F^(1/(1-theta))
+        E, F, th = canonical(space.E), canonical(space.F), space.theta
+        hit = _product_rule(canonical(Convexification(E, 1.0 / th)), canonical(Convexification(F, 1.0 / (1.0 - th))))
+        return Calderon(E, F, th) if hit is None else hit[0]
     if isinstance(space, Dual):
         dd = dual_descriptor(canonical(space.E))
         if dd is not None:
             return canonical(dd)
         return Dual(canonical(space.E))
     if isinstance(space, Product):
-        return Product(canonical(space.E), canonical(space.F))
+        E, F = canonical(space.E), canonical(space.F)
+        hit = _product_rule(E, F)
+        return Product(E, F) if hit is None else hit[0]
     if isinstance(space, Multiplier):
         return Multiplier(canonical(space.E), canonical(space.F))
     return space
@@ -736,10 +774,12 @@ def _compile(space: SpaceDescriptor, mspace: MeasureSpace) -> Optional[_Compiled
             return None
         p = space.p
 
-        def _conv(v, basec=basec, p=p):
-            return basec.fn(v**p) ** (1.0 / p)
+        def _conv(v, base_fn=basec.fn, p=p):
+            s = base_fn(np.ascontiguousarray(v) ** p)
+            # one row's norm goes to _root as a numpy scalar: a 0-d array would take the vectorized power
+            return _root(s if v.ndim > 1 else np.float64(s), p)
 
-        return _CompiledNorm(_rowwise(_conv), basec.kind, basec.notes)
+        return _CompiledNorm(_conv, basec.kind, basec.notes)
 
     # canonical leaves one symmetrization with a kernel: the doublestar of L^p(c*t^a), p finite
     if isinstance(space, Symmetrization) and space.mode == "doublestar" and isinstance(space.base, Lp):

@@ -451,7 +451,7 @@ def test_row_by_row_kernels_keep_one_golden_step_per_call():
     # ahead would only add rows: such objectives step once per call
     ms = counting(8)
     assert P._call_rows(P._norm_fn(Lp(2.0), ms)) == P._CALL_ROWS
-    assert P._call_rows(P._norm_fn(Lp(2.0), ms), P._norm_fn(Product(Lp(2.0), Lp(4.0)), ms)) == 0
+    assert P._call_rows(P._norm_fn(Lp(2.0), ms), P._norm_fn(Product(Lp(2.0), LorentzLambda(PowerWeight(0.5))), ms)) == 0
     calls = []
 
     def J(U):

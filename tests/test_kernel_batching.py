@@ -24,6 +24,7 @@ from bfslab import (
     OrliczCL,
     Power,
     PowerWeight,
+    Product,
     ShiftedPower,
     Symmetrization,
     YoungMax,
@@ -65,6 +66,10 @@ FAMILIES = {
     "linfty_weighted_generic": LInftyWeighted(PowerLogWeight(-0.3, 1.0)),
     "orlicz": OrliczCL(Lp(1.0), ShiftedPower(0.3, 1.0, 2.0)),
     "convexification": Convexification(LorentzLambda(PW(0.5)), 2.0),
+    "convexification_weighted_below_one": Convexification(Lp(1.5, PW(-0.8)), 0.5),
+    # products that canonical rewrites: L^(4/3), and the 3/4-concavification of L^1(t^0.225)
+    "product_lp_pair": Product(Lp(2.0), Lp(4.0)),
+    "product_below_one": Product(Lp(1.5, PW(0.3)), Lp(1.5)),
     "star_weighted_lp": Symmetrization(Lp(2.0, PW(0.3)), "star"),
     "doublestar_weighted_lp": Symmetrization(Lp(2.0, PW(0.3)), "doublestar"),
     "star_weighted_sup": Symmetrization(LInftyWeighted(PW(0.5)), "star"),
@@ -124,6 +129,13 @@ def test_batched_kernels_match_row_calls_bit_for_bit(kind, n, seed):
             rows = [compiled.fn(W[i]) for i in range(W.shape[0])]
             assert all(type(r) is float for r in rows), (name, layout)
             assert np.array_equal(_bits(got), _bits(rows)), (name, layout, got, rows)
+
+
+def test_collapsed_products_have_batched_kernels():
+    ms = counting(8)
+    for space in (FAMILIES["product_lp_pair"], FAMILIES["product_below_one"]):
+        compiled = norm_evaluator(space, ms)
+        assert compiled is not None and not getattr(compiled.fn, "rowwise", False), space
 
 
 GAUGE_PHIS = {

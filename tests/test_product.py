@@ -23,6 +23,7 @@ from bfslab import (
     Multiplier,
     Power,
     PowerWeight,
+    Product,
     StepFunction,
     calderon_norm,
     counting,
@@ -135,6 +136,17 @@ def test_common_base_convexifications_recombine():
     assert math.isclose(res.value, want, rel_tol=1e-10)
     assert wit.method == "closed_form"
     assert np.allclose(wit.x.values * wit.y.values, z.values, rtol=1e-12)
+    # Lp(1.5) ⊙ Lp(1.5)^(1/2) = Lp(1.5)^(1/3): x = z^((1/3) / 1), not z^((1/3) / 1.5)
+    res, wit = product_norm(Lp(1.5), Convexification(Lp(1.5), 0.5), z)
+    assert res.kind == "exact" and wit.method == "closed_form"
+    scale = wit.x.values / z.values ** (1.0 / 3.0)  # equalize_norms rescales x
+    assert np.allclose(scale, scale[0], rtol=1e-12, atol=0.0)
+    # equal weighted factors with no cell-mass balance (t^-1 is not integrable
+    # on the first cell) still split evenly
+    E = Lp(2.0, PowerWeight(-0.5))
+    res, wit = product_norm(E, E, z)
+    assert (res.value, res.kind, wit.method) == (math.inf, "exact", "closed_form")
+    assert np.allclose(wit.x.values, wit.y.values, rtol=1e-12, atol=0.0)
 
 
 def test_supform_pair_constructive_band():
@@ -319,6 +331,23 @@ def test_multiplier_numeric_path_matches_the_exponent_rule():
     assert numeric.value >= exact * (1 - 1e-9)
 
 
+def test_multiplier_witnesses_must_share_the_grid():
+    m = StepFunction(counting(8), np.random.default_rng(2).uniform(0.2, 2.0, 8))
+    for other in (unit_interval(8), counting(6)):
+        with pytest.raises(ValueError, match="grid"):
+            multiplier_norm(
+                Lp(2.0), Lp(4.0), m, witnesses=[StepFunction(other, np.ones(other.n_cells))], ascent=False, use_table=False
+            )
+
+
+def test_multiplier_of_a_collapsed_product_uses_the_table():
+    # Product(L^2, L^4) is L^(4/3), so M(L^(4/3), L^1) is its dual L^4
+    m = _random_step(np.random.default_rng(54), counting(8))
+    res = multiplier_norm(Product(Lp(2.0), Lp(4.0)), Lp(1.0), m)
+    assert res.kind == "exact"
+    assert math.isclose(res.value, norm(Lp(4.0), m).value, rel_tol=1e-12)
+
+
 def test_multiplier_lorentz_identification():
     rng = np.random.default_rng(52)
     ms = unit_interval(16)
@@ -484,6 +513,12 @@ def test_calderon_norm_closed_forms():
     mixed = calderon_norm(Lp(1.0), Lp(3.0), 0.5, z)
     assert math.isclose(mixed.value, norm(Lp(1.5), z).value, rel_tol=1e-12)
     assert any("closed form" in n for n in mixed.notes)
+    # L^inf^(1/2) Λ^(1/2) is the 2-convexification of Λ: a rewrite, not an optimization
+    lam = LorentzLambda(PowerWeight(0.5))
+    sup = calderon_norm(Lp(math.inf), lam, 0.5, z)
+    assert sup.value == norm(Convexification(lam, 2.0), z).value
+    assert any("closed form" in n for n in sup.notes)
+    assert not any("weighted-Lebesgue" in n for n in mixed.notes + sup.notes)
     with pytest.raises(ValueError):
         calderon_norm(Lp(1.0), Lp(3.0), 1.0, z)
 

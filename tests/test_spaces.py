@@ -278,6 +278,71 @@ def test_canonical_calderon_of_lp_pair():
     # 1/p = 0.25/2 + 0.75/4 = 0.3125
     assert isinstance(got, Lp)
     assert math.isclose(got.p, 3.2, rel_tol=1e-15)
+    # 1/inf = 0 on both sides: no division by a zero exponent sum
+    got = canonical(Calderon(Lp(math.inf, PowerWeight(0.3)), Lp(math.inf, PowerWeight(0.2)), 0.5))
+    assert got == Lp(math.inf, PowerWeight(0.25))
+
+
+PW = PowerWeight
+
+
+@pytest.mark.parametrize(
+    "space, want",
+    [
+        (Product(Lp(math.inf), LorentzLambda(PW(0.5))), LorentzLambda(PW(0.5))),
+        (Product(Marcinkiewicz(PW(0.4)), Lp(math.inf)), Marcinkiewicz(PW(0.4))),
+        (Product(Lp(2.0), Lp(4.0)), Lp(4.0 / 3.0)),
+        (Product(Lp(2.0, PW(0.25)), Lp(4.0, PW(0.5, 2.0))), Lp(4.0 / 3.0, PW(0.75, 2.0))),
+        (Product(Lp(2.0, PW(0.5)), Lp(2.0, PW(-0.5))), Lp(1.0)),
+        # r = 3/4 < 1: the 3/4-concavification of L^1(w^(3/4))
+        (Product(Lp(1.5, PW(0.5)), Lp(1.5)), Convexification(Lp(1.0, PW(0.375)), 0.75)),
+        (Product(Lp(math.inf, PW(0.3)), Lp(math.inf, PW(0.2))), Lp(math.inf, PW(0.5))),
+        (Product(Lp(math.inf, PW(0.3)), Lp(2.0)), Lp(2.0, PW(0.3))),
+        (
+            Product(LorentzLambda(PW(0.5)), Convexification(LorentzLambda(PW(0.5)), 2.0)),
+            Convexification(LorentzLambda(PW(0.5)), 2.0 / 3.0),
+        ),
+        (Product(Lp(1.5), Convexification(Lp(1.5), 0.5)), Convexification(Lp(1.5), 1.0 / 3.0)),
+        # no identity: the pair stays a product
+        (Product(Lp(2.0, PW(-0.5)), LInftyWeighted(PW(0.4))), Product(Lp(2.0, PW(-0.5)), LInftyWeighted(PW(0.4)))),
+        (Product(LorentzLambda(PW(0.5)), MarcinkiewiczStar(PW(0.3))), Product(LorentzLambda(PW(0.5)), MarcinkiewiczStar(PW(0.3)))),
+        (Product(Lp(2.0, PowerLogWeight(0.3, 1.0)), Lp(2.0)), Product(Lp(2.0, PowerLogWeight(0.3, 1.0)), Lp(2.0))),
+    ],
+    ids=[
+        "sup_left", "sup_right", "lp_plain", "lp_weighted", "lp_weights_cancel", "lp_below_one",
+        "sup_pair_weighted", "sup_weighted_with_lp", "common_base", "common_base_lp",
+        "weighted_lp_with_weighted_sup", "lorentz_with_mstar", "non_power_weight",
+    ],
+)
+def test_canonical_product_identities(space, want):
+    got = canonical(space)
+    assert got == want
+    assert canonical(got) == got
+
+
+def test_canonical_calderon_collapses_through_the_product_rule():
+    # L^inf^theta F^(1-theta) = F^(1/(1-theta)), and a common base meets itself
+    lam = LorentzLambda(PW(0.5))
+    assert canonical(Calderon(Lp(math.inf), lam, 0.5)) == Convexification(lam, 2.0)
+    assert canonical(Calderon(Convexification(lam, 2.0), lam, 0.5)) == Convexification(lam, 4.0 / 3.0)
+    # a weighted sup is not an L^inf: the pair stays on the variational path
+    kept = Calderon(Lp(1.0, PW(-0.4)), LInftyWeighted(PW(0.4)), 0.5)
+    assert canonical(kept) == kept
+
+
+def test_every_layer_sees_the_collapsed_product():
+    ms = counting(8)
+    m = StepFunction(ms, np.random.default_rng(3).uniform(0.1, 2.0, 8))
+    prod = Product(Lp(2.0), Lp(4.0))
+    assert norm_evaluator(prod, ms) is not None
+    assert norm(prod, m).value == norm(Lp(4.0 / 3.0), m).value
+    assert norm(prod, m).kind == "exact"
+    assert is_primitive(canonical(prod))
+    dual = dual_descriptor(canonical(prod))
+    assert isinstance(dual, Lp) and math.isclose(dual.p, 4.0, rel_tol=1e-15)
+    # the Orlicz base check sees L^1
+    got = luxemburg_norm(Product(Lp(2.0), Lp(2.0)), Power(1.0, 2.0), m).value
+    assert got == luxemburg_norm(Lp(1.0), Power(1.0, 2.0), m).value
 
 
 def test_canonical_symmetrization_collapse():
@@ -380,7 +445,7 @@ def test_luxemburg_requires_primitive_base():
     ms = unit_interval(8)
     x = StepFunction(ms, np.ones(8))
     with pytest.raises(ValueError):
-        luxemburg_norm(Product(Lp(2.0), Lp(2.0)), Power(1.0, 2.0), x)
+        luxemburg_norm(Product(Lp(2.0), LorentzLambda(PowerWeight(0.5))), Power(1.0, 2.0), x)
 
 
 @pytest.mark.parametrize(

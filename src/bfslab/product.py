@@ -506,20 +506,19 @@ def _witness_from_pair(E, F, x, y, method, notes=()) -> FactorizationWitness:
 def _closed_form(E, F, z: StepFunction):
     """The rewrite ``canonical(Product(E, F))`` as a value, with the witness
     x = z^s on supp z for the share s the rule reports.  A weighted Lebesgue
-    pair balances its cell masses instead; without such a balance only equal
-    factors (split evenly) have a closed form.  Sup-Marcinkiewicz pairs get a
-    constructive bound."""
+    pair (no share) balances its cell masses instead; without such a balance
+    only equal factors (split evenly) have a closed form.  Sup-Marcinkiewicz
+    pairs get a constructive bound."""
     rule = _product_rule(E, F)
     if rule is not None:
         target, s = rule
         notes = ()
-        if isinstance(E, Lp) and isinstance(F, Lp) and (E.weight is not None or F.weight is not None):
-            xv = _balanced_factor(E, F, z)
-            notes = ("witness is optimal among cell-constant factors",)
+        if s is not None:
+            xv = z.values**s
+        else:
+            xv, notes = _balanced_factor(E, F, z), ("witness is optimal among cell-constant factors",)
             if xv is None and E == F:
                 xv, notes = z.values**0.5, ()
-        else:
-            xv = z.values**s
         if xv is not None:
             res = norm(target, z)
             x = z.with_values(np.where(z.values > 0, xv, 0.0))

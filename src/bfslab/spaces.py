@@ -346,7 +346,8 @@ def _product_rule(E: SpaceDescriptor, F: SpaceDescriptor) -> Optional[tuple]:
 
     ``s`` is the exponent share of the split behind the identity, x = z^s
     on supp z: 0 for ``L^inf ⊙ F``, 1 for ``E ⊙ L^inf`` and ``r / p_E``
-    otherwise, with ``p_E`` from the decomposition the identity uses.
+    otherwise, with ``p_E`` from the decomposition the identity uses.  A
+    weighted Lebesgue pair has no such share: ``s`` is None.
     """
     if _is_plain_sup(E):
         return F, 0.0
@@ -357,9 +358,10 @@ def _product_rule(E: SpaceDescriptor, F: SpaceDescriptor) -> Optional[tuple]:
         if u is not None and v is not None:
             # L^p(u) ⊙ L^q(v) = L^r(uv); below r = 1 as the r-concavification of L^1((uv)^r)
             r, w = _hoelder(E.p, F.p), PowerWeight(u.alpha + v.alpha, u.coef * v.coef)
+            s = r / E.p if E.weight is None and F.weight is None else None
             if r >= 1.0:
-                return Lp(r, _weight_or_none(w)), r / E.p
-            return Convexification(Lp(1.0, _weight_or_none(_weight_pow(w, r))), r), r / E.p
+                return Lp(r, _weight_or_none(w)), s
+            return Convexification(Lp(1.0, _weight_or_none(_weight_pow(w, r))), r), s
     # B^(p) as (B, p); a space that is not a convexification is its own base, p = 1
     (baseE, pE), (baseF, pF) = ((S.base, S.p) if isinstance(S, Convexification) else (S, 1.0) for S in (E, F))
     if baseE == baseF and is_primitive(baseE):
@@ -779,6 +781,7 @@ def _compile(space: SpaceDescriptor, mspace: MeasureSpace) -> Optional[_Compiled
             # one row's norm goes to _root as a numpy scalar: a 0-d array would take the vectorized power
             return _root(s if v.ndim > 1 else np.float64(s), p)
 
+        _conv.rowwise = getattr(basec.fn, "rowwise", False)  # a row-by-row base stays row by row
         return _CompiledNorm(_conv, basec.kind, basec.notes)
 
     # canonical leaves one symmetrization with a kernel: the doublestar of L^p(c*t^a), p finite

@@ -36,6 +36,7 @@ from bfslab import (
     weak_lp,
 )
 from bfslab import product as P
+from bfslab.weights import PowerLogWeight
 
 _FAST = {"max_sweeps": 300, "quick_sweeps": 25, "golden_iters": 10}
 
@@ -452,6 +453,9 @@ def test_row_by_row_kernels_keep_one_golden_step_per_call():
     ms = counting(8)
     assert P._call_rows(P._norm_fn(Lp(2.0), ms)) == P._CALL_ROWS
     assert P._call_rows(P._norm_fn(Lp(2.0), ms), P._norm_fn(Product(Lp(2.0), LorentzLambda(PowerWeight(0.5))), ms)) == 0
+    # a convexification runs its base's kernel, row by row when the base does
+    assert P._call_rows(P._norm_fn(Convexification(Lp(1.0), 0.5), ms)) == P._CALL_ROWS
+    assert P._call_rows(P._norm_fn(Convexification(Marcinkiewicz(PowerLogWeight(0.5, 1.0)), 2.0), ms)) == 0
     calls = []
 
     def J(U):

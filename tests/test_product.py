@@ -126,6 +126,28 @@ def test_linfty_factor_is_neutral():
     assert np.allclose(wit.x.values * wit.y.values, z.values, rtol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "E, F, sup_side",
+    [
+        (Lp(math.inf), Lp(2.0, PowerWeight(0.3)), "x"),
+        (Lp(math.inf, PowerWeight(0.3)), Lp(math.inf), "y"),
+        (Lp(math.inf), Lp(2.0, PowerWeight(-0.5)), "x"),
+    ],
+    ids=["sup-left", "sup-right", "sup-left-infinite"],
+)
+def test_plain_linfty_with_a_weighted_lebesgue_factor_is_closed(E, F, sup_side):
+    # L^inf ⊙ F = F with the split x = 1 on supp z, y = z (and its mirror);
+    # a weighted Lebesgue partner does not turn it into a cell-mass balance
+    z = _random_step(np.random.default_rng(47), unit_interval(12))
+    res, wit = product_norm(E, F, z)
+    other = F if sup_side == "x" else E
+    assert (res.value, res.kind, wit.method) == (norm(other, z).value, "exact", "closed_form")
+    if math.isfinite(res.value):
+        flat = getattr(wit, sup_side).values
+        assert np.allclose(flat, flat[0], rtol=1e-12, atol=0.0)
+        assert not any("cell-constant" in n for n in res.notes)
+
+
 def test_common_base_convexifications_recombine():
     rng = np.random.default_rng(45)
     ms = unit_interval(16)
@@ -147,6 +169,12 @@ def test_common_base_convexifications_recombine():
     res, wit = product_norm(E, E, z)
     assert (res.value, res.kind, wit.method) == (math.inf, "exact", "closed_form")
     assert np.allclose(wit.x.values, wit.y.values, rtol=1e-12, atol=0.0)
+    # a non-power weight is a common base, not a Lebesgue pair: the even split, no balance
+    E = Lp(2.0, PowerLogWeight(0.3, 1.0))
+    res, wit = product_norm(E, E, z)
+    assert wit.method == "closed_form"
+    assert np.allclose(wit.x.values, wit.y.values, rtol=1e-12, atol=0.0)
+    assert not any("cell-constant" in n for n in res.notes)
 
 
 def test_supform_pair_constructive_band():

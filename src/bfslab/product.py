@@ -347,9 +347,10 @@ def _select(vals: np.ndarray, converged: np.ndarray, target):
     """Rank-order pick of the best start: (row, converged flag).
 
     The first strict improvement wins, and the scan stops at the first
-    row at or below ``target``, which then counts as converged.
+    row at or below ``target``, which then counts as converged.  Where
+    every value is infinite, row 0 is picked, not converged.
     """
-    best_r, best_val, any_converged = None, math.inf, False
+    best_r, best_val, any_converged = 0, math.inf, False
     for r, val in enumerate(vals.tolist()):
         if val < best_val:
             best_r, best_val = r, val
@@ -447,21 +448,24 @@ def _optimize_product(E, F, z: StepFunction, o: dict):
 
 
 def _balanced_factor(E: Lp, F: Lp, z: StepFunction) -> Optional[np.ndarray]:
-    """The x that balances the two weighted cell masses of a Lebesgue pair:
-    optimal among cell-constant factors.  None when no such x exists: an
-    infinite exponent, or a cell mass that is not finite and positive."""
-    if not (math.isfinite(E.p) and math.isfinite(F.p)):
-        return None
-    a, b = z.space.breakpoints[:-1], z.space.breakpoints[1:]
-    w1 = E.weight if E.weight is not None else PowerWeight(0.0, 1.0)
-    w2 = F.weight if F.weight is not None else PowerWeight(0.0, 1.0)
+    """The x that balances the two weighted cell masses of a Lebesgue pair,
+    or with the sup side's factor at 1/cell_sup of its weight: optimal
+    among cell-constant factors.  None when a cell mass or sup is not
+    finite and positive."""
+    cells = list(zip(z.space.breakpoints[:-1], z.space.breakpoints[1:]))
+
+    def masses(S: Lp) -> np.ndarray:  # the cell masses of w^p, or the cell sups of w for p = inf
+        w = S.weight if S.weight is not None else PowerWeight(0.0, 1.0)
+        return np.array([w.cell_sup(a, b) if math.isinf(S.p) else w.cell_integral_pow(a, b, S.p) for a, b in cells])
+
     try:
-        W1 = np.array([w1.cell_integral_pow(ai, bi, E.p) for ai, bi in zip(a, b)])
-        W2 = np.array([w2.cell_integral_pow(ai, bi, F.p) for ai, bi in zip(a, b)])
+        W1, W2 = masses(E), masses(F)
     except (NonIntegrableWeight, ArithmeticError):
         return None
     if not (np.all(np.isfinite(W1)) and np.all(np.isfinite(W2)) and np.all(W1 > 0) and np.all(W2 > 0)):
         return None
+    if math.isinf(E.p) or math.isinf(F.p):
+        return 1.0 / W1 if math.isinf(E.p) else z.values * W2
     return (z.values**F.p * W2 / W1) ** (1.0 / (E.p + F.p))
 
 
@@ -556,7 +560,9 @@ def product_norm(
     wit = equalize_norms(wit, Ec, Fc)
     kind = "upper_bound" if converged else "estimate"
     notes = ("certified by explicit factorization",)
-    if not converged:
+    if math.isinf(wit.product):
+        notes = ("every factorization tried has an infinite norm",)
+    elif not converged:
         notes = notes + ("optimizer stopped before the improvement tolerance",)
     return NormResult(wit.product, kind, wit, notes), wit
 

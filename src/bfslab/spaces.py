@@ -73,7 +73,7 @@ from .weights import (
     weight_from_json,
     weight_to_json,
 )
-from .young import Power, YoungFunction, _log, _threshold, young_from_json, young_to_json
+from .young import Power, ShiftedPower, YoungFunction, _log, _threshold, young_from_json, young_to_json
 
 __all__ = [
     "Lp",
@@ -461,8 +461,10 @@ def _conjugate(p: float) -> float:
 
 
 def dual_descriptor(space: SpaceDescriptor) -> Optional[SpaceDescriptor]:
-    """Symbolic Koethe dual, or None when no table entry applies."""
-    space = space if isinstance(space, _VARIATIONAL) else canonical(space)
+    """Symbolic Koethe dual, or None when no table entry applies.  The table
+    reads the canonical form; a ``Dual`` stays as it is, since ``canonical``
+    of a ``Dual`` consults this table."""
+    space = space if isinstance(space, Dual) else canonical(space)
     if isinstance(space, (Lp, LInftyWeighted)):
         p, w = (space.p, space.weight) if isinstance(space, Lp) else (math.inf, space.phi)
         w = _weight_pow(w, -1.0)
@@ -762,13 +764,13 @@ def _compile(space: SpaceDescriptor, mspace: MeasureSpace) -> Optional[_Compiled
         if basec is None:
             return None
         phi = space.phi
+        closed = isinstance(phi, ShiftedPower) and phi.p in (1.0, 2.0) and space.base == Lp(1.0)
 
-        def _lux(v, base_fn=basec.fn, phi=phi):
-            return _luxemburg_value(base_fn, phi, v)
+        def _lux(v, base_fn=basec.fn, phi=phi, wd=widths if closed else None):
+            return _luxemburg_value(base_fn, phi, v, wd)
 
-        return _CompiledNorm(
-            _lux, "estimate", basec.notes + (f"luxemburg gauge, secant bracket search, rtol {_LUX_RTOL:g}",)
-        )
+        note = "shifted-power gauge in closed form" if closed else f"luxemburg gauge, secant bracket search, rtol {_LUX_RTOL:g}"
+        return _CompiledNorm(_lux, "exact" if closed else "estimate", basec.notes + (note,))
 
     if isinstance(space, Convexification):
         basec = norm_evaluator(space.base, mspace)
@@ -818,11 +820,13 @@ def _compile(space: SpaceDescriptor, mspace: MeasureSpace) -> Optional[_Compiled
     return None
 
 
-def _luxemburg_value(base_fn: Callable, phi: YoungFunction, v: np.ndarray):
-    """Per row, the least ``lam`` with ``|phi(row / lam)|_base <= 1``, to
-    relative width ``_LUX_RTOL`` and from above, so the modular at it is
-    <= 1.  All rows search in lockstep: one step is one ``phi`` call and
-    one ``base_fn`` call over every row still searching."""
+def _luxemburg_value(base_fn: Callable, phi: YoungFunction, v: np.ndarray, widths=None):
+    """Per row, the least ``lam`` with ``|phi(row / lam)|_base <= 1``, from
+    above, so the modular at it is <= 1.  Given the grid's ``widths`` (phi
+    a ``ShiftedPower`` with p in {1, 2}, the base unweighted L^1), in closed
+    form (``_shifted_power_rows``).  Else to relative width ``_LUX_RTOL``,
+    all rows searching in lockstep: one step is one ``phi`` call and one
+    ``base_fn`` call over every row still searching."""
     V = np.atleast_2d(v)
     if (V < 0).any():
         raise ValueError("Young functions take nonnegative arguments")
@@ -830,7 +834,9 @@ def _luxemburg_value(base_fn: Callable, phi: YoungFunction, v: np.ndarray):
     pos = (V > 0).any(-1)
     out = np.where(pos, math.inf, 0.0)
     rows = np.flatnonzero(pos & np.isfinite(top))
-    if rows.size:
+    if rows.size and widths is not None:
+        out[rows] = _shifted_power_rows(base_fn, phi, widths, V[rows], top[rows])
+    elif rows.size:
         Vr = V[rows]
 
         def probe(idx, lam):
@@ -849,6 +855,51 @@ def _luxemburg_value(base_fn: Callable, phi: YoungFunction, v: np.ndarray):
         floor = top / phi.b_phi if math.isfinite(phi.b_phi) else None
         out[rows] = _threshold(probe, top if floor is None else np.maximum(top, 2.0 * floor), _LUX_RTOL, floor)
     return _out(out if v.ndim > 1 else out[0])
+
+
+def _shifted_power_rows(base_fn: Callable, phi: ShiftedPower, widths: np.ndarray, Vr: np.ndarray, top: np.ndarray):
+    """The gauge of ``c*(u - a)_+^p`` over L^1 (p in {1, 2}) of rows with
+    top cells ``top > 0``.  With mu = 1/lam and a row sorted down (x*,
+    widths w alike), the top-j piece ``c * sum_{i<=j} w_i (x*_i mu - a)^p``
+    is at most the modular where mu >= a/x*_j, with equality at the j
+    active at the gauge: so mu = min_j max(mu_j, a/x*_j), mu_j the piece's
+    (larger) root.  A Newton step on the modular polishes it.  The modular
+    through ``base_fn`` is monotone in lam (each rounding is), and the
+    result is the least float where it is <= 1: each step probes seven
+    points a row, lam and 3 ulps either side, then growing strides past the
+    one known end of the bracket or eighths inside it, until the ends are
+    adjacent.  A root that is not finite and positive goes to the search."""
+    a, c, p, K = phi.a, phi.c, phi.p, np.arange(1.0, 8.0)
+    order = (-Vr).argsort(-1, kind="stable")
+    x, w = np.take_along_axis(Vr, order, -1) / top[:, None], widths[order]  # rows scaled to top 1
+    s0, s1, s2 = w.cumsum(-1), (w * x).cumsum(-1), (w * x * x).cumsum(-1)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if p == 1.0:
+            mu = (1.0 / c + a * s0) / s1
+        else:
+            mu = (a * s1 + np.sqrt(np.maximum(s2 / c - a * a * (s0 * s2 - s1 * s1), 0.0))) / s2
+        mu = np.where(x > 0, np.maximum(mu, a / x), math.inf).min(-1)
+        t = np.maximum(x * mu[:, None] - a, 0.0)
+        g = t if p == 2.0 else (t > 0)  # t^(p-1) on the live cells
+        slope = p * c * (w * x * g).sum(-1)
+        lam = top / np.where(slope > 0, mu - (c * (w * t * g).sum(-1) - 1.0) / slope, mu)
+    good = np.isfinite(lam) & (lam > 0)
+    lo, hi, step = np.zeros_like(lam), np.full_like(lam, math.inf), np.spacing(lam)[:, None]
+    T = lam[:, None] + step * (K - 4.0)
+    idx = np.flatnonzero(good)
+    while idx.size:
+        Ti = T[idx]
+        ok = base_fn(phi._eval((Vr[idx, None, :] / Ti[..., None]).reshape(-1, Vr.shape[1]))).reshape(Ti.shape) <= 1.0
+        hi[idx] = np.minimum(hi[idx], np.where(ok, Ti, math.inf).min(-1))
+        lo[idx] = np.maximum(lo[idx], np.where(ok, 0.0, Ti).max(-1))
+        idx = idx[~(hi[idx] - lo[idx] <= np.spacing(hi[idx]))]
+        if idx.size:
+            l, h, s = lo[idx, None], hi[idx, None], step[idx]
+            T[idx] = np.where(h == math.inf, l + s * K, np.where(l == 0.0, np.maximum(h - s * K, 0.5 * h), l + (h - l) * K / 8.0))
+            step[idx] *= 8.0
+    if not good.all():
+        hi[~good] = _luxemburg_value(base_fn, phi, Vr[~good])
+    return hi
 
 
 def norm_evaluator(space: SpaceDescriptor, mspace: MeasureSpace) -> Optional[_CompiledNorm]:
@@ -969,8 +1020,9 @@ def luxemburg_norm(base: SpaceDescriptor, phi: YoungFunction, x: StepFunction) -
     """Gauge ``inf{lam : modular(x/lam) <= 1}``: ``norm(OrliczCL(base, phi), x)``.
 
     The compiled gauge returns the upper end of a bracket of relative
-    width 1e-10, so the modular at the result is guaranteed <= 1.  An
-    infinite gauge carries a note that x is outside the space.
+    width 1e-10 (the least such float, for a shifted power over L^1), so
+    the modular at the result is guaranteed <= 1.  An infinite gauge
+    carries a note that x is outside the space.
     """
     res = norm(OrliczCL(base, phi), x)
     if math.isinf(res.value):

@@ -65,6 +65,9 @@ FAMILIES = {
     "linfty_weighted_singular": LInftyWeighted(PW(-0.4)),
     "linfty_weighted_generic": LInftyWeighted(PowerLogWeight(-0.3, 1.0)),
     "orlicz": OrliczCL(Lp(1.0), ShiftedPower(0.3, 1.0, 2.0)),
+    "orlicz_shifted_linear": OrliczCL(Lp(1.0), ShiftedPower(1.0, 1.0, 1.0)),
+    # p = 3 has no closed form: the lockstep gauge search
+    "orlicz_shifted_cubic": OrliczCL(Lp(1.0), ShiftedPower(0.3, 1.0, 3.0)),
     "convexification": Convexification(LorentzLambda(PW(0.5)), 2.0),
     "convexification_weighted_below_one": Convexification(Lp(1.5, PW(-0.8)), 0.5),
     # products that canonical rewrites: L^(4/3), and the 3/4-concavification of L^1(t^0.225)
@@ -140,6 +143,7 @@ def test_collapsed_products_have_batched_kernels():
 
 GAUGE_PHIS = {
     "shifted": ShiftedPower(0.3, 1.0, 2.0),
+    "shifted_cubic": ShiftedPower(0.3, 1.0, 3.0),
     "sum": YoungSum((Power(1.0, 2.0), Power(0.5, 3.0))),
     "max": YoungMax((Power(1.0, 2.0), Power(0.5, 3.0))),
     # values reach 3, so the cap binds on some rows and not on others

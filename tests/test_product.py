@@ -148,6 +148,34 @@ def test_plain_linfty_with_a_weighted_lebesgue_factor_is_closed(E, F, sup_side):
         assert not any("cell-constant" in n for n in res.notes)
 
 
+@pytest.mark.parametrize(
+    "E, F",
+    [
+        (Lp(math.inf, PowerWeight(0.3)), Lp(2.0)),
+        (Lp(2.0), Lp(math.inf, PowerWeight(0.3))),
+        (Lp(math.inf, PowerWeight(0.3)), Lp(3.0, PowerWeight(0.2))),
+    ],
+    ids=["sup-left", "sup-right", "sup-left-weighted-partner"],
+)
+def test_weighted_linfty_pair_reports_the_rewrite(E, F):
+    # L^inf(u) ⊙ L^q(v) = L^q(uv); the sup side's factor is 1/cell_sup(u)
+    z = StepFunction(unit_interval(12), np.random.default_rng(4).uniform(0.2, 2.0, 12))
+    res, wit = product_norm(E, F, z)
+    assert (res.value, res.kind, wit.method) == (norm(Product(E, F), z).value, "exact", "closed_form")
+    assert np.allclose(wit.x.values * wit.y.values, z.values, rtol=1e-12, atol=0.0)
+    assert res.value <= wit.product * (1 + 1e-12)
+    assert any("cell-constant" in n for n in res.notes)
+
+
+def test_product_whose_every_start_is_infinite():
+    # t^-1 is not integrable on the first cell, so every x has |x|_E = inf
+    z = StepFunction(unit_interval(12), np.random.default_rng(4).uniform(0.2, 2.0, 12))
+    res, wit = product_norm(Lp(2.0, PowerWeight(-0.5)), LorentzLambda(PowerWeight(0.5)), z, opts=_FAST)
+    assert (res.value, res.kind, wit.method) == (math.inf, "estimate", "optimizer")
+    assert res.notes == ("every factorization tried has an infinite norm",)
+    assert np.allclose(wit.x.values * wit.y.values, z.values, rtol=1e-12, atol=0.0)
+
+
 def test_common_base_convexifications_recombine():
     rng = np.random.default_rng(45)
     ms = unit_interval(16)

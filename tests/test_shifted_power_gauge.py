@@ -1,0 +1,101 @@
+"""The closed-form gauge of a shifted power over L^1.
+
+``OrliczCL(Lp(1), ShiftedPower(a, c, p))`` with p in {1, 2} is evaluated
+from sorted prefix sums instead of the Luxemburg bracket search.  These
+property tests pin that its value is the gauge: the public modular is
+<= 1 there and > 1 just below it, and the value sits at or below the
+search's bracket end, within 1e-10 of it.
+"""
+
+import functools
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bfslab import Lp, OrliczCL, PowerWeight, ShiftedPower, StepFunction, counting, half_line, modular, norm_evaluator, unit_interval
+from bfslab.spaces import _luxemburg_value
+
+GRIDS = [("counting", n) for n in (1, 3, 16, 1024)] + [(kind, n) for kind in ("unit", "half") for n in (4, 16, 257, 1024)]
+SHAPES = ("random", "zeros", "ties", "constant", "one_cell", "under_shift", "spread")
+PHIS = st.builds(
+    ShiftedPower,
+    st.sampled_from([0.0, 0.2, 0.4, 1.0, 3.0]),
+    st.sampled_from([0.4, 1.0, 2.5]),
+    st.sampled_from([1.0, 2.0]),
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _grid(kind, n):
+    return {"counting": counting, "unit": unit_interval, "half": half_line}[kind](n)
+
+
+def _row(rng, n, shape, a):
+    """A nonzero nonnegative row of the given shape."""
+    x = rng.uniform(0.01, 3.0, n)
+    if shape == "zeros":
+        x[rng.uniform(size=n) < 0.6] = 0.0
+        x[rng.integers(n)] = 1.5
+    elif shape == "ties":
+        x = np.round(x)
+        x[0] = 2.0
+    elif shape == "constant":
+        x[:] = x[0]
+    elif shape == "one_cell":
+        x[:] = 0.0
+        x[rng.integers(n)] = rng.uniform(0.1, 3.0)
+    elif shape == "under_shift" and a > 0.0:
+        x *= 0.99 * a / x.max()  # every cell below the shift: the gauge is below 1
+    elif shape == "spread":
+        x = 10.0 ** rng.uniform(-6.0, 3.0, n)
+    return x
+
+
+@settings(max_examples=150, deadline=None)
+@given(grid=st.sampled_from(GRIDS), phi=PHIS, shape=st.sampled_from(SHAPES), seed=st.integers(0, 2**32 - 1))
+def test_closed_form_is_the_luxemburg_gauge(grid, phi, shape, seed):
+    ms = _grid(*grid)
+    x = StepFunction(ms, _row(np.random.default_rng(seed), ms.n_cells, shape, phi.a))
+    compiled = norm_evaluator(OrliczCL(Lp(1.0), phi), ms)
+    value = compiled.fn(x.values)
+    assert 0.0 < value < math.inf
+    assert modular(Lp(1.0), phi, x.with_values(x.values / value)) <= 1.0
+    assert modular(Lp(1.0), phi, x.with_values(x.values / (value * (1.0 - 1e-12)))) > 1.0
+    searched = _luxemburg_value(norm_evaluator(Lp(1.0), ms).fn, phi, x.values)
+    assert value <= searched
+    assert searched - value <= 1e-10 * searched
+
+
+def test_closed_form_kind_notes_and_edge_rows():
+    ms = half_line(16)
+    base = norm_evaluator(Lp(1.0), ms)
+    compiled = norm_evaluator(OrliczCL(Lp(1.0), ShiftedPower(0.4, 1.0, 2.0)), ms)
+    assert compiled.kind == "exact"
+    assert compiled.notes == base.notes + ("shifted-power gauge in closed form",)
+    V = np.zeros((3, 16))
+    V[1, 3] = math.inf
+    V[2, :4] = 1.0
+    got = compiled.fn(V)
+    assert got[0] == 0.0 and got[1] == math.inf and 0.0 < got[2] < math.inf
+    # 1/c overflows, so the closed-form root is not finite: the row goes to the search
+    phi = ShiftedPower(0.4, 1e-310, 1.0)
+    got = norm_evaluator(OrliczCL(Lp(1.0), phi), ms).fn(V[2])
+    assert got == _luxemburg_value(base.fn, phi, V[2]) > 0.0
+
+
+@pytest.mark.parametrize(
+    "space",
+    [
+        OrliczCL(Lp(1.0), ShiftedPower(0.4, 1.0, 3.0)),
+        OrliczCL(Lp(2.0), ShiftedPower(0.4, 1.0, 2.0)),
+        OrliczCL(Lp(1.0, PowerWeight(0.3)), ShiftedPower(0.4, 1.0, 2.0)),
+    ],
+    ids=["cubic", "l2_base", "weighted_base"],
+)
+def test_other_shifted_power_gauges_keep_the_search(space):
+    compiled = norm_evaluator(space, unit_interval(8))
+    assert compiled.kind == "estimate"
+    assert any("secant bracket search" in n for n in compiled.notes)

@@ -389,6 +389,14 @@ def test_dual_descriptor_table():
     assert dual_descriptor(Marcinkiewicz(PowerWeight(0.4))) == LorentzLambda(PowerWeight(0.6))
 
 
+def test_dual_descriptor_reads_the_canonical_form():
+    # L^2 ⊙ L^4 = L^(4/3); (L^4)^(1/2) (L^8)^(1/2) is L^4 ⊙ L^8 = L^(8/3)
+    assert dual_descriptor(Product(Lp(2.0), Lp(4.0))) == dual_descriptor(Lp(4.0 / 3.0))
+    assert dual_descriptor(Calderon(Lp(2.0), Lp(4.0), 0.5)) == dual_descriptor(Lp(8.0 / 3.0))
+    assert dual_descriptor(Dual(Lp(2.0))) is None
+    assert dual_descriptor(Product(Lp(2.0), LorentzLambda(PowerWeight(0.5)))) is None
+
+
 def test_dual_fundamental_functions_multiply_to_t():
     pairs = [
         Lp(3.0),

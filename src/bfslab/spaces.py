@@ -865,12 +865,12 @@ def _shifted_power_rows(base_fn: Callable, phi: ShiftedPower, widths: np.ndarray
     active at the gauge: so mu = min_j max(mu_j, a/x*_j), mu_j the piece's
     (larger) root.  A Newton step on the modular polishes it.  The modular
     through ``base_fn`` is monotone in lam (each rounding is), and the
-    result is the least float where it is <= 1: each step probes seven
-    points a row, lam and 3 ulps either side, then growing strides past the
-    one known end of the bracket or eighths inside it, until the ends are
+    result is the least float where it is <= 1: each step probes five
+    points a row, lam and 2 ulps either side, then growing strides past the
+    one known end of the bracket or sixths inside it, until the ends are
     adjacent.  A root that is not finite and positive goes to the search."""
-    a, c, p, K = phi.a, phi.c, phi.p, np.arange(1.0, 8.0)
-    order = (-Vr).argsort(-1, kind="stable")
+    a, c, p, K = phi.a, phi.c, phi.p, np.arange(1.0, 6.0)
+    order = (-Vr).argsort(-1)
     x, w = np.take_along_axis(Vr, order, -1) / top[:, None], widths[order]  # rows scaled to top 1
     s0, s1, s2 = w.cumsum(-1), (w * x).cumsum(-1), (w * x * x).cumsum(-1)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -885,7 +885,7 @@ def _shifted_power_rows(base_fn: Callable, phi: ShiftedPower, widths: np.ndarray
         lam = top / np.where(slope > 0, mu - (c * (w * t * g).sum(-1) - 1.0) / slope, mu)
     good = np.isfinite(lam) & (lam > 0)
     lo, hi, step = np.zeros_like(lam), np.full_like(lam, math.inf), np.spacing(lam)[:, None]
-    T = lam[:, None] + step * (K - 4.0)
+    T = lam[:, None] + step * (K - 3.0)
     idx = np.flatnonzero(good)
     while idx.size:
         Ti = T[idx]
@@ -895,7 +895,7 @@ def _shifted_power_rows(base_fn: Callable, phi: ShiftedPower, widths: np.ndarray
         idx = idx[~(hi[idx] - lo[idx] <= np.spacing(hi[idx]))]
         if idx.size:
             l, h, s = lo[idx, None], hi[idx, None], step[idx]
-            T[idx] = np.where(h == math.inf, l + s * K, np.where(l == 0.0, np.maximum(h - s * K, 0.5 * h), l + (h - l) * K / 8.0))
+            T[idx] = np.where(h == math.inf, l + s * K, np.where(l == 0.0, np.maximum(h - s * K, 0.5 * h), l + (h - l) * K / 6.0))
             step[idx] *= 8.0
     if not good.all():
         hi[~good] = _luxemburg_value(base_fn, phi, Vr[~good])

@@ -4,17 +4,17 @@ The product norm ``inf { |x|_E |y|_F : z = x y }`` has a closed form
 where ``canonical`` rewrites ``Product(E, F)`` by an exact identity
 (``spaces._product_rule``): the value is the norm of the rewritten
 space, and the witness splits z by the exponent share the rule reports.
+A factor M*_psi (pure power) gets the comonotone split z = (z psi(T)) *
+(1/psi(T)), T the measure up to each cell in z's decreasing order, where
+it is proven optimal, or within factor 2 for two such factors.
 Elsewhere lockstep multi-start coordinate descent over ``x = exp(u)`` on
 the support of z computes it: the seeded starts are the rows of one
 matrix, and their golden-section line searches share batched kernel
-calls.  Each call looks ahead: a call evaluates
-every point that the next few golden steps could probe, and each start
-then walks its own tree of brackets with its real comparisons, so the
-results are those of one step per call, bit for bit, from a fraction of
-the calls.  Every numeric result is a certified upper bound: the
-witness pair is returned and its norms are recomputed through the
-public norm evaluators, so the reported value can never undercut its
-own certificate.
+calls, each looking ahead over every point the next few golden steps
+could probe, bit for bit the results of one step per call.  A numeric
+result is an upper bound certified by its witness pair, whose norms are
+recomputed through the public norm evaluators, unless a factor norm is
+only an estimate: then so is the product.
 
 Multiplier and dual norms run the same machinery in the opposite
 direction (ratio ascent over a test family), so those values are lower
@@ -90,6 +90,7 @@ _SPAN = 1.5  # coordinate search half-width in log units
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _CALL_ROWS = 32  # fixed cost of one objective call, in rows (measured at n = 16)
 _RATIO_CAP = 1e8
+_UNCERTIFIED = "a factor norm is an estimate, so the factorization certifies no bound"
 # objectives may overflow, divide by 0 or multiply 0 by inf; the
 # engine maps every such value to +inf or 0 as the scalar code did
 _QUIET = {"divide": "ignore", "invalid": "ignore", "over": "ignore"}
@@ -388,14 +389,19 @@ def _seed_vectors(E, F, z_supp, widths_supp, t_right_supp) -> list:
     return seeds
 
 
+def _mstar_levels(phi, z: np.ndarray, widths: np.ndarray) -> np.ndarray:
+    """phi(T) per cell, T the measure of the cells that a stable descending
+    sort of z puts at or before it: 1/phi(T) has M*_phi norm 1."""
+    order = np.argsort(-z, kind="stable")
+    out = np.empty_like(z)
+    out[order] = np.asarray(phi(np.cumsum(widths[order])), dtype=float)
+    return out
+
+
 def _structured_seed(sp, z_supp, widths_supp, t_right_supp):
     """Shape-aware seed for spaces with a known extremal profile."""
     if isinstance(sp, MarcinkiewiczStar):
-        order = np.argsort(-z_supp, kind="stable")
-        cum = np.cumsum(widths_supp[order])
-        xv = np.empty_like(z_supp)
-        xv[order] = 1.0 / np.maximum(np.asarray(sp.phi(cum), dtype=float), 1e-300)
-        return np.log(xv)
+        return np.log(1.0 / np.maximum(_mstar_levels(sp.phi, z_supp, widths_supp), 1e-300))
     if isinstance(sp, (LorentzLambda, LorentzLambdaP)):
         pw = simplify_power(sp.phi)
         if pw is not None and 0.0 < pw.alpha < 1.0:
@@ -469,50 +475,71 @@ def _balanced_factor(E: Lp, F: Lp, z: StepFunction) -> Optional[np.ndarray]:
     return (z.values**F.p * W2 / W1) ** (1.0 / (E.p + F.p))
 
 
-def _closed_mstar_pair(E: MarcinkiewiczStar, F: MarcinkiewiczStar, z: StepFunction):
-    pwE = simplify_power(E.phi)
-    pwF = simplify_power(F.phi)
-    if pwE is None or pwF is None or pwE.alpha < 0 or pwF.alpha < 0:
-        return None
-    order = np.argsort(-z.values, kind="stable")
-    cum = np.cumsum(z.space.widths[order])
-    phiE = np.asarray(E.phi(cum), dtype=float)
-    phiF = np.asarray(F.phi(cum), dtype=float)
-    z_sorted = z.values[order]
-    big = float(np.max(z_sorted * phiE * phiF))
-    if big == 0.0:
-        return NormResult(0.0, "exact", _zero_witness(z)), _zero_witness(z)
-    c = math.sqrt(big)
-    xv = np.zeros_like(z.values)
-    yv = np.zeros_like(z.values)
-    pos = z_sorted > 0
-    xv[order[pos]] = c / phiE[pos]
-    yv[order[pos]] = z_sorted[pos] * phiE[pos] / c
-    x = z.with_values(xv)
-    y = z.with_values(yv)
-    notes = ("upper bound within factor 2 of the product norm",)
-    wit = _witness_from_pair(E, F, x, y, "constructive", notes)
-    return NormResult(wit.product, "upper_bound", wit, notes), wit
-
-
 def _safe_quotient(z: StepFunction, x: StepFunction) -> StepFunction:
     with np.errstate(divide="ignore", invalid="ignore"):
         yv = np.where(z.values > 0, z.values / np.where(x.values > 0, x.values, 1.0), 0.0)
     return z.with_values(yv)
 
 
-def _witness_from_pair(E, F, x, y, method, notes=()) -> FactorizationWitness:
-    nx = norm(E, x).value
-    ny = norm(F, y).value
-    return FactorizationWitness(x, y, nx, ny, nx * ny, method, notes=notes)
+def _bound(E, F, method, x, y, converged=True, notes=()):
+    """z = xy as a product value: both norms recomputed through ``norm``,
+    the witness equalized, its product an ``upper_bound`` if converged with
+    both factor norms ``exact`` or ``upper_bound``, else an ``estimate``."""
+    rx, ry = norm(E, x), norm(F, y)
+    wit = FactorizationWitness(x, y, rx.value, ry.value, rx.value * ry.value, method, notes=notes)
+    wit, certified = equalize_norms(wit, E, F), {rx.kind, ry.kind} <= {"exact", "upper_bound"}
+    if math.isinf(wit.product):
+        notes = ("every factorization tried has an infinite norm",)
+    else:
+        notes = (notes or ("certified by explicit factorization",)) if certified else notes + (_UNCERTIFIED,)
+        notes += () if converged else ("optimizer stopped before the improvement tolerance",)
+    return NormResult(wit.product, "upper_bound" if converged and certified else "estimate", wit, notes), wit
+
+
+def _split_is_optimal(S, a: float, z: StepFunction) -> bool:
+    """Whether z = (z psi(T)) (1/psi(T)), psi = t^a, attains the norm of z in
+    S ⊙ M*_psi.  On equal-width cells it does for the symmetric norms with
+    exact kernels that weak submajorization orders (Lidskii: log z* - log y*
+    is majorized by log z - log y).  On other cells it does for Lp with
+    a p <= 1, z falling and widths rising in cell order: moving a cell ahead
+    of an earlier one never lowers sum w z^p psi(T)^p, psi^p being concave."""
+    w, zv = z.space.widths, z.values
+    equal = bool(np.all(w == w[0]))
+    if isinstance(S, Lp) and is_symmetric(S):
+        return equal or (a * S.p <= 1.0 and bool(np.all(np.diff(w) >= 0.0) and np.all(np.diff(zv) <= 0.0)))
+    b = _power_exponent(S) if equal and isinstance(S, (LorentzLambda, LorentzLambdaP, Marcinkiewicz)) else None
+    if isinstance(S, LorentzLambdaP):
+        return b is not None and S.p >= 1.0 and 0.0 < b * S.p <= 1.0
+    return b is not None and 0.0 <= b <= 1.0
+
+
+def _comonotone_split(E, F, z: StepFunction):
+    """The split z = (z psi(T)) (1/psi(T)) of a product with a factor
+    M*_psi, psi = t^a, a >= 0, which takes 1/psi(T), of norm 1, or None.
+    With two such factors E takes it, within factor 2 of the product norm
+    (theorem 7 (i)); other partners only where ``_split_is_optimal``."""
+    a = [_power_exponent(S) if isinstance(S, MarcinkiewiczStar) else None for S in (E, F)]
+    a = [t if t is not None and t >= 0.0 else None for t in a]
+    if a == [None, None]:
+        return None
+    M, S, aM = (E, F, a[0]) if a[0] is not None else (F, E, a[1])
+    if None not in a:
+        notes = ("upper bound within factor 2 of the product norm",)
+    elif _split_is_optimal(S, aM, z):
+        notes = ("comonotone split with the sup-Marcinkiewicz factor at norm 1",)
+    else:
+        return None
+    psi = _mstar_levels(M.phi, z.values, z.space.widths)
+    level, rest = z.with_values(np.where(z.values > 0, 1.0 / psi, 0.0)), z.with_values(z.values * psi)
+    return _bound(E, F, "constructive", *((level, rest) if M is E else (rest, level)), notes=notes)
 
 
 def _closed_form(E, F, z: StepFunction):
     """The rewrite ``canonical(Product(E, F))`` as a value, with the witness
     x = z^s on supp z for the share s the rule reports.  A weighted Lebesgue
     pair (no share) balances its cell masses instead; without such a balance
-    only equal factors (split evenly) have a closed form.  Sup-Marcinkiewicz
-    pairs get a constructive bound."""
+    only equal factors (split evenly) have a closed form.  A factor M*_psi
+    gets the constructive ``_comonotone_split``."""
     rule = _product_rule(E, F)
     if rule is not None:
         target, s = rule
@@ -526,11 +553,9 @@ def _closed_form(E, F, z: StepFunction):
         if xv is not None:
             res = norm(target, z)
             x = z.with_values(np.where(z.values > 0, xv, 0.0))
-            wit = _witness_from_pair(E, F, x, _safe_quotient(z, x), "closed_form", notes)
+            wit = _bound(E, F, "closed_form", x, _safe_quotient(z, x), notes=notes)[1]
             return NormResult(res.value, res.kind, wit, res.notes + notes), wit
-    if isinstance(E, MarcinkiewiczStar) and isinstance(F, MarcinkiewiczStar):
-        return _closed_mstar_pair(E, F, z)
-    return None
+    return _comonotone_split(E, F, z)
 
 
 # ---------------------------------------------------------------------------
@@ -544,27 +569,14 @@ def product_norm(
     z: StepFunction,
     opts: Optional[dict] = None,
 ) -> tuple[NormResult, FactorizationWitness]:
-    """Certified upper bound on inf |x|_E |y|_F over factorizations z = xy."""
+    """Upper bound on inf |x|_E |y|_F over factorizations z = xy, with its witness."""
     o = _merge_opts(opts)
     if float(np.max(z.values, initial=0.0)) == 0.0:
         wit = _zero_witness(z)
         return NormResult(0.0, "exact", wit), wit
     Ec, Fc = canonical(E), canonical(F)
     hit = _closed_form(Ec, Fc, z)
-    if hit is not None:
-        res, wit = hit
-        wit = equalize_norms(wit, Ec, Fc)
-        return replace(res, witness=wit), wit
-    x, y, converged = _optimize_product(Ec, Fc, z, o)
-    wit = _witness_from_pair(Ec, Fc, x, y, "optimizer")
-    wit = equalize_norms(wit, Ec, Fc)
-    kind = "upper_bound" if converged else "estimate"
-    notes = ("certified by explicit factorization",)
-    if math.isinf(wit.product):
-        notes = ("every factorization tried has an infinite norm",)
-    elif not converged:
-        notes = notes + ("optimizer stopped before the improvement tolerance",)
-    return NormResult(wit.product, kind, wit, notes), wit
+    return hit if hit is not None else _bound(Ec, Fc, "optimizer", *_optimize_product(Ec, Fc, z, o))
 
 
 def equalize_norms(w: FactorizationWitness, E, F) -> FactorizationWitness:

@@ -69,6 +69,7 @@ _SPLIT_RTOL = 1e-10
 _INV_RTOL = 1e-12
 _RELATION_CAP = 1e8
 _UNBOUNDED = 1e30
+_TINY = 5e-324  # the smallest positive float: where a downward bracket search stops
 
 
 class _YoungBase:
@@ -519,7 +520,7 @@ class _Bracket:
                 self.lo, self.r_lo = t, r
                 return None
             if above and (self.stage == "down" or self.lo is None):
-                if t < 2e-300:
+                if t <= _TINY:
                     return t
                 self.t = self._move(t, r, self.hi if self.stage == "down" else None, self.r_hi, rtol, up=False)
                 self.hi, self.r_hi, self.stage = t, r, "down"
@@ -543,7 +544,7 @@ class _Bracket:
         far = t * self.step if up else t / self.step
         if up and far == math.inf:
             far = t * 2.0
-        far = max(far, 1e-300)
+        far = max(far, 1e-300 if t > 1e-300 else _TINY)  # 1e-300 first, as the normal-range search always did
         self.step *= self.step
         if t0 is not None and r != r0 and math.isfinite(r) and math.isfinite(r0):
             x = math.log(t)
@@ -556,7 +557,7 @@ class _Bracket:
 
     def _next(self, rtol: float) -> float | None:
         lo, hi = self.lo, self.hi
-        if hi - lo <= rtol * hi:
+        if hi - lo <= max(rtol * hi, _TINY):
             return hi
         la, lb = math.log(lo), math.log(hi)
         w = lb - la
@@ -575,7 +576,7 @@ class _Bracket:
         self.widths = self.widths[1:] + (w,)
         # at least rtol/2 inside each end: a step that lands on the
         # threshold is followed by one that closes the bracket
-        d = 0.5 * rtol * lo
+        d = max(0.5 * rtol * lo, _TINY)
         self.t = min(max(math.exp(x), lo + d), hi - d)
         return None
 

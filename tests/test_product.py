@@ -6,6 +6,7 @@ by hand; optimizer results are checked against the floors and targets
 that their certificates guarantee.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from bfslab import (
     FactorizationWitness,
     LInftyWeighted,
     LorentzLambda,
+    LorentzLambdaP,
     Lp,
     Marcinkiewicz,
     MarcinkiewiczStar,
@@ -34,12 +36,14 @@ from bfslab import (
     lozanovskii_factorize,
     multiplier_norm,
     norm,
+    norm_evaluator,
     orlicz_factor_witness,
     product_norm,
     unit_interval,
     witness_from_json,
     witness_to_json,
 )
+from bfslab import product as P
 from bfslab.weights import PowerLogWeight
 
 _FAST = {"max_sweeps": 300, "quick_sweeps": 25, "golden_iters": 10}
@@ -221,6 +225,97 @@ def test_supform_pair_constructive_band():
         assert wit.product >= big * 0.5 - 1e-9
         assert wit.product <= big * (1 + 1e-9)
         assert np.allclose(wit.x.values * wit.y.values, z.values, rtol=1e-12)
+
+
+# the comonotone split z = (z psi(T)) (1/psi(T)) against a factor M*_psi
+SPLIT_PARTNERS = {
+    "L1": Lp(1.0),
+    "L2": Lp(2.0),
+    "lambda_0.5": LorentzLambda(PowerWeight(0.5)),
+    "lambda_1": LorentzLambda(PowerWeight(1.0)),
+    "lambda_0.5_1": LorentzLambdaP(PowerWeight(0.5), 1.0),
+    "lambda_0.3_2": LorentzLambdaP(PowerWeight(0.3), 2.0),
+    "marc_0.3": Marcinkiewicz(PowerWeight(0.3)),
+}
+
+
+def _split_input(grid):
+    """counting(12) with random z and ~15 % zeros; decreasing z on the geometric grids."""
+    rng = np.random.default_rng(5)
+    vals = rng.uniform(0.1, 2.0, 12)
+    if grid == "counting":
+        vals[rng.uniform(size=12) < 0.15] = 0.0
+        return StepFunction(counting(12), vals)
+    return StepFunction(unit_interval(12) if grid == "unit" else half_line(12), np.sort(vals)[::-1])
+
+
+def _best_cell_order(S, alpha, z):
+    """min over cell orders s of |z psi(T^s)|_S, psi = t^alpha: the product
+    norm of z in S ⊙ M*_psi by brute force (for a fixed decreasing order of
+    y the largest y is 1/psi(T^s), and S is a lattice norm)."""
+    perms = np.array(list(itertools.permutations(range(z.space.n_cells))))
+    X = np.empty(perms.shape)
+    np.put_along_axis(X, perms, z.values[perms] * np.cumsum(z.space.widths[perms], axis=1) ** alpha, axis=1)
+    return float(norm_evaluator(S, z.space).fn(X).min())
+
+
+@pytest.mark.parametrize("grid", ["counting", "unit", "half"])
+@pytest.mark.parametrize("mstar_first", [False, True])
+@pytest.mark.parametrize("partner", sorted(SPLIT_PARTNERS))
+def test_comonotone_split_is_never_above_the_optimizer(monkeypatch, partner, mstar_first, grid):
+    S, M = SPLIT_PARTNERS[partner], MarcinkiewiczStar(PowerWeight(0.3))
+    E, F = (M, S) if mstar_first else (S, M)
+    z = _split_input(grid)
+    # equal cells fire for every partner; geometric cells only for Lp (alpha p <= 1)
+    fires = grid == "counting" or isinstance(S, Lp)
+
+    def no_optimizer(*args):
+        raise AssertionError("the split fires: the optimizer must not run")
+
+    with monkeypatch.context() as m:
+        if fires:
+            m.setattr(P, "_optimize_product", no_optimizer)
+        res, wit = product_norm(E, F, z)
+    assert wit.method == ("constructive" if fires else "optimizer")
+    if fires:
+        assert res.kind == "upper_bound" and res.value == wit.product
+        assert np.allclose(wit.x.values * wit.y.values, z.values, rtol=1e-12, atol=0.0)
+        monkeypatch.setattr(P, "_comonotone_split", lambda *args: None)
+        opt, owit = product_norm(E, F, z)
+        assert owit.method == "optimizer"
+        assert res.value <= opt.value * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("grid", [counting(6), unit_interval(6), half_line(6)])
+@pytest.mark.parametrize("partner", sorted(SPLIT_PARTNERS))
+def test_comonotone_split_attains_the_best_cell_order_where_it_fires(partner, grid):
+    S = SPLIT_PARTNERS[partner]
+    z = StepFunction(grid, np.sort(np.random.default_rng(8).uniform(0.1, 2.0, 6))[::-1])
+    res, wit = product_norm(S, MarcinkiewiczStar(PowerWeight(0.5)), z)
+    if wit.method == "constructive":
+        assert math.isclose(res.value, _best_cell_order(S, 0.5, z), rel_tol=1e-12)
+
+
+def test_comonotone_split_is_not_the_product_norm_on_geometric_cells():
+    # Lambda_{t^0.3, 2} x M*_{t^0.5} on unit_interval(6) with z = 1: another
+    # cell order beats the comonotone one by 0.47 %, so the split stays off
+    S, M = LorentzLambdaP(PowerWeight(0.3), 2.0), MarcinkiewiczStar(PowerWeight(0.5))
+    z = StepFunction(unit_interval(6), np.ones(6))
+    psi = P._mstar_levels(M.phi, z.values, z.space.widths)
+    split = norm(S, z.with_values(z.values * psi)).value
+    assert _best_cell_order(S, 0.5, z) < split * (1.0 - 4e-3)
+    assert product_norm(S, M, z)[1].method == "optimizer"
+
+
+def test_optimizer_products_are_estimates_when_a_factor_norm_is():
+    # the weights are not pure powers, so both factor kernels use quadrature
+    z = StepFunction(unit_interval(12), np.random.default_rng(0).uniform(0.5, 2.0, 12))
+    E, F = Lp(2.0, PowerLogWeight(0.5, 1.0)), LorentzLambda(PowerLogWeight(0.5, 1.0))
+    res, wit = product_norm(E, F, z)
+    assert wit.method == "optimizer" and norm(E, wit.x).kind == "estimate"
+    assert res.kind == "estimate"
+    assert any("factor norm is an estimate" in n for n in res.notes)
+    assert not any(n.startswith("certified") for n in res.notes)
 
 
 def test_power_scaling_identity_through_the_table():

@@ -6,6 +6,7 @@ quadratic-formula gauges.
 """
 
 import math
+import warnings
 from collections import OrderedDict
 
 import numpy as np
@@ -447,6 +448,28 @@ def test_luxemburg_gauge_of_zero_and_of_unattainable():
     capped = Capped(Power(1.0, 1.0), 0.5)
     x = StepFunction(ms, np.ones(8))
     assert modular(Lp(1.0), capped, x) == math.inf
+
+
+def test_gauge_search_runs_down_to_the_smallest_float():
+    # a subnormal gauge: the bracket search agrees with the closed form
+    ms = half_line(16)
+    fn = norm_evaluator(Lp(1.0), ms).fn
+    phi = ShiftedPower(1e10, 1.0, 1.0)
+    v = np.random.default_rng(3).uniform(0.0, 3.0, 16) * 1e-300
+    closed = spaces._luxemburg_value(fn, phi, v, ms.widths)
+    search = spaces._luxemburg_value(fn, phi, v)
+    assert closed < 1e-308
+    assert closed <= search <= closed * (1.0 + 1e-10)
+    assert fn(phi._eval(v / search)) <= 1.0 < fn(phi._eval(v / (0.5 * search)))
+
+
+def test_gauge_search_probes_raise_no_floating_point_warnings():
+    # probes far above the gauge overflow phi: a verdict, not a warning
+    x = StepFunction(half_line(16), np.random.default_rng(3).uniform(0.0, 3.0, 16) * 1e-100)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = norm(OrliczCL(Lp(1.0), ShiftedPower(0.4, 1e-300, 3.0)), x)
+    assert 0.0 < res.value < math.inf
 
 
 def test_luxemburg_requires_primitive_base():

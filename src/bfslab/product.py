@@ -514,10 +514,11 @@ def _split_is_optimal(S, a: float, z: StepFunction) -> bool:
 
 
 def _comonotone_split(E, F, z: StepFunction):
-    """The split z = (z psi(T)) (1/psi(T)) of a product with a factor
-    M*_psi, psi = t^a, a >= 0, which takes 1/psi(T), of norm 1, or None.
-    With two such factors E takes it, within factor 2 of the product norm
-    (theorem 7 (i)); other partners only where ``_split_is_optimal``."""
+    """The value (``_bound``) of the split z = (z psi(T)) (1/psi(T)) of a
+    product with a factor M*_psi, psi = t^a, a >= 0, which takes 1/psi(T),
+    of norm 1; or None.  With two such factors E takes it, within factor 2
+    of the product norm (theorem 7 (i)); with another partner it fires only
+    where ``_split_is_optimal``."""
     a = [_power_exponent(S) if isinstance(S, MarcinkiewiczStar) else None for S in (E, F)]
     a = [t if t is not None and t >= 0.0 else None for t in a]
     if a == [None, None]:

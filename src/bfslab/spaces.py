@@ -853,7 +853,8 @@ def _luxemburg_value(base_fn: Callable, phi: YoungFunction, v: np.ndarray, width
         # phi is infinite past b_phi, so no lam below top / b_phi fits,
         # and where the top cell hits the cap the gauge is that floor
         floor = top / phi.b_phi if math.isfinite(phi.b_phi) else None
-        with np.errstate(over="ignore"):  # a probe far above the gauge may overflow phi: that is a verdict, not an error
+        # a probe far above the gauge may overflow phi: a verdict, not an error
+        with np.errstate(over="ignore"):
             out[rows] = _threshold(probe, top if floor is None else np.maximum(top, 2.0 * floor), _LUX_RTOL, floor)
     return _out(out if v.ndim > 1 else out[0])
 

@@ -544,7 +544,8 @@ class _Bracket:
         far = t * self.step if up else t / self.step
         if up and far == math.inf:
             far = t * 2.0
-        far = max(far, 1e-300 if t > 1e-300 else _TINY)  # 1e-300 first, as the normal-range search always did
+        # a stop at 1e-300 first keeps the path of every search that ends above it
+        far = max(far, 1e-300 if t > 1e-300 else _TINY)
         self.step *= self.step
         if t0 is not None and r != r0 and math.isfinite(r) and math.isfinite(r0):
             x = math.log(t)

@@ -4,9 +4,9 @@ The product norm ``inf { |x|_E |y|_F : z = x y }`` has a closed form
 where ``canonical`` rewrites ``Product(E, F)`` by an exact identity
 (``spaces._product_rule``): the value is the norm of the rewritten
 space, and the witness splits z by the exponent share the rule reports.
-A factor M*_psi (pure power) gets the comonotone split z = (z psi(T)) *
-(1/psi(T)), T the measure up to each cell in z's decreasing order, where
-it is proven optimal, or within factor 2 for two such factors.
+Two factors M*_phi, M*_psi (pure powers) get the comonotone split
+z = (1/phi(T)) * (z phi(T)), T the measure up to each cell in z's
+decreasing order, within factor 2 of the product norm.
 Elsewhere lockstep multi-start coordinate descent over ``x = exp(u)`` on
 the support of z computes it: the seeded starts are the rows of one
 matrix, and their golden-section line searches share batched kernel
@@ -496,51 +496,25 @@ def _bound(E, F, method, x, y, converged=True, notes=()):
     return NormResult(wit.product, "upper_bound" if converged and certified else "estimate", wit, notes), wit
 
 
-def _split_is_optimal(S, a: float, z: StepFunction) -> bool:
-    """Whether z = (z psi(T)) (1/psi(T)), psi = t^a, attains the norm of z in
-    S ⊙ M*_psi.  On equal-width cells it does for the symmetric norms with
-    exact kernels that weak submajorization orders (Lidskii: log z* - log y*
-    is majorized by log z - log y).  On other cells it does for Lp with
-    a p <= 1, z falling and widths rising in cell order: moving a cell ahead
-    of an earlier one never lowers sum w z^p psi(T)^p, psi^p being concave."""
-    w, zv = z.space.widths, z.values
-    equal = bool(np.all(w == w[0]))
-    if isinstance(S, Lp) and is_symmetric(S):
-        return equal or (a * S.p <= 1.0 and bool(np.all(np.diff(w) >= 0.0) and np.all(np.diff(zv) <= 0.0)))
-    b = _power_exponent(S) if equal and isinstance(S, (LorentzLambda, LorentzLambdaP, Marcinkiewicz)) else None
-    if isinstance(S, LorentzLambdaP):
-        return b is not None and S.p >= 1.0 and 0.0 < b * S.p <= 1.0
-    return b is not None and 0.0 <= b <= 1.0
-
-
 def _comonotone_split(E, F, z: StepFunction):
-    """The value (``_bound``) of the split z = (z psi(T)) (1/psi(T)) of a
-    product with a factor M*_psi, psi = t^a, a >= 0, which takes 1/psi(T),
-    of norm 1; or None.  With two such factors E takes it, within factor 2
-    of the product norm (theorem 7 (i)); with another partner it fires only
-    where ``_split_is_optimal``."""
+    """M*_phi ⊙ M*_psi (phi, psi pure powers, exponents >= 0) as the value
+    (``_bound``) of the split z = (1/phi(T)) (z phi(T)), E's factor at
+    norm 1, within factor 2 of the product norm (theorem 7 (i)); or None."""
     a = [_power_exponent(S) if isinstance(S, MarcinkiewiczStar) else None for S in (E, F)]
-    a = [t if t is not None and t >= 0.0 else None for t in a]
-    if a == [None, None]:
+    if None in a or min(a) < 0.0:
         return None
-    M, S, aM = (E, F, a[0]) if a[0] is not None else (F, E, a[1])
-    if None not in a:
-        notes = ("upper bound within factor 2 of the product norm",)
-    elif _split_is_optimal(S, aM, z):
-        notes = ("comonotone split with the sup-Marcinkiewicz factor at norm 1",)
-    else:
-        return None
-    psi = _mstar_levels(M.phi, z.values, z.space.widths)
-    level, rest = z.with_values(np.where(z.values > 0, 1.0 / psi, 0.0)), z.with_values(z.values * psi)
-    return _bound(E, F, "constructive", *((level, rest) if M is E else (rest, level)), notes=notes)
+    phi = _mstar_levels(E.phi, z.values, z.space.widths)
+    x = z.with_values(np.where(z.values > 0, 1.0 / phi, 0.0))
+    notes = ("upper bound within factor 2 of the product norm",)
+    return _bound(E, F, "constructive", x, z.with_values(z.values * phi), notes=notes)
 
 
 def _closed_form(E, F, z: StepFunction):
     """The rewrite ``canonical(Product(E, F))`` as a value, with the witness
     x = z^s on supp z for the share s the rule reports.  A weighted Lebesgue
     pair (no share) balances its cell masses instead; without such a balance
-    only equal factors (split evenly) have a closed form.  A factor M*_psi
-    gets the constructive ``_comonotone_split``."""
+    only equal factors (split evenly) have a closed form.  Two sup-
+    Marcinkiewicz factors get the constructive ``_comonotone_split``."""
     rule = _product_rule(E, F)
     if rule is not None:
         target, s = rule

@@ -227,7 +227,8 @@ def test_supform_pair_constructive_band():
         assert np.allclose(wit.x.values * wit.y.values, z.values, rtol=1e-12)
 
 
-# the comonotone split z = (z psi(T)) (1/psi(T)) against a factor M*_psi
+# a partner of M*_psi runs the optimizer, seeded with the comonotone split
+# z = (z psi(T)) (1/psi(T)), whose M* factor has norm 1
 SPLIT_PARTNERS = {
     "L1": Lp(1.0),
     "L2": Lp(2.0),
@@ -249,6 +250,11 @@ def _split_input(grid):
     return StepFunction(unit_interval(12) if grid == "unit" else half_line(12), np.sort(vals)[::-1])
 
 
+def _split_value(S, M, z):
+    """|z psi(T)|_S: the value of the comonotone split of z in S ⊙ M*_psi."""
+    return norm(S, z.with_values(z.values * P._mstar_levels(M.phi, z.values, z.space.widths))).value
+
+
 def _best_cell_order(S, alpha, z):
     """min over cell orders s of |z psi(T^s)|_S, psi = t^alpha: the product
     norm of z in S ⊙ M*_psi by brute force (for a fixed decreasing order of
@@ -262,49 +268,51 @@ def _best_cell_order(S, alpha, z):
 @pytest.mark.parametrize("grid", ["counting", "unit", "half"])
 @pytest.mark.parametrize("mstar_first", [False, True])
 @pytest.mark.parametrize("partner", sorted(SPLIT_PARTNERS))
-def test_comonotone_split_is_never_above_the_optimizer(monkeypatch, partner, mstar_first, grid):
+def test_optimizer_is_never_above_its_comonotone_seed(partner, mstar_first, grid):
     S, M = SPLIT_PARTNERS[partner], MarcinkiewiczStar(PowerWeight(0.3))
     E, F = (M, S) if mstar_first else (S, M)
     z = _split_input(grid)
-    # equal cells fire for every partner; geometric cells only for Lp (alpha p <= 1)
-    fires = grid == "counting" or isinstance(S, Lp)
-
-    def no_optimizer(*args):
-        raise AssertionError("the split fires: the optimizer must not run")
-
-    with monkeypatch.context() as m:
-        if fires:
-            m.setattr(P, "_optimize_product", no_optimizer)
-        res, wit = product_norm(E, F, z)
-    assert wit.method == ("constructive" if fires else "optimizer")
-    if fires:
-        assert res.kind == "upper_bound" and res.value == wit.product
-        assert np.allclose(wit.x.values * wit.y.values, z.values, rtol=1e-12, atol=0.0)
-        monkeypatch.setattr(P, "_comonotone_split", lambda *args: None)
-        opt, owit = product_norm(E, F, z)
-        assert owit.method == "optimizer"
-        assert res.value <= opt.value * (1.0 + 1e-12)
+    res, wit = product_norm(E, F, z)
+    assert wit.method == "optimizer" and res.kind == "upper_bound"
+    assert np.allclose(wit.x.values * wit.y.values, z.values, rtol=1e-12, atol=0.0)
+    assert res.value <= _split_value(S, M, z) * (1.0 + 1e-12)
 
 
 @pytest.mark.parametrize("grid", [counting(6), unit_interval(6), half_line(6)])
 @pytest.mark.parametrize("partner", sorted(SPLIT_PARTNERS))
-def test_comonotone_split_attains_the_best_cell_order_where_it_fires(partner, grid):
-    S = SPLIT_PARTNERS[partner]
+def test_optimizer_attains_the_best_cell_order_where_its_seed_is_optimal(partner, grid):
+    # the split is the product norm on equal-width cells (Lidskii), and for
+    # Lp with alpha p <= 1 on decreasing z over widths that do not fall
+    S, M = SPLIT_PARTNERS[partner], MarcinkiewiczStar(PowerWeight(0.5))
     z = StepFunction(grid, np.sort(np.random.default_rng(8).uniform(0.1, 2.0, 6))[::-1])
-    res, wit = product_norm(S, MarcinkiewiczStar(PowerWeight(0.5)), z)
-    if wit.method == "constructive":
-        assert math.isclose(res.value, _best_cell_order(S, 0.5, z), rel_tol=1e-12)
+    best, value = _best_cell_order(S, 0.5, z), product_norm(S, M, z)[0].value
+    assert best * (1.0 - 1e-12) <= value <= _split_value(S, M, z) * (1.0 + 1e-12)
+    if np.all(grid.widths == grid.widths[0]) or isinstance(S, Lp):
+        assert np.all(np.diff(grid.widths) >= 0.0)
+        assert math.isclose(value, best, rel_tol=1e-12)
 
 
 def test_comonotone_split_is_not_the_product_norm_on_geometric_cells():
     # Lambda_{t^0.3, 2} x M*_{t^0.5} on unit_interval(6) with z = 1: another
-    # cell order beats the comonotone one by 0.47 %, so the split stays off
+    # cell order beats the comonotone one by 0.47 %, so the split is only a seed
     S, M = LorentzLambdaP(PowerWeight(0.3), 2.0), MarcinkiewiczStar(PowerWeight(0.5))
     z = StepFunction(unit_interval(6), np.ones(6))
-    psi = P._mstar_levels(M.phi, z.values, z.space.widths)
-    split = norm(S, z.with_values(z.values * psi)).value
+    split = _split_value(S, M, z)
     assert _best_cell_order(S, 0.5, z) < split * (1.0 - 4e-3)
-    assert product_norm(S, M, z)[1].method == "optimizer"
+    assert product_norm(S, M, z)[0].value <= split * (1.0 + 1e-12)
+
+
+def test_sup_marcinkiewicz_pair_runs_no_optimizer(monkeypatch):
+    def no_optimizer(*args):
+        raise AssertionError("the comonotone split fires: the optimizer must not run")
+
+    monkeypatch.setattr(P, "_optimize_product", no_optimizer)
+    z = _split_input("counting")
+    M1, M2 = MarcinkiewiczStar(PowerWeight(0.3)), MarcinkiewiczStar(PowerWeight(0.0))
+    for E, F in ((M1, M2), (M2, M1)):
+        res, wit = product_norm(E, F, z)
+        assert (wit.method, res.kind) == ("constructive", "upper_bound")
+        assert math.isclose(norm(E, wit.x).value, norm(F, wit.y).value, rel_tol=1e-12)
 
 
 def test_optimizer_products_are_estimates_when_a_factor_norm_is():

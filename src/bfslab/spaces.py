@@ -73,7 +73,7 @@ from .weights import (
     weight_from_json,
     weight_to_json,
 )
-from .young import Power, ShiftedPower, YoungFunction, _log, _threshold, young_from_json, young_to_json
+from .young import Power, ShiftedPower, YoungFunction, _as_power, _hoelder, _log, _threshold, young_from_json, young_to_json
 
 __all__ = [
     "Lp",
@@ -331,12 +331,6 @@ def _weight_or_none(w: Optional[Weight]) -> Optional[Weight]:
     return w
 
 
-def _hoelder(p: float, q: float) -> float:
-    """``r`` with ``1/r = 1/p + 1/q``, taking ``1/inf = 0``."""
-    inv = 1.0 / p + 1.0 / q
-    return math.inf if inv == 0.0 else 1.0 / inv
-
-
 def _is_plain_sup(space: SpaceDescriptor) -> bool:
     return isinstance(space, Lp) and math.isinf(space.p) and space.weight is None
 
@@ -404,7 +398,7 @@ def canonical(space: SpaceDescriptor) -> SpaceDescriptor:
         return Convexification(base, p)
     if isinstance(space, OrliczCL):
         base = canonical(space.base)
-        phi = space.phi
+        phi = _as_power(space.phi) or space.phi
         if isinstance(phi, Power):
             if phi.c == 1.0 and phi.p == 1.0:
                 return base

@@ -389,12 +389,13 @@ def _suite_oplus_sandwich(cfg: SuiteConfig) -> list:
 def _suite_theorem6(cfg: SuiteConfig) -> list:
     """Products of gauge spaces against the inf-convolution target.
 
-    The target gauge always runs through the numeric inf-convolution,
-    so the composition machinery is exercised on every instance even
-    when the factor pair itself collapses to Lebesgue arithmetic.  The
-    subtraction-built complement is validated against its closed-form
-    power first, and the factorization then uses the closed form: the
-    raw subtraction gauge is far too slow for the optimizer inner loop.
+    For two powers (``squares``, ``p3_p15``) the target's ⊕ is a power by
+    the Hoelder rule, so its gauge is an exact Lebesgue norm; the
+    ``shifted`` target runs through the numeric inf-convolution, so the
+    composition machinery stays exercised.  The subtraction-built
+    complement is validated against its closed-form power first, and the
+    factorization then uses the closed form: the raw subtraction gauge is
+    far too slow for the optimizer inner loop.
     """
     out = []
     ms = unit_interval(cfg.n(24))

@@ -16,20 +16,28 @@ and its partial inverse
 
     (phi (-) phi1)(u) = sup over v of phi(u * v) - phi1(v),
 
-both evaluated for every cell of an argument array at once: one
-512-point log-grid scan per cell, symmetric for (+), then rescans of the
-bracket around each cell's best point on a grid of the same size until
-it is 1e-10 narrow in log (about four rescans).  Cells go in blocks of
-bounded size.  Convexity is not guaranteed for these two node kinds, so
-sampled convexity checks exempt them.
+A (+) of two power atoms is a power atom by the Hoelder rule
+
+    c1 u^p (+) c2 u^q = K u^r,  1/r = 1/p + 1/q,
+    K = (p + q) (c1/q)^(q/(p+q)) (c2/p)^(p/(p+q)),
+
+the Young-function side of L^p . L^q = L^r (``_as_power``; kept where
+r >= 1).  Every other (+) and every (-) is evaluated for every cell of
+an argument array at once: one 512-point log-grid scan per cell,
+symmetric for (+), widened past a window end where the values still
+fall there, then rescans of the bracket around each cell's best point on
+a grid of the same size until it is 1e-10 narrow in log (about four
+rescans).  Cells go in blocks of bounded size.  Convexity is not
+guaranteed for these two node kinds, so sampled convexity checks exempt
+them.
 
 Inverses are right-continuous: ``inverse(phi, v) = inf { u : phi(u) > v }``,
-computed in closed form for power atoms and otherwise by ``_threshold``,
-the one bracket search, which the Luxemburg gauges of
-:mod:`bfslab.spaces` share.  It runs many rows in lockstep and narrows
-each bracket by safeguarded secant steps of the Illinois kind on
-(log t, log residual), falling back to the geometric midpoint; it
-returns the bracket's upper end.
+computed in closed form for power atoms (a (+) of two powers among them)
+and otherwise by ``_threshold``, the one bracket search, which the
+Luxemburg gauges of :mod:`bfslab.spaces` share.  It runs many rows in
+lockstep and narrows each bracket by safeguarded secant steps of the
+Illinois kind on (log t, log residual), falling back to the geometric
+midpoint; it returns the bracket's upper end.
 """
 
 from __future__ import annotations
@@ -70,6 +78,7 @@ _INV_RTOL = 1e-12
 _RELATION_CAP = 1e8
 _UNBOUNDED = 1e30
 _TINY = 5e-324  # the smallest positive float: where a downward bracket search stops
+_V_RANGE = (1e-300, 1e300)  # how far a scan window may widen
 
 
 class _YoungBase:
@@ -255,14 +264,38 @@ def _log_grid(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return grid
 
 
-def _log_scan(obj, u: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+def _log_scan(obj, u: np.ndarray, lo: np.ndarray, hi: np.ndarray, floor=None, ceil=None):
     """``obj(v, u)`` on the log grid of each cell's window [lo, hi] (one
     window may serve every cell): the values, each cell's argmin k, and
-    the bracket of k's neighbours."""
+    the bracket of k's neighbours.
+
+    Given the domain [floor, ceil] of v (arrays or floats), a cell whose
+    values fall strictly to a window end inside the domain and ``_V_RANGE``
+    is scanned again on its window doubled in log width past that end,
+    until its argmin is interior or at a bound.  Other cells are scanned
+    once.
+    """
     grid = _log_grid(lo, hi)
     vals = obj(grid, u[:, None])
-    k = vals.argmin(-1)
     grid = np.broadcast_to(grid, vals.shape)
+    k = vals.argmin(-1)
+    while floor is not None and ((k == 0) | (k == _OPLUS_GRID - 1)).any():
+        lo_lim = np.broadcast_to(np.maximum(floor, _V_RANGE[0]), u.shape)
+        hi_lim = np.broadcast_to(np.minimum(ceil, _V_RANGE[1]), u.shape)
+        down = (k == 0) & (vals[:, 0] < vals[:, 1]) & (grid[:, 0] > lo_lim)
+        up = (k == _OPLUS_GRID - 1) & (vals[:, -1] < vals[:, -2]) & (grid[:, -1] < hi_lim)
+        rows = np.flatnonzero(down | up)
+        if not rows.size:
+            break
+        a, b = grid[rows, 0], grid[rows, -1]
+        span = np.maximum(b / a, 2.0)
+        a = np.where(down[rows], np.maximum(a / span, lo_lim[rows]), a)
+        b = np.where(up[rows], np.minimum(b * span, hi_lim[rows]), b)
+        if not grid.flags.writeable:
+            grid = grid.copy()
+        grid[rows] = _log_grid(a, b)
+        vals[rows] = obj(grid[rows], u[rows, None])
+        k[rows] = vals[rows].argmin(-1)
     r = np.arange(k.size)
     return vals, k, grid[r, np.maximum(k - 1, 0)], grid[r, np.minimum(k + 1, _OPLUS_GRID - 1)]
 
@@ -286,6 +319,35 @@ def _rescan(obj, u: np.ndarray, best: np.ndarray, lo: np.ndarray, hi: np.ndarray
             vals, k, lo, hi = _log_scan(obj, u[rows], lo, hi)
             best[rows] = np.minimum(best[rows], vals[np.arange(rows.size), k])
     return best
+
+
+def _hoelder(p: float, q: float) -> float:
+    """``r`` with ``1/r = 1/p + 1/q``, taking ``1/inf = 0``: the exponent
+    of ``L^p . L^q`` and of ``u^p (+) u^q``."""
+    inv = 1.0 / p + 1.0 / q
+    return math.inf if inv == 0.0 else 1.0 / inv
+
+
+def _as_power(phi: "YoungFunction") -> "Power | None":
+    """``phi`` as one power atom, or None.
+
+    A (+) of two nodes that are power atoms (after this same collapse) is
+    ``K u^r`` by the Hoelder rule in the module docstring; it counts when
+    r >= 1 and K is finite and positive.  The pair is read from
+    ``Oplus._children``, so swapped operands give the same atom bit for
+    bit.
+    """
+    if isinstance(phi, Power):
+        return phi
+    if not isinstance(phi, Oplus):
+        return None
+    f, g = (_as_power(c) for c in phi._children)
+    if f is None or g is None:
+        return None
+    p, q = f.p, g.p
+    r, s = _hoelder(p, q), p + q
+    K = s * (f.c / q) ** (q / s) * (g.c / p) ** (p / s)
+    return Power(K, r) if r >= 1.0 and 0.0 < K < math.inf else None
 
 
 class _Splitting(_YoungBase):
@@ -314,10 +376,13 @@ class _Splitting(_YoungBase):
 class Oplus(_Splitting):
     """Infimal product splitting of two Young functions.
 
-    Evaluation minimises ``phi1(v) + phi2(u / v)`` over a log grid that
-    is symmetric under ``v -> u / v`` (so the operation is exactly
-    commutative), followed by rescans around the best point.  Not convex
-    in general; exempt from convexity checks.
+    Two power atoms (or nodes that collapse to them) give a power atom by
+    the Hoelder rule, ``c1 u^p (+) c2 u^q = K u^r`` with 1/r = 1/p + 1/q,
+    where r >= 1 (``_as_power``).  Any other pair minimises
+    ``phi1(v) + phi2(u / v)`` over a log grid that is symmetric under
+    ``v -> u / v``, followed by rescans around the best point.  Both read
+    the operands in ``_children`` order, so the operation is exactly
+    commutative.  Not convex in general; exempt from convexity checks.
     """
 
     phi1: "YoungFunction"
@@ -345,6 +410,9 @@ class Oplus(_Splitting):
         return _at(self._eval, u)
 
     def _cells(self, u):
+        power = _as_power(self)
+        if power is not None:
+            return power._eval(u)
         f, g = self._children
         zero = (u == 0.0) | (u <= self.a_phi)
         out = np.where(zero, 0.0, np.where(u > self.b_phi, math.inf, u))  # NaN stays NaN
@@ -366,7 +434,7 @@ class Oplus(_Splitting):
             w = u / v
             return np.where((v <= b1) & (w <= b2), f._eval(v) + g._eval(w), math.inf)
 
-        vals, k, blo, bhi = _log_scan(obj, u, lo, hi)
+        vals, k, blo, bhi = _log_scan(obj, u, lo, hi, u / b2, b1)
         best = vals[np.arange(u.size), k]
         # Boundary candidates where one factor sits exactly at its
         # vanishing threshold.
@@ -446,13 +514,17 @@ class Ominus(_Splitting):
             g1 = phi1._eval(v)
             return np.where(np.isfinite(g1), g1 - phi._eval(u * v), math.inf)
 
-        # one window for every cell: phi1 is evaluated on a single grid row
-        neg, k, blo, bhi = _log_scan(obj, u, np.array([lo]), np.array([hi]))
-        low = neg[np.arange(u.size), k]
+        # one first window for every cell: phi1 is evaluated on a single grid row
+        neg, k, blo, bhi = _log_scan(obj, u, np.array([lo]), np.array([hi]), 0.0, b1)
+        r = np.arange(u.size)
+        low = neg[r, k]
         unbounded = low == -math.inf
         if math.isinf(b1):
-            # Unbounded growth at the top edge of the window.
-            edge = (k >= _OPLUS_GRID - 2) & (np.diff(neg[:, -3:]) < 0).all(-1)
+            # Unbounded growth: a strict fall over the last two steps to the
+            # row's last finite value (at the end of the widest window, or
+            # where phi1 or phi overflows).
+            last = _OPLUS_GRID - 1 - np.isfinite(neg[:, ::-1]).argmax(-1)
+            edge = (k == last) & (k >= 2) & (neg[r, k - 2] > neg[r, k - 1]) & (neg[r, k - 1] > low)
             big = (-low > _UNBOUNDED) | (-low > 1e3 * np.maximum(np.abs(neg[:, _OPLUS_GRID // 2]), 1e-300))
             unbounded |= edge & big
         fin = np.flatnonzero(~unbounded & np.isfinite(low))
@@ -629,6 +701,7 @@ def _threshold(probe, hi, rtol: float, floor=None) -> np.ndarray:
 
 def _inverse(phi: YoungFunction, v: np.ndarray) -> np.ndarray:
     """``inf { u : phi(u) > v }`` for every target of the flat array ``v``."""
+    phi = _as_power(phi) or phi
     if isinstance(phi, (Power, ShiftedPower)):
         return np.array([phi.inverse_exact(x) for x in v.tolist()])
     if isinstance(phi, Capped):

@@ -149,6 +149,8 @@ GAUGE_PHIS = {
     # values reach 3, so the cap binds on some rows and not on others
     "capped": Capped(Power(1.0, 2.0), 2.0),
     "oplus": oplus(Power(1.0, 3.0), Power(1.0, 1.5)),
+    # no Hoelder pair: the numeric scan under the gauge search
+    "oplus_shifted": oplus(ShiftedPower(0.3, 1.0, 2.0), Power(1.0, 2.0)),
     "ominus": ominus(Power(1.0, 2.0), Power(1.0, 4.0)),
 }
 

@@ -10,18 +10,24 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import bfslab.spaces as spaces
+import bfslab.young as young
 from bfslab import (
     Capped,
     Lp,
     Ominus,
     Oplus,
+    OrliczCL,
     Power,
+    PowerWeight,
     ShiftedPower,
     StepFunction,
     YoungMax,
     YoungSum,
+    canonical,
     check_condition_power_bound,
     check_relation,
     inverse,
@@ -29,6 +35,7 @@ from bfslab import (
     is_midpoint_convex_sampled,
     luxemburg_norm,
     modular,
+    norm,
     ominus,
     oplus,
     unit_interval,
@@ -232,6 +239,109 @@ def test_oplus_respects_null_zone_and_cap():
 
 
 # ---------------------------------------------------------------------------
+# the Hoelder rule: a (+) of two powers is a power
+
+
+def _hoelder_constant(c1, p, c2, q):
+    # K of c1 u^p (+) c2 u^q = K u^r, from the stationary split at u = 1:
+    # p c1 v^p = q c2 v^-q gives v^(p+q) = q c2 / (p c1)
+    v = (q * c2 / (p * c1)) ** (1.0 / (p + q))
+    return c1 * v**p + c2 * v**-q
+
+
+def _scans(monkeypatch):
+    calls = []
+    scan = young._log_scan
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return scan(*args, **kwargs)
+
+    monkeypatch.setattr(young, "_log_scan", counted)
+    return calls
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    lc1=st.floats(-3.0, 3.0),
+    lc2=st.floats(-3.0, 3.0),
+    p=st.floats(1.0, 8.0),
+    q=st.floats(1.0, 8.0),
+)
+def test_oplus_of_two_powers_is_the_hoelder_power(lc1, lc2, p, q):
+    c1, c2 = 10.0**lc1, 10.0**lc2
+    r = p * q / (p + q)
+    assume(r >= 1.0)
+    a, b = Power(c1, p), Power(c2, q)
+    us = np.geomspace(1e-3, 1e3, 7)
+    got = Oplus(a, b)(us)
+    want = _hoelder_constant(c1, p, c2, q) * us**r
+    assert np.allclose(got, want, rtol=1e-12, atol=0.0), (got, want)
+    vs = np.geomspace(1e-12, 1e12, 200_001)
+    for u, val in zip(us, got):
+        brute = float(np.min(c1 * vs**p + c2 * (u / vs) ** q))
+        assert val <= brute * (1 + 1e-12), (u, val, brute)
+    assert np.array_equal(got, Oplus(b, a)(us))
+
+
+def test_nested_power_pairs_collapse_commutatively():
+    a, b, c = Power(1.0, 3.0), Power(2.0, 4.0), Power(0.5, 6.0)
+    left, right = Oplus(Oplus(a, b), c), Oplus(c, Oplus(b, a))
+    us = np.geomspace(1e-6, 1e6, 25)
+    assert np.array_equal(left(us), right(us))
+    # 1/r = 1/3 + 1/4 + 1/6 and the constants compose pairwise
+    inner = _hoelder_constant(1.0, 3.0, 2.0, 4.0)
+    want = _hoelder_constant(inner, 12.0 / 7.0, 0.5, 6.0) * us ** (4.0 / 3.0)
+    assert np.allclose(left(us), want, rtol=1e-12, atol=0.0)
+
+
+def test_orlicz_space_of_a_power_pair_is_an_exact_lebesgue_space():
+    phi = oplus(Power(1.0, 3.0), Power(1.0, 1.5))
+    k = _hoelder_constant(1.0, 3.0, 1.0, 1.5)
+    sp = canonical(OrliczCL(Lp(1.0), phi))
+    assert sp.p == 1.0 and sp.weight.alpha == 0.0
+    assert math.isclose(sp.weight.coef, k, rel_tol=1e-14)
+    assert sp == Lp(1.0, PowerWeight(0.0, young._as_power(phi).c))
+    x = StepFunction(unit_interval(8), np.linspace(3.0, 0.5, 8))
+    res = norm(OrliczCL(Lp(1.0), phi), x)
+    assert res.kind == "exact"
+    assert math.isclose(res.value, k * norm(Lp(1.0), x).value, rel_tol=1e-14)
+
+
+def test_inverse_of_a_power_pair_is_the_exact_power_inverse():
+    phi = oplus(Power(2.0, 2.0), Power(0.5, 4.0))
+    power = young._as_power(phi)
+    assert power.p == 4.0 / 3.0
+    targets = np.geomspace(1e-6, 1e6, 31)
+    want = np.array([power.inverse_exact(t) for t in targets])
+    assert np.array_equal(inverse_batch(phi, targets), want)
+    assert inverse(phi, 3.0) == power.inverse_exact(3.0)
+
+
+@pytest.mark.parametrize(
+    "phi",
+    [
+        oplus(Power(1.0, 1.0), Power(1.0, 2.0)),  # r = 2/3 < 1
+        oplus(ShiftedPower(0.3, 1.0, 2.0), Power(1.0, 2.0)),
+        oplus(Capped(Power(1.0, 2.0), 4.0), Power(1.0, 2.0)),
+    ],
+    ids=["linear_square", "shifted", "capped"],
+)
+def test_other_pairs_still_run_the_scan(phi, monkeypatch):
+    assert young._as_power(phi) is None
+    calls = _scans(monkeypatch)
+    phi(np.array([0.5, 2.0]))
+    assert calls
+
+
+def test_power_pairs_run_no_scan(monkeypatch):
+    calls = _scans(monkeypatch)
+    oplus(Power(1.0, 2.0), Power(1.0, 2.0))(np.geomspace(1e-3, 1e3, 40))
+    Oplus(Oplus(Power(1.0, 4.0), Power(1.0, 4.0)), Power(1.0, 2.0))(np.array([1.0]))  # K u^2 (+) u^2
+    assert not calls
+
+
+# ---------------------------------------------------------------------------
 # array evaluation
 
 
@@ -244,6 +354,8 @@ _NODES = {
     "oplus": Oplus(Power(1.0, 3.0), Power(1.0, 1.5)),
     "ominus": Ominus(Power(1.0, 1.0), Power(1.0, 2.0)),
     "nested_oplus": Oplus(Oplus(Power(1.0, 2.0), Power(1.0, 2.0)), Capped(Power(1.0, 2.0), 4.0)),
+    # the inner pair is no Hoelder pair, so nesting runs the numeric scan twice
+    "nested_oplus_shifted": Oplus(Oplus(ShiftedPower(0.3, 1.0, 2.0), Power(1.0, 2.0)), Capped(Power(1.0, 2.0), 4.0)),
 }
 
 
@@ -368,6 +480,7 @@ _SPLITTING_NODES = {
     "oplus": Oplus(Power(1.0, 3.0), Power(1.0, 1.5)),
     "ominus": Ominus(Power(1.0, 1.0), Power(1.0, 2.0)),
     "nested_oplus": Oplus(Oplus(Power(1.0, 2.0), Power(1.0, 2.0)), Capped(Power(1.0, 2.0), 4.0)),
+    "nested_oplus_shifted": Oplus(Oplus(ShiftedPower(0.3, 1.0, 2.0), Power(1.0, 2.0)), Capped(Power(1.0, 2.0), 4.0)),
     "oplus_null_zone": Oplus(ShiftedPower(2.0, 1.0, 2.0), Capped(Power(1.0, 2.0), 5.0)),
     "ominus_square_quartic": Ominus(Power(1.0, 2.0), Power(1.0, 4.0)),
 }
@@ -376,7 +489,7 @@ _SPLITTING_NODES = {
 @pytest.mark.parametrize("name", sorted(_SPLITTING_NODES))
 def test_splitting_nodes_agree_with_the_scan_and_golden_reference(name):
     phi = _SPLITTING_NODES[name]
-    us = np.geomspace(1e-2, 1e2, 3 if name == "nested_oplus" else 9)
+    us = np.geomspace(1e-2, 1e2, 3 if name.startswith("nested") else 9)
     got = phi(us)
     want = np.array([_reference_eval(phi, np.array([u]))[0] for u in us])
     assert np.all(want > 0)
@@ -425,7 +538,7 @@ def test_gauges_bracket_the_threshold_in_few_modular_evaluations(name, monkeypat
     monkeypatch.setattr(spaces, "_threshold", counted)
     ms = unit_interval(12)
     # a nested node costs about 2,500 inner cells per cell: one profile
-    for i, gamma in enumerate((0.2,) if name == "nested_oplus" else (0.05, 0.2, 0.35)):
+    for i, gamma in enumerate((0.2,) if name.startswith("nested") else (0.05, 0.2, 0.35)):
         x = _decreasing_profile(ms, gamma, i)
         steps.clear()
         lam = luxemburg_norm(Lp(1.0), phi, x).value
@@ -447,6 +560,22 @@ def test_ominus_of_equal_squares_is_a_step():
     assert phi.eval_scalar(1.5) == math.inf
     assert phi.eval_scalar(4.0) == math.inf
     assert 0.9 <= phi.a_phi <= 1.1
+
+
+def test_ominus_beyond_the_first_window_is_finite():
+    # sup_v u^2 v^2 - v^4 = u^4/4 at v = u/sqrt(2): outside [1e-8, 1e8]
+    phi = ominus(Power(1.0, 2.0), Power(1.0, 4.0))
+    for u in (1e9, 1e-9):
+        assert math.isclose(phi.eval_scalar(u), u**4 / 4.0, rel_tol=1e-9)
+    # the window widens, but a sup that is infinite stays infinite
+    step = ominus(Power(1.0, 2.0), Power(1.0, 2.0))
+    assert np.array_equal(step(np.array([1e-9, 0.5, 1.0, 1.0 + 1e-7, 2.0, 1e6])), [0, 0, 0, np.inf, np.inf, np.inf])
+
+
+def test_oplus_split_beyond_the_first_window():
+    # c1 = 1e-40 puts the best split at v = 1e10, past sqrt(u) * 1e9
+    phi = oplus(ShiftedPower(0.0, 1e-40, 2.0), Power(1.0, 2.0))
+    assert math.isclose(phi.eval_scalar(1.0), 2e-20, rel_tol=1e-9)
 
 
 def test_ominus_linear_minus_square_is_quarter_square():

@@ -188,9 +188,13 @@ def _call_rows(*fns) -> int:
 
     A kernel that runs row by row (``spaces._rowwise``) has no per-call
     cost to share: a batch of k rows costs k calls.  An objective over
-    one gets 0, so its searches take one golden step per call.
+    one gets 0, so its searches take one golden step per call.  Else the
+    largest of the kernels' costs counts: a kernel's own ``call_rows``
+    where it declares one, ``_CALL_ROWS`` where it does not.
     """
-    return 0 if any(getattr(fn, "rowwise", False) for fn in fns) else _CALL_ROWS
+    if any(getattr(fn, "rowwise", False) for fn in fns):
+        return 0
+    return max(getattr(fn, "call_rows", _CALL_ROWS) for fn in fns)
 
 
 @functools.lru_cache(maxsize=1024)

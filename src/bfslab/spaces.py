@@ -109,6 +109,9 @@ __all__ = [
 ]
 
 _LUX_RTOL = 1e-10
+# fixed cost of one closed-form shifted-power gauge call, in rows: about
+# 85 us against 1.5 us a row at n = 8 (read by product._call_rows)
+_SHIFTED_GAUGE_CALL_ROWS = 56
 
 
 # ---------------------------------------------------------------------------
@@ -763,6 +766,9 @@ def _compile(space: SpaceDescriptor, mspace: MeasureSpace) -> Optional[_Compiled
         def _lux(v, base_fn=basec.fn, phi=phi, wd=widths if closed else None):
             return _luxemburg_value(base_fn, phi, v, wd)
 
+        if closed:
+            _lux.call_rows = _SHIFTED_GAUGE_CALL_ROWS
+
         note = "shifted-power gauge in closed form" if closed else f"luxemburg gauge, secant bracket search, rtol {_LUX_RTOL:g}"
         return _CompiledNorm(_lux, "exact" if closed else "estimate", basec.notes + (note,))
 
@@ -859,16 +865,18 @@ def _shifted_power_rows(base_fn: Callable, phi: ShiftedPower, widths: np.ndarray
     widths w alike), the top-j piece ``c * sum_{i<=j} w_i (x*_i mu - a)^p``
     is at most the modular where mu >= a/x*_j, with equality at the j
     active at the gauge: so mu = min_j max(mu_j, a/x*_j), mu_j the piece's
-    (larger) root.  A Newton step on the modular polishes it.  The modular
-    through ``base_fn`` is monotone in lam (each rounding is), and the
-    result is the least float where it is <= 1: each step probes five
-    points a row, lam and 2 ulps either side, then growing strides past the
-    one known end of the bracket or sixths inside it, until the ends are
-    adjacent.  A root that is not finite and positive goes to the search."""
-    a, c, p, K = phi.a, phi.c, phi.p, np.arange(1.0, 6.0)
+    (larger) root.  A Newton step on the modular polishes it, to within 4
+    ulps of the result on every optimizer row measured.  The modular through ``base_fn`` is
+    monotone in lam (each rounding is), and the result is the least float
+    where it is <= 1: each step probes nine points a row, lam and 4 ulps
+    either side, then growing strides past the one known end of the
+    bracket or tenths inside it, until the ends are adjacent.  A root that
+    is not finite and positive goes to the search."""
+    a, c, p, K = phi.a, phi.c, phi.p, np.arange(1.0, 10.0)
     order = (-Vr).argsort(-1)
-    x, w = np.take_along_axis(Vr, order, -1) / top[:, None], widths[order]  # rows scaled to top 1
-    s0, s1, s2 = w.cumsum(-1), (w * x).cumsum(-1), (w * x * x).cumsum(-1)
+    x, w = Vr[np.arange(len(Vr))[:, None], order] / top[:, None], widths[order]  # rows scaled to top 1
+    wx = w * x
+    s0, s1, s2 = w.cumsum(-1), wx.cumsum(-1), (wx * x).cumsum(-1)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if p == 1.0:
             mu = (1.0 / c + a * s0) / s1
@@ -877,11 +885,11 @@ def _shifted_power_rows(base_fn: Callable, phi: ShiftedPower, widths: np.ndarray
         mu = np.where(x > 0, np.maximum(mu, a / x), math.inf).min(-1)
         t = np.maximum(x * mu[:, None] - a, 0.0)
         g = t if p == 2.0 else (t > 0)  # t^(p-1) on the live cells
-        slope = p * c * (w * x * g).sum(-1)
+        slope = p * c * (wx * g).sum(-1)
         lam = top / np.where(slope > 0, mu - (c * (w * t * g).sum(-1) - 1.0) / slope, mu)
     good = np.isfinite(lam) & (lam > 0)
     lo, hi, step = np.zeros_like(lam), np.full_like(lam, math.inf), np.spacing(lam)[:, None]
-    T = lam[:, None] + step * (K - 3.0)
+    T = lam[:, None] + step * (K - 5.0)
     idx = np.flatnonzero(good)
     while idx.size:
         Ti = T[idx]
@@ -891,7 +899,7 @@ def _shifted_power_rows(base_fn: Callable, phi: ShiftedPower, widths: np.ndarray
         idx = idx[~(hi[idx] - lo[idx] <= np.spacing(hi[idx]))]
         if idx.size:
             l, h, s = lo[idx, None], hi[idx, None], step[idx]
-            T[idx] = np.where(h == math.inf, l + s * K, np.where(l == 0.0, np.maximum(h - s * K, 0.5 * h), l + (h - l) * K / 6.0))
+            T[idx] = np.where(h == math.inf, l + s * K, np.where(l == 0.0, np.maximum(h - s * K, 0.5 * h), l + (h - l) * K / 10.0))
             step[idx] *= 8.0
     if not good.all():
         hi[~good] = _luxemburg_value(base_fn, phi, Vr[~good])

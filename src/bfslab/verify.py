@@ -393,9 +393,9 @@ def _suite_theorem6(cfg: SuiteConfig) -> list:
     the Hoelder rule, so its gauge is an exact Lebesgue norm; the
     ``shifted`` target runs through the numeric inf-convolution, so the
     composition machinery stays exercised.  The subtraction-built
-    complement is validated against its closed-form power first, and the
-    factorization then uses the closed form: the raw subtraction gauge is
-    far too slow for the optimizer inner loop.
+    complement u^2 ⊖ u^4 is a power by the multiplier rule, so its gauge
+    (``ominus_gauge``) is the exact Lebesgue norm of u^4/4 and its
+    constant is 1; the factorization uses that closed form directly.
     """
     out = []
     ms = unit_interval(cfg.n(24))

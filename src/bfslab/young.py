@@ -21,23 +21,31 @@ A (+) of two power atoms is a power atom by the Hoelder rule
     c1 u^p (+) c2 u^q = K u^r,  1/r = 1/p + 1/q,
     K = (p + q) (c1/q)^(q/(p+q)) (c2/p)^(p/(p+q)),
 
-the Young-function side of L^p . L^q = L^r (``_as_power``; kept where
-r >= 1).  Every other (+) and every (-) is evaluated for every cell of
-an argument array at once: one 512-point log-grid scan per cell,
-symmetric for (+), widened past a window end where the values still
-fall there, then rescans of the bracket around each cell's best point on
-a grid of the same size until it is 1e-10 narrow in log (about four
-rescans).  Cells go in blocks of bounded size.  Convexity is not
-guaranteed for these two node kinds, so sampled convexity checks exempt
-them.
+the Young-function side of L^p . L^q = L^r (kept where r >= 1), and a
+(-) of two power atoms with q > p is one by the multiplier rule
+
+    c u^p (-) c1 u^q = K u^r,  1/r = 1/p - 1/q,
+    K = c (1 - p/q) (p c / (q c1))^(p/(q-p)),
+
+the Young-function side of M(L^q, L^p) = L^r (r >= p >= 1 always); both
+are ``_as_power``, kept where K is finite and positive.  For q < p the
+(-) is infinite at every u > 0, which is no Young function, so ``Ominus``
+rejects that pair; for q = p it is a step, left to the scan.  Every other
+(+) and (-) is evaluated for every cell of an argument array at once: one
+512-point log-grid scan per cell, symmetric for (+), widened past a
+window end where the values still fall there, then rescans of the
+bracket around each cell's best point on a grid of the same size until
+it is 1e-10 narrow in log (about four rescans).  Cells go in blocks of
+bounded size.  Convexity is not guaranteed for these two node kinds, so
+sampled convexity checks exempt them.
 
 Inverses are right-continuous: ``inverse(phi, v) = inf { u : phi(u) > v }``,
-computed in closed form for power atoms (a (+) of two powers among them)
-and otherwise by ``_threshold``, the one bracket search, which the
-Luxemburg gauges of :mod:`bfslab.spaces` share.  It runs many rows in
-lockstep and narrows each bracket by safeguarded secant steps of the
-Illinois kind on (log t, log residual), falling back to the geometric
-midpoint; it returns the bracket's upper end.
+computed in closed form for power atoms (a (+) or (-) of two powers
+among them) and otherwise by ``_threshold``, the one bracket search,
+which the Luxemburg gauges of :mod:`bfslab.spaces` share.  It runs many
+rows in lockstep and narrows each bracket by safeguarded secant steps of
+the Illinois kind on (log t, log residual), falling back to the
+geometric midpoint; it returns the bracket's upper end.
 """
 
 from __future__ import annotations
@@ -332,22 +340,35 @@ def _as_power(phi: "YoungFunction") -> "Power | None":
     """``phi`` as one power atom, or None.
 
     A (+) of two nodes that are power atoms (after this same collapse) is
-    ``K u^r`` by the Hoelder rule in the module docstring; it counts when
-    r >= 1 and K is finite and positive.  The pair is read from
-    ``Oplus._children``, so swapped operands give the same atom bit for
-    bit.
+    ``K u^r`` by the Hoelder rule in the module docstring, where r >= 1;
+    a (-) of two such nodes with q > p is ``K u^r`` by the multiplier
+    rule.  Either counts when K is finite and positive.  A (+) pair is
+    read from ``Oplus._children``, so swapped operands give the same atom
+    bit for bit.
     """
     if isinstance(phi, Power):
         return phi
-    if not isinstance(phi, Oplus):
+    if not isinstance(phi, (Oplus, Ominus)):
         return None
-    f, g = (_as_power(c) for c in phi._children)
+    f, g = (_as_power(c) for c in (phi._children if isinstance(phi, Oplus) else (phi.phi, phi.phi1)))
     if f is None or g is None:
         return None
     p, q = f.p, g.p
-    r, s = _hoelder(p, q), p + q
-    K = s * (f.c / q) ** (q / s) * (g.c / p) ** (p / s)
-    return Power(K, r) if r >= 1.0 and 0.0 < K < math.inf else None
+    try:
+        if isinstance(phi, Oplus):
+            r, s = _hoelder(p, q), p + q
+            K = s * (f.c / q) ** (q / s) * (g.c / p) ** (p / s)
+        elif q > p:
+            # (p/q)^e through log1p: its error stays at the rounding level
+            # however close q is to p, where e = p/(q-p) grows without bound
+            e = p / (q - p)
+            r = q * e
+            K = f.c * ((q - p) / q) * (f.c / g.c) ** e * math.exp(-e * math.log1p((q - p) / p))
+        else:
+            return None
+    except OverflowError:  # K past the float range
+        return None
+    return Power(K, r) if 1.0 <= r < math.inf and 0.0 < K < math.inf else None
 
 
 class _Splitting(_YoungBase):
@@ -455,16 +476,30 @@ class Ominus(_Splitting):
     """Partial inverse of the infimal splitting:
     ``sup over v of phi(u * v) - phi1(v)`` (v with ``phi1(v)`` finite).
 
-    A supremum of convex functions of u, hence convex; it may be
-    infinite from some threshold on, which the grid scan detects by
-    explosive growth at the window edge.
+    A supremum of convex functions of u, hence convex.  Two power atoms
+    ``c u^p`` and ``c1 u^q`` (or nodes that collapse to them) with q > p
+    give a power atom by the multiplier rule, ``K u^r`` with
+    1/r = 1/p - 1/q (``_as_power``); with q < p the supremum is infinite
+    at every u > 0, and construction raises ``ValueError``.  Any other
+    pair, q = p among them, scans a log grid of v: the value may be
+    infinite from some threshold on, which the scan detects by explosive
+    growth at the window edge.
     """
 
     phi: "YoungFunction"
     phi1: "YoungFunction"
 
+    def __post_init__(self):
+        f, g = _as_power(self.phi), _as_power(self.phi1)
+        if f is not None and g is not None and f.p > g.p:
+            raise ValueError(
+                f"{self.phi!r} (-) {self.phi1!r} is infinite at every u > 0: the power {f.p:g} exceeds {g.p:g}"
+            )
+
     @cached_property
     def _ab(self) -> tuple[float, float]:
+        if _as_power(self) is not None:
+            return 0.0, math.inf
         # Derived numerically: largest u with value 0, largest with
         # finite value, scanned on a log grid.
         us = np.geomspace(1e-8, 1e8, 129)
@@ -489,6 +524,9 @@ class Ominus(_Splitting):
         return _at(self._eval, u)
 
     def _cells(self, u):
+        power = _as_power(self)
+        if power is not None:
+            return power._eval(u)
         phi, phi1 = self.phi, self.phi1
         b1, bp = phi1.b_phi, phi.b_phi
         out = np.where(u == 0.0, 0.0, u)  # NaN stays NaN

@@ -152,6 +152,8 @@ GAUGE_PHIS = {
     # no Hoelder pair: the numeric scan under the gauge search
     "oplus_shifted": oplus(ShiftedPower(0.3, 1.0, 2.0), Power(1.0, 2.0)),
     "ominus": ominus(Power(1.0, 2.0), Power(1.0, 4.0)),
+    # no power pair: the numeric (-) scan under the gauge search
+    "ominus_shifted": ominus(ShiftedPower(0.3, 1.0, 2.0), Power(1.0, 4.0)),
 }
 
 

@@ -3,8 +3,10 @@
 ``OrliczCL(Lp(1), ShiftedPower(a, c, p))`` with p in {1, 2} is evaluated
 from sorted prefix sums instead of the Luxemburg bracket search.  These
 property tests pin that its value is the gauge: the public modular is
-<= 1 there and > 1 just below it, and the value sits at or below the
-search's bracket end, within 1e-10 of it.
+<= 1 there and > 1 just below it, the modular through the base kernel
+is > 1 one float below it, and the value sits at or below the search's
+bracket end, within 1e-10 of it.  The kernel declares its own per-call
+cost to the optimizer's look-ahead, which changes no product bit.
 """
 
 import functools
@@ -15,7 +17,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bfslab import Lp, OrliczCL, PowerWeight, ShiftedPower, StepFunction, counting, half_line, modular, norm_evaluator, unit_interval
+import bfslab.product as product
+import bfslab.spaces as spaces
+from bfslab import Lp, OrliczCL, Power, PowerWeight, ShiftedPower, StepFunction, counting, half_line, modular, norm_evaluator, product_norm, unit_interval
 from bfslab.spaces import _luxemburg_value
 
 GRIDS = [("counting", n) for n in (1, 3, 16, 1024)] + [(kind, n) for kind in ("unit", "half") for n in (4, 16, 257, 1024)]
@@ -64,6 +68,8 @@ def test_closed_form_is_the_luxemburg_gauge(grid, phi, shape, seed):
     assert 0.0 < value < math.inf
     assert modular(Lp(1.0), phi, x.with_values(x.values / value)) <= 1.0
     assert modular(Lp(1.0), phi, x.with_values(x.values / (value * (1.0 - 1e-12)))) > 1.0
+    # the least float: one below it, the modular through the base kernel is above 1
+    assert norm_evaluator(Lp(1.0), ms).fn(phi(x.values / np.nextafter(value, 0.0))) > 1.0
     searched = _luxemburg_value(norm_evaluator(Lp(1.0), ms).fn, phi, x.values)
     assert value <= searched
     assert searched - value <= 1e-10 * searched
@@ -99,3 +105,30 @@ def test_other_shifted_power_gauges_keep_the_search(space):
     compiled = norm_evaluator(space, unit_interval(8))
     assert compiled.kind == "estimate"
     assert any("secant bracket search" in n for n in compiled.notes)
+
+
+def test_declared_call_cost_moves_no_product_bit(monkeypatch):
+    # theorem 6's shifted pair: the gauge declares its call cost, so the
+    # look-ahead probes deeper per objective call than with _CALL_ROWS
+    ms = unit_interval(8)
+    E1, E2 = OrliczCL(Lp(1.0), ShiftedPower(1.0, 0.4, 2.0)), OrliczCL(Lp(1.0), Power(1.0, 2.0))
+    fe, ff = (norm_evaluator(E, ms).fn for E in (E1, E2))
+    assert product._call_rows(fe, ff) == spaces._SHIFTED_GAUGE_CALL_ROWS != product._CALL_ROWS
+    rng = np.random.default_rng(7)
+    t = ms.breakpoints[1:]
+    z = StepFunction(ms, t**-0.2 * np.exp(-np.cumsum(rng.uniform(0.0, 0.3, ms.n_cells))))
+    opts = {"max_sweeps": 300, "quick_sweeps": 25, "golden_iters": 10}
+    calls = []
+
+    def counted(*fns):
+        calls.append(1)
+        return product._CALL_ROWS
+
+    runs = [product_norm(E1, E2, z, opts=dict(opts))]
+    monkeypatch.setattr(product, "_call_rows", counted)
+    runs.append(product_norm(E1, E2, z, opts=dict(opts)))
+    assert calls
+    (res_a, wit_a), (res_b, wit_b) = runs
+    assert res_a.value == res_b.value and res_a.kind == res_b.kind
+    assert np.array_equal(wit_a.x.values, wit_b.x.values)
+    assert np.array_equal(wit_a.y.values, wit_b.y.values)

@@ -342,6 +342,122 @@ def test_power_pairs_run_no_scan(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# the multiplier rule: a (-) of two powers with q > p is a power
+
+
+def _stationary_value(c, p, c1, q):
+    # sup_v c v^p - c1 v^q at u = 1, from its stationary point
+    # p c v^p = q c1 v^q, that is v^(q-p) = p c / (q c1)
+    v = (p * c / (q * c1)) ** (1.0 / (q - p))
+    return c * v**p - c1 * v**q
+
+
+def _brute_sup(c, p, c1, q):
+    # a log grid over the whole float range, then a dense one around its best point
+    with np.errstate(over="ignore", invalid="ignore"):
+        vs = np.exp(np.linspace(-700.0, 700.0, 200_001))
+        vals = c * vs**p - c1 * vs**q
+        k = int(np.nanargmax(vals))
+        fine = np.exp(np.linspace(math.log(vs[max(k - 2, 0)]), math.log(vs[min(k + 2, vs.size - 1)]), 1_800_001))
+        return float(np.nanmax(c * fine**p - c1 * fine**q))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    lc=st.floats(-3.0, 3.0),
+    lc1=st.floats(-3.0, 3.0),
+    p=st.floats(1.0, 8.0),
+    gap=st.floats(0.01, 7.0),
+)
+def test_ominus_of_two_powers_is_the_multiplier_power(lc, lc1, p, gap):
+    # the reference's exponent 1/(q-p) multiplies each rounding of
+    # p c / (q c1): a gap q - p >= 0.01 keeps that factor at most 100
+    q = p + gap
+    assume(q <= 8.0)
+    c, c1 = 10.0**lc, 10.0**lc1
+    phi = Ominus(Power(c, p), Power(c1, q))
+    power = young._as_power(phi)
+    want = _stationary_value(c, p, c1, q) if power is not None else math.inf
+    assume(power is not None and 1e-300 < power.c < 1e300 and 1e-300 < want < 1e300)
+    assert math.isclose(power.p, p * q / (q - p), rel_tol=1e-15)
+    got = phi(1.0)
+    assert math.isclose(got, want, rel_tol=1e-12, abs_tol=0.0), (got, want)
+    assert got >= _brute_sup(c, p, c1, q) * (1.0 - 1e-12)
+    us = np.array([0.5, 2.0])
+    with np.errstate(over="ignore"):  # r reaches 6,400
+        assert np.array_equal(phi(us), power.c * us**power.p)
+
+
+def test_ominus_of_a_larger_power_is_rejected():
+    # sup_v (u v)^3 - v^2 is infinite for every u > 0: no Young function
+    with pytest.raises(ValueError, match="infinite at every u > 0"):
+        ominus(Power(1.0, 3.0), Power(1.0, 2.0))
+    # the same through a collapsed (+): u^4 (+) u^4 is 2 u^2
+    with pytest.raises(ValueError, match="infinite at every u > 0"):
+        Ominus(Power(1.0, 3.0), Oplus(Power(1.0, 4.0), Power(1.0, 4.0)))
+    # equal powers keep the step (test_ominus_of_equal_squares_is_a_step)
+    assert young._as_power(ominus(Power(1.0, 2.0), Power(1.0, 2.0))) is None
+
+
+def test_collapsed_ominus_reports_the_atom_thresholds():
+    phi = ominus(Power(1.0, 2.0), Power(1.0, 4.0))
+    assert young._as_power(phi) == Power(0.25, 4.0)
+    assert phi.a_phi == 0.0 and phi.b_phi == math.inf
+
+
+def test_ominus_rule_stays_exact_for_nearly_equal_powers():
+    # u^2 (-) u^(2 + 1e-9): K = (d/q) e^(-log1p(d/2) 2/d) with d = q - 2,
+    # summed here as a series in d; the plain power (2/q)^(2/d) is 5e-10 off
+    d = 2.0 + 1e-9 - 2.0
+    q = 2.0 + d
+    x = d / 2.0
+    log1p = x - x * x / 2.0 + x**3 / 3.0
+    want = (d / q) * math.exp(-log1p / x)
+    assert math.isclose(young._as_power(ominus(Power(1.0, 2.0), Power(1.0, q))).c, want, rel_tol=1e-14)
+
+
+def test_oplus_of_an_ominus_power_pair_collapses():
+    # u^2 (-) u^4 = u^4/4, and u^4/4 (+) u^4 = K u^2 by the Hoelder rule
+    phi = Oplus(ominus(Power(1.0, 2.0), Power(1.0, 4.0)), Power(1.0, 4.0))
+    power = young._as_power(phi)
+    assert power is not None and power.p == 2.0
+    assert math.isclose(power.c, _hoelder_constant(0.25, 4.0, 1.0, 4.0), rel_tol=1e-14)
+    us = np.geomspace(1e-3, 1e3, 13)
+    assert np.array_equal(phi(us), power.c * us**2.0)
+
+
+def test_orlicz_space_of_an_ominus_power_pair_is_an_exact_lebesgue_space():
+    phi = ominus(Power(1.0, 2.0), Power(1.0, 4.0))
+    sp = canonical(OrliczCL(Lp(1.0), phi))
+    assert sp == Lp(4.0, PowerWeight(0.0, 0.25**0.25))
+    x = StepFunction(unit_interval(8), np.linspace(3.0, 0.5, 8))
+    res = luxemburg_norm(Lp(1.0), phi, x)
+    assert res.kind == "exact"
+    assert math.isclose(res.value, 0.25**0.25 * norm(Lp(4.0), x).value, rel_tol=1e-14)
+
+
+def test_inverse_of_an_ominus_power_pair_is_the_exact_power_inverse():
+    phi = ominus(Power(2.0, 1.5), Power(0.5, 3.0))
+    power = young._as_power(phi)
+    assert power.p == 3.0
+    targets = np.geomspace(1e-6, 1e6, 31)
+    want = np.array([power.inverse_exact(t) for t in targets])
+    assert np.array_equal(inverse_batch(phi, targets), want)
+    assert inverse(phi, 3.0) == power.inverse_exact(3.0)
+
+
+def test_power_pairs_run_no_ominus_scan(monkeypatch):
+    calls = _scans(monkeypatch)
+    phi = ominus(Power(1.0, 2.0), Power(1.0, 4.0))
+    phi(np.geomspace(1e-3, 1e3, 40))
+    assert (phi.a_phi, phi.b_phi) == (0.0, math.inf)
+    Ominus(Oplus(Power(1.0, 2.0), Power(1.0, 2.0)), Power(1.0, 3.0))(np.array([1.0]))  # 2u (-) u^3
+    inverse_batch(phi, np.array([0.5, 2.0]))
+    luxemburg_norm(Lp(1.0), phi, StepFunction(unit_interval(8), np.linspace(3.0, 0.5, 8)))
+    assert not calls
+
+
+# ---------------------------------------------------------------------------
 # array evaluation
 
 
@@ -356,6 +472,8 @@ _NODES = {
     "nested_oplus": Oplus(Oplus(Power(1.0, 2.0), Power(1.0, 2.0)), Capped(Power(1.0, 2.0), 4.0)),
     # the inner pair is no Hoelder pair, so nesting runs the numeric scan twice
     "nested_oplus_shifted": Oplus(Oplus(ShiftedPower(0.3, 1.0, 2.0), Power(1.0, 2.0)), Capped(Power(1.0, 2.0), 4.0)),
+    # no power pair: the numeric (-) scan, with a null zone up to about u = 1
+    "ominus_shifted": Ominus(ShiftedPower(0.3, 1.0, 2.0), Power(1.0, 4.0)),
 }
 
 
@@ -483,6 +601,8 @@ _SPLITTING_NODES = {
     "nested_oplus_shifted": Oplus(Oplus(ShiftedPower(0.3, 1.0, 2.0), Power(1.0, 2.0)), Capped(Power(1.0, 2.0), 4.0)),
     "oplus_null_zone": Oplus(ShiftedPower(2.0, 1.0, 2.0), Capped(Power(1.0, 2.0), 5.0)),
     "ominus_square_quartic": Ominus(Power(1.0, 2.0), Power(1.0, 4.0)),
+    # no power pair, positive at every u > 0: the numeric (-) scan
+    "ominus_shifted": Ominus(Power(1.0, 2.0), ShiftedPower(0.3, 1.0, 4.0)),
 }
 
 

@@ -10,11 +10,12 @@ decreasing order, within factor 2 of the product norm.
 Elsewhere lockstep multi-start coordinate descent over ``x = exp(u)`` on
 the support of z computes it: the seeded starts are the rows of one
 matrix, and their golden-section line searches share batched kernel
-calls, each looking ahead over every point the next few golden steps
-could probe, bit for bit the results of one step per call.  A numeric
-result is an upper bound certified by its witness pair, whose norms are
-recomputed through the public norm evaluators, unless a factor norm is
-only an estimate: then so is the product.
+calls, each looking ahead (as deep as the kernels' ``call_rows`` pays
+for) over every point the next golden steps could probe, bit for bit
+the results of one step per call.  A numeric result is an upper bound
+certified by its witness pair, whose norms are recomputed through the
+public norm evaluators, unless a factor norm is only an estimate: then
+so is the product.
 
 Multiplier and dual norms run the same machinery in the opposite
 direction (ratio ascent over a test family), so those values are lower
@@ -47,6 +48,7 @@ from .spaces import (
     NormResult,
     Product,
     SpaceDescriptor,
+    _CompiledNorm,
     _is_plain_sup,
     _product_rule,
     _rowwise,
@@ -148,16 +150,16 @@ def _zero_witness(z: StepFunction, method: str = "closed_form") -> Factorization
     return FactorizationWitness(zero, zero, 0.0, 0.0, 0.0, method)
 
 
-def _norm_fn(space: SpaceDescriptor, mspace: MeasureSpace) -> Callable[[np.ndarray], float]:
+def _norm_fn(space: SpaceDescriptor, mspace: MeasureSpace) -> _CompiledNorm:
     sp = canonical(space)
     compiled = norm_evaluator(sp, mspace)
     if compiled is not None:
-        return compiled.fn
+        return compiled
 
     def fn(values: np.ndarray) -> float:
         return norm(sp, StepFunction(mspace, values)).value
 
-    return _rowwise(fn)
+    return _rowwise(fn, "estimate")
 
 
 def _merge_opts(opts: Optional[dict]) -> dict:
@@ -183,18 +185,17 @@ def _merge_opts(opts: Optional[dict]) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _call_rows(*fns) -> int:
-    """Fixed cost of one objective call over the kernels ``fns``, in rows.
+def _call_rows(*kernels: _CompiledNorm) -> int:
+    """Fixed cost of one objective call over ``kernels``, in rows.
 
-    A kernel that runs row by row (``spaces._rowwise``) has no per-call
-    cost to share: a batch of k rows costs k calls.  An objective over
-    one gets 0, so its searches take one golden step per call.  Else the
-    largest of the kernels' costs counts: a kernel's own ``call_rows``
-    where it declares one, ``_CALL_ROWS`` where it does not.
+    A kernel with ``call_rows`` 0 runs row by row: a batch of k rows
+    costs k calls, so there is no per-call cost to share, and an
+    objective over one gets 0 and takes one golden step per call.  Else
+    the largest of the kernels' costs counts, ``_CALL_ROWS`` for a
+    kernel that states none.
     """
-    if any(getattr(fn, "rowwise", False) for fn in fns):
-        return 0
-    return max(getattr(fn, "call_rows", _CALL_ROWS) for fn in fns)
+    rows = [_CALL_ROWS if k.call_rows is None else k.call_rows for k in kernels]
+    return 0 if 0 in rows else max(rows)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -430,8 +431,8 @@ def _optimize_product(E, F, z: StepFunction, o: dict):
     mspace = z.space
     supp = z.values > 0.0
     zs = z.values[supp]
-    fe = _norm_fn(E, mspace)
-    ff = _norm_fn(F, mspace)
+    ke, kf = _norm_fn(E, mspace), _norm_fn(F, mspace)
+    fe, ff = ke.fn, kf.fn
 
     def J(U: np.ndarray) -> np.ndarray:
         xv, yv = _split(U, supp, zs)
@@ -445,7 +446,7 @@ def _optimize_product(E, F, z: StepFunction, o: dict):
         budgets = np.full(rank.size, min(o["quick_sweeps"], o["max_sweeps"]))
         budgets[:_FULL_STARTS] = o["max_sweeps"]
         U, vals, conv = _lockstep_descent(
-            J, seeds[rank], f0[rank], budgets, o["golden_iters"], o["target"], _call_rows(fe, ff)
+            J, seeds[rank], f0[rank], budgets, o["golden_iters"], o["target"], _call_rows(ke, kf)
         )
     best_r, any_converged = _select(vals, conv, o["target"])
     xv, yv = _split(U[best_r], supp, zs)
@@ -642,13 +643,15 @@ def _ratio_ascent(
     family: Sequence[np.ndarray],
     o: dict,
     monotone: bool,
+    call_rows: int,
     ascent: bool = True,
 ):
     """Maximize num(y)/den(y); returns (best ratio, best y, capped flag).
 
-    ``num_fn`` and ``den_fn`` map a (k, n) array to k values.  The best
-    member of ``family`` seeds a coordinate ascent unless ``ascent`` is
-    False, in which case the family maximum is returned.
+    ``num_fn`` and ``den_fn`` map a (k, n) array to k values, at
+    ``call_rows`` (see _call_rows) per call.  The best member of
+    ``family`` seeds a coordinate ascent unless ``ascent`` is False, in
+    which case the family maximum is returned.
     """
 
     def ratio_one(n: float, d: float) -> float:
@@ -690,7 +693,6 @@ def _ratio_ascent(
     budget = np.array([min(o["max_sweeps"], 200)])
     with np.errstate(**_QUIET):
         # no target: the ascent maximizes the ratio as far as it goes
-        call_rows = _call_rows(num_fn, den_fn)
         P, neg, _ = _lockstep_descent(J, p0, J(p0), budget, o["golden_iters"], None, call_rows)
     if -neg[0] > best:
         best = -float(neg[0])
@@ -807,21 +809,18 @@ def multiplier_norm(
         if hit is not None:
             return hit
     mspace = m.space
-    fe = _norm_fn(Ec, mspace)
-    ff = _norm_fn(Fc, mspace)
-    mv = m.values
+    ke, kf = _norm_fn(Ec, mspace), _norm_fn(Fc, mspace)
+    ff, mv = kf.fn, m.values
 
     def num_fn(vals: np.ndarray) -> np.ndarray:
         return ff(mv * vals)
-
-    num_fn.rowwise = getattr(ff, "rowwise", False)
 
     if witnesses is not None:
         family = [w.values for w in witnesses]
     else:
         family = _default_test_family(mspace, mv)
     monotone = is_symmetric(Ec) and is_symmetric(Fc)
-    best, _, capped = _ratio_ascent(num_fn, fe, mspace, family, o, monotone, ascent)
+    best, _, capped = _ratio_ascent(num_fn, ke.fn, mspace, family, o, monotone, _call_rows(ke, kf), ascent)
     if capped:
         return NormResult(
             math.inf, "estimate", None, ("ratio exceeded the cap: not a multiplier",)
@@ -841,7 +840,7 @@ def dual_norm_numeric(
     if not is_primitive(Ec):
         raise ValueError("dual_norm_numeric needs a primitive base space")
     mspace = y.space
-    fe = _norm_fn(Ec, mspace)
+    ke = _norm_fn(Ec, mspace)
     yw = y.values * mspace.widths
 
     def pairing(vals: np.ndarray) -> np.ndarray:
@@ -850,7 +849,7 @@ def dual_norm_numeric(
     family = _default_test_family(mspace, y.values)
     dec = bool(np.all(np.diff(y.values) <= 1e-15))
     monotone = is_symmetric(Ec) and dec
-    lower, _, capped = _ratio_ascent(pairing, fe, mspace, family, o, monotone)
+    lower, _, capped = _ratio_ascent(pairing, ke.fn, mspace, family, o, monotone, _call_rows(ke))
     if capped:
         return NormResult(math.inf, "estimate", None, ("pairing exceeded the cap",))
     d = dual_descriptor(Ec)

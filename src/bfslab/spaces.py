@@ -110,7 +110,7 @@ __all__ = [
 
 _LUX_RTOL = 1e-10
 # fixed cost of one closed-form shifted-power gauge call, in rows: about
-# 85 us against 1.5 us a row at n = 8 (read by product._call_rows)
+# 85 us against 1.5 us a row at n = 8 (its kernel's call_rows)
 _SHIFTED_GAUGE_CALL_ROWS = 56
 
 
@@ -492,13 +492,13 @@ def dual_descriptor(space: SpaceDescriptor) -> Optional[SpaceDescriptor]:
 # ---------------------------------------------------------------------------
 
 
+@dataclass(eq=False, slots=True)
 class _CompiledNorm:
-    __slots__ = ("fn", "kind", "notes")
-
-    def __init__(self, fn: Callable[[np.ndarray], float], kind: str, notes: tuple = ()):
-        self.fn = fn
-        self.kind = kind
-        self.notes = notes
+    fn: Callable[[np.ndarray], float]
+    kind: str
+    notes: tuple = ()
+    # fixed cost of one fn call in rows: 0 when k rows cost k calls, None for product._CALL_ROWS
+    call_rows: Optional[int] = None
 
 
 # least recently used entries go first once the cache holds this many
@@ -517,14 +517,13 @@ def _each_row(kernel: Callable, v: np.ndarray) -> np.ndarray:
     return np.array([kernel(row) for row in v], dtype=float)
 
 
-def _rowwise(kernel: Callable[[np.ndarray], float]) -> Callable:
-    """Give a one-row kernel the batched ``(k, n)`` contract, row by row."""
+def _rowwise(kernel: Callable[[np.ndarray], float], kind: str, notes: tuple = ()) -> _CompiledNorm:
+    """A one-row kernel with the batched ``(k, n)`` contract: k rows cost k calls."""
 
     def batched(v):
         return kernel(v) if v.ndim == 1 else _each_row(kernel, v)
 
-    batched.rowwise = True  # a batch of k rows costs k one-row calls
-    return batched
+    return _CompiledNorm(batched, kind, notes, call_rows=0)
 
 
 def _out(s):
@@ -681,7 +680,7 @@ def _compile(space: SpaceDescriptor, mspace: MeasureSpace) -> Optional[_Compiled
                 total += v[i] ** p * cell
             return float(total ** (1.0 / p))
 
-        return _CompiledNorm(_rowwise(_lam_p_quad), "estimate", note)
+        return _rowwise(_lam_p_quad, "estimate", note)
 
     if isinstance(space, Marcinkiewicz):
         phi = space.phi
@@ -716,7 +715,7 @@ def _compile(space: SpaceDescriptor, mspace: MeasureSpace) -> Optional[_Compiled
             g = np.where(np.isnan(g), 0.0, g)
             return float(np.max(g, initial=0.0))
 
-        return _CompiledNorm(_rowwise(_marc_generic), "estimate", tn + ("cell suprema sampled",))
+        return _rowwise(_marc_generic, "estimate", tn + ("cell suprema sampled",))
 
     if isinstance(space, MarcinkiewiczStar):
         phi = space.phi
@@ -740,7 +739,7 @@ def _compile(space: SpaceDescriptor, mspace: MeasureSpace) -> Optional[_Compiled
                 best = max(best, v[i] * phi.cell_sup(bp[i], bp[i + 1]))
             return float(best)
 
-        return _CompiledNorm(_rowwise(_mstar_generic), "estimate", tn + ("cell suprema sampled",))
+        return _rowwise(_mstar_generic, "estimate", tn + ("cell suprema sampled",))
 
     if isinstance(space, LInftyWeighted):
         phi = space.phi
@@ -766,11 +765,9 @@ def _compile(space: SpaceDescriptor, mspace: MeasureSpace) -> Optional[_Compiled
         def _lux(v, base_fn=basec.fn, phi=phi, wd=widths if closed else None):
             return _luxemburg_value(base_fn, phi, v, wd)
 
-        if closed:
-            _lux.call_rows = _SHIFTED_GAUGE_CALL_ROWS
-
         note = "shifted-power gauge in closed form" if closed else f"luxemburg gauge, secant bracket search, rtol {_LUX_RTOL:g}"
-        return _CompiledNorm(_lux, "exact" if closed else "estimate", basec.notes + (note,))
+        cost = _SHIFTED_GAUGE_CALL_ROWS if closed else basec.call_rows
+        return _CompiledNorm(_lux, "exact" if closed else "estimate", basec.notes + (note,), cost)
 
     if isinstance(space, Convexification):
         basec = norm_evaluator(space.base, mspace)
@@ -783,8 +780,7 @@ def _compile(space: SpaceDescriptor, mspace: MeasureSpace) -> Optional[_Compiled
             # one row's norm goes to _root as a numpy scalar: a 0-d array would take the vectorized power
             return _root(s if v.ndim > 1 else np.float64(s), p)
 
-        _conv.rowwise = getattr(basec.fn, "rowwise", False)  # a row-by-row base stays row by row
-        return _CompiledNorm(_conv, basec.kind, basec.notes)
+        return _CompiledNorm(_conv, basec.kind, basec.notes, basec.call_rows)
 
     # canonical leaves one symmetrization with a kernel: the doublestar of L^p(c*t^a), p finite
     if isinstance(space, Symmetrization) and space.mode == "doublestar" and isinstance(space.base, Lp):
@@ -815,7 +811,7 @@ def _compile(space: SpaceDescriptor, mspace: MeasureSpace) -> Optional[_Compiled
                 total += cp * float(np.sum(gl_w[None, :] * half * integ))
             return float(total ** (1.0 / p))
 
-        return _CompiledNorm(_rowwise(_dstar_lp), "estimate", tn + ("x** integrated by per-cell quadrature",))
+        return _rowwise(_dstar_lp, "estimate", tn + ("x** integrated by per-cell quadrature",))
 
     return None
 
@@ -914,7 +910,7 @@ def norm_evaluator(space: SpaceDescriptor, mspace: MeasureSpace) -> Optional[_Co
     array of k >= 1 rows to an array of their k norms.  Batching never moves
     a bit: ``fn(V)[i] == fn(V[i])`` exactly, for any memory layout of V.
     Callers in the variational engine hold on to ``fn`` across thousands
-    of evaluations.
+    of evaluations, and schedule them by its ``call_rows``.
     """
     key = (space, mspace)
     hit = _COMPILE_CACHE.get(key)

@@ -72,7 +72,6 @@ class SuiteConfig:
     grid_n: Optional[int] = None
     instances: Optional[int] = None
     tolerances: Mapping[str, float] = field(default_factory=dict)
-    params: Mapping[str, object] = field(default_factory=dict)
 
     def tol(self, key: str, default: float) -> float:
         return float(self.tolerances.get(key, default))
@@ -487,7 +486,6 @@ def _suite_cancellation(cfg: SuiteConfig) -> list:
     ms = counting(cfg.n(8))
     lo, hi = cfg.tol("ratio_lo", 0.8), cfg.tol("ratio_hi", 1.25)
     E, F, G = Lp(2.0), Lp(4.0), Lp(3.0)
-    opts = dict(_OPT_FAST, max_sweeps=150, quick_sweeps=15)
     for i in range(cfg.count(3)):
         rng = _rng(cfg, i)
         m = StepFunction(ms, rng.uniform(0.2, 2.0, size=ms.n_cells))
@@ -495,7 +493,7 @@ def _suite_cancellation(cfg: SuiteConfig) -> list:
             StepFunction(ms, rng.uniform(0.1, 2.0, size=ms.n_cells)) for _ in range(10)
         ]
         num = multiplier_norm(
-            Product(E, F), Product(E, G), m, opts=opts, witnesses=witnesses, ascent=False, use_table=False
+            Product(E, F), Product(E, G), m, witnesses=witnesses, ascent=False, use_table=False
         ).value
         den = multiplier_norm(F, G, m, witnesses=witnesses, ascent=False, use_table=False).value
         ratio = num / den
@@ -511,7 +509,7 @@ def _suite_cancellation(cfg: SuiteConfig) -> list:
     calE = Calderon(E, F, 1.0 - theta)
     m_pow = m.with_values(m.values ** (1.0 - theta))
     inner = multiplier_norm(
-        calG, calE, m_pow, opts=opts, witnesses=witnesses, ascent=False, use_table=False
+        calG, calE, m_pow, witnesses=witnesses, ascent=False, use_table=False
     ).value
     rhs = inner ** (1.0 / (1.0 - theta))
     ratio = lhs / rhs
@@ -751,7 +749,6 @@ def run_suite(name: str, config: Optional[SuiteConfig] = None, **kw) -> CheckRep
             "grid_n": cfg.grid_n,
             "instances": cfg.instances,
             "tolerances": dict(cfg.tolerances),
-            "params": {k: repr(v) for k, v in dict(cfg.params).items()},
         },
         instances=instances,
         timestamp=_dt.datetime.now(_dt.timezone.utc).isoformat(),

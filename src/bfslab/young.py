@@ -339,15 +339,18 @@ def _hoelder(p: float, q: float) -> float:
 def _as_power(phi: "YoungFunction") -> "Power | None":
     """``phi`` as one power atom, or None.
 
-    A (+) of two nodes that are power atoms (after this same collapse) is
-    ``K u^r`` by the Hoelder rule in the module docstring, where r >= 1;
-    a (-) of two such nodes with q > p is ``K u^r`` by the multiplier
-    rule.  Either counts when K is finite and positive.  A (+) pair is
+    A ``ShiftedPower`` with shift 0 is the atom ``c u^p``.  A (+) of two
+    nodes that are power atoms (after this same collapse) is ``K u^r`` by
+    the Hoelder rule in the module docstring, where r >= 1; a (-) of two
+    such nodes with q > p is ``K u^r`` by the multiplier rule.  Either
+    counts when K is finite and positive.  A (+) pair is
     read from ``Oplus._children``, so swapped operands give the same atom
     bit for bit.
     """
     if isinstance(phi, Power):
         return phi
+    if isinstance(phi, ShiftedPower) and phi.a == 0.0:
+        return Power(phi.c, phi.p)
     if not isinstance(phi, (Oplus, Ominus)):
         return None
     f, g = (_as_power(c) for c in (phi._children if isinstance(phi, Oplus) else (phi.phi, phi.phi1)))
@@ -481,9 +484,12 @@ class Ominus(_Splitting):
     give a power atom by the multiplier rule, ``K u^r`` with
     1/r = 1/p - 1/q (``_as_power``); with q < p the supremum is infinite
     at every u > 0, and construction raises ``ValueError``.  Any other
-    pair, q = p among them, scans a log grid of v: the value may be
-    infinite from some threshold on, which the scan detects by explosive
-    growth at the window edge.
+    pair, q = p among them, scans a log grid of v.  Where b(phi) is
+    finite, the value is finite exactly up to b_phi = b(phi) / b(phi1)
+    (construction rejects b(phi1) = inf: +inf at every u > 0).  Else it
+    may be infinite from some threshold on, which the scan detects by
+    explosive growth at the window edge.  ``a_phi``, and ``b_phi`` there,
+    come from ``_threshold`` on [1e-8, 1e8].
     """
 
     phi: "YoungFunction"
@@ -491,26 +497,33 @@ class Ominus(_Splitting):
 
     def __post_init__(self):
         f, g = _as_power(self.phi), _as_power(self.phi1)
+        why = None
         if f is not None and g is not None and f.p > g.p:
-            raise ValueError(
-                f"{self.phi!r} (-) {self.phi1!r} is infinite at every u > 0: the power {f.p:g} exceeds {g.p:g}"
-            )
+            why = f"the power {f.p:g} exceeds {g.p:g}"
+        elif math.isfinite(self.phi.b_phi) and math.isinf(self.phi1.b_phi):
+            why = "the first has a bounded domain, the second does not"
+        if why:
+            raise ValueError(f"{self.phi!r} (-) {self.phi1!r} is infinite at every u > 0: {why}")
 
     @cached_property
     def _ab(self) -> tuple[float, float]:
         if _as_power(self) is not None:
             return 0.0, math.inf
-        # Derived numerically: largest u with value 0, largest with
-        # finite value, scanned on a log grid.
-        us = np.geomspace(1e-8, 1e8, 129)
-        vals = self._eval(us)
-        zero = us[vals <= 0.0]
-        fin = us[np.isfinite(vals)]
-        a = float(zero[-1]) if zero.size else 0.0
-        b = float(fin[-1]) if fin.size and fin[-1] < us[-1] else math.inf
-        if fin.size == 0:
-            b = 0.0
-        return a, b
+        bp = self.phi.b_phi
+        b = bp / self.phi1.b_phi if math.isfinite(bp) else None
+        # the least u in [1e-8, 1e8] where the value is > 0 and, unless b
+        # is known, where it is infinite; 1e8 and inf where it never is
+        tests = [(lambda x: x > 0.0, 1e8)] + ([(np.isinf, math.inf)] if b is None else [])
+        ends = self._eval(np.array([1e-8, 1e8]))
+        out = [0.0 if test(ends[0]) else None if test(ends[1]) else never for test, never in tests]
+        rows = [i for i, x in enumerate(out) if x is None]
+
+        def probe(idx, t):
+            return [tests[rows[i]][0](x) for i, x in zip(idx, self._eval(t))], [math.nan] * len(idx)
+
+        for i, x in zip(rows, _threshold(probe, [1e8] * len(rows), _INV_RTOL, [1e-8] * len(rows))):
+            out[i] = float(x)
+        return (out[0], out[1]) if b is None else (min(out[0], b), b)
 
     @property
     def a_phi(self) -> float:
@@ -529,17 +542,10 @@ class Ominus(_Splitting):
             return power._eval(u)
         phi, phi1 = self.phi, self.phi1
         b1, bp = phi1.b_phi, phi.b_phi
-        out = np.where(u == 0.0, 0.0, u)  # NaN stays NaN
-        live = (u != 0.0) & ~np.isnan(u)
-        if not math.isinf(bp):
-            # Some admissible v pushes u*v past the finite domain of phi.
-            limit = bp / u
-            probe = np.minimum(b1, limit * (1 + 1e-9))
-            past = live & (b1 > limit) & (probe > limit)
-            past[past] = phi1._eval(probe[past]) < math.inf
-            out[past] = math.inf
-            live &= ~past
-        live = np.flatnonzero(live)
+        # b_phi by its rule (the property also searches a_phi, through these cells)
+        b = bp / b1 if math.isfinite(bp) else math.inf
+        out = np.where(u == 0.0, 0.0, np.where(u > b, math.inf, u))  # NaN stays NaN
+        live = np.flatnonzero((u != 0.0) & (u <= b))
         if not live.size:
             return out
         u = u[live]

@@ -36,6 +36,7 @@ from bfslab import (
     weak_lp,
 )
 from bfslab import product as P
+from bfslab import spaces as S
 from bfslab.weights import PowerLogWeight
 
 _FAST = {"max_sweeps": 300, "quick_sweeps": 25, "golden_iters": 10}
@@ -102,8 +103,8 @@ def _optimize_product(E, F, z, o):
     mspace = z.space
     supp = z.values > 0.0
     zs = z.values[supp]
-    fe = P._norm_fn(E, mspace)
-    ff = P._norm_fn(F, mspace)
+    fe = P._norm_fn(E, mspace).fn
+    ff = P._norm_fn(F, mspace).fn
 
     def J(u):
         xv, yv = _split(u, supp, zs)
@@ -134,7 +135,8 @@ def _monotone_embed(v):
     return u
 
 
-def _ratio_ascent(num_fn, den_fn, mspace, family, o, monotone, ascent=True):
+def _ratio_ascent(num_fn, den_fn, mspace, family, o, monotone, call_rows, ascent=True):
+    # one point per call: the serial oracle has no look-ahead to schedule by call_rows
     def ratio(vals):
         d = den_fn(vals)
         if not (d > 0.0 and math.isfinite(d)):
@@ -464,3 +466,25 @@ def test_row_by_row_kernels_keep_one_golden_step_per_call():
 
     P._golden_rows(J, np.zeros((3, 2)), 0, 10, call_rows=0)
     assert calls == [6] + [3] * 10
+
+
+def test_an_orlicz_gauge_over_a_row_by_row_base_runs_row_by_row():
+    gauge = OrliczCL(Marcinkiewicz(PowerLogWeight(0.5, 1.0)), ShiftedPower(0.3, 1.0, 2.0))
+    assert P._call_rows(P._norm_fn(gauge, unit_interval(8))) == 0
+
+
+def test_a_convexified_gauge_keeps_the_gauge_call_cost():
+    space = Convexification(OrliczCL(Lp(1.0), ShiftedPower(0.3, 1.0, 2.0)), 2.0)
+    assert P._call_rows(P._norm_fn(space, unit_interval(8))) == S._SHIFTED_GAUGE_CALL_ROWS
+
+
+def test_a_kernel_keeps_its_call_cost_when_its_fn_is_wrapped(monkeypatch):
+    # a tracer swaps each kernel's fn for a plain timing wrapper; the
+    # look-ahead must still schedule the traced run as the untraced one
+    ms = unit_interval(8)
+    space = OrliczCL(Lp(1.0), ShiftedPower(0.3, 1.0, 2.0))
+    compiled = P._norm_fn(space, ms)
+    inner = compiled.fn
+    monkeypatch.setattr(compiled, "fn", lambda values: inner(values))
+    assert P._norm_fn(space, ms).fn is not inner
+    assert P._call_rows(P._norm_fn(space, ms)) == S._SHIFTED_GAUGE_CALL_ROWS

@@ -399,6 +399,43 @@ def test_ominus_of_a_larger_power_is_rejected():
     assert young._as_power(ominus(Power(1.0, 2.0), Power(1.0, 2.0))) is None
 
 
+def test_a_zero_shift_is_a_power_atom():
+    # u^3 (-) u^2 spelled with a zero-shift ShiftedPower: the same function, so the same rejection
+    assert young._as_power(ShiftedPower(0.0, 2.0, 3.0)) == Power(2.0, 3.0)
+    with pytest.raises(ValueError, match="infinite at every u > 0"):
+        ominus(ShiftedPower(0.0, 1.0, 3.0), Power(1.0, 2.0))
+    # and its Orlicz space is the Lebesgue space of the power
+    assert isinstance(canonical(OrliczCL(Lp(1.0), ShiftedPower(0.0, 2.0, 3.0))), Lp)
+
+
+def test_ominus_a_phi_is_where_the_values_turn_positive():
+    # (u v - 0.3)_+^2 - v^4 > 0 for some v once u passes about 1.0955,
+    # where the scan first sees the sup turn positive
+    phi = Ominus(ShiftedPower(0.3, 1.0, 2.0), Power(1.0, 4.0))
+    a = phi.a_phi
+    assert a == pytest.approx(1.0955094, rel=1e-6)
+    assert phi(a) > 0.0 and phi(a * (1.0 - 1e-10)) == 0.0
+    assert inverse(phi, 0.0) == a
+    # positive from the bottom of the window on: a_phi is 0, not a point where values underflow
+    assert ominus(Power(1.0, 2.0), ShiftedPower(0.3, 1.0, 4.0)).a_phi == 0.0
+
+
+def test_ominus_b_phi_is_the_ratio_of_the_domain_ends():
+    # u^2 capped at 3 (-) u^4 capped at 1.5: u v stays within 3 for every v <= 1.5 exactly when u <= 2
+    phi = ominus(Capped(Power(1.0, 2.0), 3.0), Capped(Power(1.0, 4.0), 1.5))
+    assert phi.b_phi == 2.0
+    # sup over v <= 1.5 of 3.61 v^2 - v^4, at v^2 = 1.805
+    assert math.isclose(phi(1.9), 1.805**2, rel_tol=1e-9)
+    assert math.isfinite(phi(2.0)) and phi(np.nextafter(2.0, 3.0)) == math.inf
+    assert inverse(phi, 1e6) == 2.0
+
+
+def test_ominus_of_a_bounded_domain_by_an_unbounded_one_is_rejected():
+    # v -> inf pushes u v past 3 for every u > 0
+    with pytest.raises(ValueError, match="infinite at every u > 0"):
+        Ominus(Capped(Power(1.0, 2.0), 3.0), Power(1.0, 4.0))
+
+
 def test_collapsed_ominus_reports_the_atom_thresholds():
     phi = ominus(Power(1.0, 2.0), Power(1.0, 4.0))
     assert young._as_power(phi) == Power(0.25, 4.0)
@@ -695,6 +732,11 @@ def test_ominus_beyond_the_first_window_is_finite():
 def test_oplus_split_beyond_the_first_window():
     # c1 = 1e-40 puts the best split at v = 1e10, past sqrt(u) * 1e9
     phi = oplus(ShiftedPower(0.0, 1e-40, 2.0), Power(1.0, 2.0))
+    assert math.isclose(phi.eval_scalar(1.0), 2e-20, rel_tol=1e-9)
+    # a zero shift collapses by the Hoelder rule; with a shift of 1 the
+    # scan runs, and the first window would stop at 1e-22 + 1e-18
+    phi = oplus(ShiftedPower(1.0, 1e-40, 2.0), Power(1.0, 2.0))
+    assert young._as_power(phi) is None
     assert math.isclose(phi.eval_scalar(1.0), 2e-20, rel_tol=1e-9)
 
 

@@ -191,6 +191,8 @@ def unit_interval(n_cells: int | None = None, include: tuple[float, ...] = ()) -
     half = n // 2
     knee = 2.0**-10
     floor = knee * 2.0 ** (-float(half))
+    if floor < np.finfo(float).tiny:
+        raise ValueError(f"unit_interval grids have at most 2025 cells (got {n}): the floor 2^(-10 - n // 2) underflows")
     lower = np.geomspace(floor, knee, half + 1)
     upper = np.geomspace(knee, 1.0, n - half)[1:]
     bp = np.concatenate(([0.0], lower, upper))

@@ -12,10 +12,13 @@ the support of z computes it: the seeded starts are the rows of one
 matrix, and their golden-section line searches share batched kernel
 calls, each looking ahead (as deep as the kernels' ``call_rows`` pays
 for) over every point the next golden steps could probe, bit for bit
-the results of one step per call.  A numeric result is an upper bound
-certified by its witness pair, whose norms are recomputed through the
-public norm evaluators, unless a factor norm is only an estimate: then
-so is the product.
+the results of one step per call.  Where both kernels take a decreasing
+profile (``_CompiledNorm.profile``: Lambda_phi, and Lambda_{phi,p},
+M_phi and M*_phi for a power phi), an objective call sorts the rows of
+x and y as one stack and hands each kernel its half.  A numeric result
+is an upper bound certified by its witness pair, whose norms are
+recomputed through the public norm evaluators, unless a factor norm is
+only an estimate: then so is the product.
 
 Multiplier and dual norms run the same machinery in the opposite
 direction (ratio ascent over a test family), so those values are lower
@@ -49,6 +52,7 @@ from .spaces import (
     Product,
     SpaceDescriptor,
     _CompiledNorm,
+    _decreasing_profile,
     _is_plain_sup,
     _product_rule,
     _rowwise,
@@ -90,7 +94,9 @@ _FULL_STARTS = 3  # leading starts that get the full budget
 _SWEEP_RTOL = 1e-10  # stop once a sweep improves J by less than this
 _SPAN = 1.5  # coordinate search half-width in log units
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-_CALL_ROWS = 32  # fixed cost of one objective call, in rows (measured at n = 16)
+# fixed cost of one objective call, in rows: 46-54 in fits of the
+# products mix's _golden_rows calls at n = 16, where 48 costs the least
+_CALL_ROWS = 48
 _RATIO_CAP = 1e8
 _UNCERTIFIED = "a factor norm is an estimate, so the factorization certifies no bound"
 # objectives may overflow, divide by 0 or multiply 0 by inf; the
@@ -414,17 +420,21 @@ def _structured_seed(sp, z_supp, widths_supp, t_right_supp):
     return None
 
 
-def _split(u: np.ndarray, supp: np.ndarray, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Factors x = e^u and y = z / x on supp z, zero elsewhere; one pair per row of u."""
-    eu = np.exp(np.clip(u, -60.0, 60.0))
+def _split(u: np.ndarray, supp: np.ndarray, zs: np.ndarray) -> np.ndarray:
+    """Factors x = e^u and y = z / x on supp z, zero elsewhere, as one
+    C-contiguous stack [x, y]; one pair per row of u."""
+    # np.clip's float ops, without its Python wrapper
+    clipped = np.minimum(np.maximum(u, -60.0), 60.0)
     if zs.size == supp.size:
-        return eu, zs / eu
-    shape = u.shape[:-1] + supp.shape
-    xv = np.zeros(shape)
-    yv = np.zeros(shape)
-    xv[..., supp] = eu
-    yv[..., supp] = zs / eu
-    return xv, yv
+        xy = np.empty((2,) + u.shape)
+        np.exp(clipped, out=xy[0])
+        np.divide(zs, xy[0], out=xy[1])
+        return xy
+    xy = np.zeros((2,) + u.shape[:-1] + supp.shape)
+    eu = np.exp(clipped)
+    xy[0][..., supp] = eu
+    xy[1][..., supp] = zs / eu
+    return xy
 
 
 def _optimize_product(E, F, z: StepFunction, o: dict):
@@ -433,11 +443,19 @@ def _optimize_product(E, F, z: StepFunction, o: dict):
     zs = z.values[supp]
     ke, kf = _norm_fn(E, mspace), _norm_fn(F, mspace)
     fe, ff = ke.fn, kf.fn
+    shared = ke.profile and kf.profile
 
     def J(U: np.ndarray) -> np.ndarray:
-        xv, yv = _split(U, supp, zs)
-        val = fe(xv) * ff(yv)
-        return np.where(np.isfinite(val), val, math.inf)
+        xy = _split(U, supp, zs)
+        if shared:
+            # one sort for both factors: fe and ff read the halves of one profile
+            k = len(U)
+            v, w, bp = _decreasing_profile(xy.reshape(2 * k, -1), mspace.widths)
+            val = fe((v[:k], w[:k], bp[:k])) * ff((v[k:], w[k:], bp[k:]))
+        else:
+            val = fe(xy[0]) * ff(xy[1])
+        # norms are >= 0, so the one value that is not a number or +inf is NaN (0 * inf): it becomes +inf
+        return np.fmin(val, math.inf)
 
     seeds = np.array(_seed_vectors(E, F, zs, mspace.widths[supp], mspace.breakpoints[1:][supp]))
     with np.errstate(**_QUIET):

@@ -494,11 +494,15 @@ def dual_descriptor(space: SpaceDescriptor) -> Optional[SpaceDescriptor]:
 
 @dataclass(eq=False, slots=True)
 class _CompiledNorm:
+    """A norm kernel ``fn`` (contract in ``norm_evaluator``): its kind, notes, call cost and inputs."""
+
     fn: Callable[[np.ndarray], float]
     kind: str
     notes: tuple = ()
     # fixed cost of one fn call in rows: 0 when k rows cost k calls, None for product._CALL_ROWS
     call_rows: Optional[int] = None
+    # fn also takes the (v, w, bp) tuple of _decreasing_profile in place of the values
+    profile: bool = False
 
 
 # least recently used entries go first once the cache holds this many
@@ -509,11 +513,13 @@ _COMPILE_CACHE: OrderedDict = OrderedDict()
 # Kernels take one row (n,) or a batch (k, n).  A batch must give each
 # row's one-row value bit for bit: kernels that sum over a row first make
 # their input C-contiguous (numpy groups a row sum differently on other
-# layouts), and rows whose live cells differ go one at a time.
+# layouts), and rows whose live cells differ go one at a time.  Profile
+# kernels call the ufuncs behind .sum, .cumsum, .max and np.sort: the
+# same float operations, without wrappers that cost more at n = 16.
 
 
 def _each_row(kernel: Callable, v: np.ndarray) -> np.ndarray:
-    """One call of ``kernel`` per row of ``v``: the norms as an array."""
+    """One call of ``kernel`` per row of ``v`` (or per profile row): the norms as an array."""
     return np.array([kernel(row) for row in v], dtype=float)
 
 
@@ -548,15 +554,23 @@ def _fill(v: np.ndarray, value: float):
 
 
 def _decreasing_profile(values: np.ndarray, widths: np.ndarray):
-    """Sorted cell values with the breakpoints they induce, per row."""
+    """Per row, C-contiguous: the cell values and widths in a stable
+    decreasing order of the values, and the breakpoints they induce."""
+    values = np.ascontiguousarray(values)
     order = (-values).argsort(kind="stable")
     w = widths[order]
     if values.ndim > 1:
         order += np.arange(0, values.size, values.shape[-1])[:, None]  # flat indices
     v = values.take(order)
     bp = np.zeros(v.shape[:-1] + (v.shape[-1] + 1,))
-    w.cumsum(-1, out=bp[..., 1:])
+    np.add.accumulate(w, -1, out=bp[..., 1:])
     return v, w, bp
+
+
+def _profile(v, widths: np.ndarray):
+    """What a profile kernel reads: ``v`` itself when it is already a
+    ``(v, w, bp)`` profile, else the decreasing profile of the values."""
+    return v if type(v) is tuple else _decreasing_profile(v, widths)
 
 
 def _singular_at_zero(v: np.ndarray) -> float:
@@ -628,15 +642,16 @@ def _compile(space: SpaceDescriptor, mspace: MeasureSpace) -> Optional[_Compiled
         if pw is not None and pw.alpha < 0.0:
             return _CompiledNorm(_singular_at_zero, "exact", tn + ("weight singular at 0",))
 
-        def _lam(v, wd=widths, phi=phi):
-            v, _, bp = _decreasing_profile(np.ascontiguousarray(v), wd)
-            ph = np.asarray(phi(bp), dtype=float)
+        def _lam(v, wd=widths, phi=phi, power=isinstance(phi, PowerWeight)):
+            v, _, bp = _profile(v, wd)
+            # a power weight inline: the float ops of PowerWeight.__call__
+            ph = phi.coef * bp**phi.alpha if power else np.asarray(phi(bp), dtype=float)
             ph[..., 0] = 0.0
-            return _out((v * (ph[..., 1:] - ph[..., :-1])).sum(-1))
+            return _out(np.add.reduce(v * (ph[..., 1:] - ph[..., :-1]), -1))
 
         if pw is not None and pw.alpha > 1.0:
-            return _CompiledNorm(_lam, "estimate", tn + ("weight not concave: not a norm",))
-        return _CompiledNorm(_lam, "exact", tn)
+            return _CompiledNorm(_lam, "estimate", tn + ("weight not concave: not a norm",), profile=True)
+        return _CompiledNorm(_lam, "exact", tn, profile=True)
 
     if isinstance(space, LorentzLambdaP):
         phi, p = space.phi, space.p
@@ -646,22 +661,22 @@ def _compile(space: SpaceDescriptor, mspace: MeasureSpace) -> Optional[_Compiled
 
             def _lam_p_pow(x, wd=widths, q=q, cp=cp, p=p):
                 # (cp * ∫ x*(t)^p t^q dt)^(1/p), exact on step functions
-                x = np.ascontiguousarray(x)
-                v, _, bp = _decreasing_profile(x, wd)
-                live = (v > 0).sum(-1)
+                v, w, bp = _profile(x, wd)
+                live = np.add.reduce(v > 0, -1)
                 if live.ndim:
                     if (live != live[0]).any():
-                        return _each_row(_lam_p_pow, x)
+                        return _each_row(_lam_p_pow, zip(v, w, bp))
                     live = live[0]
                 if live == 0:
-                    return _fill(x, 0.0)
+                    return _fill(v, 0.0)
                 if q <= -1.0:
-                    return _fill(x, math.inf)
+                    return _fill(v, math.inf)
                 prim = bp[..., : live + 1] ** (q + 1.0) / (q + 1.0)
-                terms = np.sort(v[..., :live] ** p * (prim[..., 1:] - prim[..., :-1]))
-                return _root(cp * terms.sum(-1), p)
+                terms = v[..., :live] ** p * (prim[..., 1:] - prim[..., :-1])
+                terms.sort(-1)
+                return _root(cp * np.add.reduce(terms, -1), p)
 
-            return _CompiledNorm(_lam_p_pow, "exact", tn)
+            return _CompiledNorm(_lam_p_pow, "exact", tn, profile=True)
 
         # fold the dt/t factor into the weight: (phi * t^(-1/p))^p = phi^p / t
         note = tn + ("fixed-order quadrature for the weight; dt/t absorbed",)
@@ -691,15 +706,15 @@ def _compile(space: SpaceDescriptor, mspace: MeasureSpace) -> Optional[_Compiled
             lim0 = pw.coef if pw.alpha == 0.0 else 0.0
 
             def _marc_pow(v, wd=widths, coef=pw.coef, alpha=pw.alpha, lim0=lim0):
-                v, w, bp = _decreasing_profile(v, wd)
+                v, w, bp = _profile(v, wd)
                 t = bp[..., 1:]
-                cand = coef * t**alpha * ((v * w).cumsum(-1) / t)
-                best = cand.max(-1, initial=0.0)
+                cand = coef * t**alpha * (np.add.accumulate(v * w, -1) / t)
+                best = np.maximum.reduce(cand, -1, initial=0.0)
                 if lim0:
                     best = np.maximum(best, lim0 * v[..., 0])
                 return _out(best)
 
-            return _CompiledNorm(_marc_pow, "exact", tn)
+            return _CompiledNorm(_marc_pow, "exact", tn, profile=True)
         frac = np.linspace(0.0, 1.0, 10)
 
         def _marc_generic(v, wd=widths, phi=phi, frac=frac):
@@ -723,10 +738,10 @@ def _compile(space: SpaceDescriptor, mspace: MeasureSpace) -> Optional[_Compiled
         if pw is not None and pw.alpha >= 0.0:
 
             def _mstar_pow(v, wd=widths, coef=pw.coef, alpha=pw.alpha):
-                v, _, bp = _decreasing_profile(v, wd)
-                return _out((v * (coef * bp[..., 1:] ** alpha)).max(-1, initial=0.0))
+                v, _, bp = _profile(v, wd)
+                return _out(np.maximum.reduce(v * (coef * bp[..., 1:] ** alpha), -1, initial=0.0))
 
-            return _CompiledNorm(_mstar_pow, "exact", tn)
+            return _CompiledNorm(_mstar_pow, "exact", tn, profile=True)
         if pw is not None:
             return _CompiledNorm(_singular_at_zero, "exact", tn + ("weight singular at 0",))
 
@@ -910,7 +925,9 @@ def norm_evaluator(space: SpaceDescriptor, mspace: MeasureSpace) -> Optional[_Co
     array of k >= 1 rows to an array of their k norms.  Batching never moves
     a bit: ``fn(V)[i] == fn(V[i])`` exactly, for any memory layout of V.
     Callers in the variational engine hold on to ``fn`` across thousands
-    of evaluations, and schedule them by its ``call_rows``.
+    of evaluations, and schedule them by its ``call_rows``.  Where
+    ``profile`` is set, ``fn`` also takes the ``_decreasing_profile`` of
+    the values (or rows of one of a larger stack), bit for bit alike.
     """
     key = (space, mspace)
     hit = _COMPILE_CACHE.get(key)

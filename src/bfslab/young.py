@@ -274,8 +274,8 @@ def _log_grid(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
 def _log_scan(obj, u: np.ndarray, lo: np.ndarray, hi: np.ndarray, floor=None, ceil=None):
     """``obj(v, u)`` on the log grid of each cell's window [lo, hi] (one
-    window may serve every cell): the values, each cell's argmin k, and
-    the bracket of k's neighbours.
+    window may serve every cell): the values, each cell's argmin k, the
+    bracket of k's neighbours, and the grid (broadcast to the values).
 
     Given the domain [floor, ceil] of v (arrays or floats), a cell whose
     values fall strictly to a window end inside the domain and ``_V_RANGE``
@@ -305,7 +305,7 @@ def _log_scan(obj, u: np.ndarray, lo: np.ndarray, hi: np.ndarray, floor=None, ce
         vals[rows] = obj(grid[rows], u[rows, None])
         k[rows] = vals[rows].argmin(-1)
     r = np.arange(k.size)
-    return vals, k, grid[r, np.maximum(k - 1, 0)], grid[r, np.minimum(k + 1, _OPLUS_GRID - 1)]
+    return vals, k, grid[r, np.maximum(k - 1, 0)], grid[r, np.minimum(k + 1, _OPLUS_GRID - 1)], grid
 
 
 def _rescan(obj, u: np.ndarray, best: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -324,7 +324,7 @@ def _rescan(obj, u: np.ndarray, best: np.ndarray, lo: np.ndarray, hi: np.ndarray
         wide = lb - la > _SPLIT_RTOL * np.maximum(1.0, np.maximum(np.abs(la), np.abs(lb)))
         rows, lo, hi = rows[wide], lo[wide], hi[wide]
         if rows.size:
-            vals, k, lo, hi = _log_scan(obj, u[rows], lo, hi)
+            vals, k, lo, hi, _ = _log_scan(obj, u[rows], lo, hi)
             best[rows] = np.minimum(best[rows], vals[np.arange(rows.size), k])
     return best
 
@@ -458,7 +458,7 @@ class Oplus(_Splitting):
             w = u / v
             return np.where((v <= b1) & (w <= b2), f._eval(v) + g._eval(w), math.inf)
 
-        vals, k, blo, bhi = _log_scan(obj, u, lo, hi, u / b2, b1)
+        vals, k, blo, bhi, _ = _log_scan(obj, u, lo, hi, u / b2, b1)
         best = vals[np.arange(u.size), k]
         # Boundary candidates where one factor sits exactly at its
         # vanishing threshold.
@@ -559,7 +559,7 @@ class Ominus(_Splitting):
             return np.where(np.isfinite(g1), g1 - phi._eval(u * v), math.inf)
 
         # one first window for every cell: phi1 is evaluated on a single grid row
-        neg, k, blo, bhi = _log_scan(obj, u, np.array([lo]), np.array([hi]), 0.0, b1)
+        neg, k, blo, bhi, grid = _log_scan(obj, u, np.array([lo]), np.array([hi]), 0.0, b1)
         r = np.arange(u.size)
         low = neg[r, k]
         unbounded = low == -math.inf
@@ -573,6 +573,15 @@ class Ominus(_Splitting):
             unbounded |= edge & big
         fin = np.flatnonzero(~unbounded & np.isfinite(low))
         low[fin] = _rescan(obj, u[fin], low[fin], blo[fin], bhi[fin])
+        # each other sampled local minimum may hide a deeper valley (a
+        # positive region narrower than a grid step) between its neighbours
+        dip = np.zeros(neg.shape, dtype=bool)
+        dip[:, 1:-1] = (neg[:, 1:-1] < neg[:, :-2]) & (neg[:, 1:-1] <= neg[:, 2:])
+        dip[r, k] = False
+        cell, j = np.nonzero(dip[fin])
+        if cell.size:
+            cell = fin[cell]
+            np.minimum.at(low, cell, _rescan(obj, u[cell], low[cell], grid[cell, j - 1], grid[cell, j + 1]))
         out[live] = np.where(unbounded, math.inf, np.where(low < 0.0, -low, 0.0))
         return out
 

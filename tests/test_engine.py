@@ -223,6 +223,9 @@ THEOREM_PAIRS = {
     "lemma4_calderon": (Convexification(Lp(1.0, PW(-0.4)), 2.0), Convexification(LInftyWeighted(PW(0.4)), 2.0)),
     "thm7_lambdap_lambdap": (LorentzLambdaP(PW(0.5), 1.0), LorentzLambdaP(PW(0.3), 1.0)),
     "orlicz_pair": (OrliczCL(Lp(1.0), ShiftedPower(0.4, 1.0, 2.0)), OrliczCL(Lp(1.0), Power(1.0, 2.0))),
+    # a non-power Λ also reads the shared profile; a weighted sup does not, so its pair's J hands each kernel its values
+    "generic_lambda_mstar": (LorentzLambda(PowerLogWeight(0.5, 1.0)), MarcinkiewiczStar(PW(0.3))),
+    "mixed_lambda_wsup": (LorentzLambda(PW(0.5)), LInftyWeighted(PW(0.3))),
 }
 # the Orlicz pair runs where the gauges benchmark runs it: its gauge
 # kernel costs ~9x a sorted-profile kernel per batch of 16 rows at n = 8
@@ -250,17 +253,67 @@ def test_product_norm_matches_the_serial_oracle(monkeypatch, pair, grid):
     assert (res.value, res.kind, res.notes) == (res0.value, res0.kind, res0.notes)
 
 
-def test_product_norm_with_dead_cells_matches_the_serial_oracle(monkeypatch):
+def _dead_cells_match_the_oracle(monkeypatch, E, F):
     ms = counting(12)
     vals = _profile(ms, seed=3).values.copy()
     vals[[2, 7, 11]] = 0.0
     z = StepFunction(ms, vals)
-    E, F = Convexification(LorentzLambda(PW(0.5)), 2.0), MarcinkiewiczStar(PW(0.3))
     (res, wit), (res0, wit0) = _both(
         monkeypatch, "_optimize_product", _optimize_product, lambda: product_norm(E, F, z, opts=dict(_FAST))
     )
     assert _same_witness(wit, wit0)
     assert (res.value, res.kind) == (res0.value, res0.kind)
+
+
+def test_product_norm_with_dead_cells_matches_the_serial_oracle(monkeypatch):
+    _dead_cells_match_the_oracle(monkeypatch, Convexification(LorentzLambda(PW(0.5)), 2.0), MarcinkiewiczStar(PW(0.3)))
+
+
+def test_a_profile_pair_with_dead_cells_matches_the_serial_oracle(monkeypatch):
+    # the shared sort of the x and y stack, with zeros off the support of z
+    _dead_cells_match_the_oracle(monkeypatch, LorentzLambda(PW(0.5)), MarcinkiewiczStar(PW(0.3)))
+
+
+def _objective_calls(monkeypatch, E, F, ms):
+    """The product objective J of (E, F) on ``ms``, and the lists that record
+    its sorts (row shapes) and its kernel calls (argument types)."""
+    sorts, calls, objectives = [], [], []
+    sort, descent = S._decreasing_profile, P._lockstep_descent
+
+    def counted_sort(values, widths):
+        sorts.append(values.shape)
+        return sort(values, widths)
+
+    def grab(J, *args, **kwargs):
+        objectives.append(J)
+        return descent(J, *args, **kwargs)
+
+    for module in (S, P):
+        monkeypatch.setattr(module, "_decreasing_profile", counted_sort)
+    monkeypatch.setattr(P, "_lockstep_descent", grab)
+    for space in (E, F):
+        compiled = P._norm_fn(space, ms)
+        monkeypatch.setattr(compiled, "fn", lambda values, fn=compiled.fn: calls.append(type(values)) or fn(values))
+    product_norm(E, F, _profile(ms, seed=1), opts=dict(_FAST, max_sweeps=1))
+    del sorts[:], calls[:]
+    return objectives[0], sorts, calls
+
+
+def test_a_profile_pair_sorts_once_per_objective_call(monkeypatch):
+    # both kernels take a profile: J sorts the x and y rows as one stack
+    # and calls each fn once, on its half, where a tracer sees it
+    ms = unit_interval(16)
+    J, sorts, calls = _objective_calls(monkeypatch, *THEOREM_PAIRS["thm7_lambda_mstar"], ms)
+    J(np.zeros((5, 16)))
+    assert sorts == [(10, 16)] and calls == [tuple, tuple]
+
+
+def test_a_pair_with_a_values_kernel_hands_each_kernel_its_values(monkeypatch):
+    # the Λ kernel sorts its own rows; the weighted sup needs no sort
+    ms = unit_interval(16)
+    J, sorts, calls = _objective_calls(monkeypatch, *THEOREM_PAIRS["mixed_lambda_wsup"], ms)
+    J(np.zeros((5, 16)))
+    assert sorts == [(5, 16)] and calls == [np.ndarray, np.ndarray]
 
 
 def test_one_sweep_stays_an_estimate_and_matches_the_oracle(monkeypatch):

@@ -183,3 +183,12 @@ def test_rearrange_fallbacks_work_on_fine_unit_grids():
     assert np.isfinite(double_star(x, 0.5))
     star = Symmetrization(Lp(np.inf, PowerLogWeight(0.5, 1)), "star")
     assert np.isfinite(norm(star, x).value)
+
+
+def test_unit_interval_stops_where_its_floor_would_underflow():
+    # the floor 2^(-10 - n // 2) is the least normal float at n = 2025
+    ms = unit_interval(2025)
+    assert ms.breakpoints[1] == np.finfo(float).tiny and np.all(ms.widths > 0)
+    for n in (2026, 2130):
+        with pytest.raises(ValueError, match="at most 2025 cells"):
+            unit_interval(n)

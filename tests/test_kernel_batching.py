@@ -36,6 +36,7 @@ from bfslab import (
     oplus,
     unit_interval,
 )
+from bfslab import spaces as S
 from bfslab.weights import PowerLogWeight
 
 PW = PowerWeight
@@ -169,3 +170,43 @@ def test_lockstep_gauge_rows_match_row_calls_bit_for_bit(name):
         rows = [fn(row) for row in W]
         assert np.array_equal(_bits(got), _bits(rows)), (name, got, rows)
     assert got[0] == got[2] == 0.0
+
+
+PROFILE_GRIDS = {"unit16": lambda: unit_interval(16), "half16": lambda: half_line(16), "counting16": lambda: counting(16)}
+
+
+def _stack(rng, k, n):
+    """2k rows: random values, dead cells (so live counts differ), ties, an all-zero row."""
+    V = rng.uniform(0.0, 3.0, (2 * k, n))
+    V[rng.uniform(size=V.shape) < 0.25] = 0.0
+    V[0] = np.round(V[0])  # ties among the live cells and at 0
+    V[-1] = V[-1, 0]  # one value throughout
+    if k > 1:
+        V[1] = 0.0
+    return V
+
+
+@pytest.mark.parametrize("grid", sorted(PROFILE_GRIDS))
+@pytest.mark.parametrize("k", [1, 3, 8])
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_profile_kernels_read_a_shared_profile_bit_for_bit(grid, k, seed):
+    # a product objective sorts the rows of x and y as one stack and hands
+    # each kernel its half of the profile: that must give fn(values) of
+    # the half, and fn(row) per row, to the last bit
+    ms = PROFILE_GRIDS[grid]()
+    V = _stack(np.random.default_rng(seed), k, ms.n_cells)
+    v, w, bp = S._decreasing_profile(V, ms.widths)
+    taken = set()
+    for name, space in FAMILIES.items():
+        compiled = norm_evaluator(space, ms)
+        if not compiled.profile:
+            continue
+        taken.add(name)
+        for half in (slice(None, k), slice(k, None)):
+            got = compiled.fn((v[half], w[half], bp[half]))
+            assert np.array_equal(_bits(got), _bits(compiled.fn(V[half]))), (name, half)
+            assert np.array_equal(_bits(got), _bits([compiled.fn(row) for row in V[half]])), (name, half)
+    # every power-weight Lorentz and Marcinkiewicz kernel takes a profile
+    assert {"lorentz_lambda", "lorentz_lambda_p", "marcinkiewicz", "marcinkiewicz_star"} <= taken
+    assert "lp_plain" not in taken and "orlicz" not in taken

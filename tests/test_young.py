@@ -409,15 +409,27 @@ def test_a_zero_shift_is_a_power_atom():
 
 
 def test_ominus_a_phi_is_where_the_values_turn_positive():
-    # (u v - 0.3)_+^2 - v^4 > 0 for some v once u passes about 1.0955,
-    # where the scan first sees the sup turn positive
+    # (u v - 0.3)_+^2 - v^4 > 0 for some v exactly when v^2 - u v + 0.3 < 0
+    # has a root, that is once u passes sqrt(1.2)
     phi = Ominus(ShiftedPower(0.3, 1.0, 2.0), Power(1.0, 4.0))
     a = phi.a_phi
-    assert a == pytest.approx(1.0955094, rel=1e-6)
+    assert a == pytest.approx(math.sqrt(1.2), rel=1e-6)
     assert phi(a) > 0.0 and phi(a * (1.0 - 1e-10)) == 0.0
     assert inverse(phi, 0.0) == a
     # positive from the bottom of the window on: a_phi is 0, not a point where values underflow
     assert ominus(Power(1.0, 2.0), ShiftedPower(0.3, 1.0, 4.0)).a_phi == 0.0
+
+
+def test_ominus_finds_a_positive_region_narrower_than_a_grid_step():
+    # at u = 1.0955 the sup is positive only for v in (u ± sqrt(u^2 - 1.2)) / 2,
+    # about 2 % wide where the first scan steps 7.5 %: a sampled local
+    # minimum away from the argmin (which sits at the window's bottom end)
+    phi = Ominus(ShiftedPower(0.3, 1.0, 2.0), Power(1.0, 4.0))
+    u = 1.0955
+    v = np.linspace(0.5, 0.6, 2_000_001)
+    brute = float(np.max(np.maximum(u * v - 0.3, 0.0) ** 2 - v**4))
+    assert brute > 1e-5
+    assert phi(u) == pytest.approx(brute, abs=1e-9)
 
 
 def test_ominus_b_phi_is_the_ratio_of_the_domain_ends():

@@ -4,9 +4,10 @@ The product norm ``inf { |x|_E |y|_F : z = x y }`` has a closed form
 where ``canonical`` rewrites ``Product(E, F)`` by an exact identity
 (``spaces._product_rule``): the value is the norm of the rewritten
 space, and the witness splits z by the exponent share the rule reports.
-Two factors M*_phi, M*_psi (pure powers) get the comonotone split
-z = (1/phi(T)) * (z phi(T)), T the measure up to each cell in z's
-decreasing order, within factor 2 of the product norm.
+A sup-type factor (a weighted sup, or M*_psi with psi = c t^a, a >= 0)
+has a largest y of norm 1 in each cell order, 1/psi(T), T the measure up
+to each cell: the split is z = (z psi(T)) (1/psi(T)) in the cell order a
+descent over adjacent swaps reaches from z's decreasing order.
 Elsewhere lockstep multi-start coordinate descent over ``x = exp(u)`` on
 the support of z computes it: the seeded starts are the rows of one
 matrix, and their golden-section line searches share batched kernel
@@ -42,6 +43,7 @@ from .spaces import (
     Calderon,
     Convexification,
     Dual,
+    LInftyWeighted,
     Lp,
     LorentzLambda,
     LorentzLambdaP,
@@ -98,6 +100,7 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # products mix's _golden_rows calls at n = 16, where 48 costs the least
 _CALL_ROWS = 48
 _RATIO_CAP = 1e8
+_PAIR_DESCENT_CELLS = 64  # two sup factors: a descent pass scores n^2 cells, 60 ms at n = 1024
 _UNCERTIFIED = "a factor norm is an estimate, so the factorization certifies no bound"
 # objectives may overflow, divide by 0 or multiply 0 by inf; the
 # engine maps every such value to +inf or 0 as the scalar code did
@@ -387,37 +390,18 @@ def _monotone_params(u: np.ndarray) -> np.ndarray:
     return v
 
 
-def _seed_vectors(E, F, z_supp, widths_supp, t_right_supp) -> list:
-    """Log-domain starting points for x on supp z."""
+def _seed_vectors(E, F, z_supp, t_right_supp) -> list:
+    """Log-domain starting points for x on supp z: multiples of log z, and
+    the extremal profile of a Lorentz factor with weight t^a, 0 < a < 1."""
     logz = np.log(z_supp)
     seeds = [theta * logz for theta in (0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875)]
     seeds.append(np.zeros_like(logz))
     for side, sp in (("E", canonical(E)), ("F", canonical(F))):
-        extra = _structured_seed(sp, z_supp, widths_supp, t_right_supp)
-        if extra is None:
-            continue
-        seeds.append(extra if side == "E" else logz - extra)
-    return seeds
-
-
-def _mstar_levels(phi, z: np.ndarray, widths: np.ndarray) -> np.ndarray:
-    """phi(T) per cell, T the measure of the cells that a stable descending
-    sort of z puts at or before it: 1/phi(T) has M*_phi norm 1."""
-    order = np.argsort(-z, kind="stable")
-    out = np.empty_like(z)
-    out[order] = np.asarray(phi(np.cumsum(widths[order])), dtype=float)
-    return out
-
-
-def _structured_seed(sp, z_supp, widths_supp, t_right_supp):
-    """Shape-aware seed for spaces with a known extremal profile."""
-    if isinstance(sp, MarcinkiewiczStar):
-        return np.log(1.0 / np.maximum(_mstar_levels(sp.phi, z_supp, widths_supp), 1e-300))
-    if isinstance(sp, (LorentzLambda, LorentzLambdaP)):
-        pw = simplify_power(sp.phi)
+        pw = simplify_power(sp.phi) if isinstance(sp, (LorentzLambda, LorentzLambdaP)) else None
         if pw is not None and 0.0 < pw.alpha < 1.0:
-            return np.log(z_supp) + (1.0 - pw.alpha) * np.log(t_right_supp)
-    return None
+            extra = logz + (1.0 - pw.alpha) * np.log(t_right_supp)
+            seeds.append(extra if side == "E" else logz - extra)
+    return seeds
 
 
 def _split(u: np.ndarray, supp: np.ndarray, zs: np.ndarray) -> np.ndarray:
@@ -457,7 +441,7 @@ def _optimize_product(E, F, z: StepFunction, o: dict):
         # norms are >= 0, so the one value that is not a number or +inf is NaN (0 * inf): it becomes +inf
         return np.fmin(val, math.inf)
 
-    seeds = np.array(_seed_vectors(E, F, zs, mspace.widths[supp], mspace.breakpoints[1:][supp]))
+    seeds = np.array(_seed_vectors(E, F, zs, mspace.breakpoints[1:][supp]))
     with np.errstate(**_QUIET):
         f0 = J(seeds)
         rank = np.argsort(f0, kind="stable")
@@ -519,25 +503,57 @@ def _bound(E, F, method, x, y, converged=True, notes=()):
     return NormResult(wit.product, "upper_bound" if converged and certified else "estimate", wit, notes), wit
 
 
-def _comonotone_split(E, F, z: StepFunction):
-    """M*_phi ⊙ M*_psi (phi, psi pure powers, exponents >= 0) as the value
-    (``_bound``) of the split z = (1/phi(T)) (z phi(T)), E's factor at
-    norm 1, within factor 2 of the product norm (theorem 7 (i)); or None."""
-    a = [_power_exponent(S) if isinstance(S, MarcinkiewiczStar) else None for S in (E, F)]
-    if None in a or min(a) < 0.0:
-        return None
-    phi = _mstar_levels(E.phi, z.values, z.space.widths)
-    x = z.with_values(np.where(z.values > 0, 1.0 / phi, 0.0))
-    notes = ("upper bound within factor 2 of the product norm",)
-    return _bound(E, F, "constructive", x, z.with_values(z.values * phi), notes=notes)
+def _sup_kind(S):
+    """(w, None) for a sup weighted by w, (None, c t^a) for M*_{c t^a}, a >= 0:
+    the sup-type factors, with a largest y of norm 1 (per cell order); else None."""
+    w = S.phi if isinstance(S, LInftyWeighted) else S.weight if isinstance(S, Lp) and math.isinf(S.p) else None
+    pw = simplify_power(S.phi) if isinstance(S, MarcinkiewiczStar) else None
+    return (w, None) if w is not None else (None, pw) if pw is not None and pw.alpha >= 0.0 else None
+
+
+def _sup_levels(kind, P, z: StepFunction, descend: bool):
+    """(|z l|_P, l) for a sup-type factor of ``_sup_kind`` ``kind``: y = 1/l
+    is its largest y of norm 1 in y's cell order, so x = z l is the least x
+    there (P is a lattice norm).  l is a weighted sup's cell sups, or c T^a
+    for M*_{c t^a}, T the cumulative widths in a cell order: z's decreasing
+    one (the comonotone split), then, if ``descend``, a local minimum over
+    adjacent swaps.  A pass scores every swap in one call of P's kernel and
+    takes all disjoint improving ones where that beats the best alone."""
+    (w, pw), fn, v, pos, bp = kind, _norm_fn(P, z.space).fn, z.values, z.values > 0, z.space.breakpoints
+    if w is not None:
+        lv = np.where(pos, [w.cell_sup(a, b) for a, b in zip(bp[:-1], bp[1:])], 0.0)
+        return fn(v * lv), lv
+
+    def levels(O):  # l per row for the cell orders in the rows of O
+        L = np.zeros((len(O), v.size))
+        L[np.arange(len(O))[:, None], O] = pw.coef * np.cumsum(z.space.widths[O], axis=1) ** pw.alpha
+        return L
+
+    order = np.flatnonzero(pos)[np.argsort(-v[pos], kind="stable")][None]
+    cur, r = fn(v * levels(order))[0], np.arange(order.size - 1)
+    while descend and r.size:
+        O = np.repeat(order, r.size, axis=0)
+        O[r, r], O[r, r + 1] = order[0, 1:], order[0, :-1]
+        f = fn(v * levels(O))
+        better, free, take = np.flatnonzero(f < cur), np.ones(r.size + 2, bool), []
+        for i in better[np.argsort(f[better], kind="stable")].tolist():
+            if free[i] and free[i + 1]:
+                free[i] = free[i + 1] = False
+                take.append(i)
+        if not take:
+            break
+        t, both = np.array(take), order.copy()
+        both[0, t], both[0, t + 1] = order[0, t + 1], order[0, t]
+        f_both = fn(v * levels(both))[0] if t.size > 1 else math.inf
+        order, cur = (both, f_both) if f_both < f[t[0]] else (O[t[:1]], f[t[0]])
+    return cur, levels(order)[0]
 
 
 def _closed_form(E, F, z: StepFunction):
     """The rewrite ``canonical(Product(E, F))`` as a value, with the witness
     x = z^s on supp z for the share s the rule reports.  A weighted Lebesgue
     pair (no share) balances its cell masses instead; without such a balance
-    only equal factors (split evenly) have a closed form.  Two sup-
-    Marcinkiewicz factors get the constructive ``_comonotone_split``."""
+    only equal factors (split evenly) have a closed form."""
     rule = _product_rule(E, F)
     if rule is not None:
         target, s = rule
@@ -553,7 +569,21 @@ def _closed_form(E, F, z: StepFunction):
             x = z.with_values(np.where(z.values > 0, xv, 0.0))
             wit = _bound(E, F, "closed_form", x, _safe_quotient(z, x), notes=notes)[1]
             return NormResult(res.value, res.kind, wit, res.notes + notes), wit
-    return _comonotone_split(E, F, z)
+
+
+def _sup_split(E, F, z: StepFunction):
+    """E ⊙ F with a sup-type factor: the ``_bound`` of its split, with two
+    the lower of both (which descend on at most ``_PAIR_DESCENT_CELLS``
+    cells).  None where no levels are finite and positive on supp z."""
+    pos, kinds = z.values > 0, (_sup_kind(E), _sup_kind(F))
+    descend = None in kinds or np.count_nonzero(pos) <= _PAIR_DESCENT_CELLS
+    hits = [_sup_levels(k, P, z, descend) + (i,) for i, (k, P) in enumerate(zip(kinds, (F, E))) if k is not None]
+    hits = [h for h in hits if np.all(np.isfinite(h[1][pos]) & (h[1][pos] > 0))]
+    if not hits:
+        return None
+    _, lv, i = min(hits, key=lambda h: h[0])
+    sup, partner = z.with_values(np.divide(1.0, lv, out=np.zeros_like(lv), where=pos)), z.with_values(z.values * lv)
+    return _bound(E, F, "constructive", *((sup, partner) if i == 0 else (partner, sup)))
 
 
 # ---------------------------------------------------------------------------
@@ -573,7 +603,7 @@ def product_norm(
         wit = _zero_witness(z)
         return NormResult(0.0, "exact", wit), wit
     Ec, Fc = canonical(E), canonical(F)
-    hit = _closed_form(Ec, Fc, z)
+    hit = _closed_form(Ec, Fc, z) or _sup_split(Ec, Fc, z)
     return hit if hit is not None else _bound(Ec, Fc, "optimizer", *_optimize_product(Ec, Fc, z, o))
 
 

@@ -111,7 +111,7 @@ def _optimize_product(E, F, z, o):
         val = fe(xv) * ff(yv)
         return val if math.isfinite(val) else math.inf
 
-    seeds = P._seed_vectors(E, F, zs, mspace.widths[supp], mspace.breakpoints[1:][supp])
+    seeds = P._seed_vectors(E, F, zs, mspace.breakpoints[1:][supp])
     scored = sorted(range(len(seeds)), key=lambda i: (J(seeds[i]), i))
     best_u, best_val, any_converged = None, math.inf, False
     for rank, idx in enumerate(scored):
@@ -204,6 +204,13 @@ def _both(monkeypatch, name, oracle, call):
     return got, want
 
 
+def _optimizer_product(E, F, z, opts):
+    """``product_norm``'s optimizer branch, run directly: ``product_norm``
+    gives a pair with a sup-type factor the cell-order split instead."""
+    Ec, Fc = S.canonical(E), S.canonical(F)
+    return P._bound(Ec, Fc, "optimizer", *P._optimize_product(Ec, Fc, z, P._merge_opts(opts)))
+
+
 def _same_witness(a, b):
     return (
         np.array_equal(a.x.values, b.x.values)
@@ -230,6 +237,16 @@ THEOREM_PAIRS = {
 # the Orlicz pair runs where the gauges benchmark runs it: its gauge
 # kernel costs ~9x a sorted-profile kernel per batch of 16 rows at n = 8
 _PAIR_GRIDS = {"orlicz_pair": ("unit8",)}
+# pairs with an M* or weighted-sup factor: the oracle checks the optimizer on them directly
+_SUP_PAIRS = {
+    "thm7_lambda_mstar",
+    "thm7_lambdap_mstar",
+    "thm10_marc_mstar",
+    "ex3_weak_mstar",
+    "generic_lambda_mstar",
+    "lemma4_calderon",
+    "mixed_lambda_wsup",
+}
 _GRIDS = {"unit16": lambda: unit_interval(16), "half16": lambda: half_line(16), "unit8": lambda: unit_interval(8)}
 
 
@@ -245,12 +262,13 @@ def test_product_norm_matches_the_serial_oracle(monkeypatch, pair, grid):
     E, F = THEOREM_PAIRS[pair]
     ms = _GRIDS[grid]()
     z = _profile(ms, seed=len(pair) + (7 if grid == "half16" else 0), gamma=0.3 if grid == "unit16" else 0.15)
-    (res, wit), (res0, wit0) = _both(
-        monkeypatch, "_optimize_product", _optimize_product, lambda: product_norm(E, F, z, opts=dict(_FAST))
-    )
+    run = _optimizer_product if pair in _SUP_PAIRS else product_norm
+    (res, wit), (res0, wit0) = _both(monkeypatch, "_optimize_product", _optimize_product, lambda: run(E, F, z, dict(_FAST)))
     assert wit.method == "optimizer"
     assert _same_witness(wit, wit0)
     assert (res.value, res.kind, res.notes) == (res0.value, res0.kind, res0.notes)
+    if pair in _SUP_PAIRS:
+        assert product_norm(E, F, z)[1].method == "constructive"
 
 
 def _dead_cells_match_the_oracle(monkeypatch, E, F):
@@ -259,7 +277,7 @@ def _dead_cells_match_the_oracle(monkeypatch, E, F):
     vals[[2, 7, 11]] = 0.0
     z = StepFunction(ms, vals)
     (res, wit), (res0, wit0) = _both(
-        monkeypatch, "_optimize_product", _optimize_product, lambda: product_norm(E, F, z, opts=dict(_FAST))
+        monkeypatch, "_optimize_product", _optimize_product, lambda: _optimizer_product(E, F, z, dict(_FAST))
     )
     assert _same_witness(wit, wit0)
     assert (res.value, res.kind) == (res0.value, res0.kind)
@@ -294,7 +312,7 @@ def _objective_calls(monkeypatch, E, F, ms):
     for space in (E, F):
         compiled = P._norm_fn(space, ms)
         monkeypatch.setattr(compiled, "fn", lambda values, fn=compiled.fn: calls.append(type(values)) or fn(values))
-    product_norm(E, F, _profile(ms, seed=1), opts=dict(_FAST, max_sweeps=1))
+    _optimizer_product(E, F, _profile(ms, seed=1), dict(_FAST, max_sweeps=1))
     del sorts[:], calls[:]
     return objectives[0], sorts, calls
 

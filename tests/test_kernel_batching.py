@@ -210,3 +210,31 @@ def test_profile_kernels_read_a_shared_profile_bit_for_bit(grid, k, seed):
     # every power-weight Lorentz and Marcinkiewicz kernel takes a profile
     assert {"lorentz_lambda", "lorentz_lambda_p", "marcinkiewicz", "marcinkiewicz_star"} <= taken
     assert "lp_plain" not in taken and "orlicz" not in taken
+
+
+# PowerLogWeight(0.5, 1) falls on (1/e, 1), and two kernels then break
+# monotonicity: Lambda_phi is no lattice norm (d phi < 0 there; 4.5 % on
+# unit_interval(16)), and M*_phi's sampled cell sups undercount a sup
+# inside a cell (7.5e-4).  The paper's weights do not fall.
+_FALLING_WEIGHT = {"lorentz_lambda_generic", "marcinkiewicz_star_generic"}
+
+
+@pytest.mark.parametrize("kind, n", [("counting", 7), ("unit", 16), ("half", 33)])
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_every_kernel_is_lattice_monotone(kind, n, seed):
+    # x <= y cell by cell gives |x| <= |y|: the sup-type product split
+    # rests on it, taking the least x = z / y at the largest y of norm 1
+    ms = _grid(kind, n)
+    rng = np.random.default_rng(seed)
+    X = _batch(rng, n)
+    # raise a random share of the cells, from 0 as well, by up to 100 %, or by one ulp
+    up = np.where(rng.uniform(size=X.shape) < 0.5, rng.uniform(0.0, 1.0, X.shape), 0.0)
+    Y = np.maximum(X * (1.0 + up) + (X == 0) * up, X)
+    Y[3] = np.nextafter(X[3], np.inf)
+    for name, space in FAMILIES.items():
+        if name in _FALLING_WEIGHT:
+            continue
+        fn = norm_evaluator(space, ms).fn
+        nx, ny = fn(X), fn(Y)
+        assert np.all(nx <= ny * (1.0 + 1e-12)), (name, nx, ny)

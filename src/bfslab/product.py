@@ -8,24 +8,30 @@ A sup-type factor (a weighted sup, or M*_psi with psi = c t^a, a >= 0)
 has a largest y of norm 1 in each cell order, 1/psi(T), T the measure up
 to each cell: the split is z = (z psi(T)) (1/psi(T)) in the cell order a
 descent over adjacent swaps reaches from z's decreasing order.
-Elsewhere lockstep multi-start coordinate descent over ``x = exp(u)`` on
-the support of z computes it: the seeded starts are the rows of one
-matrix, and their golden-section line searches share batched kernel
-calls, each looking ahead (as deep as the kernels' ``call_rows`` pays
-for) over every point the next golden steps could probe, bit for bit
-the results of one step per call.  Where both kernels take a decreasing
-profile (``_CompiledNorm.profile``: Lambda_phi, and Lambda_{phi,p},
-M_phi and M*_phi for a power phi), an objective call sorts the rows of
-x and y as one stack and hands each kernel its half.  A numeric result
-is an upper bound certified by its witness pair, whose norms are
-recomputed through the public norm evaluators, unless a factor norm is
-only an estimate: then so is the product.
+Elsewhere BFGS computes it, on J(u) = log |e^u|_E + log |z e^-u|_F over
+u = log x on the support of z: convex for Banach factors, and smooth
+except where the sorted profiles tie or a supremum changes hands, the
+case that BFGS with a weak Wolfe line search handles (Lewis & Overton,
+Math. Program. 141, 2013).  One run starts from the best seed, scored in
+one batched objective call, and restarts from its end point until a
+restart gains at most ``_SWEEP_RTOL``.  The gradient comes from the
+kernels' exact subgradients (``_CompiledNorm.grad``), or from forward
+differences for a kernel without one.  Where both kernels take a
+decreasing profile (``_CompiledNorm.profile``: Lambda_phi, and
+Lambda_{phi,p}, M_phi and M*_phi for a power phi), an objective call
+sorts x and y as one stack and hands each kernel its half, for values
+and gradients alike.  A numeric result is an upper bound certified by
+its witness pair, whose norms are recomputed through the public norm
+evaluators, unless a factor norm is only an estimate or the optimizer
+stopped on its budget: then so is the product.
 
-Multiplier and dual norms run the same machinery in the opposite
-direction (ratio ascent over a test family), so those values are lower
-bounds.  The two directions are kept apart deliberately; no function
-here reports a point estimate as if it were exact unless a closed form
-fired.
+Multiplier and dual norms run lockstep coordinate descent in the
+opposite direction (ratio ascent over a test family): golden-section
+line searches whose objective calls look ahead, as deep as the kernels'
+``call_rows`` pays for, over every point the next golden steps could
+probe.  Those values are lower bounds.  The two directions are kept
+apart deliberately; no function here reports a point estimate as if it
+were exact unless a closed form fired.
 """
 
 from __future__ import annotations
@@ -86,14 +92,17 @@ __all__ = [
 
 # Documented optimizer defaults; callers override per key.
 DEFAULT_OPTS = {
-    "max_sweeps": 5000,  # sweep budget for the leading starts
-    "quick_sweeps": 40,  # budget for non-leading starts
-    "golden_iters": 14,  # golden-section steps per coordinate search
-    "target": None,  # early exit once the objective is at or below
+    "max_sweeps": 5000,  # products: BFGS steps per cell of supp z; ratio ascent: sweeps, at most 200
+    "quick_sweeps": 40,  # accepted for existing option sets; no engine reads it
+    "golden_iters": 14,  # ratio ascent: golden-section steps per coordinate search
+    "target": None,  # products: early exit once |x|_E |y|_F is at or below
 }
 
-_FULL_STARTS = 3  # leading starts that get the full budget
-_SWEEP_RTOL = 1e-10  # stop once a sweep improves J by less than this
+_SWEEP_RTOL = 1e-10  # converged once a sweep, m BFGS steps or a restart improve J by at most this
+_WOLFE = (1e-4, 0.9)  # sufficient-decrease and curvature constants of the weak Wolfe line search
+_LINE_STEPS = 40  # trial steps of one line search, doublings and bisections together
+_STEP_FTOL = 1e-14  # a BFGS run also ends at a step that lowers log J by at most this
+_FD_STEP = 1e-7  # forward-difference step in log x, for a kernel without a subgradient
 _SPAN = 1.5  # coordinate search half-width in log units
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # fixed cost of one objective call, in rows: 46-54 in fits of the
@@ -307,72 +316,36 @@ def _golden_rows(J, P: np.ndarray, i: int, iters: int, call_rows: int = _CALL_RO
     ]
 
 
-def _lockstep_descent(
-    J, U: np.ndarray, f0: np.ndarray, budgets: np.ndarray, iters: int, target, call_rows: int = _CALL_ROWS
-):
-    """Cyclic coordinate descent with golden line searches, every start at once.
+def _lockstep_descent(J, U: np.ndarray, f0: np.ndarray, budget: int, iters: int, call_rows: int = _CALL_ROWS):
+    """Cyclic coordinate descent with golden line searches, every row at once.
 
     Row r of U is a start, with f0[r] = J(U[r]); J maps a (k, m) matrix
     to its k objective values.  A sweep runs a golden-section search
-    along each coordinate in turn, for all live rows together.  Row r
-    stops after budgets[r] sweeps, or converged once a sweep ends at or
-    below ``target`` or improves J by at most _SWEEP_RTOL.  ``call_rows``
-    is the fixed cost of one J call in rows (see _call_rows).  Returns
-    (U, best J per row, converged per row).
-
-    Rows are independent, so the schedule changes no result.  _select
-    takes the rows in rank order and stops at the first one at or below
-    ``target``, so the rows after it are dropped as soon as it gets
-    there; the rows before it run on.
+    along each coordinate in turn, for all live rows together.  A row
+    stops after ``budget`` sweeps, or converged once a sweep improves J
+    by at most _SWEEP_RTOL.  ``call_rows`` is the fixed cost of one J
+    call in rows (see _call_rows).  Rows are independent, so the
+    schedule changes no result.  Returns (U, best J per row, converged
+    per row).
     """
     U = np.array(U, dtype=float, order="C")
     best = np.array(f0, dtype=float)
-    sweeps = np.zeros(len(U), dtype=int)
     converged = np.zeros(len(U), dtype=bool)
-    live = budgets > 0
-
-    def drop_after_target():
-        if target is not None:
-            hit = np.flatnonzero(best <= target)
-            if hit.size:
-                live[hit[0] + 1 :] = False
-
-    drop_after_target()
-    while live.any():
+    live = np.ones(len(U), dtype=bool)
+    for _ in range(budget):
         prev = best.copy()
+        rows = np.flatnonzero(live)
         for i in range(U.shape[1]):
-            rows = np.flatnonzero(live)
             t, f = map(np.array, _golden_rows(J, U[rows], i, iters, call_rows))
             better = f < best[rows]
             U[rows[better], i] = t[better]
             best[rows[better]] = f[better]
-            drop_after_target()
-        rows = np.flatnonzero(live)
-        sweeps[rows] += 1
         p, b = prev[rows], best[rows]
-        done = p - b <= _SWEEP_RTOL * np.maximum(np.abs(p), 1e-300)
-        if target is not None:
-            done |= b <= target
-        converged[rows] = done
-        live[rows] = ~done & (sweeps[rows] < budgets[rows])
+        converged[rows] = p - b <= _SWEEP_RTOL * np.maximum(np.abs(p), 1e-300)
+        live[rows] = ~converged[rows]
+        if not live.any():
+            break
     return U, best, converged
-
-
-def _select(vals: np.ndarray, converged: np.ndarray, target):
-    """Rank-order pick of the best start: (row, converged flag).
-
-    The first strict improvement wins, and the scan stops at the first
-    row at or below ``target``, which then counts as converged.  Where
-    every value is infinite, row 0 is picked, not converged.
-    """
-    best_r, best_val, any_converged = 0, math.inf, False
-    for r, val in enumerate(vals.tolist()):
-        if val < best_val:
-            best_r, best_val = r, val
-            any_converged = bool(converged[r])
-        if target is not None and best_val <= target:
-            return best_r, True
-    return best_r, any_converged
 
 
 def _monotone_embed(v: np.ndarray) -> np.ndarray:
@@ -421,38 +394,142 @@ def _split(u: np.ndarray, supp: np.ndarray, zs: np.ndarray) -> np.ndarray:
     return xy
 
 
-def _optimize_product(E, F, z: StepFunction, o: dict):
+def _log_slopes(kernel: _CompiledNorm, x: np.ndarray, supp, prof=None):
+    """(N(x), d log N / d log x on supp) at one point x; supp indexes the
+    cells of supp z.  Exact through ``kernel.grad``, which reads ``prof``,
+    x's decreasing profile, where given.  Else forward differences, from
+    one call of the m + 1 rows x and x e^(h e_i), i over those m cells."""
+    if kernel.grad is not None:
+        nrm, g = kernel.grad(x if prof is None else prof)
+        return nrm, x[supp] * g[supp] / nrm
+    idx = np.arange(x.size)[supp]
+    X = np.repeat(x[None], idx.size + 1, axis=0)
+    X[np.arange(1, idx.size + 1), idx] *= math.exp(_FD_STEP)
+    f = np.log(kernel.fn(X))
+    return math.exp(f[0]), (f[1:] - f[0]) / _FD_STEP
+
+
+def _line_search(fg, u: np.ndarray, f: float, g: np.ndarray, d: np.ndarray):
+    """A step t along the descent direction d from u (value f, gradient g)
+    meeting the weak Wolfe conditions, found by doubling and bisection
+    (Lewis & Overton, Math. Program. 141, 2013): (t, f, g) there.  Past
+    ``_LINE_STEPS`` trials, the last step with sufficient decrease, or
+    None if there was none."""
+    c1, c2 = _WOLFE
+    gd = float(g @ d)
+    lo, hi, t, best = 0.0, math.inf, 1.0, None
+    for _ in range(_LINE_STEPS):
+        ft, gt = fg(u + t * d)
+        if not ft <= f + c1 * t * gd:  # NaN and +inf fail here
+            hi = t
+        elif gt @ d < c2 * gd:
+            lo, best = t, (t, ft, gt)
+        else:
+            return t, ft, gt
+        t = 2.0 * lo if hi == math.inf else 0.5 * (lo + hi)
+    return best
+
+
+def _bfgs(fg, u: np.ndarray, f: float, g: np.ndarray, steps: int, floor: float):
+    """BFGS from u (value f, gradient g) with weak Wolfe line searches, for
+    nonsmooth as well as smooth f (Lewis & Overton).  The inverse Hessian
+    starts from the identity, takes the scale s.y / y.y at its first
+    update, skips pairs with s.y <= 0, and goes back to the identity
+    wherever its direction is not a descent direction.  Runs at most
+    ``steps`` steps, and stops once f <= ``floor``, once the last u.size
+    steps lowered f by at most ``_SWEEP_RTOL`` (a sweep's worth), or at a
+    step that lowers f by at most ``_STEP_FTOL``.  Returns (u, f, g,
+    steps taken)."""
+    H, past = None, []
+    for k in range(steps):
+        past.append(f)
+        if f <= floor or (k >= u.size and past[k - u.size] - f <= _SWEEP_RTOL):
+            return u, f, g, k
+        d = -g if H is None else -(H @ g)
+        if not g @ d < 0.0:
+            H, d = None, -g
+        step = _line_search(fg, u, f, g, d) if g @ d < 0.0 else None
+        if step is None or not f - step[1] > _STEP_FTOL:
+            return u, f, g, k
+        t, f1, g1 = step
+        s, y = t * d, g1 - g
+        sy = float(s @ y)
+        if sy > 0.0:
+            if H is None:
+                H = np.eye(u.size) * (sy / float(y @ y))
+            Hy = H @ y
+            H += (((sy + y @ Hy) / sy) * np.outer(s, s) - np.outer(Hy, s) - np.outer(s, Hy)) / sy
+        u, f, g = u + s, f1, g1
+    return u, f, g, steps
+
+
+def _objective(E, F, z: StepFunction):
+    """The product objective over u = log x on supp z, y = z / x: (J, fg).
+    J maps a (k, m) batch of u rows to |x|_E |y|_F per row (+inf for a
+    NaN); fg maps one u to (log J, its gradient)."""
     mspace = z.space
     supp = z.values > 0.0
     zs = z.values[supp]
     ke, kf = _norm_fn(E, mspace), _norm_fn(F, mspace)
     fe, ff = ke.fn, kf.fn
     shared = ke.profile and kf.profile
+    shared_grad = shared and ke.grad is not None and kf.grad is not None
+    cells = slice(None) if zs.size == supp.size else supp  # a view where z lives on every cell
 
     def J(U: np.ndarray) -> np.ndarray:
         xy = _split(U, supp, zs)
         if shared:
             # one sort for both factors: fe and ff read the halves of one profile
             k = len(U)
-            v, w, bp = _decreasing_profile(xy.reshape(2 * k, -1), mspace.widths)
-            val = fe((v[:k], w[:k], bp[:k])) * ff((v[k:], w[k:], bp[k:]))
+            v, w, bp, order = _decreasing_profile(xy.reshape(2 * k, -1), mspace.widths)
+            val = fe((v[:k], w[:k], bp[:k], order[:k])) * ff((v[k:], w[k:], bp[k:], order[k:]))
         else:
             val = fe(xy[0]) * ff(xy[1])
         # norms are >= 0, so the one value that is not a number or +inf is NaN (0 * inf): it becomes +inf
         return np.fmin(val, math.inf)
 
+    def fg(u: np.ndarray):
+        xy = _split(u, supp, zs)
+        px = py = None
+        if shared_grad:
+            # one sort for both values and both gradients
+            v, w, bp, order = _decreasing_profile(xy, mspace.widths)
+            px, py = (v[0], w[0], bp[0], order[0]), (v[1], w[1], bp[1], order[1])
+        (ne, se), (nf, sf) = _log_slopes(ke, xy[0], cells, px), _log_slopes(kf, xy[1], cells, py)
+        val = ne * nf  # >= 0, or NaN
+        return (math.log(val) if val > 0.0 else (-math.inf if val == 0.0 else math.nan)), se - sf
+
+    return J, fg
+
+
+def _optimize_product(E, F, z: StepFunction, o: dict):
+    """BFGS over u = log x on the m cells of supp z, with y = z / x, on
+    J(u) = log |x|_E + log |y|_F (convex for Banach factors): (x, y,
+    converged).  The run starts from the best ``_seed_vectors`` row,
+    scored in one batched call, and restarts from its end point with a
+    fresh inverse Hessian until a restart improves |x|_E |y|_F by at most
+    ``_SWEEP_RTOL``: then it has converged.  It also stops, converged,
+    once the product is at or below ``target``, and, not converged, after
+    ``max_sweeps * m`` BFGS steps in all."""
+    mspace = z.space
+    supp = z.values > 0.0
+    zs = z.values[supp]
+    J, fg = _objective(E, F, z)
     seeds = np.array(_seed_vectors(E, F, zs, mspace.breakpoints[1:][supp]))
+    target, steps = o["target"], o["max_sweeps"] * zs.size
+    floor = math.log(target) if target is not None and target > 0 else -math.inf
     with np.errstate(**_QUIET):
-        f0 = J(seeds)
-        rank = np.argsort(f0, kind="stable")
-        budgets = np.full(rank.size, min(o["quick_sweeps"], o["max_sweeps"]))
-        budgets[:_FULL_STARTS] = o["max_sweeps"]
-        U, vals, conv = _lockstep_descent(
-            J, seeds[rank], f0[rank], budgets, o["golden_iters"], o["target"], _call_rows(ke, kf)
-        )
-    best_r, any_converged = _select(vals, conv, o["target"])
-    xv, yv = _split(U[best_r], supp, zs)
-    return StepFunction(mspace, xv), StepFunction(mspace, yv), any_converged
+        u = seeds[int(np.argmin(J(seeds)))]
+        f, g = fg(u)
+        converged, restart = f <= floor, False
+        while math.isfinite(f) and steps > 0 and not converged:
+            f0 = f
+            u, f, g, k = _bfgs(fg, u, f, g, steps, floor)
+            steps -= k
+            converged = f <= floor or (restart and -math.expm1(f - f0) <= _SWEEP_RTOL)
+            restart = True
+    xv, yv = _split(u, supp, zs)
+    return StepFunction(mspace, xv), StepFunction(mspace, yv), converged
 
 
 # ---------------------------------------------------------------------------
@@ -738,10 +815,9 @@ def _ratio_ascent(
         return -ratio(vals)
 
     p0 = (_monotone_params(u0) if monotone else u0)[None]
-    budget = np.array([min(o["max_sweeps"], 200)])
     with np.errstate(**_QUIET):
         # no target: the ascent maximizes the ratio as far as it goes
-        P, neg, _ = _lockstep_descent(J, p0, J(p0), budget, o["golden_iters"], None, call_rows)
+        P, neg, _ = _lockstep_descent(J, p0, J(p0), min(o["max_sweeps"], 200), o["golden_iters"], call_rows)
     if -neg[0] > best:
         best = -float(neg[0])
         u_final = _monotone_embed(P[0]) if monotone else P[0]

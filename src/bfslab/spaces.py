@@ -69,6 +69,7 @@ from .weights import (
     PowerWeight,
     Weight,
     WeightProduct,
+    is_quasiconcave_sampled,
     simplify_power,
     weight_from_json,
     weight_to_json,
@@ -501,8 +502,10 @@ class _CompiledNorm:
     notes: tuple = ()
     # fixed cost of one fn call in rows: 0 when k rows cost k calls, None for product._CALL_ROWS
     call_rows: Optional[int] = None
-    # fn also takes the (v, w, bp) tuple of _decreasing_profile in place of the values
+    # fn (and grad) also take the (v, w, bp, order) tuple of _decreasing_profile in place of the values
     profile: bool = False
+    # exact subgradient: grad(x) is (fn(x), the subgradient at x in x's shape and cell order)
+    grad: Optional[Callable] = None
 
 
 # least recently used entries go first once the cache holds this many
@@ -555,22 +558,75 @@ def _fill(v: np.ndarray, value: float):
 
 def _decreasing_profile(values: np.ndarray, widths: np.ndarray):
     """Per row, C-contiguous: the cell values and widths in a stable
-    decreasing order of the values, and the breakpoints they induce."""
+    decreasing order of the values, the breakpoints they induce, and the
+    order itself (the cell at each sorted position)."""
     values = np.ascontiguousarray(values)
     order = (-values).argsort(kind="stable")
     w = widths[order]
-    if values.ndim > 1:
-        order += np.arange(0, values.size, values.shape[-1])[:, None]  # flat indices
-    v = values.take(order)
+    flat = order + np.arange(0, values.size, values.shape[-1])[:, None] if values.ndim > 1 else order
+    v = values.take(flat)
     bp = np.zeros(v.shape[:-1] + (v.shape[-1] + 1,))
     np.add.accumulate(w, -1, out=bp[..., 1:])
-    return v, w, bp
+    return v, w, bp, order
 
 
 def _profile(v, widths: np.ndarray):
     """What a profile kernel reads: ``v`` itself when it is already a
     ``(v, w, bp)`` profile, else the decreasing profile of the values."""
     return v if type(v) is tuple else _decreasing_profile(v, widths)
+
+
+# Subgradients.  A kernel's ``grad`` returns its ``fn`` value bit for bit
+# and a subgradient built from it by elementwise steps, so a batch gives
+# each row's one-row gradient bit for bit too.  Norms enter as a column
+# array (``_col``): one row and a batch then take the same numpy power.
+
+
+def _col(nrm):
+    """Row norms as a column array that broadcasts against the rows."""
+    return np.asarray(nrm, dtype=float)[..., None]
+
+
+def _unsort(gs: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """Per-row values given in a profile's order, back in cell order."""
+    g = np.empty_like(gs)
+    if gs.ndim == 1:
+        g[order] = gs
+    else:
+        g[np.arange(len(gs))[:, None], order] = gs
+    return g
+
+
+def _profile_grad(valgrad: Callable, widths: np.ndarray) -> Callable:
+    """``grad`` of a profile kernel from ``valgrad(profile)``: the kernel's
+    value and a subgradient in the profile's order, which goes back
+    through the sort."""
+
+    def grad(x):
+        prof = _profile(x, widths)
+        nrm, gs = valgrad(prof)
+        return nrm, _unsort(gs, prof[3])
+
+    return grad
+
+
+def _lp_slope(v: np.ndarray, cw, p: float, nrm: np.ndarray) -> np.ndarray:
+    """The gradient of ``(sum cw v^p)^(1/p)`` at v >= 0 with norm ``nrm``:
+    ``cw v^(p-1) / nrm^(p-1)``.  0 on dead cells unless p == 1 (the
+    one-sided slope), and on rows whose norm is 0 or infinite."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        g = cw * (v ** (p - 1.0) if p != 1.0 else 1.0) / nrm ** (p - 1.0)
+    return np.where(np.isfinite(g) & ((v > 0) | (p == 1.0)) & (nrm > 0) & np.isfinite(nrm), g, 0.0)
+
+
+def _at_max(cand: np.ndarray, c) -> np.ndarray:
+    """``c_j e_j`` per row, j the first cell where ``cand = c v`` is
+    largest: a subgradient of ``max_j c_j v_j`` for c >= 0."""
+    rows = np.arange(cand.size // cand.shape[-1])
+    j = cand.reshape(len(rows), -1).argmax(-1)
+    g = np.zeros((len(rows), cand.shape[-1]))
+    g[rows, j] = np.broadcast_to(c, cand.shape).reshape(len(rows), -1)[rows, j]
+    return np.where(np.isfinite(g), g, 0.0).reshape(cand.shape)
 
 
 def _singular_at_zero(v: np.ndarray) -> float:
@@ -594,7 +650,11 @@ def _compile(space: SpaceDescriptor, mspace: MeasureSpace) -> Optional[_Compiled
         p, w = space.p, space.weight
         if math.isinf(p):
             if w is None:
-                return _CompiledNorm(lambda v: _out(v.max(-1, initial=0.0)), "exact", tn)
+
+                def _sup(v):
+                    return _out(v.max(-1, initial=0.0))
+
+                return _CompiledNorm(_sup, "exact", tn, grad=lambda v: (_sup(v), _at_max(v, 1.0)))
             return _compile(LInftyWeighted(w), mspace)
         if w is None:
 
@@ -602,7 +662,11 @@ def _compile(space: SpaceDescriptor, mspace: MeasureSpace) -> Optional[_Compiled
                 terms = np.sort(np.ascontiguousarray(v) ** p * wd)
                 return _root(terms.sum(-1), p)
 
-            return _CompiledNorm(_lp_plain, "exact", tn)
+            def _lp_plain_grad(v, p=p, wd=widths):
+                nrm = _lp_plain(v)
+                return nrm, _lp_slope(v, wd, p, _col(nrm))
+
+            return _CompiledNorm(_lp_plain, "exact", tn, grad=_lp_plain_grad)
         cell_w = []
         exact = True
         pw = simplify_power(w)
@@ -633,8 +697,12 @@ def _compile(space: SpaceDescriptor, mspace: MeasureSpace) -> Optional[_Compiled
             terms = np.sort(v.take(idx, -1) ** p * cwl)
             return _root(terms.sum(-1), p)
 
+        def _lp_weighted_grad(v, p=p, cw=cell_w):
+            nrm = _lp_weighted(v)
+            return nrm, _lp_slope(v, cw, p, _col(nrm))
+
         notes = tn if exact else tn + ("fixed-order quadrature for the weight",)
-        return _CompiledNorm(_lp_weighted, "exact" if exact else "estimate", notes)
+        return _CompiledNorm(_lp_weighted, "exact" if exact else "estimate", notes, grad=_lp_weighted_grad)
 
     if isinstance(space, LorentzLambda):
         phi = space.phi
@@ -642,16 +710,28 @@ def _compile(space: SpaceDescriptor, mspace: MeasureSpace) -> Optional[_Compiled
         if pw is not None and pw.alpha < 0.0:
             return _CompiledNorm(_singular_at_zero, "exact", tn + ("weight singular at 0",))
 
-        def _lam(v, wd=widths, phi=phi, power=isinstance(phi, PowerWeight)):
-            v, _, bp = _profile(v, wd)
+        def increments(bp, phi=phi, power=isinstance(phi, PowerWeight)):
             # a power weight inline: the float ops of PowerWeight.__call__
             ph = phi.coef * bp**phi.alpha if power else np.asarray(phi(bp), dtype=float)
             ph[..., 0] = 0.0
-            return _out(np.add.reduce(v * (ph[..., 1:] - ph[..., :-1]), -1))
+            return ph[..., 1:] - ph[..., :-1]
 
+        def _lam(v, wd=widths):
+            v, _, bp, _ = _profile(v, wd)
+            return _out(np.add.reduce(v * increments(bp), -1))
+
+        def _lam_valgrad(prof):
+            inc = increments(prof[2])
+            return _out(np.add.reduce(prof[0] * inc, -1)), inc
+
+        grad = _profile_grad(_lam_valgrad, widths)
         if pw is not None and pw.alpha > 1.0:
-            return _CompiledNorm(_lam, "estimate", tn + ("weight not concave: not a norm",), profile=True)
-        return _CompiledNorm(_lam, "exact", tn, profile=True)
+            notes = tn + ("weight not concave: not a norm",)
+        elif pw is None and not is_quasiconcave_sampled(phi):
+            notes = tn + ("weight fails the sampled quasi-concavity check: not a lattice norm",)
+        else:
+            return _CompiledNorm(_lam, "exact", tn, profile=True, grad=grad)
+        return _CompiledNorm(_lam, "estimate", notes, profile=True, grad=grad)
 
     if isinstance(space, LorentzLambdaP):
         phi, p = space.phi, space.p
@@ -661,11 +741,11 @@ def _compile(space: SpaceDescriptor, mspace: MeasureSpace) -> Optional[_Compiled
 
             def _lam_p_pow(x, wd=widths, q=q, cp=cp, p=p):
                 # (cp * ∫ x*(t)^p t^q dt)^(1/p), exact on step functions
-                v, w, bp = _profile(x, wd)
+                v, w, bp, order = _profile(x, wd)
                 live = np.add.reduce(v > 0, -1)
                 if live.ndim:
                     if (live != live[0]).any():
-                        return _each_row(_lam_p_pow, zip(v, w, bp))
+                        return _each_row(_lam_p_pow, zip(v, w, bp, order))
                     live = live[0]
                 if live == 0:
                     return _fill(v, 0.0)
@@ -676,14 +756,22 @@ def _compile(space: SpaceDescriptor, mspace: MeasureSpace) -> Optional[_Compiled
                 terms.sort(-1)
                 return _root(cp * np.add.reduce(terms, -1), p)
 
-            return _CompiledNorm(_lam_p_pow, "exact", tn, profile=True)
+            def _lam_p_valgrad(prof, q=q, cp=cp, p=p):
+                v, _, bp, _ = prof
+                nrm = _lam_p_pow(prof)
+                if q <= -1.0:
+                    return nrm, np.zeros(v.shape)
+                prim = bp ** (q + 1.0) / (q + 1.0)
+                return nrm, _lp_slope(v, cp * (prim[..., 1:] - prim[..., :-1]), p, _col(nrm))
+
+            return _CompiledNorm(_lam_p_pow, "exact", tn, profile=True, grad=_profile_grad(_lam_p_valgrad, widths))
 
         # fold the dt/t factor into the weight: (phi * t^(-1/p))^p = phi^p / t
         note = tn + ("fixed-order quadrature for the weight; dt/t absorbed",)
         phi_eff = WeightProduct(phi, PowerWeight(-1.0 / p))
 
         def _lam_p_quad(v, wd=widths, phi=phi_eff, p=p):
-            v, _, bp = _decreasing_profile(v, wd)
+            v, _, bp, _ = _decreasing_profile(v, wd)
             total = 0.0
             for i in range(v.size):
                 if v[i] <= 0:
@@ -705,20 +793,35 @@ def _compile(space: SpaceDescriptor, mspace: MeasureSpace) -> Optional[_Compiled
         if pw is not None:
             lim0 = pw.coef if pw.alpha == 0.0 else 0.0
 
-            def _marc_pow(v, wd=widths, coef=pw.coef, alpha=pw.alpha, lim0=lim0):
-                v, w, bp = _profile(v, wd)
+            def averages(v, w, bp, coef=pw.coef, alpha=pw.alpha):
                 t = bp[..., 1:]
-                cand = coef * t**alpha * (np.add.accumulate(v * w, -1) / t)
-                best = np.maximum.reduce(cand, -1, initial=0.0)
-                if lim0:
-                    best = np.maximum(best, lim0 * v[..., 0])
-                return _out(best)
+                return t, coef * t**alpha * (np.add.accumulate(v * w, -1) / t)
 
-            return _CompiledNorm(_marc_pow, "exact", tn, profile=True)
+            def peak(v, cand, lim0=lim0):
+                best = np.maximum.reduce(cand, -1, initial=0.0)
+                return np.maximum(best, lim0 * v[..., 0]) if lim0 else best
+
+            def _marc_pow(v, wd=widths):
+                v, w, bp, _ = _profile(v, wd)
+                return _out(peak(v, averages(v, w, bp)[1]))
+
+            def _marc_valgrad(prof, coef=pw.coef, alpha=pw.alpha, lim0=lim0):
+                # the active prefix: the cells up to the t where phi(t) x**(t) peaks
+                v, w, bp, _ = prof
+                t, cand = averages(v, w, bp)
+                best = peak(v, cand)
+                j = cand.argmax(-1)[..., None]
+                tj = t[j] if t.ndim == 1 else t[np.arange(len(t))[:, None], j]
+                g = np.where(np.arange(v.shape[-1]) <= j, coef * tj ** (alpha - 1.0) * w, 0.0)
+                if lim0:
+                    g = np.where((lim0 * v[..., 0] >= cand.max(-1))[..., None], lim0 * (np.arange(v.shape[-1]) == 0), g)
+                return _out(best), g
+
+            return _CompiledNorm(_marc_pow, "exact", tn, profile=True, grad=_profile_grad(_marc_valgrad, widths))
         frac = np.linspace(0.0, 1.0, 10)
 
         def _marc_generic(v, wd=widths, phi=phi, frac=frac):
-            v, w, bp = _decreasing_profile(v, wd)
+            v, w, bp, _ = _decreasing_profile(v, wd)
             cum = np.concatenate(([0.0], np.cumsum(v * w)))
             a, b = bp[:-1], bp[1:]
             ts = a[:, None] + (b - a)[:, None] * frac[None, :]
@@ -738,23 +841,41 @@ def _compile(space: SpaceDescriptor, mspace: MeasureSpace) -> Optional[_Compiled
         if pw is not None and pw.alpha >= 0.0:
 
             def _mstar_pow(v, wd=widths, coef=pw.coef, alpha=pw.alpha):
-                v, _, bp = _profile(v, wd)
+                v, _, bp, _ = _profile(v, wd)
                 return _out(np.maximum.reduce(v * (coef * bp[..., 1:] ** alpha), -1, initial=0.0))
 
-            return _CompiledNorm(_mstar_pow, "exact", tn, profile=True)
+            def _mstar_valgrad(prof, coef=pw.coef, alpha=pw.alpha):
+                c = coef * prof[2][..., 1:] ** alpha
+                cand = prof[0] * c
+                return _out(np.maximum.reduce(cand, -1, initial=0.0)), _at_max(cand, c)  # the arg-max cell
+
+            return _CompiledNorm(_mstar_pow, "exact", tn, profile=True, grad=_profile_grad(_mstar_valgrad, widths))
         if pw is not None:
             return _CompiledNorm(_singular_at_zero, "exact", tn + ("weight singular at 0",))
 
-        def _mstar_generic(v, wd=widths, phi=phi):
-            v, _, bp = _decreasing_profile(v, wd)
-            best = 0.0
-            for i in range(v.size):
-                if v[i] <= 0:
-                    break
-                best = max(best, v[i] * phi.cell_sup(bp[i], bp[i + 1]))
-            return float(best)
+        def levels(v, bp, phi=phi):
+            # phi's sampled sup over each live cell of the decreasing profile v
+            return np.array([phi.cell_sup(bp[i], bp[i + 1]) for i in range(np.count_nonzero(v > 0))])
 
-        return _rowwise(_mstar_generic, "estimate", tn + ("cell suprema sampled",))
+        def _mstar_generic(v, wd=widths):
+            v, _, bp, _ = _decreasing_profile(v, wd)
+            c = levels(v, bp)
+            return float(np.max(v[: c.size] * c, initial=0.0))
+
+        def _mstar_generic_grad(v, wd=widths):
+            if v.ndim > 1:
+                rows = [_mstar_generic_grad(r) for r in v]
+                return np.array([r[0] for r in rows]), np.array([r[1] for r in rows])
+            vs, _, bp, order = _decreasing_profile(v, wd)
+            c = levels(vs, bp)
+            g = np.zeros(v.shape)
+            if c.size:
+                g[: c.size] = _at_max(vs[: c.size] * c, c)  # the arg-max cell
+            return float(np.max(vs[: c.size] * c, initial=0.0)), _unsort(g, order)
+
+        generic = _rowwise(_mstar_generic, "estimate", tn + ("cell suprema sampled",))
+        generic.grad = _mstar_generic_grad
+        return generic
 
     if isinstance(space, LInftyWeighted):
         phi = space.phi
@@ -768,7 +889,11 @@ def _compile(space: SpaceDescriptor, mspace: MeasureSpace) -> Optional[_Compiled
             # keeps an infinite sup on a dead cell out of the product
             return _out((v * np.where(v > 0, s, 0.0)).max(-1, initial=0.0))
 
-        return _CompiledNorm(_wsup, kind, notes)
+        def _wsup_grad(v, s=sups):
+            live_s = np.where(v > 0, s, 0.0)
+            return _wsup(v), _at_max(v * live_s, live_s)
+
+        return _CompiledNorm(_wsup, kind, notes, grad=_wsup_grad)
 
     if isinstance(space, OrliczCL):
         basec = norm_evaluator(space.base, mspace)
@@ -782,7 +907,21 @@ def _compile(space: SpaceDescriptor, mspace: MeasureSpace) -> Optional[_Compiled
 
         note = "shifted-power gauge in closed form" if closed else f"luxemburg gauge, secant bracket search, rtol {_LUX_RTOL:g}"
         cost = _SHIFTED_GAUGE_CALL_ROWS if closed else basec.call_rows
-        return _CompiledNorm(_lux, "exact" if closed else "estimate", basec.notes + (note,), cost)
+        if not closed:
+            return _CompiledNorm(_lux, "estimate", basec.notes + (note,), cost)
+
+        def _lux_grad(v, wd=widths, a=phi.a, c=phi.c, p=phi.p):
+            # implicit differentiation of sum wd phi(v / lam) = 1 in v and lam
+            v = np.ascontiguousarray(v)  # a row sum groups by layout
+            nrm = _lux(v)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                u = v / _col(nrm)
+                t = np.maximum(u - a, 0.0)
+                dphi = c * p * (t if p == 2.0 else t > 0)  # phi'(u) for p in {1, 2}
+                g = wd * dphi / (wd * dphi * u).sum(-1, keepdims=True)
+            return nrm, np.where(np.isfinite(g), g, 0.0)
+
+        return _CompiledNorm(_lux, "exact", basec.notes + (note,), cost, grad=_lux_grad)
 
     if isinstance(space, Convexification):
         basec = norm_evaluator(space.base, mspace)
@@ -795,7 +934,17 @@ def _compile(space: SpaceDescriptor, mspace: MeasureSpace) -> Optional[_Compiled
             # one row's norm goes to _root as a numpy scalar: a 0-d array would take the vectorized power
             return _root(s if v.ndim > 1 else np.float64(s), p)
 
-        return _CompiledNorm(_conv, basec.kind, basec.notes, basec.call_rows)
+        def _conv_grad(v, base_grad=basec.grad, p=p):
+            # the chain rule through v -> v^p and s -> s^(1/p)
+            v = np.ascontiguousarray(v)
+            s, gb = base_grad(v**p)
+            nrm = _root(s if v.ndim > 1 else np.float64(s), p)
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                g = gb * (v ** (p - 1.0) if p != 1.0 else 1.0) * (_col(nrm) / _col(s))
+            return nrm, np.where(np.isfinite(g) & ((v > 0) | (p == 1.0)), g, 0.0)
+
+        grad = _conv_grad if basec.grad is not None else None
+        return _CompiledNorm(_conv, basec.kind, basec.notes, basec.call_rows, grad=grad)
 
     # canonical leaves one symmetrization with a kernel: the doublestar of L^p(c*t^a), p finite
     if isinstance(space, Symmetrization) and space.mode == "doublestar" and isinstance(space.base, Lp):
@@ -807,7 +956,7 @@ def _compile(space: SpaceDescriptor, mspace: MeasureSpace) -> Optional[_Compiled
         nodes, gl_w = np.polynomial.legendre.leggauss(16)
 
         def _dstar_lp(v, wd=widths, p=p, q=q, cp=cp, alpha=alpha, nodes=nodes, gl_w=gl_w):
-            v, w_, bp = _decreasing_profile(v, wd)
+            v, w_, bp, _ = _decreasing_profile(v, wd)
             if v[0] <= 0:
                 return 0.0
             cum = np.concatenate(([0.0], np.cumsum(v * w_)))

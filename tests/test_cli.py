@@ -225,7 +225,7 @@ def test_factorize_not_within_epsilon_exits_one(capsys, tmp_path):
     z = StepFunction(ms, rng.uniform(0.1, 2.0, 12))
     zfile = tmp_path / "z.json"
     zfile.write_text(json.dumps(step_to_json(z)))
-    rc, out, _ = run_cli(capsys, "factorize", "lambda:0.6", f"@{zfile}", "--eps", "1e-7")
+    rc, out, _ = run_cli(capsys, "factorize", "lambda:0.6", f"@{zfile}", "--eps", "1e-14")
     assert rc == 1
     assert "not_within_epsilon" in out
     # The floor still holds: the reported product cannot undercut the mass.

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 import bfslab.product as product
 import bfslab.spaces as spaces
-from bfslab import Lp, OrliczCL, Power, PowerWeight, ShiftedPower, StepFunction, counting, half_line, modular, norm_evaluator, product_norm, unit_interval
+from bfslab import Lp, OrliczCL, Power, PowerWeight, ShiftedPower, StepFunction, counting, half_line, modular, multiplier_norm, norm_evaluator, unit_interval
 from bfslab.spaces import _luxemburg_value
 
 GRIDS = [("counting", n) for n in (1, 3, 16, 1024)] + [(kind, n) for kind in ("unit", "half") for n in (4, 16, 257, 1024)]
@@ -113,28 +113,26 @@ def test_other_shifted_power_gauges_keep_the_search(space):
     assert any("secant bracket search" in n for n in compiled.notes)
 
 
-def test_declared_call_cost_moves_no_product_bit(monkeypatch):
-    # theorem 6's shifted pair: the gauge declares its call cost, so the
-    # look-ahead probes deeper per objective call than with _CALL_ROWS
+def test_declared_call_cost_moves_no_ratio_ascent_bit(monkeypatch):
+    # theorem 6's shifted pair as a multiplier problem: the gauge declares
+    # its call cost, so ratio ascent's look-ahead probes deeper per
+    # objective call than with _CALL_ROWS, and finds the same bits
     ms = unit_interval(8)
     E1, E2 = OrliczCL(Lp(1.0), ShiftedPower(1.0, 0.4, 2.0)), OrliczCL(Lp(1.0), Power(1.0, 2.0))
     fe, ff = (norm_evaluator(E, ms) for E in (E1, E2))
     assert product._call_rows(fe, ff) == spaces._SHIFTED_GAUGE_CALL_ROWS != product._CALL_ROWS
     rng = np.random.default_rng(7)
-    t = ms.breakpoints[1:]
-    z = StepFunction(ms, t**-0.2 * np.exp(-np.cumsum(rng.uniform(0.0, 0.3, ms.n_cells))))
-    opts = {"max_sweeps": 300, "quick_sweeps": 25, "golden_iters": 10}
+    m = StepFunction(ms, rng.uniform(0.2, 2.0, ms.n_cells))
+    opts = {"max_sweeps": 4, "golden_iters": 10}
     calls = []
 
     def counted(*fns):
         calls.append(1)
         return product._CALL_ROWS
 
-    runs = [product_norm(E1, E2, z, opts=dict(opts))]
+    runs = [multiplier_norm(E1, E2, m, opts=dict(opts), use_table=False)]
     monkeypatch.setattr(product, "_call_rows", counted)
-    runs.append(product_norm(E1, E2, z, opts=dict(opts)))
+    runs.append(multiplier_norm(E1, E2, m, opts=dict(opts), use_table=False))
     assert calls
-    (res_a, wit_a), (res_b, wit_b) = runs
-    assert res_a.value == res_b.value and res_a.kind == res_b.kind
-    assert np.array_equal(wit_a.x.values, wit_b.x.values)
-    assert np.array_equal(wit_a.y.values, wit_b.y.values)
+    assert runs[0].value.hex() == runs[1].value.hex() and runs[0].notes == runs[1].notes
+    assert "lower bound from ratio ascent" in runs[0].notes

@@ -9,23 +9,27 @@ has a largest y of norm 1 in each cell order, 1/psi(T), T the measure up
 to each cell: the split is z = (z psi(T)) (1/psi(T)) in the cell order a
 descent over adjacent swaps reaches from z's decreasing order.
 Elsewhere BFGS computes it, on J(u) = log |e^u|_E + log |z e^-u|_F over
-u = log x on the support of z: convex for Banach factors, and smooth
+u = log x on the support of z: convex for lattice norms, and smooth
 except where the sorted profiles tie or a supremum changes hands, the
 case that BFGS with a weak Wolfe line search handles (Lewis & Overton,
-Math. Program. 141, 2013).  One run starts from the best seed, scored in
-one batched objective call, and restarts from its end point until a
-restart gains at most ``_SWEEP_RTOL``.  The gradient comes from the
-kernels' exact subgradients (``_CompiledNorm.grad``), or from forward
-differences for a kernel without one.  Where both kernels take a
-decreasing profile (``_CompiledNorm.profile``: Lambda_phi, and
-Lambda_{phi,p}, M_phi and M*_phi for a power phi), an objective call
-sorts x and y as one stack and hands each kernel its half, for values
-and gradients alike.  A numeric result is an upper bound certified by
-its witness pair, whose norms are recomputed through the public norm
-evaluators, unless a factor norm is only an estimate or the optimizer
-stopped on its budget: then so is the product.
+Math. Program. 141, 2013).  Where BFGS crawls along such a kink, cyclic
+coordinate descent with golden line searches takes over from its end
+point, and hands back to BFGS while it still moves; a run has converged
+once a coordinate sweep gains at most ``_SWEEP_RTOL``.  One run starts
+from the best seed, scored in one batched objective call; where a
+factor is no lattice norm (M*_phi, say) J may have several local minima,
+and every seed starts a run.  The gradient comes from the kernels' exact
+subgradients (``_CompiledNorm.grad``), or from forward differences for
+a kernel without one.  Where both kernels take a decreasing profile
+(``_CompiledNorm.profile``: Lambda_phi, and Lambda_{phi,p}, M_phi and
+M*_phi for a power phi), an objective call sorts x and y as one stack
+and hands each kernel its half, for values and gradients alike.  A
+numeric result is an upper bound certified by its witness pair, whose
+norms are recomputed through the public norm evaluators, unless a
+factor norm is only an estimate or the optimizer stopped on its budget:
+then so is the product.
 
-Multiplier and dual norms run lockstep coordinate descent in the
+Multiplier and dual norms run the same coordinate descent in the
 opposite direction (ratio ascent over a test family): golden-section
 line searches whose objective calls look ahead, as deep as the kernels'
 ``call_rows`` pays for, over every point the next golden steps could
@@ -72,7 +76,7 @@ from .spaces import (
     norm,
     norm_evaluator,
 )
-from .weights import NonIntegrableWeight, PowerWeight, simplify_power
+from .weights import NonIntegrableWeight, PowerWeight, is_quasiconcave_sampled, simplify_power
 from .young import YoungFunction, check_relation, inverse, inverse_batch
 
 __all__ = [
@@ -92,13 +96,14 @@ __all__ = [
 
 # Documented optimizer defaults; callers override per key.
 DEFAULT_OPTS = {
-    "max_sweeps": 5000,  # products: BFGS steps per cell of supp z; ratio ascent: sweeps, at most 200
+    "max_sweeps": 5000,  # sweeps per run: a coordinate sweep, or |supp z| BFGS steps; ratio ascent: at most 200
     "quick_sweeps": 40,  # accepted for existing option sets; no engine reads it
-    "golden_iters": 14,  # ratio ascent: golden-section steps per coordinate search
+    "golden_iters": 14,  # golden-section steps per coordinate search
     "target": None,  # products: early exit once |x|_E |y|_F is at or below
 }
 
-_SWEEP_RTOL = 1e-10  # converged once a sweep, m BFGS steps or a restart improve J by at most this
+_SWEEP_RTOL = 1e-10  # coordinate descent has converged once a sweep improves J by at most this
+_BFGS_RTOL = 1e-6  # a BFGS run ends once its last m steps (a sweep's worth) lower log J by at most this
 _WOLFE = (1e-4, 0.9)  # sufficient-decrease and curvature constants of the weak Wolfe line search
 _LINE_STEPS = 40  # trial steps of one line search, doublings and bisections together
 _STEP_FTOL = 1e-14  # a BFGS run also ends at a step that lowers log J by at most this
@@ -316,36 +321,26 @@ def _golden_rows(J, P: np.ndarray, i: int, iters: int, call_rows: int = _CALL_RO
     ]
 
 
-def _lockstep_descent(J, U: np.ndarray, f0: np.ndarray, budget: int, iters: int, call_rows: int = _CALL_ROWS):
-    """Cyclic coordinate descent with golden line searches, every row at once.
+def _coordinate_descent(J, u: np.ndarray, f: float, budget: int, iters: int, call_rows: int = _CALL_ROWS):
+    """Cyclic coordinate descent with golden line searches from u, f = J(u).
 
-    Row r of U is a start, with f0[r] = J(U[r]); J maps a (k, m) matrix
-    to its k objective values.  A sweep runs a golden-section search
-    along each coordinate in turn, for all live rows together.  A row
-    stops after ``budget`` sweeps, or converged once a sweep improves J
-    by at most _SWEEP_RTOL.  ``call_rows`` is the fixed cost of one J
-    call in rows (see _call_rows).  Rows are independent, so the
-    schedule changes no result.  Returns (U, best J per row, converged
-    per row).
+    J maps a (k, m) matrix to its k objective values: a golden search
+    batches its probes into rows.  A sweep runs a golden-section search
+    along each coordinate in turn.  Stops after ``budget`` sweeps, or
+    converged once a sweep improves J by at most _SWEEP_RTOL.
+    ``call_rows`` is the fixed cost of one J call in rows (see
+    _call_rows).  Returns (u, J(u), sweeps run, converged).
     """
-    U = np.array(U, dtype=float, order="C")
-    best = np.array(f0, dtype=float)
-    converged = np.zeros(len(U), dtype=bool)
-    live = np.ones(len(U), dtype=bool)
-    for _ in range(budget):
-        prev = best.copy()
-        rows = np.flatnonzero(live)
-        for i in range(U.shape[1]):
-            t, f = map(np.array, _golden_rows(J, U[rows], i, iters, call_rows))
-            better = f < best[rows]
-            U[rows[better], i] = t[better]
-            best[rows[better]] = f[better]
-        p, b = prev[rows], best[rows]
-        converged[rows] = p - b <= _SWEEP_RTOL * np.maximum(np.abs(p), 1e-300)
-        live[rows] = ~converged[rows]
-        if not live.any():
-            break
-    return U, best, converged
+    u = np.array(u, dtype=float)[None]
+    for sweep in range(budget):
+        prev = f
+        for i in range(u.shape[1]):
+            (t,), (ft,) = _golden_rows(J, u.copy(), i, iters, call_rows)
+            if ft < f:
+                u[0, i], f = t, ft
+        if prev - f <= _SWEEP_RTOL * max(abs(prev), 1e-300):
+            return u[0], f, sweep + 1, True
+    return u[0], f, budget, False
 
 
 def _monotone_embed(v: np.ndarray) -> np.ndarray:
@@ -437,13 +432,13 @@ def _bfgs(fg, u: np.ndarray, f: float, g: np.ndarray, steps: int, floor: float):
     update, skips pairs with s.y <= 0, and goes back to the identity
     wherever its direction is not a descent direction.  Runs at most
     ``steps`` steps, and stops once f <= ``floor``, once the last u.size
-    steps lowered f by at most ``_SWEEP_RTOL`` (a sweep's worth), or at a
+    steps lowered f by at most ``_BFGS_RTOL`` (a sweep's worth), or at a
     step that lowers f by at most ``_STEP_FTOL``.  Returns (u, f, g,
     steps taken)."""
     H, past = None, []
     for k in range(steps):
         past.append(f)
-        if f <= floor or (k >= u.size and past[k - u.size] - f <= _SWEEP_RTOL):
+        if f <= floor or (k >= u.size and past[k - u.size] - f <= _BFGS_RTOL):
             return u, f, g, k
         d = -g if H is None else -(H @ g)
         if not g @ d < 0.0:
@@ -464,9 +459,10 @@ def _bfgs(fg, u: np.ndarray, f: float, g: np.ndarray, steps: int, floor: float):
 
 
 def _objective(E, F, z: StepFunction):
-    """The product objective over u = log x on supp z, y = z / x: (J, fg).
-    J maps a (k, m) batch of u rows to |x|_E |y|_F per row (+inf for a
-    NaN); fg maps one u to (log J, its gradient)."""
+    """The product objective over u = log x on supp z, y = z / x: (J, fg,
+    call_rows).  J maps a (k, m) batch of u rows to |x|_E |y|_F per row
+    (+inf for a NaN); fg maps one u to (log J, its gradient); call_rows is
+    the fixed cost of one J call (see _call_rows)."""
     mspace = z.space
     supp = z.values > 0.0
     zs = z.values[supp]
@@ -499,35 +495,76 @@ def _objective(E, F, z: StepFunction):
         val = ne * nf  # >= 0, or NaN
         return (math.log(val) if val > 0.0 else (-math.inf if val == 0.0 else math.nan)), se - sf
 
-    return J, fg
+    return J, fg, _call_rows(ke, kf)
+
+
+def _log_convex(S) -> bool:
+    """Whether log |e^u|_S is convex in u, as it is for a lattice norm, by
+    S's family.  Not for M*_phi, for Lambda_phi over a weight that fails
+    the sampled quasi-concavity check, or for Lambda_{phi,p} where phi^p
+    fails it (then phi^p / t rises somewhere).  A convexification keeps
+    its base's answer: it scales u."""
+    if isinstance(S, Convexification):
+        return _log_convex(S.base)
+    if isinstance(S, LorentzLambda):
+        return is_quasiconcave_sampled(S.phi)
+    if isinstance(S, LorentzLambdaP):
+        return is_quasiconcave_sampled(lambda t: S.phi(t) ** S.p)
+    return not isinstance(S, MarcinkiewiczStar)
+
+
+def _descend(J, fg, u: np.ndarray, sweeps: int, floor: float, iters: int, call_rows: int):
+    """BFGS and coordinate descent in turn from u: (u, log J(u), converged).
+
+    BFGS runs on fg until its last m = u.size steps lower log J by at most
+    ``_BFGS_RTOL``.  Coordinate descent on J then sweeps from its end
+    point: at a kink where BFGS crawls, a golden search along one
+    coordinate still moves.  A descent that moved u hands it back to
+    BFGS, with a fresh inverse Hessian.  Converged once a descent's first
+    sweep improves J by at most ``_SWEEP_RTOL``, or once log J <= floor.
+    The budget is ``sweeps``: one per coordinate sweep, or per m BFGS
+    steps."""
+    f, g = fg(u)
+    while f > floor and math.isfinite(f) and sweeps > 0:
+        u, f, g, k = _bfgs(fg, u, f, g, sweeps * u.size, floor)
+        sweeps -= -(-k // u.size)
+        if f <= floor or sweeps <= 0:
+            break
+        u, val, n, converged = _coordinate_descent(J, u, J(u[None])[0], sweeps, iters, call_rows)
+        sweeps -= n
+        f = math.log(val) if val > 0.0 else -math.inf
+        if (converged and n == 1) or f <= floor:
+            return u, f, True
+        f, g = fg(u)
+    return u, f, f <= floor
 
 
 def _optimize_product(E, F, z: StepFunction, o: dict):
-    """BFGS over u = log x on the m cells of supp z, with y = z / x, on
-    J(u) = log |x|_E + log |y|_F (convex for Banach factors): (x, y,
-    converged).  The run starts from the best ``_seed_vectors`` row,
-    scored in one batched call, and restarts from its end point with a
-    fresh inverse Hessian until a restart improves |x|_E |y|_F by at most
-    ``_SWEEP_RTOL``: then it has converged.  It also stops, converged,
-    once the product is at or below ``target``, and, not converged, after
-    ``max_sweeps * m`` BFGS steps in all."""
+    """``_descend`` over u = log x on the m cells of supp z, with y = z / x,
+    on J(u) = log |x|_E + log |y|_F: (x, y, converged).  J is convex where
+    both factors are lattice norms (``_log_convex``): there one run starts
+    from the best ``_seed_vectors`` row, scored in one batched call.  Else
+    runs from different seeds may end in different local minima, so every
+    seed starts one, best first; the lowest end wins, with its
+    convergence.  Each run gets ``max_sweeps`` sweeps, and the runs stop
+    once one is at or below ``target``."""
     mspace = z.space
     supp = z.values > 0.0
     zs = z.values[supp]
-    J, fg = _objective(E, F, z)
+    J, fg, call_rows = _objective(E, F, z)
     seeds = np.array(_seed_vectors(E, F, zs, mspace.breakpoints[1:][supp]))
-    target, steps = o["target"], o["max_sweeps"] * zs.size
+    target = o["target"]
     floor = math.log(target) if target is not None and target > 0 else -math.inf
+    starts = 1 if _log_convex(E) and _log_convex(F) else len(seeds)
+    best = None
     with np.errstate(**_QUIET):
-        u = seeds[int(np.argmin(J(seeds)))]
-        f, g = fg(u)
-        converged, restart = f <= floor, False
-        while math.isfinite(f) and steps > 0 and not converged:
-            f0 = f
-            u, f, g, k = _bfgs(fg, u, f, g, steps, floor)
-            steps -= k
-            converged = f <= floor or (restart and -math.expm1(f - f0) <= _SWEEP_RTOL)
-            restart = True
+        for i in np.argsort(J(seeds), kind="stable")[:starts].tolist():
+            run = _descend(J, fg, seeds[i], o["max_sweeps"], floor, o["golden_iters"], call_rows)
+            if best is None or run[1] < best[1]:
+                best = run
+            if best[1] <= floor:
+                break
+    u, _, converged = best
     xv, yv = _split(u, supp, zs)
     return StepFunction(mspace, xv), StepFunction(mspace, yv), converged
 
@@ -814,13 +851,13 @@ def _ratio_ascent(
         vals[:, pos] = np.exp(np.clip(u, -60.0, 60.0))
         return -ratio(vals)
 
-    p0 = (_monotone_params(u0) if monotone else u0)[None]
+    p0 = _monotone_params(u0) if monotone else u0
     with np.errstate(**_QUIET):
         # no target: the ascent maximizes the ratio as far as it goes
-        P, neg, _ = _lockstep_descent(J, p0, J(p0), min(o["max_sweeps"], 200), o["golden_iters"], call_rows)
-    if -neg[0] > best:
-        best = -float(neg[0])
-        u_final = _monotone_embed(P[0]) if monotone else P[0]
+        p, neg, _, _ = _coordinate_descent(J, p0, J(p0[None])[0], min(o["max_sweeps"], 200), o["golden_iters"], call_rows)
+    if -neg > best:
+        best = -float(neg)
+        u_final = _monotone_embed(p) if monotone else p
         best_vals = np.zeros(mspace.n_cells)
         best_vals[pos] = np.exp(np.clip(u_final, -60.0, 60.0))
     if best >= _RATIO_CAP:

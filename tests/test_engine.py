@@ -3,11 +3,12 @@
 The product oracle is the multi-start coordinate descent that the BFGS
 engine replaced, run one start at a time: each golden step makes one
 objective call on one row, and the starts are taken in rank order.  The
-BFGS engine takes other steps, so its witnesses differ; its value must
-be at or below the oracle's (relative 1e-9), its witness must recompute
-through ``norm``, and its kind must be no weaker.  Ratio ascent still
-runs lockstep coordinate descent on (k, n) kernel batches: its values,
-kinds and notes must be its oracle's to the last bit.
+engine takes other steps, so its witnesses differ; its value must be at
+or below the oracle's (relative 1e-9), its witness must recompute
+through ``norm``, and its kind must be no weaker.  Ratio ascent runs
+coordinate descent whose golden searches batch their probes into (k, n)
+kernel calls: its values, kinds and notes must be its oracle's to the
+last bit.
 """
 
 import math
@@ -41,6 +42,7 @@ from bfslab import (
 )
 from bfslab import product as P
 from bfslab import spaces as S
+from bfslab.verify import run_suite
 from bfslab.weights import PowerLogWeight
 
 _FAST = {"max_sweeps": 300, "quick_sweeps": 25, "golden_iters": 10}
@@ -228,19 +230,13 @@ def _certified_witness(E, F, z, value, wit):
     assert math.isclose(nx.value * ny.value, value, rel_tol=1e-12)
 
 
-def _never_above_the_oracle(monkeypatch, E, F, z, call, served=None):
+def _never_above_the_oracle(monkeypatch, E, F, z, call):
     """``call()`` with the engine and with the serial oracle: the engine's
     value is at or below the oracle's, its witness certifies it, and its
-    kind is no weaker.  With an M* factor J is not convex, and a single
-    start may stop in another local minimum than the best of the oracle's
-    starts: there the value ``served()`` returns, the one product_norm
-    reports, is what stays at or below the oracle's (no value is compared
-    where ``served`` is False).  Returns the engine's (result, witness)."""
+    kind is no weaker.  Returns the engine's (result, witness)."""
     (res, wit), (res0, wit0) = _both(monkeypatch, "_optimize_product", _optimize_product, call)
     assert wit.method == wit0.method == "optimizer"
-    if served is not False:
-        value = res.value if served is None else served().value
-        assert value <= res0.value * (1.0 + 1e-9), (value, res0.value)
+    assert res.value <= res0.value * (1.0 + 1e-9), (res.value, res0.value)
     _certified_witness(E, F, z, res.value, wit)
     assert _RANK[res.kind] >= _RANK[res0.kind], (res.kind, res0.kind)
     return res, wit
@@ -275,8 +271,6 @@ _SUP_PAIRS = {
     "lemma4_calderon",
     "mixed_lambda_wsup",
 }
-# pairs with an M* factor, which is no Banach lattice: J is not convex
-_MSTAR_PAIRS = {"thm7_lambda_mstar", "thm7_lambdap_mstar", "thm10_marc_mstar", "ex3_weak_mstar", "generic_lambda_mstar"}
 _GRIDS = {"unit16": lambda: unit_interval(16), "half16": lambda: half_line(16), "unit8": lambda: unit_interval(8)}
 
 
@@ -293,13 +287,18 @@ def test_product_norm_is_never_above_the_serial_oracle(monkeypatch, pair, grid):
     ms = _GRIDS[grid]()
     z = _profile(ms, seed=len(pair) + (7 if grid == "half16" else 0), gamma=0.3 if grid == "unit16" else 0.15)
     run = _optimizer_product if pair in _SUP_PAIRS else product_norm
-    served = (lambda: product_norm(E, F, z)[0]) if pair in _MSTAR_PAIRS else None
-    if pair == "generic_lambda_mstar":
-        # the falling weight makes Λ no lattice norm either, so the split is not its product norm
-        served = False
-    _never_above_the_oracle(monkeypatch, E, F, z, lambda: run(E, F, z, dict(_FAST)), served)
+    _never_above_the_oracle(monkeypatch, E, F, z, lambda: run(E, F, z, dict(_FAST)))
     if pair in _SUP_PAIRS:
         assert product_norm(E, F, z)[1].method == "constructive"
+
+
+def test_a_non_power_mstar_pair_is_never_above_the_serial_oracle(monkeypatch):
+    # M* over a weight that is not a power has no cell-order split, and
+    # J is not convex: one run from the best seed ended 2.1 % above the
+    # oracle on this z, so every seed starts a run
+    E, F = LorentzLambda(PW(0.5)), MarcinkiewiczStar(PowerLogWeight(0.3, 0.5))
+    z = _profile(unit_interval(16), seed=0)
+    _never_above_the_oracle(monkeypatch, E, F, z, lambda: product_norm(E, F, z, dict(_FAST)))
 
 
 def _dead_cells_never_above_the_oracle(monkeypatch, E, F):
@@ -307,8 +306,7 @@ def _dead_cells_never_above_the_oracle(monkeypatch, E, F):
     vals = _profile(ms, seed=3).values.copy()
     vals[[2, 7, 11]] = 0.0
     z = StepFunction(ms, vals)
-    served = lambda: product_norm(E, F, z)[0]  # noqa: E731 - an M* pair: the value product_norm serves
-    _never_above_the_oracle(monkeypatch, E, F, z, lambda: _optimizer_product(E, F, z, dict(_FAST)), served)
+    _never_above_the_oracle(monkeypatch, E, F, z, lambda: _optimizer_product(E, F, z, dict(_FAST)))
 
 
 def test_product_norm_with_dead_cells_is_never_above_the_serial_oracle(monkeypatch):
@@ -318,6 +316,23 @@ def test_product_norm_with_dead_cells_is_never_above_the_serial_oracle(monkeypat
 def test_a_profile_pair_with_dead_cells_is_never_above_the_serial_oracle(monkeypatch):
     # the shared sort of the x and y stack, with zeros off the support of z
     _dead_cells_never_above_the_oracle(monkeypatch, LorentzLambda(PW(0.5)), MarcinkiewiczStar(PW(0.3)))
+
+
+@pytest.mark.parametrize("suite", ["theorem10", "example3_4"])
+def test_every_m_lambda_product_of_a_suite_converges(monkeypatch, suite):
+    # M ⊙ Λ ends where M_φ's sup ties over several prefixes and BFGS
+    # crawls: coordinate descent carries each run on to the tolerance
+    kinds, bound = [], P._bound
+
+    def recorded(E, F, method, *args, **kw):
+        res, wit = bound(E, F, method, *args, **kw)
+        if method == "optimizer" and isinstance(E, Marcinkiewicz) and isinstance(F, LorentzLambda):
+            kinds.append(res.kind)
+        return res, wit
+
+    monkeypatch.setattr(P, "_bound", recorded)
+    assert run_suite(suite, seed=7).passed
+    assert kinds and set(kinds) == {"upper_bound"}
 
 
 def _objective_calls(monkeypatch, E, F, ms):
@@ -339,7 +354,7 @@ def _objective_calls(monkeypatch, E, F, ms):
             inner = getattr(compiled, name)
             if inner is not None:
                 monkeypatch.setattr(compiled, name, lambda v, f=inner, n=name: calls.append((n, type(v))) or f(v))
-    J, fg = P._objective(S.canonical(E), S.canonical(F), _profile(ms, seed=1))
+    J, fg, _ = P._objective(S.canonical(E), S.canonical(F), _profile(ms, seed=1))
     return J, fg, sorts, calls
 
 
@@ -470,16 +485,15 @@ def test_monotone_embedding_is_row_wise():
         assert np.array_equal(U[i], P._monotone_embed(V[i]))
 
 
-def test_descend_batches_are_row_independent():
-    # the rows of one lockstep run equal the rows run one at a time
+def test_coordinate_descent_stops_on_its_tolerance_and_on_its_budget():
     def J(U):
         return np.sum((U - np.array([0.3, -0.2, 0.7])) ** 2, axis=-1) + np.sum(np.abs(U), axis=-1)
 
-    U0 = np.random.default_rng(1).normal(size=(4, 3))
-    U, best, conv = P._lockstep_descent(J, U0, J(U0), 8, 10)
-    for r in range(4):
-        u, b, c = P._lockstep_descent(J, U0[r : r + 1], J(U0[r : r + 1]), 8, 10)
-        assert np.array_equal(u[0], U[r]) and b[0] == best[r] and c[0] == conv[r]
+    u0 = np.random.default_rng(1).normal(size=3)
+    f0 = J(u0[None])[0]
+    u, f, n, conv = P._coordinate_descent(J, u0, f0, 50, 10)
+    assert conv and n < 50 and f == J(u[None])[0] and f < f0
+    assert P._coordinate_descent(J, u0, f0, 1, 10)[2:] == (1, False)
 
 
 def _quadratic_with_kinks(u):
@@ -495,7 +509,8 @@ def test_bfgs_finds_the_minimum_of_a_convex_function_with_kinks():
     u0 = np.array([3.0, 2.0, -1.0, 4.0])
     u, f, g, k = P._bfgs(_quadratic_with_kinks, u0, *_quadratic_with_kinks(u0), 500, -math.inf)
     np.testing.assert_allclose(u, [1.0, -0.5, 0.25, -1.0], atol=1e-6)
-    assert k < 500 and f <= 1e-11
+    # it stops once 4 steps gain at most _BFGS_RTOL, well before its budget
+    assert k < 500 and f <= 1e-8
 
 
 def test_bfgs_stops_at_the_floor_and_on_its_budget():

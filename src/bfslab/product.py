@@ -104,6 +104,7 @@ DEFAULT_OPTS = {
 
 _SWEEP_RTOL = 1e-10  # coordinate descent has converged once a sweep improves J by at most this
 _BFGS_RTOL = 1e-6  # a BFGS run ends once its last m steps (a sweep's worth) lower log J by at most this
+_SMOOTH_GRAD = 1e-3  # ... unless its gradient is at most this: near a smooth minimum it runs on to _SWEEP_RTOL
 _WOLFE = (1e-4, 0.9)  # sufficient-decrease and curvature constants of the weak Wolfe line search
 _LINE_STEPS = 40  # trial steps of one line search, doublings and bisections together
 _STEP_FTOL = 1e-14  # a BFGS run also ends at a step that lowers log J by at most this
@@ -433,12 +434,16 @@ def _bfgs(fg, u: np.ndarray, f: float, g: np.ndarray, steps: int, floor: float):
     wherever its direction is not a descent direction.  Runs at most
     ``steps`` steps, and stops once f <= ``floor``, once the last u.size
     steps lowered f by at most ``_BFGS_RTOL`` (a sweep's worth), or at a
-    step that lowers f by at most ``_STEP_FTOL``.  Returns (u, f, g,
+    step that lowers f by at most ``_STEP_FTOL``.  Where the gradient is
+    at most ``_SMOOTH_GRAD`` (max norm) f is smooth near a minimum, not
+    at a kink whose subgradients stay large, and the last u.size steps
+    must gain at most ``_SWEEP_RTOL`` instead.  Returns (u, f, g,
     steps taken)."""
     H, past = None, []
     for k in range(steps):
         past.append(f)
-        if f <= floor or (k >= u.size and past[k - u.size] - f <= _BFGS_RTOL):
+        window = _BFGS_RTOL if np.abs(g).max() > _SMOOTH_GRAD else _SWEEP_RTOL
+        if f <= floor or (k >= u.size and past[k - u.size] - f <= window):
             return u, f, g, k
         d = -g if H is None else -(H @ g)
         if not g @ d < 0.0:
@@ -517,7 +522,7 @@ def _descend(J, fg, u: np.ndarray, sweeps: int, floor: float, iters: int, call_r
     """BFGS and coordinate descent in turn from u: (u, log J(u), converged).
 
     BFGS runs on fg until its last m = u.size steps lower log J by at most
-    ``_BFGS_RTOL``.  Coordinate descent on J then sweeps from its end
+    ``_BFGS_RTOL`` (see _bfgs).  Coordinate descent on J then sweeps from its end
     point: at a kink where BFGS crawls, a golden search along one
     coordinate still moves.  A descent that moved u hands it back to
     BFGS, with a fresh inverse Hessian.  Converged once a descent's first

@@ -513,6 +513,19 @@ def test_bfgs_finds_the_minimum_of_a_convex_function_with_kinks():
     assert k < 500 and f <= 1e-8
 
 
+def test_bfgs_runs_on_to_the_sweep_tolerance_near_a_smooth_minimum(monkeypatch):
+    # sum u^4 is smooth with a flat minimum: BFGS gains little per step,
+    # and only the small gradient tells it from a kink
+    def quartic(u):
+        return float(np.sum(u**4)), 4.0 * u**3
+
+    u0 = np.array([1.0, -2.0, 0.5, 1.5])
+    f = P._bfgs(quartic, u0, *quartic(u0), 500, -math.inf)[1]
+    monkeypatch.setattr(P, "_SMOOTH_GRAD", 0.0)
+    f_window = P._bfgs(quartic, u0, *quartic(u0), 500, -math.inf)[1]
+    assert f <= 1e-11 < 1e-8 <= f_window
+
+
 def test_bfgs_stops_at_the_floor_and_on_its_budget():
     u0 = np.array([3.0, 2.0, -1.0, 4.0])
     f0 = _quadratic_with_kinks(u0)[0]

@@ -7,20 +7,26 @@ space, and the witness splits z by the exponent share the rule reports.
 A sup-type factor (a weighted sup, or M*_psi with psi = c t^a, a >= 0)
 has a largest y of norm 1 in each cell order, 1/psi(T), T the measure up
 to each cell: the split is z = (z psi(T)) (1/psi(T)) in the cell order a
-descent over adjacent swaps reaches from z's decreasing order.
+descent over adjacent swaps reaches from z's decreasing order.  That
+split is least only where its partner is a lattice norm; where the
+partner is a Lorentz space whose weight fails the quasi-concavity check
+(``_log_convex``), the optimizer also runs and the lower bound wins.
 Elsewhere BFGS computes it, on J(u) = log |e^u|_E + log |z e^-u|_F over
 u = log x on the support of z: convex for lattice norms, and smooth
 except where the sorted profiles tie or a supremum changes hands, the
 case that BFGS with a weak Wolfe line search handles (Lewis & Overton,
-Math. Program. 141, 2013).  Where BFGS crawls along such a kink, cyclic
-coordinate descent with golden line searches takes over from its end
-point, and hands back to BFGS while it still moves; a run has converged
-once a coordinate sweep gains at most ``_SWEEP_RTOL``.  One run starts
-from the best seed, scored in one batched objective call; where a
-factor is no lattice norm (M*_phi, say) J may have several local minima,
-and every seed starts a run.  The gradient comes from the kernels' exact
-subgradients (``_CompiledNorm.grad``), or from forward differences for
-a kernel without one.  Where both kernels take a decreasing profile
+Math. Program. 141, 2013).  A run has converged once BFGS stops at a
+smooth minimum: its gradient at most ``_SMOOTH_GRAD`` and its last m
+steps (m = |supp z|) gaining at most ``_SWEEP_RTOL``.  Where BFGS stops
+anywhere else, crawling along a kink, say, cyclic coordinate descent
+with golden line searches takes over from its end point, and hands back
+to BFGS while it still moves; the run has then converged once a
+coordinate sweep gains at most ``_SWEEP_RTOL``.  One run starts from the
+best seed, scored in one batched objective call; where a factor is no
+lattice norm (M*_phi, say) J may have several local minima, and every
+seed starts a run.  The gradient comes from the kernels' exact
+subgradients (``_CompiledNorm.grad``), or from forward differences for a
+kernel without one.  Where both kernels take a decreasing profile
 (``_CompiledNorm.profile``: Lambda_phi, and Lambda_{phi,p}, M_phi and
 M*_phi for a power phi), an objective call sorts x and y as one stack
 and hands each kernel its half, for values and gradients alike.  A
@@ -437,20 +443,22 @@ def _bfgs(fg, u: np.ndarray, f: float, g: np.ndarray, steps: int, floor: float):
     step that lowers f by at most ``_STEP_FTOL``.  Where the gradient is
     at most ``_SMOOTH_GRAD`` (max norm) f is smooth near a minimum, not
     at a kink whose subgradients stay large, and the last u.size steps
-    must gain at most ``_SWEEP_RTOL`` instead.  Returns (u, f, g,
-    steps taken)."""
+    must gain at most ``_SWEEP_RTOL`` instead: a smooth minimum, the
+    evidence a converged coordinate sweep gives.  Returns (u, f, g, steps
+    taken, smooth): smooth is whether it stopped there (or at the floor)
+    with a gradient at most ``_SMOOTH_GRAD``."""
     H, past = None, []
     for k in range(steps):
         past.append(f)
-        window = _BFGS_RTOL if np.abs(g).max() > _SMOOTH_GRAD else _SWEEP_RTOL
-        if f <= floor or (k >= u.size and past[k - u.size] - f <= window):
-            return u, f, g, k
+        smooth = np.abs(g).max() <= _SMOOTH_GRAD
+        if f <= floor or (k >= u.size and past[k - u.size] - f <= (_SWEEP_RTOL if smooth else _BFGS_RTOL)):
+            return u, f, g, k, smooth
         d = -g if H is None else -(H @ g)
         if not g @ d < 0.0:
             H, d = None, -g
         step = _line_search(fg, u, f, g, d) if g @ d < 0.0 else None
         if step is None or not f - step[1] > _STEP_FTOL:
-            return u, f, g, k
+            return u, f, g, k, False
         t, f1, g1 = step
         s, y = t * d, g1 - g
         sy = float(s @ y)
@@ -460,7 +468,7 @@ def _bfgs(fg, u: np.ndarray, f: float, g: np.ndarray, steps: int, floor: float):
             Hy = H @ y
             H += (((sy + y @ Hy) / sy) * np.outer(s, s) - np.outer(Hy, s) - np.outer(s, Hy)) / sy
         u, f, g = u + s, f1, g1
-    return u, f, g, steps
+    return u, f, g, steps, False
 
 
 def _objective(E, F, z: StepFunction):
@@ -503,12 +511,14 @@ def _objective(E, F, z: StepFunction):
     return J, fg, _call_rows(ke, kf)
 
 
+@functools.lru_cache(maxsize=1024)
 def _log_convex(S) -> bool:
     """Whether log |e^u|_S is convex in u, as it is for a lattice norm, by
     S's family.  Not for M*_phi, for Lambda_phi over a weight that fails
     the sampled quasi-concavity check, or for Lambda_{phi,p} where phi^p
     fails it (then phi^p / t rises somewhere).  A convexification keeps
-    its base's answer: it scales u."""
+    its base's answer: it scales u.  Cached: the sampled check costs
+    about 35 us, a quarter of a whole sup-type product at n = 16."""
     if isinstance(S, Convexification):
         return _log_convex(S.base)
     if isinstance(S, LorentzLambda):
@@ -522,17 +532,21 @@ def _descend(J, fg, u: np.ndarray, sweeps: int, floor: float, iters: int, call_r
     """BFGS and coordinate descent in turn from u: (u, log J(u), converged).
 
     BFGS runs on fg until its last m = u.size steps lower log J by at most
-    ``_BFGS_RTOL`` (see _bfgs).  Coordinate descent on J then sweeps from its end
-    point: at a kink where BFGS crawls, a golden search along one
-    coordinate still moves.  A descent that moved u hands it back to
-    BFGS, with a fresh inverse Hessian.  Converged once a descent's first
-    sweep improves J by at most ``_SWEEP_RTOL``, or once log J <= floor.
-    The budget is ``sweeps``: one per coordinate sweep, or per m BFGS
-    steps."""
+    ``_BFGS_RTOL`` (see _bfgs).  Where its gradient is at most
+    ``_SMOOTH_GRAD`` and those m steps gained at most ``_SWEEP_RTOL``, it
+    stopped at a smooth minimum and has converged.  Else coordinate
+    descent on J sweeps from its end point: at a kink where BFGS crawls, a
+    golden search along one coordinate still moves.  A descent that moved
+    u hands it back to BFGS, with a fresh inverse Hessian.  Converged once
+    a descent's first sweep improves J by at most ``_SWEEP_RTOL``, or once
+    log J <= floor.  The budget is ``sweeps``: one per coordinate sweep,
+    or per m BFGS steps."""
     f, g = fg(u)
     while f > floor and math.isfinite(f) and sweeps > 0:
-        u, f, g, k = _bfgs(fg, u, f, g, sweeps * u.size, floor)
+        u, f, g, k, smooth = _bfgs(fg, u, f, g, sweeps * u.size, floor)
         sweeps -= -(-k // u.size)
+        if smooth:
+            return u, f, True
         if f <= floor or sweeps <= 0:
             break
         u, val, n, converged = _coordinate_descent(J, u, J(u[None])[0], sweeps, iters, call_rows)
@@ -690,10 +704,12 @@ def _closed_form(E, F, z: StepFunction):
             return NormResult(res.value, res.kind, wit, res.notes + notes), wit
 
 
-def _sup_split(E, F, z: StepFunction):
+def _sup_split(E, F, z: StepFunction, o: dict):
     """E ⊙ F with a sup-type factor: the ``_bound`` of its split, with two
     the lower of both (which descend on at most ``_PAIR_DESCENT_CELLS``
-    cells).  None where no levels are finite and positive on supp z."""
+    cells).  Where the partner is a Lorentz space that fails
+    ``_log_convex`` (no lattice norm), the optimizer's bound if lower.
+    None where no levels are finite and positive on supp z."""
     pos, kinds = z.values > 0, (_sup_kind(E), _sup_kind(F))
     descend = None in kinds or np.count_nonzero(pos) <= _PAIR_DESCENT_CELLS
     hits = [_sup_levels(k, P, z, descend) + (i,) for i, (k, P) in enumerate(zip(kinds, (F, E))) if k is not None]
@@ -702,7 +718,12 @@ def _sup_split(E, F, z: StepFunction):
         return None
     _, lv, i = min(hits, key=lambda h: h[0])
     sup, partner = z.with_values(np.divide(1.0, lv, out=np.zeros_like(lv), where=pos)), z.with_values(z.values * lv)
-    return _bound(E, F, "constructive", *((sup, partner) if i == 0 else (partner, sup)))
+    split = _bound(E, F, "constructive", *((sup, partner) if i == 0 else (partner, sup)))
+    P = (F, E)[i]
+    if isinstance(P, (LorentzLambda, LorentzLambdaP)) and not _log_convex(P):
+        run = _bound(E, F, "optimizer", *_optimize_product(E, F, z, o))
+        return run if run[0].value < split[0].value else split
+    return split
 
 
 # ---------------------------------------------------------------------------
@@ -722,7 +743,7 @@ def product_norm(
         wit = _zero_witness(z)
         return NormResult(0.0, "exact", wit), wit
     Ec, Fc = canonical(E), canonical(F)
-    hit = _closed_form(Ec, Fc, z) or _sup_split(Ec, Fc, z)
+    hit = _closed_form(Ec, Fc, z) or _sup_split(Ec, Fc, z, o)
     return hit if hit is not None else _bound(Ec, Fc, "optimizer", *_optimize_product(Ec, Fc, z, o))
 
 

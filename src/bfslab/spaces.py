@@ -28,6 +28,8 @@ seeds, index tables, compiled kernels) sees the rewritten space:
 
 * ``Symmetrization(Lp(p, c*t^a), "star")`` is
   ``LorentzLambdaP(c*t^(a + 1/p), p)``.
+* ``LorentzLambdaP(c*t^a, 1)`` with ``a > 0`` is
+  ``LorentzLambda((c/a)*t^a)``, since ``d(t^a) = a t^a dt/t``.
 * For a pure power ``w``, the star of ``LInftyWeighted(w)`` or of
   ``Lp(inf, w)`` is ``MarcinkiewiczStar(w)`` and its doublestar is
   ``Marcinkiewicz(w)``.
@@ -398,7 +400,7 @@ def canonical(space: SpaceDescriptor) -> SpaceDescriptor:
         if isinstance(base, LorentzLambdaP):
             w = _weight_pow(base.phi, 1.0 / p)
             if w is not None:
-                return LorentzLambdaP(w, base.p * p)
+                return canonical(LorentzLambdaP(w, base.p * p))
         return Convexification(base, p)
     if isinstance(space, OrliczCL):
         base = canonical(space.base)
@@ -424,7 +426,7 @@ def canonical(space: SpaceDescriptor) -> SpaceDescriptor:
             if w is not None and math.isinf(p):
                 return MarcinkiewiczStar(w) if star else Marcinkiewicz(w)
             if w is not None and star:
-                return LorentzLambdaP(PowerWeight(w.alpha + 1.0 / p, w.coef), p)
+                return canonical(LorentzLambdaP(PowerWeight(w.alpha + 1.0 / p, w.coef), p))
         return Symmetrization(base, space.mode)
     if isinstance(space, Calderon):
         # E^theta F^(1-theta) is the product of E^(1/theta) and F^(1/(1-theta))
@@ -442,6 +444,11 @@ def canonical(space: SpaceDescriptor) -> SpaceDescriptor:
         return Product(E, F) if hit is None else hit[0]
     if isinstance(space, Multiplier):
         return Multiplier(canonical(space.E), canonical(space.F))
+    if isinstance(space, LorentzLambdaP) and space.p == 1.0:
+        pw = simplify_power(space.phi)
+        if pw is not None and pw.alpha > 0.0:
+            # ∫ c t^a x* dt/t = ∫ x* d((c/a) t^a)
+            return LorentzLambda(PowerWeight(pw.alpha, pw.coef / pw.alpha))
     return space
 
 

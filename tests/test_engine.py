@@ -230,12 +230,13 @@ def _certified_witness(E, F, z, value, wit):
     assert math.isclose(nx.value * ny.value, value, rel_tol=1e-12)
 
 
-def _never_above_the_oracle(monkeypatch, E, F, z, call):
+def _never_above_the_oracle(monkeypatch, E, F, z, call, methods=("optimizer",)):
     """``call()`` with the engine and with the serial oracle: the engine's
     value is at or below the oracle's, its witness certifies it, and its
-    kind is no weaker.  Returns the engine's (result, witness)."""
+    kind is no weaker.  Both witnesses come from one of ``methods``.
+    Returns the engine's (result, witness)."""
     (res, wit), (res0, wit0) = _both(monkeypatch, "_optimize_product", _optimize_product, call)
-    assert wit.method == wit0.method == "optimizer"
+    assert wit.method in methods and wit0.method in methods, (wit.method, wit0.method)
     assert res.value <= res0.value * (1.0 + 1e-9), (res.value, res0.value)
     _certified_witness(E, F, z, res.value, wit)
     assert _RANK[res.kind] >= _RANK[res0.kind], (res.kind, res0.kind)
@@ -267,15 +268,21 @@ _SUP_PAIRS = {
     "thm7_lambdap_mstar",
     "thm10_marc_mstar",
     "ex3_weak_mstar",
-    "generic_lambda_mstar",
     "lemma4_calderon",
     "mixed_lambda_wsup",
 }
+# a sup pair whose partner is no lattice norm: product_norm runs the split and the optimizer, and keeps the lower
+_SPLIT_OR_OPTIMIZER = {"generic_lambda_mstar"}
 _GRIDS = {"unit16": lambda: unit_interval(16), "half16": lambda: half_line(16), "unit8": lambda: unit_interval(8)}
 
 
 # ---------------------------------------------------------------------------
 # product norms
+
+
+def _pair_profile(pair, grid):
+    ms = _GRIDS[grid]()
+    return _profile(ms, seed=len(pair) + (7 if grid == "half16" else 0), gamma=0.3 if grid == "unit16" else 0.15)
 
 
 @pytest.mark.parametrize(
@@ -284,12 +291,29 @@ _GRIDS = {"unit16": lambda: unit_interval(16), "half16": lambda: half_line(16), 
 )
 def test_product_norm_is_never_above_the_serial_oracle(monkeypatch, pair, grid):
     E, F = THEOREM_PAIRS[pair]
-    ms = _GRIDS[grid]()
-    z = _profile(ms, seed=len(pair) + (7 if grid == "half16" else 0), gamma=0.3 if grid == "unit16" else 0.15)
+    z = _pair_profile(pair, grid)
     run = _optimizer_product if pair in _SUP_PAIRS else product_norm
-    _never_above_the_oracle(monkeypatch, E, F, z, lambda: run(E, F, z, dict(_FAST)))
+    methods = ("optimizer", "constructive") if pair in _SPLIT_OR_OPTIMIZER else ("optimizer",)
+    _never_above_the_oracle(monkeypatch, E, F, z, lambda: run(E, F, z, dict(_FAST)), methods)
     if pair in _SUP_PAIRS:
         assert product_norm(E, F, z)[1].method == "constructive"
+
+
+@pytest.mark.parametrize("grid", ["half16", "unit16"])
+def test_a_split_whose_partner_is_no_lattice_norm_is_one_candidate(monkeypatch, grid):
+    # Λ over a falling weight is no lattice norm, so the cell-order split
+    # need not be least: on unit16 it lies above the optimizer's bound,
+    # on half16 below it, and product_norm returns the lower of the two
+    E, F = THEOREM_PAIRS["generic_lambda_mstar"]
+    z = _pair_profile("generic_lambda_mstar", grid)
+    res, wit = product_norm(E, F, z, dict(_FAST))
+    optimized = _optimizer_product(E, F, z, dict(_FAST))[0]
+    with monkeypatch.context() as m:
+        m.setattr(P, "_log_convex", lambda S: True)
+        split, split_wit = product_norm(E, F, z, dict(_FAST))
+    assert split_wit.method == "constructive"
+    assert res.value == min(split.value, optimized.value)
+    assert wit.method == ("optimizer" if grid == "unit16" else "constructive")
 
 
 def test_a_non_power_mstar_pair_is_never_above_the_serial_oracle(monkeypatch):
@@ -333,6 +357,30 @@ def test_every_m_lambda_product_of_a_suite_converges(monkeypatch, suite):
     monkeypatch.setattr(P, "_bound", recorded)
     assert run_suite(suite, seed=7).passed
     assert kinds and set(kinds) == {"upper_bound"}
+
+
+def _sweeps_of(monkeypatch, pair, grid):
+    """``product_norm`` of a ``THEOREM_PAIRS`` pair on its profile: (result,
+    the number of ``_coordinate_descent`` calls it made)."""
+    calls, descent = [], P._coordinate_descent
+    monkeypatch.setattr(P, "_coordinate_descent", lambda *a, **kw: calls.append(1) or descent(*a, **kw))
+    res, wit = product_norm(*THEOREM_PAIRS[pair], _pair_profile(pair, grid), dict(_FAST))
+    assert wit.method == "optimizer"
+    return res, len(calls)
+
+
+def test_bfgs_at_a_smooth_minimum_ends_the_run_without_a_sweep(monkeypatch):
+    # the Orlicz pair's J is smooth: BFGS stops on its window with a small
+    # gradient, the evidence a converged coordinate sweep would give
+    res, sweeps = _sweeps_of(monkeypatch, "orlicz_pair", "unit8")
+    assert (res.kind, sweeps) == ("upper_bound", 0)
+
+
+@pytest.mark.parametrize("grid", ["half16", "unit16"])
+def test_bfgs_at_a_kink_still_hands_over_to_coordinate_descent(monkeypatch, grid):
+    # M ⊙ Λ ends where M_φ's sup ties over several prefixes: BFGS stops with a large subgradient
+    res, sweeps = _sweeps_of(monkeypatch, "thm10_marc_lambda", grid)
+    assert res.kind == "upper_bound" and sweeps >= 1
 
 
 def _objective_calls(monkeypatch, E, F, ms):
@@ -507,10 +555,11 @@ def _quadratic_with_kinks(u):
 
 def test_bfgs_finds_the_minimum_of_a_convex_function_with_kinks():
     u0 = np.array([3.0, 2.0, -1.0, 4.0])
-    u, f, g, k = P._bfgs(_quadratic_with_kinks, u0, *_quadratic_with_kinks(u0), 500, -math.inf)
+    u, f, g, k, smooth = P._bfgs(_quadratic_with_kinks, u0, *_quadratic_with_kinks(u0), 500, -math.inf)
     np.testing.assert_allclose(u, [1.0, -0.5, 0.25, -1.0], atol=1e-6)
-    # it stops once 4 steps gain at most _BFGS_RTOL, well before its budget
-    assert k < 500 and f <= 1e-8
+    # it stops once 4 steps gain at most _BFGS_RTOL, well before its budget,
+    # at a kink: its subgradient stays large, so it is no smooth minimum
+    assert k < 500 and f <= 1e-8 and not smooth
 
 
 def test_bfgs_runs_on_to_the_sweep_tolerance_near_a_smooth_minimum(monkeypatch):
@@ -520,19 +569,20 @@ def test_bfgs_runs_on_to_the_sweep_tolerance_near_a_smooth_minimum(monkeypatch):
         return float(np.sum(u**4)), 4.0 * u**3
 
     u0 = np.array([1.0, -2.0, 0.5, 1.5])
-    f = P._bfgs(quartic, u0, *quartic(u0), 500, -math.inf)[1]
+    _, f, _, _, smooth = P._bfgs(quartic, u0, *quartic(u0), 500, -math.inf)
     monkeypatch.setattr(P, "_SMOOTH_GRAD", 0.0)
-    f_window = P._bfgs(quartic, u0, *quartic(u0), 500, -math.inf)[1]
+    _, f_window, _, _, smooth_window = P._bfgs(quartic, u0, *quartic(u0), 500, -math.inf)
     assert f <= 1e-11 < 1e-8 <= f_window
+    assert smooth and not smooth_window
 
 
 def test_bfgs_stops_at_the_floor_and_on_its_budget():
     u0 = np.array([3.0, 2.0, -1.0, 4.0])
     f0 = _quadratic_with_kinks(u0)[0]
-    _, f, _, k = P._bfgs(_quadratic_with_kinks, u0, *_quadratic_with_kinks(u0), 500, 0.5 * f0)
+    _, f, _, k, _ = P._bfgs(_quadratic_with_kinks, u0, *_quadratic_with_kinks(u0), 500, 0.5 * f0)
     assert f <= 0.5 * f0 and k < 10
-    _, _, _, k = P._bfgs(_quadratic_with_kinks, u0, *_quadratic_with_kinks(u0), 2, -math.inf)
-    assert k == 2
+    _, _, _, k, smooth = P._bfgs(_quadratic_with_kinks, u0, *_quadratic_with_kinks(u0), 2, -math.inf)
+    assert k == 2 and not smooth
 
 
 def test_a_line_search_along_an_ascent_direction_finds_no_step():

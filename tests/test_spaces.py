@@ -370,6 +370,75 @@ def test_canonical_symmetrization_of_weighted_sup_and_lp():
     assert canonical(Symmetrization(LInftyWeighted(log_w), "star")) == Symmetrization(LInftyWeighted(log_w), "star")
 
 
+_P1_GRIDS = {"unit": lambda: unit_interval(16), "half": lambda: half_line(16), "counting": lambda: counting(16)}
+
+
+@pytest.mark.parametrize("grid", sorted(_P1_GRIDS))
+@pytest.mark.parametrize("a", [0.3, 0.5, 1.0])
+def test_lambda_p1_of_a_power_is_the_lambda_norm(grid, a):
+    # ∫ c t^a x* dt/t over the sorted profile: cell k carries (c/a)(T_k^a - T_(k-1)^a)
+    ms, c = _P1_GRIDS[grid](), 1.7
+    x = _random_step(np.random.default_rng(41), ms)
+    order = np.argsort(-x.values, kind="stable")
+    T = np.concatenate(([0.0], np.cumsum(ms.widths[order])))
+    want = float(np.sum(x.values[order] * (c / a) * np.diff(T**a)))
+    space = LorentzLambdaP(PowerWeight(a, c), 1.0)
+    assert canonical(space) == LorentzLambda(PowerWeight(a, c / a))
+    got = norm(space, x)
+    assert got.kind == "exact"
+    assert math.isclose(got.value, want, rel_tol=1e-13)
+
+
+@pytest.mark.parametrize(
+    "space",
+    [
+        LorentzLambdaP(PowerWeight(0.0, 2.0), 1.0),
+        LorentzLambdaP(PowerWeight(-0.3), 1.0),
+        LorentzLambdaP(PowerLogWeight(0.5, 1.0), 1.0),
+        LorentzLambdaP(PowerWeight(0.5), 2.0),
+        LorentzLambdaP(PowerWeight(0.5), 0.5),
+    ],
+    ids=["a0", "a_neg", "powlog", "p2", "p_half"],
+)
+def test_canonical_keeps_lambda_p_without_a_positive_power_and_p_1(space):
+    assert canonical(space) == space
+
+
+@pytest.mark.parametrize("grid", sorted(_P1_GRIDS))
+@pytest.mark.parametrize("a, c", [(0.3, 1.0), (0.5, 2.5), (1.0, 0.7)])
+def test_the_dual_of_lambda_p1_passes_hoelder(grid, a, c):
+    ms = _P1_GRIDS[grid]()
+    space = LorentzLambdaP(PowerWeight(a, c), 1.0)
+    dual = dual_descriptor(space)
+    assert dual == Marcinkiewicz(PowerWeight(1.0 - a, a / c))
+    rng = np.random.default_rng(43)
+    for _ in range(20):
+        x, y = _random_step(rng, ms, 0.0, 3.0), _random_step(rng, ms, 0.0, 3.0)
+        pairing = float(np.sum(x.values * y.values * ms.widths))
+        nx, ny = norm(space, x), norm(dual, y)
+        assert (nx.kind, ny.kind) == ("exact", "exact")
+        assert pairing <= nx.value * ny.value * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize(
+    "space",
+    [
+        Symmetrization(Lp(1.0, PowerWeight(-0.4)), "star"),
+        Symmetrization(Lp(1.0, PowerWeight(0.3, 2.0)), "star"),
+        Convexification(LorentzLambdaP(PowerWeight(0.5), 1.0), 2.0),
+        Convexification(LorentzLambdaP(PowerWeight(0.5), 2.0), 0.5),
+        Dual(LorentzLambdaP(PowerWeight(0.5), 1.0)),
+        Product(LorentzLambdaP(PowerWeight(0.5), 1.0), LorentzLambdaP(PowerWeight(0.3), 1.0)),
+        Product(LorentzLambdaP(PowerWeight(0.5), 1.0), LorentzLambdaP(PowerWeight(0.5), 1.0)),
+        Calderon(LorentzLambdaP(PowerWeight(0.5), 1.0), Lp(2.0), 0.5),
+    ],
+    ids=["star_lp1", "star_lp1_coef", "conv_lam1", "conv_lam2_to_1", "dual_lam1", "product_lam1", "product_equal_lam1", "calderon"],
+)
+def test_canonical_is_idempotent(space):
+    once = canonical(space)
+    assert canonical(once) == once
+
+
 def test_canonical_dual_collapse():
     assert canonical(Dual(Lp(3.0))) == Lp(1.5)
     assert canonical(Dual(Dual(Lp(3.0)))) == Lp(3.0)

@@ -37,11 +37,12 @@ then so is the product.
 
 Multiplier and dual norms run the same coordinate descent in the
 opposite direction (ratio ascent over a test family): golden-section
-line searches whose objective calls look ahead, as deep as the kernels'
-``call_rows`` pays for, over every point the next golden steps could
-probe.  Those values are lower bounds.  The two directions are kept
-apart deliberately; no function here reports a point estimate as if it
-were exact unless a closed form fired.
+line searches whose objective calls look ahead over every point the
+next golden steps could probe: ``_LOOKAHEAD`` steps a call, or one
+where a kernel runs row by row (``_CompiledNorm.rowwise``).  Those
+values are lower bounds.  The two directions are kept apart
+deliberately; no function here reports a point estimate as if it were
+exact unless a closed form fired.
 """
 
 from __future__ import annotations
@@ -103,7 +104,7 @@ __all__ = [
 # Documented optimizer defaults; callers override per key.
 DEFAULT_OPTS = {
     "max_sweeps": 5000,  # sweeps per run: a coordinate sweep, or |supp z| BFGS steps; ratio ascent: at most 200
-    "quick_sweeps": 40,  # accepted for existing option sets; no engine reads it
+    "quick_sweeps": 40,  # read by no engine; perfbench's FAST_OPTS and tests/test_engine.py's oracle pass it
     "golden_iters": 14,  # golden-section steps per coordinate search
     "target": None,  # products: early exit once |x|_E |y|_F is at or below
 }
@@ -117,9 +118,7 @@ _STEP_FTOL = 1e-14  # a BFGS run also ends at a step that lowers log J by at mos
 _FD_STEP = 1e-7  # forward-difference step in log x, for a kernel without a subgradient
 _SPAN = 1.5  # coordinate search half-width in log units
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-# fixed cost of one objective call, in rows: 46-54 in fits of the
-# products mix's _golden_rows calls at n = 16, where 48 costs the least
-_CALL_ROWS = 48
+_LOOKAHEAD = 4  # golden steps per objective call: 15 probes a call, 16 on a search's first
 _RATIO_CAP = 1e8
 _PAIR_DESCENT_CELLS = 64  # two sup factors: a descent pass scores n^2 cells, 60 ms at n = 1024
 _UNCERTIFIED = "a factor norm is an estimate, so the factorization certifies no bound"
@@ -215,139 +214,99 @@ def _merge_opts(opts: Optional[dict]) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _call_rows(*kernels: _CompiledNorm) -> int:
-    """Fixed cost of one objective call over ``kernels``, in rows.
+def _lookahead(*kernels: _CompiledNorm) -> int:
+    """Golden steps one objective call over ``kernels`` looks ahead.
 
-    A kernel with ``call_rows`` 0 runs row by row: a batch of k rows
-    costs k calls, so there is no per-call cost to share, and an
-    objective over one gets 0 and takes one golden step per call.  Else
-    the largest of the kernels' costs counts, ``_CALL_ROWS`` for a
-    kernel that states none.
+    A row-by-row kernel (``rowwise``) costs one call per row of a batch,
+    so looking ahead would only add rows: an objective over one takes
+    one golden step per call.  Else ``_LOOKAHEAD``.
     """
-    rows = [_CALL_ROWS if k.call_rows is None else k.call_rows for k in kernels]
-    return 0 if 0 in rows else max(rows)
+    return 1 if any(k.rowwise for k in kernels) else _LOOKAHEAD
 
 
-@functools.lru_cache(maxsize=1024)
-def _lookahead(k: int, steps: int, first: bool, call_rows: int) -> int:
-    """Golden steps one J call takes for k rows with ``steps`` left.
-
-    A call of depth d probes 2^d - 1 points per row, or 2^d on a
-    search's first call, whose depth counts the (c, d) pair as a step.
-    The depth minimises the cost per step, (call_rows + k * points) / d.
-    """
-    pad = 0 if first else 1
-
-    def per_step(d):
-        return (call_rows + k * (2**d - pad)) / d
-
-    depth = 1
-    while depth < steps + first and per_step(depth + 1) < per_step(depth):
-        depth += 1
-    return depth
-
-
-def _golden_rows(J, P: np.ndarray, i: int, iters: int, call_rows: int = _CALL_ROWS):
-    """Golden-section search of every row of P along coordinate i.
+def _golden(J, u: np.ndarray, i: int, iters: int, lookahead: int):
+    """Golden-section search of J from the point u along coordinate i.
 
     Where a golden step probes depends only on its bracket and on whether
     fc < fd, not on the value the probe returns.  So each J call looks d
     steps ahead: it evaluates every point those steps could probe, a
-    binary tree of brackets per row (2^d - 1 points, or 2^d on the first
-    call: c, d and both branches of each later step), and each row then
-    walks its tree with its real comparisons.  Probes, values and picks
-    are those of one step per call, bit for bit; _lookahead picks d
-    from k and from ``call_rows``, the fixed cost of a J call in rows.
+    binary tree of brackets (2^d - 1 points, or 2^d on the first call:
+    c, d and both branches of each later step), and the search then walks
+    the tree with its real comparisons.  Probes, values and picks are
+    those of one step per call, bit for bit.  d is ``lookahead``, or the
+    steps left if fewer; the first call counts the (c, d) pair as a step.
 
-    The brackets are kept in Python floats, the one-row arithmetic
-    exactly, as four lists A, B, C, D over the nodes of a tree level.  A
-    level holds blocks of k rows: growing one level puts the children
-    that keep [a, d] (fc < fd) first, then those that keep [c, b], so
-    the node a row reaches by comparisons b_1, b_2, ... (1 = keep
-    [c, b]) sits in block sum(b_l * 2^(l-1)).  The batch holds the probe
-    blocks level after level; column i of P is overwritten.  Returns
-    (argmin, min) lists, one entry per row.
+    The brackets are kept in Python floats, the one-step arithmetic
+    exactly, as four lists A, B, C, D over the nodes of a tree level.
+    Growing one level puts the children that keep [a, d] (fc < fd)
+    first, then those that keep [c, b], so the node the comparisons
+    b_1, b_2, ... (1 = keep [c, b]) reach is node sum(b_l * 2^(l-1)) of
+    its level.  Returns (argmin, min).
     """
-    k = P.shape[0]
-    center = P[:, i].tolist()
-    A = [t - _SPAN for t in center]
-    B = [t + _SPAN for t in center]
-    C = [b - _GOLDEN * (b - a) for a, b in zip(A, B)]
-    D = [a + _GOLDEN * (b - a) for a, b in zip(A, B)]
-    fc, fd, left = [None] * k, [None] * k, [False] * k
+    a, b = float(u[i]) - _SPAN, float(u[i]) + _SPAN
+    c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
+    fc = fd = left = None
     first, done = True, 0
     while first or done < iters:
-        depth = _lookahead(k, iters - done, first, call_rows)
+        depth = min(lookahead, iters - done + first)
         if first:
-            # blocks 0 and 1 are c and d; the tree's root is the bracket itself
-            probes, off = C + D, 0
-        else:
+            # c and d are probes 0 and 1; the tree's root is the bracket itself
+            probes, off = [c, d], 0
+        elif left:
             # this call's first comparison is known: the root is its step
-            probes, off = [], 1
-            for r, lt in enumerate(left):
-                if lt:
-                    B[r], D[r] = D[r], C[r]
-                    C[r] = B[r] - _GOLDEN * (B[r] - A[r])
-                    probes.append(C[r])
-                else:
-                    A[r], C[r] = C[r], D[r]
-                    D[r] = A[r] + _GOLDEN * (B[r] - A[r])
-                    probes.append(D[r])
+            b, d = d, c
+            c = b - _GOLDEN * (b - a)
+            probes, off = [c], 1
+        else:
+            a, c = c, d
+            d = a + _GOLDEN * (b - a)
+            probes, off = [d], 1
+        A, B, C, D = [a], [b], [c], [d]
         for _ in range(depth - 1):
             cl = [d - _GOLDEN * (d - a) for a, d in zip(A, D)]
             dr = [c + _GOLDEN * (b - c) for b, c in zip(B, C)]
             probes += cl + dr
             A, B, C, D = A + C, D + B, cl + D, C + dr
-        if len(probes) == k:
-            Q = P
-        else:
-            Q = np.empty((len(probes), P.shape[1]))
-            Q.reshape(-1, k, P.shape[1])[:] = P  # one copy of P per block
+        Q = np.tile(u, (len(probes), 1))
         Q[:, i] = probes
         f = J(Q).tolist()
-        at = []
-        for r in range(k):
-            if first:
-                vc, vd = f[r], f[k + r]
-            else:
-                vc, vd = (f[r], fc[r]) if left[r] else (fd[r], f[r])
-            block = 0
-            for lev in range(1, depth):
-                keep_cb = not vc < vd
-                block += keep_cb << (lev - 1)
-                v = f[((1 << lev) - off + block) * k + r]
-                vc, vd = (vd, v) if keep_cb else (v, vc)
-            at.append(block * k + r)
-            fc[r], fd[r], left[r] = vc, vd, vc < vd
-        if depth > 1:
-            A, B, C, D = ([X[j] for j in at] for X in (A, B, C, D))
+        if first:
+            vc, vd = f[0], f[1]
+        else:
+            vc, vd = (f[0], fc) if left else (fd, f[0])
+        node = 0
+        for lev in range(1, depth):
+            keep_cb = not vc < vd
+            node += keep_cb << (lev - 1)
+            v = f[(1 << lev) - off + node]
+            vc, vd = (vd, v) if keep_cb else (v, vc)
+        a, b, c, d = A[node], B[node], C[node], D[node]
+        fc, fd, left = vc, vd, vc < vd
         done += depth - first
         first = False
-    return [c if lt else d for c, d, lt in zip(C, D, left)], [
-        vc if lt else vd for vc, vd, lt in zip(fc, fd, left)
-    ]
+    return (c, fc) if left else (d, fd)
 
 
-def _coordinate_descent(J, u: np.ndarray, f: float, budget: int, iters: int, call_rows: int = _CALL_ROWS):
+def _coordinate_descent(J, u: np.ndarray, f: float, budget: int, iters: int, lookahead: int = _LOOKAHEAD):
     """Cyclic coordinate descent with golden line searches from u, f = J(u).
 
     J maps a (k, m) matrix to its k objective values: a golden search
-    batches its probes into rows.  A sweep runs a golden-section search
-    along each coordinate in turn.  Stops after ``budget`` sweeps, or
-    converged once a sweep improves J by at most _SWEEP_RTOL.
-    ``call_rows`` is the fixed cost of one J call in rows (see
-    _call_rows).  Returns (u, J(u), sweeps run, converged).
+    batches its probes into rows, ``lookahead`` steps a call (see
+    _lookahead).  A sweep runs a golden-section search along each
+    coordinate in turn.  Stops after ``budget`` sweeps, or converged once
+    a sweep improves J by at most _SWEEP_RTOL.  Returns (u, J(u), sweeps
+    run, converged).
     """
-    u = np.array(u, dtype=float)[None]
+    u = np.array(u, dtype=float)
     for sweep in range(budget):
         prev = f
-        for i in range(u.shape[1]):
-            (t,), (ft,) = _golden_rows(J, u.copy(), i, iters, call_rows)
+        for i in range(u.size):
+            t, ft = _golden(J, u, i, iters, lookahead)
             if ft < f:
-                u[0, i], f = t, ft
+                u[i], f = t, ft
         if prev - f <= _SWEEP_RTOL * max(abs(prev), 1e-300):
-            return u[0], f, sweep + 1, True
-    return u[0], f, budget, False
+            return u, f, sweep + 1, True
+    return u, f, budget, False
 
 
 def _monotone_embed(v: np.ndarray) -> np.ndarray:
@@ -473,9 +432,9 @@ def _bfgs(fg, u: np.ndarray, f: float, g: np.ndarray, steps: int, floor: float):
 
 def _objective(E, F, z: StepFunction):
     """The product objective over u = log x on supp z, y = z / x: (J, fg,
-    call_rows).  J maps a (k, m) batch of u rows to |x|_E |y|_F per row
-    (+inf for a NaN); fg maps one u to (log J, its gradient); call_rows is
-    the fixed cost of one J call (see _call_rows)."""
+    lookahead).  J maps a (k, m) batch of u rows to |x|_E |y|_F per row
+    (+inf for a NaN); fg maps one u to (log J, its gradient); lookahead
+    is the golden steps one J call takes (see _lookahead)."""
     mspace = z.space
     supp = z.values > 0.0
     zs = z.values[supp]
@@ -508,7 +467,7 @@ def _objective(E, F, z: StepFunction):
         val = ne * nf  # >= 0, or NaN
         return (math.log(val) if val > 0.0 else (-math.inf if val == 0.0 else math.nan)), se - sf
 
-    return J, fg, _call_rows(ke, kf)
+    return J, fg, _lookahead(ke, kf)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -528,7 +487,7 @@ def _log_convex(S) -> bool:
     return not isinstance(S, MarcinkiewiczStar)
 
 
-def _descend(J, fg, u: np.ndarray, sweeps: int, floor: float, iters: int, call_rows: int):
+def _descend(J, fg, u: np.ndarray, sweeps: int, floor: float, iters: int, lookahead: int):
     """BFGS and coordinate descent in turn from u: (u, log J(u), converged).
 
     BFGS runs on fg until its last m = u.size steps lower log J by at most
@@ -549,7 +508,7 @@ def _descend(J, fg, u: np.ndarray, sweeps: int, floor: float, iters: int, call_r
             return u, f, True
         if f <= floor or sweeps <= 0:
             break
-        u, val, n, converged = _coordinate_descent(J, u, J(u[None])[0], sweeps, iters, call_rows)
+        u, val, n, converged = _coordinate_descent(J, u, J(u[None])[0], sweeps, iters, lookahead)
         sweeps -= n
         f = math.log(val) if val > 0.0 else -math.inf
         if (converged and n == 1) or f <= floor:
@@ -570,7 +529,7 @@ def _optimize_product(E, F, z: StepFunction, o: dict):
     mspace = z.space
     supp = z.values > 0.0
     zs = z.values[supp]
-    J, fg, call_rows = _objective(E, F, z)
+    J, fg, lookahead = _objective(E, F, z)
     seeds = np.array(_seed_vectors(E, F, zs, mspace.breakpoints[1:][supp]))
     target = o["target"]
     floor = math.log(target) if target is not None and target > 0 else -math.inf
@@ -578,7 +537,7 @@ def _optimize_product(E, F, z: StepFunction, o: dict):
     best = None
     with np.errstate(**_QUIET):
         for i in np.argsort(J(seeds), kind="stable")[:starts].tolist():
-            run = _descend(J, fg, seeds[i], o["max_sweeps"], floor, o["golden_iters"], call_rows)
+            run = _descend(J, fg, seeds[i], o["max_sweeps"], floor, o["golden_iters"], lookahead)
             if best is None or run[1] < best[1]:
                 best = run
             if best[1] <= floor:
@@ -831,15 +790,15 @@ def _ratio_ascent(
     family: Sequence[np.ndarray],
     o: dict,
     monotone: bool,
-    call_rows: int,
+    lookahead: int,
     ascent: bool = True,
 ):
     """Maximize num(y)/den(y); returns (best ratio, best y, capped flag).
 
-    ``num_fn`` and ``den_fn`` map a (k, n) array to k values, at
-    ``call_rows`` (see _call_rows) per call.  The best member of
-    ``family`` seeds a coordinate ascent unless ``ascent`` is False, in
-    which case the family maximum is returned.
+    ``num_fn`` and ``den_fn`` map a (k, n) array to k values; a golden
+    search takes ``lookahead`` steps per call (see _lookahead).  The best
+    member of ``family`` seeds a coordinate ascent unless ``ascent`` is
+    False, in which case the family maximum is returned.
     """
 
     def ratio_one(n: float, d: float) -> float:
@@ -880,7 +839,7 @@ def _ratio_ascent(
     p0 = _monotone_params(u0) if monotone else u0
     with np.errstate(**_QUIET):
         # no target: the ascent maximizes the ratio as far as it goes
-        p, neg, _, _ = _coordinate_descent(J, p0, J(p0[None])[0], min(o["max_sweeps"], 200), o["golden_iters"], call_rows)
+        p, neg, _, _ = _coordinate_descent(J, p0, J(p0[None])[0], min(o["max_sweeps"], 200), o["golden_iters"], lookahead)
     if -neg > best:
         best = -float(neg)
         u_final = _monotone_embed(p) if monotone else p
@@ -1007,7 +966,7 @@ def multiplier_norm(
     else:
         family = _default_test_family(mspace, mv)
     monotone = is_symmetric(Ec) and is_symmetric(Fc)
-    best, _, capped = _ratio_ascent(num_fn, ke.fn, mspace, family, o, monotone, _call_rows(ke, kf), ascent)
+    best, _, capped = _ratio_ascent(num_fn, ke.fn, mspace, family, o, monotone, _lookahead(ke, kf), ascent)
     if capped:
         return NormResult(
             math.inf, "estimate", None, ("ratio exceeded the cap: not a multiplier",)
@@ -1036,7 +995,7 @@ def dual_norm_numeric(
     family = _default_test_family(mspace, y.values)
     dec = bool(np.all(np.diff(y.values) <= 1e-15))
     monotone = is_symmetric(Ec) and dec
-    lower, _, capped = _ratio_ascent(pairing, ke.fn, mspace, family, o, monotone, _call_rows(ke))
+    lower, _, capped = _ratio_ascent(pairing, ke.fn, mspace, family, o, monotone, _lookahead(ke))
     if capped:
         return NormResult(math.inf, "estimate", None, ("pairing exceeded the cap",))
     d = dual_descriptor(Ec)

@@ -112,9 +112,6 @@ __all__ = [
 ]
 
 _LUX_RTOL = 1e-10
-# fixed cost of one closed-form shifted-power gauge call, in rows: about
-# 85 us against 1.5 us a row at n = 8 (its kernel's call_rows)
-_SHIFTED_GAUGE_CALL_ROWS = 56
 
 
 # ---------------------------------------------------------------------------
@@ -502,13 +499,13 @@ def dual_descriptor(space: SpaceDescriptor) -> Optional[SpaceDescriptor]:
 
 @dataclass(eq=False, slots=True)
 class _CompiledNorm:
-    """A norm kernel ``fn`` (contract in ``norm_evaluator``): its kind, notes, call cost and inputs."""
+    """A norm kernel ``fn`` (contract in ``norm_evaluator``): its kind, notes, batching and inputs."""
 
     fn: Callable[[np.ndarray], float]
     kind: str
     notes: tuple = ()
-    # fixed cost of one fn call in rows: 0 when k rows cost k calls, None for product._CALL_ROWS
-    call_rows: Optional[int] = None
+    # fn runs a (k, n) batch row by row, k calls of the one-row kernel
+    rowwise: bool = False
     # fn (and grad) also take the (v, w, bp, order) tuple of _decreasing_profile in place of the values
     profile: bool = False
     # exact subgradient: grad(x) is (fn(x), the subgradient at x in x's shape and cell order)
@@ -539,7 +536,7 @@ def _rowwise(kernel: Callable[[np.ndarray], float], kind: str, notes: tuple = ()
     def batched(v):
         return kernel(v) if v.ndim == 1 else _each_row(kernel, v)
 
-    return _CompiledNorm(batched, kind, notes, call_rows=0)
+    return _CompiledNorm(batched, kind, notes, rowwise=True)
 
 
 def _out(s):
@@ -913,9 +910,8 @@ def _compile(space: SpaceDescriptor, mspace: MeasureSpace) -> Optional[_Compiled
             return _luxemburg_value(base_fn, phi, v, wd)
 
         note = "shifted-power gauge in closed form" if closed else f"luxemburg gauge, secant bracket search, rtol {_LUX_RTOL:g}"
-        cost = _SHIFTED_GAUGE_CALL_ROWS if closed else basec.call_rows
         if not closed:
-            return _CompiledNorm(_lux, "estimate", basec.notes + (note,), cost)
+            return _CompiledNorm(_lux, "estimate", basec.notes + (note,), basec.rowwise)
 
         def _lux_grad(v, wd=widths, a=phi.a, c=phi.c, p=phi.p):
             # implicit differentiation of sum wd phi(v / lam) = 1 in v and lam
@@ -928,7 +924,7 @@ def _compile(space: SpaceDescriptor, mspace: MeasureSpace) -> Optional[_Compiled
                 g = wd * dphi / (wd * dphi * u).sum(-1, keepdims=True)
             return nrm, np.where(np.isfinite(g), g, 0.0)
 
-        return _CompiledNorm(_lux, "exact", basec.notes + (note,), cost, grad=_lux_grad)
+        return _CompiledNorm(_lux, "exact", basec.notes + (note,), grad=_lux_grad)
 
     if isinstance(space, Convexification):
         basec = norm_evaluator(space.base, mspace)
@@ -951,7 +947,7 @@ def _compile(space: SpaceDescriptor, mspace: MeasureSpace) -> Optional[_Compiled
             return nrm, np.where(np.isfinite(g) & ((v > 0) | (p == 1.0)), g, 0.0)
 
         grad = _conv_grad if basec.grad is not None else None
-        return _CompiledNorm(_conv, basec.kind, basec.notes, basec.call_rows, grad=grad)
+        return _CompiledNorm(_conv, basec.kind, basec.notes, basec.rowwise, grad=grad)
 
     # canonical leaves one symmetrization with a kernel: the doublestar of L^p(c*t^a), p finite
     if isinstance(space, Symmetrization) and space.mode == "doublestar" and isinstance(space.base, Lp):
@@ -1081,9 +1077,10 @@ def norm_evaluator(space: SpaceDescriptor, mspace: MeasureSpace) -> Optional[_Co
     array of k >= 1 rows to an array of their k norms.  Batching never moves
     a bit: ``fn(V)[i] == fn(V[i])`` exactly, for any memory layout of V.
     Callers in the variational engine hold on to ``fn`` across thousands
-    of evaluations, and schedule them by its ``call_rows``.  Where
-    ``profile`` is set, ``fn`` also takes the ``_decreasing_profile`` of
-    the values (or rows of one of a larger stack), bit for bit alike.
+    of evaluations, and batch them unless ``rowwise`` says ``fn`` runs a
+    batch one row at a time.  Where ``profile`` is set, ``fn`` also takes
+    the ``_decreasing_profile`` of the values (or rows of one of a larger
+    stack), bit for bit alike.
     """
     key = (space, mspace)
     hit = _COMPILE_CACHE.get(key)

@@ -62,7 +62,7 @@ __all__ = [
 ]
 
 _EQUIV_CAP = 50.0  # cap for measured two-sided constants of "=" claims
-_OPT_FAST = {"max_sweeps": 300, "quick_sweeps": 25, "golden_iters": 10}
+_OPT_FAST = {"max_sweeps": 300, "golden_iters": 10}
 
 
 @dataclass(frozen=True)

@@ -430,9 +430,6 @@ class Oplus(_Splitting):
             return math.inf
         return b1 * b2
 
-    def eval_scalar(self, u: float) -> float:
-        return _at(self._eval, u)
-
     def _cells(self, u):
         power = _as_power(self)
         if power is not None:
@@ -532,9 +529,6 @@ class Ominus(_Splitting):
     @property
     def b_phi(self) -> float:
         return self._ab[1]
-
-    def eval_scalar(self, u: float) -> float:
-        return _at(self._eval, u)
 
     def _cells(self, u):
         power = _as_power(self)

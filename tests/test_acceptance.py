@@ -172,16 +172,16 @@ def test_criterion_06_young_sum_calculus():
     phi1 = phi2 = Power(1.0, 2.0)
     phi = oplus(phi1, phi2)
     golden_err = max(
-        abs(phi.eval_scalar(u) - 2.0 * u) / (2.0 * u) for u in np.logspace(-3, 3, 200)
+        abs(phi(u) - 2.0 * u) / (2.0 * u) for u in np.logspace(-3, 3, 200)
     )
     vgrid = np.logspace(-6, 6, 100_000)
     brute_err = 0.0
     for u in np.logspace(-3, 3, 20):
         brute = float(np.min(vgrid**2 + (u / vgrid) ** 2))
-        brute_err = max(brute_err, abs(phi.eval_scalar(u) - brute) / brute)
+        brute_err = max(brute_err, abs(phi(u) - brute) / brute)
     lo, hi = np.inf, 0.0
     for t in np.logspace(-6, 6, 2048):
-        val = phi.eval_scalar(inverse(phi1, t) * inverse(phi2, t))
+        val = phi(inverse(phi1, t) * inverse(phi2, t))
         lo = min(lo, val / t)
         hi = max(hi, val / (2.0 * t))
     sandwich_ok = lo >= 1.0 - 1e-9 and hi <= 1.0 + 1e-9

@@ -142,8 +142,8 @@ def _monotone_embed(v):
     return u
 
 
-def _ratio_ascent(num_fn, den_fn, mspace, family, o, monotone, call_rows, ascent=True):
-    # one point per call: the serial oracle has no look-ahead to schedule by call_rows
+def _ratio_ascent(num_fn, den_fn, mspace, family, o, monotone, lookahead, ascent=True):
+    # one point per call: the serial oracle has no look-ahead
     def ratio(vals):
         d = den_fn(vals)
         if not (d > 0.0 and math.isfinite(d)):
@@ -609,72 +609,74 @@ LINE_OBJECTIVES = {
 }
 
 
+@pytest.mark.parametrize("lookahead", [1, 2, 4])
 @pytest.mark.parametrize("iters", [0, 1, 2, 3, 10, 14])
-@pytest.mark.parametrize("k", [1, 2, 7, 33])
 @pytest.mark.parametrize("objective", sorted(LINE_OBJECTIVES))
-def test_golden_rows_match_the_serial_search_row_by_row(objective, k, iters):
+def test_golden_matches_the_serial_search(objective, iters, lookahead):
     J = LINE_OBJECTIVES[objective]
-    P0 = np.random.default_rng(100 * k + iters).normal(size=(k, 3))
-    t, f = P._golden_rows(J, P0.copy(), 0, iters)
-    for r in range(k):
+    starts = np.random.default_rng(10 * iters + lookahead).normal(size=(5, 3))
+    starts[0, 0] = 0.4  # on the wall: half the bracket is +inf
+    for u0 in starts:
 
-        def f1(x, r=r):
-            u = P0[r].copy()
+        def f1(x, u0=u0):
+            u = u0.copy()
             u[0] = x
             return float(J(u[None])[0])
 
-        tc, fc = _golden_coordinate(f1, P0[r, 0], P._SPAN, iters)
-        assert (t[r].hex(), f[r].hex()) == (tc.hex(), fc.hex())
+        t, f = P._golden(J, u0.copy(), 0, iters, lookahead)
+        tc, fc = _golden_coordinate(f1, u0[0], P._SPAN, iters)
+        assert (t.hex(), f.hex()) == (tc.hex(), fc.hex())
 
 
-def test_golden_rows_look_ahead_several_steps_per_call():
+def _golden_call_sizes(lookahead):
     calls = []
 
     def J(U):
         calls.append(len(U))
         return _bumps_with_a_wall(U)
 
-    P._golden_rows(J, np.random.default_rng(3).normal(size=(7, 3)), 1, 10)
-    # one call per golden step would be 1 + 10
-    assert len(calls) <= 5
+    P._golden(J, np.random.default_rng(3).normal(size=3), 1, 10, lookahead)
+    return calls
+
+
+def test_golden_looks_ahead_several_steps_per_call():
+    # 16 probes for c, d and three steps, 15 for four steps, 7 for the last three
+    assert _golden_call_sizes(P._LOOKAHEAD) == [16, 15, 7]
 
 
 def test_row_by_row_kernels_keep_one_golden_step_per_call():
     # a batch of a row-by-row kernel costs one call per row, so looking
     # ahead would only add rows: such objectives step once per call
     ms = counting(8)
-    assert P._call_rows(P._norm_fn(Lp(2.0), ms)) == P._CALL_ROWS
-    assert P._call_rows(P._norm_fn(Lp(2.0), ms), P._norm_fn(Product(Lp(2.0), LorentzLambda(PowerWeight(0.5))), ms)) == 0
+    assert P._lookahead(P._norm_fn(Lp(2.0), ms)) == P._LOOKAHEAD
+    assert P._lookahead(P._norm_fn(Lp(2.0), ms), P._norm_fn(Product(Lp(2.0), LorentzLambda(PowerWeight(0.5))), ms)) == 1
     # a convexification runs its base's kernel, row by row when the base does
-    assert P._call_rows(P._norm_fn(Convexification(Lp(1.0), 0.5), ms)) == P._CALL_ROWS
-    assert P._call_rows(P._norm_fn(Convexification(Marcinkiewicz(PowerLogWeight(0.5, 1.0)), 2.0), ms)) == 0
-    calls = []
-
-    def J(U):
-        calls.append(len(U))
-        return _bumps_with_a_wall(U)
-
-    P._golden_rows(J, np.zeros((3, 2)), 0, 10, call_rows=0)
-    assert calls == [6] + [3] * 10
+    assert P._lookahead(P._norm_fn(Convexification(Lp(1.0), 0.5), ms)) == P._LOOKAHEAD
+    rowwise = P._norm_fn(Convexification(Marcinkiewicz(PowerLogWeight(0.5, 1.0)), 2.0), ms)
+    assert rowwise.rowwise and P._lookahead(rowwise) == 1
+    assert _golden_call_sizes(P._lookahead(rowwise)) == [2] + [1] * 10
 
 
 def test_an_orlicz_gauge_over_a_row_by_row_base_runs_row_by_row():
     gauge = OrliczCL(Marcinkiewicz(PowerLogWeight(0.5, 1.0)), ShiftedPower(0.3, 1.0, 2.0))
-    assert P._call_rows(P._norm_fn(gauge, unit_interval(8))) == 0
+    assert P._norm_fn(gauge, unit_interval(8)).rowwise
 
 
-def test_a_convexified_gauge_keeps_the_gauge_call_cost():
+def test_a_convexified_gauge_batches_like_the_gauge():
     space = Convexification(OrliczCL(Lp(1.0), ShiftedPower(0.3, 1.0, 2.0)), 2.0)
-    assert P._call_rows(P._norm_fn(space, unit_interval(8))) == S._SHIFTED_GAUGE_CALL_ROWS
+    assert not P._norm_fn(space, unit_interval(8)).rowwise
 
 
-def test_a_kernel_keeps_its_call_cost_when_its_fn_is_wrapped(monkeypatch):
+def test_a_kernel_keeps_its_rowwise_flag_when_its_fn_is_wrapped(monkeypatch):
     # a tracer swaps each kernel's fn for a plain timing wrapper; the
     # look-ahead must still schedule the traced run as the untraced one
     ms = unit_interval(8)
-    space = OrliczCL(Lp(1.0), ShiftedPower(0.3, 1.0, 2.0))
-    compiled = P._norm_fn(space, ms)
-    inner = compiled.fn
-    monkeypatch.setattr(compiled, "fn", lambda values: inner(values))
-    assert P._norm_fn(space, ms).fn is not inner
-    assert P._call_rows(P._norm_fn(space, ms)) == S._SHIFTED_GAUGE_CALL_ROWS
+    for space, rowwise in (
+        (OrliczCL(Lp(1.0), ShiftedPower(0.3, 1.0, 2.0)), False),
+        (OrliczCL(Marcinkiewicz(PowerLogWeight(0.5, 1.0)), ShiftedPower(0.3, 1.0, 2.0)), True),
+    ):
+        compiled = P._norm_fn(space, ms)
+        inner = compiled.fn
+        monkeypatch.setattr(compiled, "fn", lambda values, inner=inner: inner(values))
+        assert P._norm_fn(space, ms).fn is not inner
+        assert P._norm_fn(space, ms).rowwise is rowwise

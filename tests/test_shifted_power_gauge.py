@@ -7,8 +7,9 @@ property tests pin that its value is the gauge: the public modular is
 is > 1 one float below it, and the value sits at or below the search's
 bracket end, within 1e-10 of it.  A zero shift is a power atom, so its
 space compiles to a Lebesgue kernel instead, within 1e-15 of the closed
-form.  The kernel states its own per-call cost (``call_rows``) to the
-optimizer's look-ahead, which changes no product bit.
+form.  The kernel batches its rows (it is not ``rowwise``), so the
+optimizer's golden searches look ahead ``_LOOKAHEAD`` steps per call
+over it; how far they look changes no product or multiplier bit.
 """
 
 import functools
@@ -20,8 +21,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bfslab.product as product
-import bfslab.spaces as spaces
-from bfslab import Lp, OrliczCL, Power, PowerWeight, ShiftedPower, StepFunction, counting, half_line, modular, multiplier_norm, norm_evaluator, unit_interval
+from bfslab import (
+    LorentzLambda,
+    Lp,
+    Marcinkiewicz,
+    OrliczCL,
+    Power,
+    PowerWeight,
+    ShiftedPower,
+    StepFunction,
+    counting,
+    half_line,
+    modular,
+    multiplier_norm,
+    norm_evaluator,
+    unit_interval,
+)
 from bfslab.spaces import _luxemburg_value
 
 GRIDS = [("counting", n) for n in (1, 3, 16, 1024)] + [(kind, n) for kind in ("unit", "half") for n in (4, 16, 257, 1024)]
@@ -113,26 +128,38 @@ def test_other_shifted_power_gauges_keep_the_search(space):
     assert any("secant bracket search" in n for n in compiled.notes)
 
 
-def test_declared_call_cost_moves_no_ratio_ascent_bit(monkeypatch):
-    # theorem 6's shifted pair as a multiplier problem: the gauge declares
-    # its call cost, so ratio ascent's look-ahead probes deeper per
-    # objective call than with _CALL_ROWS, and finds the same bits
-    ms = unit_interval(8)
-    E1, E2 = OrliczCL(Lp(1.0), ShiftedPower(1.0, 0.4, 2.0)), OrliczCL(Lp(1.0), Power(1.0, 2.0))
-    fe, ff = (norm_evaluator(E, ms) for E in (E1, E2))
-    assert product._call_rows(fe, ff) == spaces._SHIFTED_GAUGE_CALL_ROWS != product._CALL_ROWS
+def _run(case):
+    """One optimizer run that reaches coordinate descent: (value hex, kind,
+    notes, witness value hexes or None)."""
     rng = np.random.default_rng(7)
-    m = StepFunction(ms, rng.uniform(0.2, 2.0, ms.n_cells))
-    opts = {"max_sweeps": 4, "golden_iters": 10}
-    calls = []
+    square = OrliczCL(Lp(1.0), Power(1.0, 2.0))
+    opts = {"max_sweeps": 300, "golden_iters": 10}
+    if case == "marc_lambda":
+        ms = half_line(16)
+        z = np.sort(rng.uniform(0.5, 1.5, 16) * np.maximum(ms.breakpoints[1:], 0.5) ** -0.3)[::-1]
+        res, wit = product.product_norm(Marcinkiewicz(PowerWeight(0.3)), LorentzLambda(PowerWeight(0.4)), StepFunction(ms, z))
+    elif case == "orlicz_pair":
+        z = np.sort(np.random.default_rng(1).uniform(0.2, 3.0, 8))[::-1]
+        E = OrliczCL(Lp(1.0), ShiftedPower(0.4, 1.0, 2.0))
+        res, wit = product.product_norm(E, square, StepFunction(unit_interval(8), z), opts=opts)
+    else:  # theorem 6's shifted pair as a multiplier problem: ratio ascent
+        ms = unit_interval(8)
+        m = StepFunction(ms, rng.uniform(0.2, 2.0, ms.n_cells))
+        E = OrliczCL(Lp(1.0), ShiftedPower(1.0, 0.4, 2.0))
+        res, wit = multiplier_norm(E, square, m, opts=dict(opts, max_sweeps=4), use_table=False), None
+    witness = None if wit is None else [v.hex() for f in (wit.x, wit.y) for v in f.values.tolist()]
+    return res.value.hex(), res.kind, res.notes, witness
 
-    def counted(*fns):
-        calls.append(1)
-        return product._CALL_ROWS
 
-    runs = [multiplier_norm(E1, E2, m, opts=dict(opts), use_table=False)]
-    monkeypatch.setattr(product, "_call_rows", counted)
-    runs.append(multiplier_norm(E1, E2, m, opts=dict(opts), use_table=False))
-    assert calls
-    assert runs[0].value.hex() == runs[1].value.hex() and runs[0].notes == runs[1].notes
-    assert "lower bound from ratio ascent" in runs[0].notes
+@pytest.mark.parametrize("case", ["marc_lambda", "orlicz_pair", "theorem6_multiplier"])
+def test_the_look_ahead_depth_moves_no_bit(monkeypatch, case):
+    # a golden search probes the same points however far it looks ahead,
+    # so one step per call and _LOOKAHEAD steps per call agree to the bit
+    descent, depths = product._coordinate_descent, []
+    monkeypatch.setattr(product, "_coordinate_descent", lambda *a: depths.append(a[-1]) or descent(*a))
+    runs = []
+    for depth in (1, 4):
+        monkeypatch.setattr(product, "_LOOKAHEAD", depth)
+        runs.append(_run(case))
+    assert set(depths) == {1, 4}
+    assert runs[0] == runs[1]

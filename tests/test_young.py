@@ -187,13 +187,13 @@ def test_oplus_of_squares_is_twice_identity():
     # inf over v*w = u of v^2 + w^2 is attained at v = w = sqrt(u).
     phi = oplus(Power(1.0, 2.0), Power(1.0, 2.0))
     for u in np.geomspace(1e-3, 1e3, 13):
-        assert math.isclose(phi.eval_scalar(float(u)), 2.0 * u, rel_tol=1e-8)
+        assert math.isclose(phi(float(u)), 2.0 * u, rel_tol=1e-8)
 
 
 def test_oplus_of_linears_is_twice_sqrt():
     phi = oplus(Power(1.0, 1.0), Power(1.0, 1.0))
     for u in np.geomspace(1e-3, 1e3, 13):
-        assert math.isclose(phi.eval_scalar(float(u)), 2.0 * math.sqrt(u), rel_tol=1e-8)
+        assert math.isclose(phi(float(u)), 2.0 * math.sqrt(u), rel_tol=1e-8)
 
 
 def test_oplus_mixed_powers_closed_form():
@@ -203,7 +203,7 @@ def test_oplus_mixed_powers_closed_form():
     c = 0.5 ** (2.0 / 9.0)
     k = c**3 + c**-1.5
     for u in np.geomspace(1e-2, 1e2, 9):
-        assert math.isclose(phi.eval_scalar(float(u)), k * u, rel_tol=1e-8)
+        assert math.isclose(phi(float(u)), k * u, rel_tol=1e-8)
 
 
 def test_oplus_is_exactly_commutative():
@@ -211,7 +211,7 @@ def test_oplus_is_exactly_commutative():
     left = Oplus(a, b)
     right = Oplus(b, a)
     for u in np.geomspace(1e-3, 1e3, 11):
-        assert left.eval_scalar(float(u)) == right.eval_scalar(float(u))
+        assert left(float(u)) == right(float(u))
 
 
 def test_oplus_against_brute_force_grid():
@@ -222,7 +222,7 @@ def test_oplus_against_brute_force_grid():
     expected_const = 3.0 * 2.0 ** (-2.0 / 3.0)  # inf of v^2 + (u/v)^4 is K u^{4/3}
     for u in np.geomspace(1e-2, 1e2, 9):
         brute = float(np.min(vs**2 + (u / vs) ** 4))
-        val = phi.eval_scalar(float(u))
+        val = phi(float(u))
         assert math.isclose(val, brute, rel_tol=1e-6)
         assert math.isclose(val, expected_const * u ** (4.0 / 3.0), rel_tol=1e-7)
 
@@ -235,7 +235,7 @@ def test_oplus_respects_null_zone_and_cap():
     assert phi.b_phi == math.inf
     capped_pair = Oplus(Capped(Power(1.0, 1.0), 3.0), Capped(Power(1.0, 2.0), 5.0))
     assert capped_pair.b_phi == 15.0
-    assert capped_pair.eval_scalar(16.0) == math.inf
+    assert capped_pair(16.0) == math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -724,10 +724,10 @@ def test_gauges_bracket_the_threshold_in_few_modular_evaluations(name, monkeypat
 def test_ominus_of_equal_squares_is_a_step():
     phi = ominus(Power(1.0, 2.0), Power(1.0, 2.0))
     # sup_v (u^2 - 1) v^2: zero below u = 1, infinite above.
-    assert phi.eval_scalar(0.5) == 0.0
-    assert phi.eval_scalar(0.99) == 0.0
-    assert phi.eval_scalar(1.5) == math.inf
-    assert phi.eval_scalar(4.0) == math.inf
+    assert phi(0.5) == 0.0
+    assert phi(0.99) == 0.0
+    assert phi(1.5) == math.inf
+    assert phi(4.0) == math.inf
     assert 0.9 <= phi.a_phi <= 1.1
 
 
@@ -735,7 +735,7 @@ def test_ominus_beyond_the_first_window_is_finite():
     # sup_v u^2 v^2 - v^4 = u^4/4 at v = u/sqrt(2): outside [1e-8, 1e8]
     phi = ominus(Power(1.0, 2.0), Power(1.0, 4.0))
     for u in (1e9, 1e-9):
-        assert math.isclose(phi.eval_scalar(u), u**4 / 4.0, rel_tol=1e-9)
+        assert math.isclose(phi(u), u**4 / 4.0, rel_tol=1e-9)
     # the window widens, but a sup that is infinite stays infinite
     step = ominus(Power(1.0, 2.0), Power(1.0, 2.0))
     assert np.array_equal(step(np.array([1e-9, 0.5, 1.0, 1.0 + 1e-7, 2.0, 1e6])), [0, 0, 0, np.inf, np.inf, np.inf])
@@ -744,27 +744,27 @@ def test_ominus_beyond_the_first_window_is_finite():
 def test_oplus_split_beyond_the_first_window():
     # c1 = 1e-40 puts the best split at v = 1e10, past sqrt(u) * 1e9
     phi = oplus(ShiftedPower(0.0, 1e-40, 2.0), Power(1.0, 2.0))
-    assert math.isclose(phi.eval_scalar(1.0), 2e-20, rel_tol=1e-9)
+    assert math.isclose(phi(1.0), 2e-20, rel_tol=1e-9)
     # a zero shift collapses by the Hoelder rule; with a shift of 1 the
     # scan runs, and the first window would stop at 1e-22 + 1e-18
     phi = oplus(ShiftedPower(1.0, 1e-40, 2.0), Power(1.0, 2.0))
     assert young._as_power(phi) is None
-    assert math.isclose(phi.eval_scalar(1.0), 2e-20, rel_tol=1e-9)
+    assert math.isclose(phi(1.0), 2e-20, rel_tol=1e-9)
 
 
 def test_ominus_linear_minus_square_is_quarter_square():
     phi = ominus(Power(1.0, 1.0), Power(1.0, 2.0))
     # sup_v (u v - v^2) = u^2 / 4.
     for u in np.geomspace(1e-2, 1e2, 9):
-        assert math.isclose(phi.eval_scalar(float(u)), u * u / 4.0, rel_tol=1e-7)
+        assert math.isclose(phi(float(u)), u * u / 4.0, rel_tol=1e-7)
 
 
 def test_ominus_square_minus_quartic_is_quarter_quartic():
     phi = ominus(Power(1.0, 2.0), Power(1.0, 4.0))
     # sup_v (u^2 v^2 - v^4) attained at v^2 = u^2 / 2, value u^4 / 4.
     for u in np.geomspace(1e-2, 1e2, 9):
-        assert math.isclose(phi.eval_scalar(float(u)), u**4 / 4.0, rel_tol=1e-7)
-    assert phi.eval_scalar(0.0) == 0.0
+        assert math.isclose(phi(float(u)), u**4 / 4.0, rel_tol=1e-7)
+    assert phi(0.0) == 0.0
 
 
 def test_ominus_recovers_oplus_complement():
@@ -779,7 +779,7 @@ def test_ominus_recovers_oplus_complement():
     combined = oplus(phi1, phi2)
     residual = Ominus(combined, phi1)
     for u in np.geomspace(1e-1, 1e1, 5):
-        assert residual.eval_scalar(float(u)) <= float(phi2(u)) * (1 + 1e-6) + 1e-12
+        assert residual(float(u)) <= float(phi2(u)) * (1 + 1e-6) + 1e-12
 
 
 # ---------------------------------------------------------------------------

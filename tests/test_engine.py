@@ -609,22 +609,25 @@ LINE_OBJECTIVES = {
 }
 
 
-@pytest.mark.parametrize("lookahead", [1, 2, 4])
+@pytest.mark.parametrize("lookahead", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("iters", [0, 1, 2, 3, 10, 14])
+@pytest.mark.parametrize("i", [0, 2])
 @pytest.mark.parametrize("objective", sorted(LINE_OBJECTIVES))
-def test_golden_matches_the_serial_search(objective, iters, lookahead):
+def test_golden_matches_the_serial_search(objective, i, iters, lookahead):
+    # lookahead 3 and 5 leave a partial last call at most iteration counts;
+    # along coordinate 2 the wall on coordinate 0 stays fixed
     J = LINE_OBJECTIVES[objective]
     starts = np.random.default_rng(10 * iters + lookahead).normal(size=(5, 3))
-    starts[0, 0] = 0.4  # on the wall: half the bracket is +inf
+    starts[0, 0] = 0.4  # on the wall: along coordinate 0, half the bracket is +inf
     for u0 in starts:
 
         def f1(x, u0=u0):
             u = u0.copy()
-            u[0] = x
+            u[i] = x
             return float(J(u[None])[0])
 
-        t, f = P._golden(J, u0.copy(), 0, iters, lookahead)
-        tc, fc = _golden_coordinate(f1, u0[0], P._SPAN, iters)
+        t, f = P._golden(J, u0.copy(), i, iters, lookahead)
+        tc, fc = _golden_coordinate(f1, u0[i], P._SPAN, iters)
         assert (t.hex(), f.hex()) == (tc.hex(), fc.hex())
 
 

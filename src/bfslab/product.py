@@ -557,11 +557,13 @@ def _balanced_factor(E: Lp, F: Lp, z: StepFunction) -> Optional[np.ndarray]:
     or with the sup side's factor at 1/cell_sup of its weight: optimal
     among cell-constant factors.  None when a cell mass or sup is not
     finite and positive."""
-    cells = list(zip(z.space.breakpoints[:-1], z.space.breakpoints[1:]))
+    bp = z.space.breakpoints
 
     def masses(S: Lp) -> np.ndarray:  # the cell masses of w^p, or the cell sups of w for p = inf
         w = S.weight if S.weight is not None else PowerWeight(0.0, 1.0)
-        return np.array([w.cell_sup(a, b) if math.isinf(S.p) else w.cell_integral_pow(a, b, S.p) for a, b in cells])
+        if math.isinf(S.p):
+            return w.cell_sup(bp[:-1], bp[1:])
+        return np.array([w.cell_integral_pow(a, b, S.p) for a, b in zip(bp[:-1], bp[1:])])
 
     try:
         W1, W2 = masses(E), masses(F)
@@ -613,7 +615,7 @@ def _sup_levels(kind, P, z: StepFunction, descend: bool):
     takes all disjoint improving ones where that beats the best alone."""
     (w, pw), fn, v, pos, bp = kind, _norm_fn(P, z.space).fn, z.values, z.values > 0, z.space.breakpoints
     if w is not None:
-        lv = np.where(pos, [w.cell_sup(a, b) for a, b in zip(bp[:-1], bp[1:])], 0.0)
+        lv = np.where(pos, w.cell_sup(bp[:-1], bp[1:]), 0.0)
         return fn(v * lv), lv
 
     def levels(O):  # l per row for the cell orders in the rows of O

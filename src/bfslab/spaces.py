@@ -2,11 +2,14 @@
 
 A space descriptor is a small immutable tree naming a way to turn a
 step function into a number.  Primitive descriptors (weighted Lebesgue,
-Lorentz, Marcinkiewicz, weighted sup) are evaluated here by closed-form
-piecewise integration -- exact whenever the weight is a pure power --
-while composite descriptors (``Product``, ``Multiplier``, ``Calderon``,
-``Dual``) describe variational problems and delegate to
-:mod:`bfslab.product`.
+Lorentz, Marcinkiewicz, weighted sup) are evaluated here by compiled
+kernels, while composite descriptors (``Product``, ``Multiplier``,
+``Calderon``, ``Dual``) describe variational problems and delegate to
+:mod:`bfslab.product`.  A Lorentz or Marcinkiewicz kernel reads the
+decreasing profile of x; its weight enters only through a per-cell
+table over the profile's breakpoints, picked at compile time: a closed
+form for a pure power (exact), else quadrature or cell suprema (an
+estimate).
 
 Conventions baked into the evaluators:
 
@@ -15,10 +18,14 @@ Conventions baked into the evaluators:
   against ``d(phi)`` and charges a ``phi(0+) * max(x)`` atom when the
   weight does not vanish at 0.
 * ``LorentzLambdaP(phi, p)`` uses the ``dt/t`` convention, so the
-  classical second-index family is ``LorentzLambdaP(t^(1/p), q)``.
+  classical second-index family is ``LorentzLambdaP(t^(1/p), q)``;
+  for a weight that is not a power, ``phi^p / t`` is integrated on
+  each cell by the fixed-order rule of ``cell_integral_pow``.
 * Marcinkiewicz norms take the sup of ``phi * x**`` (or ``phi * x*``
   for the starred variant) over the grid; for power ``phi`` the sup on
-  each cell is attained at an endpoint, so the value is exact.
+  each cell is attained at an endpoint, so the value is exact.  For
+  any other weight, M*_phi takes ``phi.cell_sup`` of each cell and
+  M_phi samples ten points a cell.
 
 Each norm has one kernel.  ``canonical`` rewrites a descriptor onto
 the kernel's form through these identities, all exact on step
@@ -67,10 +74,13 @@ from .grid import (
     unit_interval,
 )
 from .weights import (
+    _QUAD_ORDER,
     NonIntegrableWeight,
+    PowerLogWeight,
     PowerWeight,
     Weight,
     WeightProduct,
+    _leggauss,
     is_quasiconcave_sampled,
     simplify_power,
     weight_from_json,
@@ -499,7 +509,8 @@ def dual_descriptor(space: SpaceDescriptor) -> Optional[SpaceDescriptor]:
 
 @dataclass(eq=False, slots=True)
 class _CompiledNorm:
-    """A norm kernel ``fn`` (contract in ``norm_evaluator``): its kind, notes, batching and inputs."""
+    """A norm kernel ``fn`` (contract in ``norm_evaluator``): its kind, notes, batching and inputs.
+    Only the doublestar of L^p and the fallback of ``product._norm_fn`` run row by row."""
 
     fn: Callable[[np.ndarray], float]
     kind: str
@@ -672,10 +683,7 @@ def _compile(space: SpaceDescriptor, mspace: MeasureSpace) -> Optional[_Compiled
 
             return _CompiledNorm(_lp_plain, "exact", tn, grad=_lp_plain_grad)
         cell_w = []
-        exact = True
-        pw = simplify_power(w)
-        if pw is None:
-            exact = False
+        exact = simplify_power(w) is not None
         for a, b in zip(bp0[:-1], bp0[1:]):
             try:
                 cell_w.append(w.cell_integral_pow(a, b, p))
@@ -708,11 +716,14 @@ def _compile(space: SpaceDescriptor, mspace: MeasureSpace) -> Optional[_Compiled
         notes = tn if exact else tn + ("fixed-order quadrature for the weight",)
         return _CompiledNorm(_lp_weighted, "exact" if exact else "estimate", notes, grad=_lp_weighted_grad)
 
-    if isinstance(space, LorentzLambda):
-        phi = space.phi
-        pw = simplify_power(phi)
-        if pw is not None and pw.alpha < 0.0:
+    if isinstance(space, (LorentzLambda, LorentzLambdaP, Marcinkiewicz, MarcinkiewiczStar, LInftyWeighted)):
+        phi, pw = space.phi, simplify_power(space.phi)
+        # how M*_phi and the weighted sup take phi's sup over a cell, phi no power
+        sup_note = "cell suprema at stationary points" if isinstance(phi, PowerLogWeight) else "cell suprema sampled"
+        if pw is not None and pw.alpha < 0.0 and isinstance(space, (LorentzLambda, Marcinkiewicz, MarcinkiewiczStar)):
             return _CompiledNorm(_singular_at_zero, "exact", tn + ("weight singular at 0",))
+
+    if isinstance(space, LorentzLambda):
 
         def increments(bp, phi=phi, power=isinstance(phi, PowerWeight)):
             # a power weight inline: the float ops of PowerWeight.__call__
@@ -738,155 +749,134 @@ def _compile(space: SpaceDescriptor, mspace: MeasureSpace) -> Optional[_Compiled
         return _CompiledNorm(_lam, "estimate", notes, profile=True, grad=grad)
 
     if isinstance(space, LorentzLambdaP):
-        phi, p = space.phi, space.p
-        pw = simplify_power(phi)
+        p = space.p
         if pw is not None:
+            # (cp * ∫ x*(t)^p t^q dt)^(1/p), exact on step functions; t^q is not integrable at 0 for q <= -1
             q, cp = pw.alpha * p - 1.0, pw.coef**p
+            singular, kind, notes = q <= -1.0, "exact", tn
 
-            def _lam_p_pow(x, wd=widths, q=q, cp=cp, p=p):
-                # (cp * ∫ x*(t)^p t^q dt)^(1/p), exact on step functions
-                v, w, bp, order = _profile(x, wd)
-                live = np.add.reduce(v > 0, -1)
-                if live.ndim:
-                    if (live != live[0]).any():
-                        return _each_row(_lam_p_pow, zip(v, w, bp, order))
-                    live = live[0]
-                if live == 0:
-                    return _fill(v, 0.0)
-                if q <= -1.0:
-                    return _fill(v, math.inf)
-                prim = bp[..., : live + 1] ** (q + 1.0) / (q + 1.0)
-                terms = v[..., :live] ** p * (prim[..., 1:] - prim[..., :-1])
-                terms.sort(-1)
-                return _root(cp * np.add.reduce(terms, -1), p)
-
-            def _lam_p_valgrad(prof, q=q, cp=cp, p=p):
-                v, _, bp, _ = prof
-                nrm = _lam_p_pow(prof)
-                if q <= -1.0:
-                    return nrm, np.zeros(v.shape)
+            def masses(bp, q=q):
                 prim = bp ** (q + 1.0) / (q + 1.0)
-                return nrm, _lp_slope(v, cp * (prim[..., 1:] - prim[..., :-1]), p, _col(nrm))
+                return prim[..., 1:] - prim[..., :-1]
 
-            return _CompiledNorm(_lam_p_pow, "exact", tn, profile=True, grad=_profile_grad(_lam_p_valgrad, widths))
+        else:
+            # phi^p / t = (phi * t^(-1/p))^p by the fixed-order rule of cell_integral_pow, +inf on a
+            # first cell where it is not finite near 0
+            cp, singular, kind = 1.0, False, "estimate"
+            notes = tn + ("fixed-order quadrature for the weight; dt/t absorbed",)
+            nodes, gl_w = _leggauss(_QUAD_ORDER)
 
-        # fold the dt/t factor into the weight: (phi * t^(-1/p))^p = phi^p / t
-        note = tn + ("fixed-order quadrature for the weight; dt/t absorbed",)
-        phi_eff = WeightProduct(phi, PowerWeight(-1.0 / p))
+            def masses(bp, phi=WeightProduct(phi, PowerWeight(-1.0 / p)), p=p, probe=np.array([1e-12, 1e-6, 1.0])):
+                a, b = bp[..., :-1, None], bp[..., 1:, None]
+                half = 0.5 * (b - a)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    m = half[..., 0] * (np.asarray(phi(0.5 * (a + b) + half * nodes), dtype=float) ** p * gl_w).sum(-1)
+                    near0 = np.asarray(phi(bp[..., 1:2] * probe), dtype=float) ** max(p, 1.0)
+                m = np.where(half[..., 0] > 0, m, 0.0)  # a cell that rounds to no width has no mass
+                m[..., 0] = np.where(np.isfinite(near0).all(-1), m[..., 0], math.inf)
+                return m
 
-        def _lam_p_quad(v, wd=widths, phi=phi_eff, p=p):
-            v, _, bp, _ = _decreasing_profile(v, wd)
-            total = 0.0
-            for i in range(v.size):
-                if v[i] <= 0:
-                    break
-                try:
-                    cell = phi.cell_integral_pow(bp[i], bp[i + 1], p)
-                except NonIntegrableWeight:
-                    return math.inf
-                total += v[i] ** p * cell
-            return float(total ** (1.0 / p))
+        def _lam_p(x, wd=widths, p=p):
+            v, w, bp, order = _profile(x, wd)
+            live = np.add.reduce(v > 0, -1)
+            if live.ndim:
+                if (live != live[0]).any():
+                    return _each_row(_lam_p, zip(v, w, bp, order))
+                live = live[0]
+            if live == 0:
+                return _fill(v, 0.0)
+            if singular:
+                return _fill(v, math.inf)
+            terms = v[..., :live] ** p * masses(bp[..., : live + 1])
+            terms.sort(-1)
+            return _root(cp * np.add.reduce(terms, -1), p)
 
-        return _rowwise(_lam_p_quad, "estimate", note)
+        def _lam_p_valgrad(prof, p=p):
+            v, _, bp, _ = prof
+            nrm = _lam_p(prof)
+            if singular:
+                return nrm, np.zeros(v.shape)
+            return nrm, _lp_slope(v, cp * masses(bp), p, _col(nrm))
+
+        return _CompiledNorm(_lam_p, kind, notes, profile=True, grad=_profile_grad(_lam_p_valgrad, widths))
 
     if isinstance(space, Marcinkiewicz):
-        phi = space.phi
-        pw = simplify_power(phi)
-        if pw is not None and pw.alpha < 0.0:
-            return _CompiledNorm(_singular_at_zero, "exact", tn + ("weight singular at 0",))
         if pw is not None:
             lim0 = pw.coef if pw.alpha == 0.0 else 0.0
 
             def averages(v, w, bp, coef=pw.coef, alpha=pw.alpha):
+                # phi x** at each cell's right end
                 t = bp[..., 1:]
-                return t, coef * t**alpha * (np.add.accumulate(v * w, -1) / t)
+                return coef * t**alpha * (np.add.accumulate(v * w, -1) / t)
 
-            def peak(v, cand, lim0=lim0):
-                best = np.maximum.reduce(cand, -1, initial=0.0)
-                return np.maximum(best, lim0 * v[..., 0]) if lim0 else best
+        else:
+            lim0 = 0.0
 
-            def _marc_pow(v, wd=widths):
-                v, w, bp, _ = _profile(v, wd)
-                return _out(peak(v, averages(v, w, bp)[1]))
+            def averages(v, w, bp, phi=phi, frac=np.linspace(0.0, 1.0, 10)):
+                # phi x** at ten points of each cell, its ends included; x** = x* = v at t = 0
+                a = bp[..., :-1]
+                ts = a[..., None] + (bp[..., 1:] - a)[..., None] * frac
+                cum = np.zeros(bp.shape)
+                np.add.accumulate(v * w, -1, out=cum[..., 1:])
+                num = (cum[..., :-1] - v * a)[..., None] + v[..., None] * ts
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    xdd = np.where(ts > 0, num / np.where(ts > 0, ts, 1.0), v[..., None])
+                    g = np.asarray(phi(ts), dtype=float) * xdd
+                return np.where(np.isnan(g), 0.0, g).reshape(v.shape[:-1] + (-1,))
 
-            def _marc_valgrad(prof, coef=pw.coef, alpha=pw.alpha, lim0=lim0):
-                # the active prefix: the cells up to the t where phi(t) x**(t) peaks
-                v, w, bp, _ = prof
-                t, cand = averages(v, w, bp)
-                best = peak(v, cand)
-                j = cand.argmax(-1)[..., None]
-                tj = t[j] if t.ndim == 1 else t[np.arange(len(t))[:, None], j]
-                g = np.where(np.arange(v.shape[-1]) <= j, coef * tj ** (alpha - 1.0) * w, 0.0)
-                if lim0:
-                    g = np.where((lim0 * v[..., 0] >= cand.max(-1))[..., None], lim0 * (np.arange(v.shape[-1]) == 0), g)
-                return _out(best), g
+        def peak(v, cand, lim0=lim0):
+            best = np.maximum.reduce(cand, -1, initial=0.0)
+            return np.maximum(best, lim0 * v[..., 0]) if lim0 else best
 
-            return _CompiledNorm(_marc_pow, "exact", tn, profile=True, grad=_profile_grad(_marc_valgrad, widths))
-        frac = np.linspace(0.0, 1.0, 10)
+        def _marc(v, wd=widths):
+            v, w, bp, _ = _profile(v, wd)
+            return _out(peak(v, averages(v, w, bp)))
 
-        def _marc_generic(v, wd=widths, phi=phi, frac=frac):
-            v, w, bp, _ = _decreasing_profile(v, wd)
-            cum = np.concatenate(([0.0], np.cumsum(v * w)))
-            a, b = bp[:-1], bp[1:]
-            ts = a[:, None] + (b - a)[:, None] * frac[None, :]
-            B = cum[:-1] - v * a
-            num = B[:, None] + v[:, None] * ts
-            with np.errstate(divide="ignore", invalid="ignore"):
-                xdd = np.where(ts > 0, num / np.where(ts > 0, ts, 1.0), v[:, None])
-                g = np.asarray(phi(ts), dtype=float) * xdd
-            g = np.where(np.isnan(g), 0.0, g)
-            return float(np.max(g, initial=0.0))
+        if pw is None:
+            return _CompiledNorm(_marc, "estimate", tn + ("cell suprema sampled",), profile=True)
 
-        return _rowwise(_marc_generic, "estimate", tn + ("cell suprema sampled",))
+        def _marc_valgrad(prof, coef=pw.coef, alpha=pw.alpha, lim0=lim0):
+            # the active prefix: the cells up to the t where phi(t) x**(t) peaks
+            v, w, bp, _ = prof
+            t, cand = bp[..., 1:], averages(v, w, bp)
+            best = peak(v, cand)
+            j = cand.argmax(-1)[..., None]
+            tj = t[j] if t.ndim == 1 else t[np.arange(len(t))[:, None], j]
+            g = np.where(np.arange(v.shape[-1]) <= j, coef * tj ** (alpha - 1.0) * w, 0.0)
+            if lim0:
+                g = np.where((lim0 * v[..., 0] >= cand.max(-1))[..., None], lim0 * (np.arange(v.shape[-1]) == 0), g)
+            return _out(best), g
+
+        return _CompiledNorm(_marc, "exact", tn, profile=True, grad=_profile_grad(_marc_valgrad, widths))
 
     if isinstance(space, MarcinkiewiczStar):
-        phi = space.phi
-        pw = simplify_power(phi)
-        if pw is not None and pw.alpha >= 0.0:
-
-            def _mstar_pow(v, wd=widths, coef=pw.coef, alpha=pw.alpha):
-                v, _, bp, _ = _profile(v, wd)
-                return _out(np.maximum.reduce(v * (coef * bp[..., 1:] ** alpha), -1, initial=0.0))
-
-            def _mstar_valgrad(prof, coef=pw.coef, alpha=pw.alpha):
-                c = coef * prof[2][..., 1:] ** alpha
-                cand = prof[0] * c
-                return _out(np.maximum.reduce(cand, -1, initial=0.0)), _at_max(cand, c)  # the arg-max cell
-
-            return _CompiledNorm(_mstar_pow, "exact", tn, profile=True, grad=_profile_grad(_mstar_valgrad, widths))
         if pw is not None:
-            return _CompiledNorm(_singular_at_zero, "exact", tn + ("weight singular at 0",))
 
-        def levels(v, bp, phi=phi):
-            # phi's sampled sup over each live cell of the decreasing profile v
-            return np.array([phi.cell_sup(bp[i], bp[i + 1]) for i in range(np.count_nonzero(v > 0))])
+            def levels(v, bp, coef=pw.coef, alpha=pw.alpha):
+                # phi's sup over each cell of the decreasing profile, at its right end
+                return coef * bp[..., 1:] ** alpha
 
-        def _mstar_generic(v, wd=widths):
-            v, _, bp, _ = _decreasing_profile(v, wd)
-            c = levels(v, bp)
-            return float(np.max(v[: c.size] * c, initial=0.0))
+        else:
 
-        def _mstar_generic_grad(v, wd=widths):
-            if v.ndim > 1:
-                rows = [_mstar_generic_grad(r) for r in v]
-                return np.array([r[0] for r in rows]), np.array([r[1] for r in rows])
-            vs, _, bp, order = _decreasing_profile(v, wd)
-            c = levels(vs, bp)
-            g = np.zeros(v.shape)
-            if c.size:
-                g[: c.size] = _at_max(vs[: c.size] * c, c)  # the arg-max cell
-            return float(np.max(vs[: c.size] * c, initial=0.0)), _unsort(g, order)
+            def levels(v, bp, phi=phi):
+                # dead cells count as 0, below every live v * sup, as in _wsup
+                return np.where(v > 0, phi.cell_sup(bp[..., :-1], bp[..., 1:]), 0.0)
 
-        generic = _rowwise(_mstar_generic, "estimate", tn + ("cell suprema sampled",))
-        generic.grad = _mstar_generic_grad
-        return generic
+        def _mstar(v, wd=widths):
+            v, _, bp, _ = _profile(v, wd)
+            return _out(np.maximum.reduce(v * levels(v, bp), -1, initial=0.0))
+
+        def _mstar_valgrad(prof):
+            c = levels(prof[0], prof[2])
+            cand = prof[0] * c
+            return _out(np.maximum.reduce(cand, -1, initial=0.0)), _at_max(cand, c)  # the arg-max cell
+
+        kind, notes = ("exact", tn) if pw is not None else ("estimate", tn + (sup_note,))
+        return _CompiledNorm(_mstar, kind, notes, profile=True, grad=_profile_grad(_mstar_valgrad, widths))
 
     if isinstance(space, LInftyWeighted):
-        phi = space.phi
-        pw = simplify_power(phi)
-        sups = np.array([phi.cell_sup(a, b) for a, b in zip(bp0[:-1], bp0[1:])])
-        kind = "exact" if pw is not None else "estimate"
-        notes = tn if pw is not None else tn + ("cell suprema sampled",)
+        sups = phi.cell_sup(bp0[:-1], bp0[1:])
+        kind, notes = ("exact", tn) if pw is not None else ("estimate", tn + (sup_note,))
 
         def _wsup(v, s=sups):
             # dead cells count as 0, below every live v * s; masking s
@@ -1078,8 +1068,9 @@ def norm_evaluator(space: SpaceDescriptor, mspace: MeasureSpace) -> Optional[_Co
     a bit: ``fn(V)[i] == fn(V[i])`` exactly, for any memory layout of V.
     Callers in the variational engine hold on to ``fn`` across thousands
     of evaluations, and batch them unless ``rowwise`` says ``fn`` runs a
-    batch one row at a time.  Where ``profile`` is set, ``fn`` also takes
-    the ``_decreasing_profile`` of the values (or rows of one of a larger
+    batch one row at a time.  Where ``profile`` is set (every Lorentz and
+    Marcinkiewicz kernel, for every weight), ``fn`` also takes the
+    ``_decreasing_profile`` of the values (or rows of one of a larger
     stack), bit for bit alike.
     """
     key = (space, mspace)

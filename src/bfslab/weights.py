@@ -8,9 +8,10 @@ power-log atoms.  They serve three roles:
   norms (``spaces``),
 * inputs for dilation and Simonenko index estimation (``operators``).
 
-Power atoms integrate exactly through their antiderivative; everything
-else falls back to a fixed-order Gauss-Legendre rule per cell, so the
-result is deterministic and grid-independent.
+Power atoms, and trees of them, integrate exactly through their
+antiderivative; everything else falls back to a fixed-order
+Gauss-Legendre rule per cell, so the result is deterministic and
+grid-independent.
 """
 
 from __future__ import annotations
@@ -53,11 +54,15 @@ class _WeightBase:
     def cell_integral_pow(self, a: float, b: float, p: float) -> float:
         """Integral of ``w(t)**p`` over the cell ``(a, b)``.
 
-        Power atoms override this with the exact antiderivative; the
-        generic path uses Gauss-Legendre quadrature of fixed order.
-        Raises :class:`NonIntegrableWeight` when the integrand is not
-        integrable on the cell.
+        Power atoms override this with the exact antiderivative, which a
+        tree of them (``simplify_power``) takes as well; the generic path
+        uses Gauss-Legendre quadrature of fixed order.  Raises
+        :class:`NonIntegrableWeight` when the integrand is not integrable
+        on the cell.
         """
+        pw = simplify_power(self)
+        if pw is not None:
+            return pw.cell_integral_pow(a, b, p)
         if b <= a:
             return 0.0
         if a == 0.0:
@@ -75,18 +80,16 @@ class _WeightBase:
         vals = np.asarray(self(mid + half * nodes), dtype=float) ** p
         return float(half * np.dot(wts, vals))
 
-    def cell_integral(self, a: float, b: float) -> float:
-        return self.cell_integral_pow(a, b, 1.0)
-
-    def cell_sup(self, a: float, b: float) -> float:
-        """Supremum of the weight over ``[a, b]``: endpoints, interior
-        samples and the potential interior kink at t = 1."""
-        cands = [a, b] if a > 0 else [b]
-        cands.extend(a + (b - a) * k / 9.0 for k in range(1, 9))
-        if a < 1.0 < b:
-            cands.append(1.0)
-        vals = self(np.array(cands, dtype=float))
-        return float(np.max(vals))
+    def cell_sup(self, a, b):
+        """Supremum of the weight over ``[a, b]``, sampled: endpoints (a
+        only where a > 0), eight interior points and the potential kink
+        at t = 1.  ``a`` and ``b`` are floats, or arrays of cell ends
+        with one sup per cell."""
+        a, b = np.asarray(a, dtype=float)[..., None], np.asarray(b, dtype=float)[..., None]
+        kink = np.where((a < 1.0) & (1.0 < b), 1.0, b)
+        t = np.concatenate((np.where(a > 0, a, b), b, a + (b - a) * np.arange(1.0, 9.0) / 9.0, kink), -1)
+        sup = np.asarray(self(t), dtype=float).max(-1)
+        return sup if sup.ndim else float(sup)
 
 
 class NonIntegrableWeight(ValueError):
@@ -138,19 +141,18 @@ class PowerWeight(_WeightBase):
         ap = 0.0 if a == 0.0 else a ** (q + 1.0)
         return c * (b ** (q + 1.0) - ap) / (q + 1.0)
 
-    def cell_sup(self, a: float, b: float) -> float:
-        t = b if self.alpha >= 0 else a
-        if t == 0.0:
-            return math.inf if self.alpha < 0 else (self.coef if self.alpha == 0 else 0.0)
-        return float(self(t))
+    def cell_sup(self, a, b):
+        # monotone: the sup is at an end, where t = 0 gives the limit (0, coef or +inf)
+        return self(b if self.alpha >= 0 else a)
 
 
 @dataclass(frozen=True)
 class PowerLogWeight(_WeightBase):
     """``coef * t**alpha * (1 + |log t|)**beta``.
 
-    Not monotone in general (there is a kink at t = 1), hence sup
-    evaluation keeps t = 1 among the candidates.
+    Not monotone in general: there is a kink at t = 1, and each of the
+    two branches has at most one stationary point, so ``cell_sup`` is
+    exact over those candidates.
     """
 
     alpha: float
@@ -169,6 +171,24 @@ class PowerLogWeight(_WeightBase):
             logt = np.log(t)
             out = self.coef * t**self.alpha * (1.0 + np.abs(logt)) ** self.beta
         return out if out.ndim else float(out)
+
+    def cell_sup(self, a, b):
+        """Supremum of the weight over ``[a, b]`` (floats, or arrays of cell
+        ends): the largest of its values at b, at a (its limit 0, coef or
+        +inf when a = 0), and at t = 1, e^(1 - beta/alpha) and
+        e^(-beta/alpha - 1) where they lie in the cell.  The last two are
+        the stationary points of the branches below and above 1."""
+        # a trailing axis: a float cell takes the array float ops too (a
+        # scalar ** -1.0 rounds otherwise than an array's)
+        a, b = np.asarray(a, dtype=float)[..., None], np.asarray(b, dtype=float)[..., None]
+        al, be = self.alpha, self.beta
+        with np.errstate(over="ignore"):
+            ts = np.exp([0.0] if al == 0 else [0.0, 1.0 - be / al, -be / al - 1.0])
+        inside = (a <= ts) & (ts <= b) & (ts > 0)
+        sup = self(np.concatenate((b, np.where(a > 0, a, b), np.where(inside, ts, b)), -1)).max(-1)
+        lim0 = math.inf if al < 0 or (al == 0 and be > 0) else (self.coef if al == be == 0 else 0.0)
+        sup = np.where(a[..., 0] > 0, sup, np.maximum(sup, lim0))
+        return sup if sup.ndim else float(sup)
 
     def derivative(self, t):
         # d/dt [t^a (1 + |log t|)^b]; |log t| contributes -1/t below 1
@@ -198,14 +218,6 @@ class WeightProduct(_WeightBase):
             self.left(t)
         ) * np.asarray(self.right.derivative(t))
 
-    def cell_integral_pow(self, a: float, b: float, p: float) -> float:
-        if isinstance(self.left, PowerWeight) and isinstance(self.right, PowerWeight):
-            merged = PowerWeight(
-                self.left.alpha + self.right.alpha, self.left.coef * self.right.coef
-            )
-            return merged.cell_integral_pow(a, b, p)
-        return super().cell_integral_pow(a, b, p)
-
 
 @dataclass(frozen=True)
 class WeightRatio(_WeightBase):
@@ -220,14 +232,6 @@ class WeightRatio(_WeightBase):
     def derivative(self, t):
         n, d = np.asarray(self.num(t)), np.asarray(self.den(t))
         return (np.asarray(self.num.derivative(t)) * d - n * np.asarray(self.den.derivative(t))) / d**2
-
-    def cell_integral_pow(self, a: float, b: float, p: float) -> float:
-        if isinstance(self.num, PowerWeight) and isinstance(self.den, PowerWeight):
-            merged = PowerWeight(
-                self.num.alpha - self.den.alpha, self.num.coef / self.den.coef
-            )
-            return merged.cell_integral_pow(a, b, p)
-        return super().cell_integral_pow(a, b, p)
 
 
 Weight = Union[PowerWeight, PowerLogWeight, WeightProduct, WeightRatio]

@@ -30,6 +30,7 @@ from bfslab import (
     Product,
     ShiftedPower,
     StepFunction,
+    Symmetrization,
     counting,
     dual_norm_numeric,
     half_line,
@@ -655,13 +656,13 @@ def test_row_by_row_kernels_keep_one_golden_step_per_call():
     assert P._lookahead(P._norm_fn(Lp(2.0), ms), P._norm_fn(Product(Lp(2.0), LorentzLambda(PowerWeight(0.5))), ms)) == 1
     # a convexification runs its base's kernel, row by row when the base does
     assert P._lookahead(P._norm_fn(Convexification(Lp(1.0), 0.5), ms)) == P._LOOKAHEAD
-    rowwise = P._norm_fn(Convexification(Marcinkiewicz(PowerLogWeight(0.5, 1.0)), 2.0), ms)
+    rowwise = P._norm_fn(Convexification(Symmetrization(Lp(2.0), "doublestar"), 2.0), ms)
     assert rowwise.rowwise and P._lookahead(rowwise) == 1
     assert _golden_call_sizes(P._lookahead(rowwise)) == [2] + [1] * 10
 
 
 def test_an_orlicz_gauge_over_a_row_by_row_base_runs_row_by_row():
-    gauge = OrliczCL(Marcinkiewicz(PowerLogWeight(0.5, 1.0)), ShiftedPower(0.3, 1.0, 2.0))
+    gauge = OrliczCL(Symmetrization(Lp(2.0), "doublestar"), ShiftedPower(0.3, 1.0, 2.0))
     assert P._norm_fn(gauge, unit_interval(8)).rowwise
 
 
@@ -676,7 +677,7 @@ def test_a_kernel_keeps_its_rowwise_flag_when_its_fn_is_wrapped(monkeypatch):
     ms = unit_interval(8)
     for space, rowwise in (
         (OrliczCL(Lp(1.0), ShiftedPower(0.3, 1.0, 2.0)), False),
-        (OrliczCL(Marcinkiewicz(PowerLogWeight(0.5, 1.0)), ShiftedPower(0.3, 1.0, 2.0)), True),
+        (OrliczCL(Symmetrization(Lp(2.0), "doublestar"), ShiftedPower(0.3, 1.0, 2.0)), True),
     ):
         compiled = P._norm_fn(space, ms)
         inner = compiled.fn

@@ -56,7 +56,7 @@ from bfslab import (
     unit_interval,
     weak_lp,
 )
-from bfslab.weights import PowerLogWeight
+from bfslab.weights import PowerLogWeight, WeightProduct, WeightRatio
 
 
 def _random_step(rng, mspace, lo=0.1, hi=3.0):
@@ -87,15 +87,18 @@ def test_lp_norm_matches_cell_sum():
 def test_lp_weighted_norm_power_integral():
     rng = np.random.default_rng(12)
     ms = unit_interval(24)
-    alpha, coef, p = 0.3, 2.0, 2.5
+    coef, p = 2.0, 2.5
     x = _random_step(rng, ms)
     a, b = ms.breakpoints[:-1], ms.breakpoints[1:]
-    q = alpha * p + 1.0
-    cells = coef**p * (b**q - a**q) / q
-    want = float(np.sum(x.values**p * cells)) ** (1.0 / p)
-    res = norm(Lp(p, PowerWeight(alpha, coef)), x)
-    assert res.kind == "exact"
-    assert math.isclose(res.value, want, rel_tol=1e-12)
+    # a tree of power atoms integrates as its one power, not by quadrature
+    tree = WeightProduct(PowerWeight(-0.5, coef), WeightRatio(PowerWeight(0.25), PowerWeight(0.125)))
+    for alpha, w in ((0.3, PowerWeight(0.3, coef)), (-0.375, tree)):
+        q = alpha * p + 1.0
+        cells = coef**p * (b**q - a**q) / q
+        want = float(np.sum(x.values**p * cells)) ** (1.0 / p)
+        res = norm(Lp(p, w), x)
+        assert res.kind == "exact"
+        assert math.isclose(res.value, want, rel_tol=1e-12)
 
 
 def test_lp_infinity_is_sup():

@@ -311,16 +311,14 @@ def rearrange(x: StepFunction) -> StepFunction:
 
 
 def _refine(mspace: MeasureSpace, interior: int) -> MeasureSpace:
-    """Split every cell into ``interior + 1`` pieces: geometrically, or
-    linearly for the cell that touches 0."""
+    """Split every cell into ``interior + 1`` pieces: linearly for the
+    first cell, which touches 0, and geometrically for every other cell,
+    all of them in one array call of ``np.geomspace``."""
     bp = mspace.breakpoints
-    pieces = []
-    for a, b in zip(bp[:-1], bp[1:]):
-        if a > 0:
-            pieces.append(np.geomspace(a, b, interior + 2)[:-1])
-        else:
-            pieces.append(np.linspace(a, b, interior + 2)[:-1])
-    return mspace.with_breakpoints(np.unique(np.concatenate(pieces + [bp[-1:]])))
+    k = interior + 2
+    first = np.linspace(bp[0], bp[1], k)[:-1]
+    rest = np.geomspace(bp[1:-1], bp[2:], k, axis=-1)[:, :-1]
+    return mspace.with_breakpoints(np.unique(np.concatenate((first, rest.ravel(), bp[-1:]))))
 
 
 def _cum_integral(x: StepFunction) -> np.ndarray:
@@ -344,24 +342,34 @@ def double_star(x: StepFunction, t) -> np.ndarray | float:
     return out if np.ndim(t) else float(out[0])
 
 
+def _dilated_grid(mspace: MeasureSpace, s: float) -> tuple[MeasureSpace, np.ndarray]:
+    """The grid of ``D_s`` on ``mspace``, and the point ``t/s`` whose value
+    each of its cells takes.
+
+    The grid depends only on ``(mspace, s)``, so a caller that dilates
+    many functions by one factor builds it once.  Validates ``s``.
+    """
+    if not (math.isfinite(s) and s > 0):
+        raise ValueError("dilation factor must be positive and finite")
+    right = mspace.length
+    scaled = mspace.breakpoints * s
+    scaled = scaled[scaled <= right]
+    bp = np.union1d(np.union1d(scaled, mspace.breakpoints), [0.0, right])
+    mids = 0.5 * (bp[:-1] + bp[1:])
+    return mspace.with_breakpoints(bp), mids / s
+
+
 def dilate(x: StepFunction, s: float) -> StepFunction:
     """Dilation ``(D_s x)(t) = x(t/s)`` for ``t/s`` inside the interval.
 
     The result lives on the union of the scaled and original
-    breakpoints (exact; no interpolation).  Mass dilated past the right
-    endpoint is truncated away, both on the unit interval and on
-    truncated half-line grids.
+    breakpoints (exact; no interpolation), built by ``_dilated_grid``,
+    which also rejects an ``s`` that is not positive and finite.  Mass
+    dilated past the right endpoint is truncated away, both on the unit
+    interval and on truncated half-line grids.
     """
-    if not (math.isfinite(s) and s > 0):
-        raise ValueError("dilation factor must be positive and finite")
-    right = x.space.length
-    scaled = x.space.breakpoints * s
-    scaled = scaled[scaled <= right]
-    bp = np.union1d(np.union1d(scaled, x.space.breakpoints), [0.0, right])
-    mids = 0.5 * (bp[:-1] + bp[1:])
-    vals = np.asarray(x(mids / s), dtype=float)
-    space = x.space.with_breakpoints(bp)
-    return StepFunction(space, vals)
+    space, src = _dilated_grid(x.space, s)
+    return StepFunction(space, x(src))
 
 
 def integrate(x: StepFunction) -> float:

@@ -20,8 +20,8 @@ from .grid import (
     COUNTING,
     MeasureSpace,
     StepFunction,
+    _dilated_grid,
     _refine,
-    dilate,
     half_line,
 )
 from .spaces import (
@@ -215,11 +215,10 @@ def hardy_identity_residual(x: StepFunction, samples: int = 5) -> float:
     h = hardy(x)
     hs = hardy_dual(x)
     bp = x.space.breakpoints
-    pts = [bp[1:]]
-    for a, b in zip(bp[:-1], bp[1:]):
-        lo = a if a > 0 else b / 1024.0
-        pts.append(np.geomspace(lo, b, samples + 2)[1:-1])
-    ts = np.unique(np.concatenate(pts))
+    a, b = bp[:-1], bp[1:]
+    # ``samples`` geometric points inside each cell; the first cell, which touches 0, from b/1024
+    inner = np.geomspace(np.where(a > 0, a, b / 1024.0), b, samples + 2, axis=-1)[:, 1:-1]
+    ts = np.unique(np.concatenate((b, inner.ravel())))
     ts = ts[ts > 0]
     lhs = hs.integral_from_zero(ts) / ts
     rhs = h(ts) + hs(ts)
@@ -302,25 +301,32 @@ def operator_norm(
     near-extremal family); ``|op x|`` for the averaging operators is
     itself under-approximated by right-endpoint sampling, so the lower
     bound is sound.
+
+    Each call builds one grid for all witnesses: the dilated grid for
+    D_s, which also rejects an ``s`` that is not positive and finite
+    before any norm is taken, or the 5-fold refinement that H and H*
+    are sampled on.
     """
     if op not in ("H", "H*", "D_s"):
         raise ValueError("op must be one of 'H', 'H*', 'D_s'")
     if mspace is None:
         mspace = half_line(96)
+    if op == "D_s":
+        dspace, src = _dilated_grid(mspace, s)
+    else:
+        fine = _refine(mspace, 4)
     notes = ()
     tr = mspace.truncation()
     if tr is not None:
         notes = (f"half-line truncated to [{tr[0]:g}, {tr[1]:g}]",)
     best = 0.0
     best_name = "none"
-    fine = _refine(mspace, 4)
     for name, x in _witness_family(mspace, _p_hint(space)):
         nx = norm(space, x).value
         if not (nx > 0 and math.isfinite(nx)):
             continue
         if op == "D_s":
-            y = dilate(x, s)
-            ny = norm(space, y).value
+            ny = norm(space, StepFunction(dspace, x(src))).value
         else:
             fn = hardy(x) if op == "H" else hardy_dual(x)
             ny = norm(space, _step_below(fn, fine)).value

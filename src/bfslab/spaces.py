@@ -760,20 +760,32 @@ def _compile(space: SpaceDescriptor, mspace: MeasureSpace) -> Optional[_Compiled
                 return prim[..., 1:] - prim[..., :-1]
 
         else:
-            # phi^p / t = (phi * t^(-1/p))^p by the fixed-order rule of cell_integral_pow, +inf on a
-            # first cell where it is not finite near 0
-            cp, singular, kind = 1.0, False, "estimate"
+            # phi^p / t = (phi * t^(-1/p))^p by the fixed-order rule of cell_integral_pow
+            cp, kind = 1.0, "estimate"
             notes = tn + ("fixed-order quadrature for the weight; dt/t absorbed",)
             nodes, gl_w = _leggauss(_QUAD_ORDER)
+            if isinstance(phi, PowerLogWeight):
+                # t^a (1 + |log t|)^b: phi^p / t ~ t^(ap - 1) |log t|^(bp) is integrable at 0 iff
+                # ap > 0, or ap = 0 and bp < -1; otherwise every nonzero x has norm +inf, exactly
+                ap, lp = phi.alpha * p, phi.beta * p
+                singular, probe = not (ap > 0.0 or (ap == 0.0 and lp < -1.0)), None
+                if singular:
+                    kind, notes = "exact", tn + ("phi^p/t not integrable at 0",)
+            else:
+                # any other weight: +inf on a first cell where phi^p / t is not finite near 0, a
+                # probe that misses a singularity too mild to overflow there
+                singular, probe = False, np.array([1e-12, 1e-6, 1.0])
 
-            def masses(bp, phi=WeightProduct(phi, PowerWeight(-1.0 / p)), p=p, probe=np.array([1e-12, 1e-6, 1.0])):
+            def masses(bp, phi=WeightProduct(phi, PowerWeight(-1.0 / p)), p=p, probe=probe):
                 a, b = bp[..., :-1, None], bp[..., 1:, None]
                 half = 0.5 * (b - a)
                 with np.errstate(over="ignore", invalid="ignore"):
                     m = half[..., 0] * (np.asarray(phi(0.5 * (a + b) + half * nodes), dtype=float) ** p * gl_w).sum(-1)
-                    near0 = np.asarray(phi(bp[..., 1:2] * probe), dtype=float) ** max(p, 1.0)
                 m = np.where(half[..., 0] > 0, m, 0.0)  # a cell that rounds to no width has no mass
-                m[..., 0] = np.where(np.isfinite(near0).all(-1), m[..., 0], math.inf)
+                if probe is not None:
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        near0 = np.asarray(phi(bp[..., 1:2] * probe), dtype=float) ** max(p, 1.0)
+                    m[..., 0] = np.where(np.isfinite(near0).all(-1), m[..., 0], math.inf)
                 return m
 
         def _lam_p(x, wd=widths, p=p):
@@ -946,7 +958,7 @@ def _compile(space: SpaceDescriptor, mspace: MeasureSpace) -> Optional[_Compiled
             return None
         p = space.base.p
         q, cp, alpha = pw.alpha * p, pw.coef**p, pw.alpha
-        nodes, gl_w = np.polynomial.legendre.leggauss(16)
+        nodes, gl_w = _leggauss(16)
 
         def _dstar_lp(v, wd=widths, p=p, q=q, cp=cp, alpha=alpha, nodes=nodes, gl_w=gl_w):
             v, w_, bp, _ = _decreasing_profile(v, wd)

@@ -49,7 +49,7 @@ from .spaces import (
     weak_lp,
 )
 from .weights import PowerWeight
-from .young import Power, ShiftedPower, inverse, ominus, oplus
+from .young import Power, ShiftedPower, inverse_batch, ominus, oplus
 
 __all__ = [
     "SuiteConfig",
@@ -369,17 +369,17 @@ def _suite_oplus_sandwich(cfg: SuiteConfig) -> list:
     ts = np.geomspace(1e-6, 1e6, cfg.count(512))
     for name, p1, p2 in pairs:
         ph = oplus(p1, p2)
-        worst_lo = 0.0
-        worst_hi = 0.0
-        for t in ts:
-            mid = inverse(p1, t) * inverse(p2, t)
-            if not (0.0 < mid < math.inf):
-                continue
+        mid = inverse_batch(p1, ts) * inverse_batch(p2, ts)
+        live = (0.0 < mid) & (mid < math.inf)
+        t, mid = ts[live], mid[live]
+        terms = np.concatenate((
             # phi just above mid must already reach t ...
-            worst_lo = max(worst_lo, (t - ph(mid * (1 + bump))) / t)
+            (t - ph(mid * (1 + bump))) / t,
             # ... and just below mid must not exceed 2t
-            worst_hi = max(worst_hi, (ph(mid * (1 - bump)) - 2.0 * t) / (2.0 * t))
-        worst = max(worst_lo, worst_hi)
+            (ph(mid * (1 - bump)) - 2.0 * t) / (2.0 * t),
+        ))
+        # the largest positive term, or 0; a NaN term counts as none
+        worst = float(np.max(terms, where=terms > 0, initial=0.0))
         ok = worst <= rel
         out.append(_instance({"pair": name, "samples": len(ts)}, worst, 0.0, 1.0, rel, ok))
     return out

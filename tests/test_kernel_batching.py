@@ -279,8 +279,11 @@ def test_sups_over_a_weight_with_an_interior_peak_are_lattice_monotone(kind, n, 
 
 
 def _lam_p_quad(v, wd, phi, p):
-    phi = WeightProduct(phi, PW(-1.0 / p))
     v, _, bp, _ = S._decreasing_profile(v, wd)
+    # t^a (1 + |log t|)^b: phi^p / t is integrable at 0 iff ap > 0, or ap = 0 and bp < -1
+    if isinstance(phi, PowerLogWeight) and not (phi.alpha * p > 0 or (phi.alpha == 0 and phi.beta * p < -1)):
+        return float("inf") if v[0] > 0 else 0.0
+    phi = WeightProduct(phi, PW(-1.0 / p))
     total = 0.0
     for i in range(v.size):
         if v[i] <= 0:

@@ -407,6 +407,26 @@ def test_canonical_keeps_lambda_p_without_a_positive_power_and_p_1(space):
     assert canonical(space) == space
 
 
+@pytest.mark.parametrize("n", [16, 64, 256])
+def test_lambda_p_over_a_power_log_weight_sees_a_non_integrable_weight_at_zero(n):
+    # phi^p / t ~ t^(ap - 1) |log t|^(bp) near 0: integrable iff ap > 0, or
+    # ap = 0 and bp < -1.  The probe for an overflow at b*1e-12 missed these
+    # and read 92.8, 2,586 and 1.56e9 for t^-0.2, and 57.7, 136 and 619 for
+    # 1 + |log t|, on n = 16, 64 and 256
+    ms = unit_interval(n)
+    one = StepFunction(ms, np.ones(n))
+    for phi in (PowerLogWeight(-0.2, 0.0), PowerLogWeight(0.0, 1.0), PowerLogWeight(0.0, -0.4), PowerWeight(-0.2)):
+        res = norm(LorentzLambdaP(phi, 2.0), one)
+        assert (res.value, res.kind) == (math.inf, "exact"), phi
+        assert norm(LorentzLambdaP(phi, 2.0), StepFunction(ms, np.zeros(n))).value == 0.0
+    # integrable: a finite quadrature estimate; for (1 + |log t|)^-0.6 the norm
+    # of 1 is sqrt(5), as the integral of (1 + |log t|)^-1.2 dt/t over (0, 1) is 5
+    for phi in (PowerLogWeight(0.0, -0.6), PowerLogWeight(0.3, 1.0)):
+        res = norm(LorentzLambdaP(phi, 2.0), one)
+        assert math.isfinite(res.value) and res.kind == "estimate", phi
+    assert norm(LorentzLambdaP(PowerLogWeight(0.0, -0.6), 2.0), one).value < math.sqrt(1.0 / 0.2)
+
+
 @pytest.mark.parametrize("grid", sorted(_P1_GRIDS))
 @pytest.mark.parametrize("a, c", [(0.3, 1.0), (0.5, 2.5), (1.0, 0.7)])
 def test_the_dual_of_lambda_p1_passes_hoelder(grid, a, c):

@@ -14,11 +14,15 @@ from bfslab import (
     LorentzLambda,
     Marcinkiewicz,
     MarcinkiewiczStar,
+    Power,
     PowerWeight,
+    ShiftedPower,
     StepFunction,
     SuiteConfig,
     half_line,
+    inverse,
     norm,
+    oplus,
     product_norm,
     registered_suites,
     report_to_csv,
@@ -165,3 +169,29 @@ def test_theorem10_constants_match_a_direct_recomputation():
         assert inst["tolerance"] == 50.0
         assert inst["pass"] is (c_up <= 50.0 and c_dn <= 50.0)
         assert math.isfinite(c_up) and math.isfinite(c_dn)
+
+
+def test_oplus_sandwich_matches_the_scalar_loop():
+    # Oracle for the suite's array calls: the scalar inverse and phi calls,
+    # one t at a time, with Python's max, which skips a NaN term
+    rep = run_suite("oplus_sandwich", seed=7)
+    pairs = {
+        "squares": (Power(1.0, 2.0), Power(1.0, 2.0)),
+        "linear_square": (Power(1.0, 1.0), Power(1.0, 2.0)),
+        "mixed_powers": (Power(1.0, 3.0), Power(1.0, 1.5)),
+        "shifted": (ShiftedPower(1.0, 0.5, 2.0), Power(1.0, 2.0)),
+    }
+    assert [inst["inputs"]["pair"] for inst in rep.instances] == list(pairs)
+    ts = np.geomspace(1e-6, 1e6, 512)
+    for inst in rep.instances:
+        p1, p2 = pairs[inst["inputs"]["pair"]]
+        ph = oplus(p1, p2)
+        worst = 0.0
+        for t in ts:
+            mid = inverse(p1, t) * inverse(p2, t)
+            if not (0.0 < mid < math.inf):
+                continue
+            worst = max(worst, (t - ph(mid * (1 + 1e-9))) / t, (ph(mid * (1 - 1e-9)) - 2.0 * t) / (2.0 * t))
+        assert inst["lhs"] == worst
+        assert inst["inputs"]["samples"] == 512
+        assert inst["pass"] is (worst <= 1e-6)

@@ -35,14 +35,15 @@ norms are recomputed through the public norm evaluators, unless a
 factor norm is only an estimate or the optimizer stopped on its budget:
 then so is the product.
 
-Multiplier and dual norms run the same coordinate descent in the
-opposite direction (ratio ascent over a test family): golden-section
-line searches whose objective calls look ahead over every point the
-next golden steps could probe: ``_LOOKAHEAD`` steps a call, or one
-where a kernel runs row by row (``_CompiledNorm.rowwise``).  Those
-values are lower bounds.  The two directions are kept apart
-deliberately; no function here reports a point estimate as if it were
-exact unless a closed form fired.
+Multiplier and dual norms run the same engine in the other direction:
+ratio ascent minimizes J(u) = log |e^u|_E - log |m e^u|_F over u = log y,
+by the same BFGS and coordinate polish, with the same log slopes (a dual
+norm is the multiplier norm into L^1).  Its runs start from the best
+members of a test family, and its values are lower bounds.  In both
+directions a golden search looks ahead over every point its next
+``_LOOKAHEAD`` steps could probe, one step where a kernel runs row by
+row (``_CompiledNorm.rowwise``).  No function here reports a point
+estimate as if it were exact unless a closed form fired.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ import functools
 import math
 import numbers
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -78,7 +79,6 @@ from .spaces import (
     canonical,
     dual_descriptor,
     is_primitive,
-    is_symmetric,
     luxemburg_norm,
     norm,
     norm_evaluator,
@@ -103,7 +103,7 @@ __all__ = [
 
 # Documented optimizer defaults; callers override per key.
 DEFAULT_OPTS = {
-    "max_sweeps": 5000,  # sweeps per run: a coordinate sweep, or |supp z| BFGS steps; ratio ascent: at most 200
+    "max_sweeps": 5000,  # sweeps per run (ratio ascent: at most 200): a coordinate sweep, or one BFGS step per coordinate
     "quick_sweeps": 40,  # read by no engine; perfbench's FAST_OPTS and tests/test_engine.py's oracle pass it
     "golden_iters": 14,  # golden-section steps per coordinate search
     "target": None,  # products: early exit once |x|_E |y|_F is at or below
@@ -120,6 +120,7 @@ _SPAN = 1.5  # coordinate search half-width in log units
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _LOOKAHEAD = 4  # golden steps per objective call: 15 probes a call, 16 on a search's first
 _RATIO_CAP = 1e8
+_RATIO_STARTS = 2  # ratio ascent runs from this many best family members: the log ratio is not concave
 _PAIR_DESCENT_CELLS = 64  # two sup factors: a descent pass scores n^2 cells, 60 ms at n = 1024
 _UNCERTIFIED = "a factor norm is an estimate, so the factorization certifies no bound"
 # objectives may overflow, divide by 0 or multiply 0 by inf; the
@@ -309,21 +310,6 @@ def _coordinate_descent(J, u: np.ndarray, f: float, budget: int, iters: int, loo
     return u, f, budget, False
 
 
-def _monotone_embed(v: np.ndarray) -> np.ndarray:
-    """Map free parameters (head, nonneg decrements) to a non-increasing u, per row."""
-    dec = np.maximum(v, 0.0)
-    dec[..., 0] = 0.0
-    return v[..., :1] - dec.cumsum(-1)
-
-
-def _monotone_params(u: np.ndarray) -> np.ndarray:
-    """Free parameters (head, decrements) of u; inverts _monotone_embed on non-increasing u."""
-    v = np.empty_like(u)
-    v[0] = u[0]
-    v[1:] = np.maximum(u[:-1] - u[1:], 0.0)
-    return v
-
-
 def _seed_vectors(E, F, z_supp, t_right_supp) -> list:
     """Log-domain starting points for x on supp z: multiples of log z, and
     the extremal profile of a Lorentz factor with weight t^a, 0 < a < 1."""
@@ -338,20 +324,21 @@ def _seed_vectors(E, F, z_supp, t_right_supp) -> list:
     return seeds
 
 
-def _split(u: np.ndarray, supp: np.ndarray, zs: np.ndarray) -> np.ndarray:
-    """Factors x = e^u and y = z / x on supp z, zero elsewhere, as one
-    C-contiguous stack [x, y]; one pair per row of u."""
+def _split(u: np.ndarray, supp: np.ndarray, zs: np.ndarray, times: bool = False) -> np.ndarray:
+    """x = e^u and y = z / x (z x if ``times``) on ``supp``, zero
+    elsewhere, as one C-contiguous stack [x, y]; one pair per row of u."""
+    op = np.multiply if times else np.divide
     # np.clip's float ops, without its Python wrapper
     clipped = np.minimum(np.maximum(u, -60.0), 60.0)
     if zs.size == supp.size:
         xy = np.empty((2,) + u.shape)
         np.exp(clipped, out=xy[0])
-        np.divide(zs, xy[0], out=xy[1])
+        op(zs, xy[0], out=xy[1])
         return xy
     xy = np.zeros((2,) + u.shape[:-1] + supp.shape)
     eu = np.exp(clipped)
     xy[0][..., supp] = eu
-    xy[1][..., supp] = zs / eu
+    xy[1][..., supp] = op(zs, eu)
     return xy
 
 
@@ -430,14 +417,18 @@ def _bfgs(fg, u: np.ndarray, f: float, g: np.ndarray, steps: int, floor: float):
     return u, f, g, steps, False
 
 
-def _objective(E, F, z: StepFunction):
-    """The product objective over u = log x on supp z, y = z / x: (J, fg,
-    lookahead).  J maps a (k, m) batch of u rows to |x|_E |y|_F per row
-    (+inf for a NaN); fg maps one u to (log J, its gradient); lookahead
-    is the golden steps one J call takes (see _lookahead)."""
+def _objective(E, F, z: StepFunction, supp: Optional[np.ndarray] = None, quotient: bool = False):
+    """The objective over u = log x on ``supp`` (supp z by default): (J,
+    fg, lookahead).  For a product y = z / x and J = |x|_E |y|_F; for a
+    ``quotient`` (ratio ascent, z the multiplier) y = z x and J = |x|_E /
+    |y|_F.  J maps a (k, m) batch of u rows to J per row (+inf for a
+    NaN); fg maps one u to (log J, its gradient), which is se - sf either
+    way, se and sf the log slopes of the two norms; lookahead is the
+    golden steps one J call takes (see _lookahead)."""
     mspace = z.space
-    supp = z.values > 0.0
+    supp = z.values > 0.0 if supp is None else supp
     zs = z.values[supp]
+    combine = np.divide if quotient else np.multiply
     ke, kf = _norm_fn(E, mspace), _norm_fn(F, mspace)
     fe, ff = ke.fn, kf.fn
     shared = ke.profile and kf.profile
@@ -445,26 +436,26 @@ def _objective(E, F, z: StepFunction):
     cells = slice(None) if zs.size == supp.size else supp  # a view where z lives on every cell
 
     def J(U: np.ndarray) -> np.ndarray:
-        xy = _split(U, supp, zs)
+        xy = _split(U, supp, zs, quotient)
         if shared:
             # one sort for both factors: fe and ff read the halves of one profile
             k = len(U)
             v, w, bp, order = _decreasing_profile(xy.reshape(2 * k, -1), mspace.widths)
-            val = fe((v[:k], w[:k], bp[:k], order[:k])) * ff((v[k:], w[k:], bp[k:], order[k:]))
+            val = combine(fe((v[:k], w[:k], bp[:k], order[:k])), ff((v[k:], w[k:], bp[k:], order[k:])))
         else:
-            val = fe(xy[0]) * ff(xy[1])
-        # norms are >= 0, so the one value that is not a number or +inf is NaN (0 * inf): it becomes +inf
+            val = combine(fe(xy[0]), ff(xy[1]))
+        # norms are >= 0, so the one value that is not a number or +inf is NaN (0 * inf, 0 / 0, inf / inf): it becomes +inf
         return np.fmin(val, math.inf)
 
     def fg(u: np.ndarray):
-        xy = _split(u, supp, zs)
+        xy = _split(u, supp, zs, quotient)
         px = py = None
         if shared_grad:
             # one sort for both values and both gradients
             v, w, bp, order = _decreasing_profile(xy, mspace.widths)
             px, py = (v[0], w[0], bp[0], order[0]), (v[1], w[1], bp[1], order[1])
         (ne, se), (nf, sf) = _log_slopes(ke, xy[0], cells, px), _log_slopes(kf, xy[1], cells, py)
-        val = ne * nf  # >= 0, or NaN
+        val = combine(ne, nf)  # >= 0, or NaN
         return (math.log(val) if val > 0.0 else (-math.inf if val == 0.0 else math.nan)), se - sf
 
     return J, fg, _lookahead(ke, kf)
@@ -757,7 +748,7 @@ def calderon_norm(
 
 
 # ---------------------------------------------------------------------------
-# ratio ascent (multipliers, duals)
+# ratio ascent (multipliers, duals): the product engine on J = |y|_E / |m y|_F
 # ---------------------------------------------------------------------------
 
 
@@ -785,71 +776,42 @@ def _default_test_family(mspace: MeasureSpace, m_vals: np.ndarray) -> list:
     return out
 
 
-def _ratio_ascent(
-    num_fn: Callable[[np.ndarray], np.ndarray],
-    den_fn: Callable[[np.ndarray], np.ndarray],
-    mspace: MeasureSpace,
-    family: Sequence[np.ndarray],
-    o: dict,
-    monotone: bool,
-    lookahead: int,
-    ascent: bool = True,
-):
-    """Maximize num(y)/den(y); returns (best ratio, best y, capped flag).
+def _ratio_ascent(E, F, m: StepFunction, family: Sequence[np.ndarray], o: dict, ascent: bool = True) -> float:
+    """sup |m y|_F / |y|_E over ``family`` and, unless ``ascent`` is False,
+    the ascent from it: a lower bound, or +inf at or above ``_RATIO_CAP``.
 
-    ``num_fn`` and ``den_fn`` map a (k, n) array to k values; a golden
-    search takes ``lookahead`` steps per call (see _lookahead).  The best
-    member of ``family`` seeds a coordinate ascent unless ``ascent`` is
-    False, in which case the family maximum is returned.
+    The family is scored in one call of each kernel; a member's ratio is 0
+    where |y|_E is not finite and positive.  The ascent is the product
+    engine run the other way: ``_descend`` (BFGS, and the coordinate
+    polish wherever BFGS ends off a smooth maximum) minimizes J(u) =
+    |e^u|_E / |m e^u|_F over u = log y on a member's support, with the
+    floor -log ``_RATIO_CAP``.  The log ratio is not concave, so a run may
+    end at a local maximum that another start passes: runs start from the
+    ``_RATIO_STARTS`` best members, and the largest ratio wins.
     """
+    mspace, mv = m.space, m.values
+    ke, kf = _norm_fn(E, mspace), _norm_fn(F, mspace)
 
-    def ratio_one(n: float, d: float) -> float:
-        if not (d > 0.0 and math.isfinite(d)):
-            return 0.0
-        r = n / d
-        return r if math.isfinite(r) else math.inf
+    def ratios(Y: np.ndarray) -> np.ndarray:
+        num, den = kf.fn(mv * Y), ke.fn(Y)
+        r = np.where((den > 0.0) & (den < math.inf), num / den, 0.0)
+        return np.where(np.isnan(r), math.inf, r)
 
-    def ratio(vals: np.ndarray) -> np.ndarray:
-        return np.array(list(map(ratio_one, num_fn(vals).tolist(), den_fn(vals).tolist())))
-
-    best_vals, best = None, 0.0
-    if len(family):
-        fam = np.array(family, dtype=float)
-        with np.errstate(**_QUIET):
-            ratios = ratio(fam).tolist()
-        for vals, r in zip(fam, ratios):
-            if r > best:
-                best, best_vals = r, vals
-    if best_vals is None:
-        return 0.0, None, False
-    if best >= _RATIO_CAP:
-        return math.inf, best_vals, True
-    if not ascent:
-        return best, best_vals, False
-
-    pos = np.flatnonzero(best_vals > 0)
-    if not pos.size:
-        return best, best_vals, False
-    u0 = np.log(best_vals[pos])
-
-    def J(params: np.ndarray) -> np.ndarray:
-        u = _monotone_embed(params) if monotone else params
-        vals = np.zeros((len(u), mspace.n_cells))
-        vals[:, pos] = np.exp(np.clip(u, -60.0, 60.0))
-        return -ratio(vals)
-
-    p0 = _monotone_params(u0) if monotone else u0
+    if not len(family):
+        return 0.0
+    Y = np.array(family, dtype=float)
+    sweeps, floor = min(o["max_sweeps"], 200), -math.log(_RATIO_CAP)
     with np.errstate(**_QUIET):
-        # no target: the ascent maximizes the ratio as far as it goes
-        p, neg, _, _ = _coordinate_descent(J, p0, J(p0[None])[0], min(o["max_sweeps"], 200), o["golden_iters"], lookahead)
-    if -neg > best:
-        best = -float(neg)
-        u_final = _monotone_embed(p) if monotone else p
-        best_vals = np.zeros(mspace.n_cells)
-        best_vals[pos] = np.exp(np.clip(u_final, -60.0, 60.0))
-    if best >= _RATIO_CAP:
-        return math.inf, best_vals, True
-    return best, best_vals, False
+        r = ratios(Y)
+        best = float(r.max())
+        for i in np.argsort(-r, kind="stable")[:_RATIO_STARTS] if ascent else []:
+            if not r[i] > 0.0:  # J is +inf there: no run can start
+                continue
+            supp = Y[i] > 0.0
+            J, fg, lookahead = _objective(E, F, m, supp, quotient=True)
+            u = _descend(J, fg, np.log(Y[i][supp]), sweeps, floor, o["golden_iters"], lookahead)[0]
+            best = max(best, float(ratios(_split(u, supp, mv[supp], True)[0])))
+    return math.inf if best >= _RATIO_CAP else best
 
 
 def _power_exponent(space) -> Optional[float]:
@@ -956,20 +918,9 @@ def multiplier_norm(
             hit = _multiplier_identification(Ec, Fc, m)
         if hit is not None:
             return hit
-    mspace = m.space
-    ke, kf = _norm_fn(Ec, mspace), _norm_fn(Fc, mspace)
-    ff, mv = kf.fn, m.values
-
-    def num_fn(vals: np.ndarray) -> np.ndarray:
-        return ff(mv * vals)
-
-    if witnesses is not None:
-        family = [w.values for w in witnesses]
-    else:
-        family = _default_test_family(mspace, mv)
-    monotone = is_symmetric(Ec) and is_symmetric(Fc)
-    best, _, capped = _ratio_ascent(num_fn, ke.fn, mspace, family, o, monotone, _lookahead(ke, kf), ascent)
-    if capped:
+    family = _default_test_family(m.space, m.values) if witnesses is None else [w.values for w in witnesses]
+    best = _ratio_ascent(Ec, Fc, m, family, o, ascent)
+    if math.isinf(best):
         return NormResult(
             math.inf, "estimate", None, ("ratio exceeded the cap: not a multiplier",)
         )
@@ -987,18 +938,9 @@ def dual_norm_numeric(
     Ec = canonical(E)
     if not is_primitive(Ec):
         raise ValueError("dual_norm_numeric needs a primitive base space")
-    mspace = y.space
-    ke = _norm_fn(Ec, mspace)
-    yw = y.values * mspace.widths
-
-    def pairing(vals: np.ndarray) -> np.ndarray:
-        return (vals * yw).sum(-1)
-
-    family = _default_test_family(mspace, y.values)
-    dec = bool(np.all(np.diff(y.values) <= 1e-15))
-    monotone = is_symmetric(Ec) and dec
-    lower, _, capped = _ratio_ascent(pairing, ke.fn, mspace, family, o, monotone, _lookahead(ke))
-    if capped:
+    # values are >= 0, so the pairing <x, y> is |x y|_{L^1}: the multiplier ascent into L^1
+    lower = _ratio_ascent(Ec, Lp(1.0), y, _default_test_family(y.space, y.values), o)
+    if math.isinf(lower):
         return NormResult(math.inf, "estimate", None, ("pairing exceeded the cap",))
     d = dual_descriptor(Ec)
     if d is not None:

@@ -172,6 +172,17 @@ class PowerLogWeight(_WeightBase):
             out = self.coef * t**self.alpha * (1.0 + np.abs(logt)) ** self.beta
         return out if out.ndim else float(out)
 
+    def cell_integral_pow(self, a: float, b: float, p: float) -> float:
+        """Integral of ``w(t)**p`` over ``(a, b)`` by quadrature.  On a
+        cell touching 0, t^(alpha p) (1 + |log t|)^(beta p) is integrable
+        iff alpha p > -1, or alpha p = -1 and beta p < -1: otherwise this
+        raises :class:`NonIntegrableWeight`, which the generic probe misses
+        where the weight stays finite at its sample points."""
+        q = self.alpha * p
+        if a == 0.0 < b and not (q > -1.0 or (q == -1.0 and self.beta * p < -1.0)):
+            raise NonIntegrableWeight(f"t**{q} (1 + |log t|)**{self.beta * p} is not integrable on a cell touching 0")
+        return super().cell_integral_pow(a, b, p)
+
     def cell_sup(self, a, b):
         """Supremum of the weight over ``[a, b]`` (floats, or arrays of cell
         ends): the largest of its values at b, at a (its limit 0, coef or

@@ -11,6 +11,8 @@ weight that is not a power are also checked against the row-by-row
 closures they replaced.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -255,6 +257,23 @@ def test_every_kernel_is_lattice_monotone(kind, n, seed):
         compiled = norm_evaluator(space, ms)
         nx, ny = compiled.fn(X), compiled.fn(Y)
         assert np.all(nx <= ny * (1.0 + 1e-12)) or compiled.kind != "exact", (name, nx, ny)
+
+
+@pytest.mark.parametrize("kind, n", [("counting", 7), ("unit", 16), ("half", 33)])
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), log_c=st.floats(-6.0, 6.0))
+def test_every_kernel_is_homogeneous(kind, n, seed, log_c):
+    # |c x| = c |x|: the ratio ascent's J(u) = |e^u|_E / |m e^u|_F is then
+    # constant along u + s, and a family member's scale does not matter
+    ms = _grid(kind, n)
+    X = _batch(np.random.default_rng(seed), n)
+    c = math.exp(log_c)
+    for name, space in FAMILIES.items():
+        fn = norm_evaluator(space, ms).fn
+        nx, ncx = fn(X), fn(c * X)
+        finite = np.isfinite(nx)
+        assert np.array_equal(finite, np.isfinite(ncx)), (name, nx, ncx)
+        np.testing.assert_allclose(ncx[finite], c * nx[finite], rtol=1e-12, atol=0.0, err_msg=name)
 
 
 @pytest.mark.parametrize("kind, n", [("counting", 7), ("unit", 16), ("half", 33)])

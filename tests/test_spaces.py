@@ -56,7 +56,7 @@ from bfslab import (
     unit_interval,
     weak_lp,
 )
-from bfslab.weights import PowerLogWeight, WeightProduct, WeightRatio
+from bfslab.weights import NonIntegrableWeight, PowerLogWeight, WeightProduct, WeightRatio
 
 
 def _random_step(rng, mspace, lo=0.1, hi=3.0):
@@ -425,6 +425,24 @@ def test_lambda_p_over_a_power_log_weight_sees_a_non_integrable_weight_at_zero(n
         res = norm(LorentzLambdaP(phi, 2.0), one)
         assert math.isfinite(res.value) and res.kind == "estimate", phi
     assert norm(LorentzLambdaP(PowerLogWeight(0.0, -0.6), 2.0), one).value < math.sqrt(1.0 / 0.2)
+
+
+@pytest.mark.parametrize("n", [16, 64, 256])
+def test_lp_over_a_power_log_weight_sees_a_non_integrable_weight_at_zero(n):
+    # w^p ~ t^(ap) (1 + |log t|)^(bp) near 0: integrable iff ap > -1, or
+    # ap = -1 and bp < -1.  The generic probe missed t^-0.6 at p = 2 and
+    # read 17.2, 91.3 and 70,909 on n = 16, 64 and 256
+    ms = unit_interval(n)
+    one = StepFunction(ms, np.ones(n))
+    for w in (PowerLogWeight(-0.6, 0.0), PowerLogWeight(-0.5, -0.4), PowerWeight(-0.6)):
+        assert norm(Lp(2.0, w), one).value == math.inf, w
+        assert norm(Lp(2.0, w), StepFunction(ms, np.zeros(n))).value == 0.0
+    for w in (PowerLogWeight(-0.5, -1.0), PowerLogWeight(-0.4, 1.0)):
+        assert math.isfinite(norm(Lp(2.0, w), one).value), w
+    # away from 0 every cell takes the quadrature
+    assert math.isfinite(PowerLogWeight(-0.6, 0.0).cell_integral_pow(0.5, 1.0, 2.0))
+    with pytest.raises(NonIntegrableWeight):
+        PowerLogWeight(-0.6, 0.0).cell_integral_pow(0.0, 1.0 / n, 2.0)
 
 
 @pytest.mark.parametrize("grid", sorted(_P1_GRIDS))

@@ -11,7 +11,11 @@ descent over adjacent swaps reaches from z's decreasing order.  That
 split is least only where its partner is a lattice norm; where the
 partner is a Lorentz space whose weight fails the quasi-concavity check
 (``_log_convex``), the optimizer also runs and the lower bound wins.
-Elsewhere BFGS computes it, on J(u) = log |e^u|_E + log |z e^-u|_F over
+The gauge of c (t - a)_+^r over L^1(u) against L^q(w), q finite, needs
+no optimizer either: min |z/x|_q over the modular ball is convex and
+splits by cell, so its Lagrange conditions give x cell by cell, up to
+one multiplier (``_modular_factor``).  Elsewhere BFGS
+computes it, on J(u) = log |e^u|_E + log |z e^-u|_F over
 u = log x on the support of z: convex for lattice norms, and smooth
 except where the sorted profiles tie or a supremum changes hands, the
 case that BFGS with a weak Wolfe line search handles (Lewis & Overton,
@@ -69,9 +73,11 @@ from .spaces import (
     MarcinkiewiczStar,
     Multiplier,
     NormResult,
+    OrliczCL,
     Product,
     SpaceDescriptor,
     _CompiledNorm,
+    _cell_masses,
     _decreasing_profile,
     _is_plain_sup,
     _product_rule,
@@ -83,8 +89,8 @@ from .spaces import (
     norm,
     norm_evaluator,
 )
-from .weights import NonIntegrableWeight, PowerWeight, is_quasiconcave_sampled, simplify_power
-from .young import YoungFunction, check_relation, inverse, inverse_batch
+from .weights import PowerWeight, is_quasiconcave_sampled, simplify_power
+from .young import Power, ShiftedPower, YoungFunction, check_relation, inverse, inverse_batch
 
 __all__ = [
     "FactorizationWitness",
@@ -121,6 +127,7 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _LOOKAHEAD = 4  # golden steps per objective call: 15 probes a call, 16 on a search's first
 _RATIO_CAP = 1e8
 _RATIO_STARTS = 2  # ratio ascent runs from this many best family members: the log ratio is not concave
+_KKT_STEPS = 100  # Newton steps of one modular-split solve, per cell and for the Lagrange multiplier
 _PAIR_DESCENT_CELLS = 64  # two sup factors: a descent pass scores n^2 cells, 60 ms at n = 1024
 _UNCERTIFIED = "a factor norm is an estimate, so the factorization certifies no bound"
 # objectives may overflow, divide by 0 or multiply 0 by inf; the
@@ -548,17 +555,9 @@ def _balanced_factor(E: Lp, F: Lp, z: StepFunction) -> Optional[np.ndarray]:
     or with the sup side's factor at 1/cell_sup of its weight: optimal
     among cell-constant factors.  None when a cell mass or sup is not
     finite and positive."""
-    bp = z.space.breakpoints
-
-    def masses(S: Lp) -> np.ndarray:  # the cell masses of w^p, or the cell sups of w for p = inf
-        w = S.weight if S.weight is not None else PowerWeight(0.0, 1.0)
-        if math.isinf(S.p):
-            return w.cell_sup(bp[:-1], bp[1:])
-        return np.array([w.cell_integral_pow(a, b, S.p) for a, b in zip(bp[:-1], bp[1:])])
-
     try:
-        W1, W2 = masses(E), masses(F)
-    except (NonIntegrableWeight, ArithmeticError):
+        W1, W2 = _cell_masses(E, z.space), _cell_masses(F, z.space)
+    except ArithmeticError:
         return None
     if not (np.all(np.isfinite(W1)) and np.all(np.isfinite(W2)) and np.all(W1 > 0) and np.all(W2 > 0)):
         return None
@@ -678,6 +677,78 @@ def _sup_split(E, F, z: StepFunction, o: dict):
     return split
 
 
+def _modular_factor(O: OrliczCL, L: Lp, z: StepFunction) -> Optional[np.ndarray]:
+    """The x of least |z/x|_L on the modular ball of O, the gauge of c (t -
+    a)_+^r over L^1(u), L = L^q(w): a convex problem split by cell.  A cell
+    solves x^(q+1) (x - a)^(r-1) = R/nu, R = q m^F z^q / (c r m^E) (m^E, m^F
+    the cell masses of u and w^q), by Newton from right of the root in y =
+    log(x - a), on the convex, increasing g(y) = (q + r) y + (q + 1) log(1
+    + a e^-y); closed for r = 1 or a = 0.  Newton on s = -log nu, bisecting
+    where it leaves its bracket, zeroes the log modular.  None where a mass
+    on supp z is not finite and positive, or where the solve fails."""
+    phi, q, pos = O.phi, L.p, z.values > 0
+    m = np.array([_cell_masses(O.base, z.space), _cell_masses(L, z.space)])[:, pos]
+    if not np.all(np.isfinite(m) & (m > 0)):
+        return None
+    a, c, r = getattr(phi, "a", 0.0), phi.c, phi.p
+    la, lm = (math.log(a) if a > 0 else -math.inf), np.log(c * m[0])
+    lr = math.log(q / (c * r)) + np.log(m[1] / m[0]) + q * np.log(z.values[pos])  # log R
+
+    def slope(y):  # g'(y) = (q + 1) (x - a)/x + r - 1
+        return (q + 1.0) / (1.0 + np.exp(la - y)) + r - 1.0
+
+    def level(s, y):  # y per cell at s (Newton from y), dy/ds = 1/g'(y), the log modular and its slope in s
+        t = lr + s
+        if r == 1.0 or a == 0.0:  # x = max(a, e^(t/(q+r))): a cell at a carries no modular
+            y = t / (q + r)
+            y = np.where(y > la, y + np.log(-np.expm1(la - y)), -math.inf)
+        else:
+            y = np.minimum(t / (q + r), (t - (q + 1.0) * la) / (r - 1.0)) if y is None else y  # g is above both asymptotes
+            for _ in range(_KKT_STEPS):
+                step = ((q + r) * y + (q + 1.0) * np.logaddexp(0.0, la - y) - t) / slope(y)
+                y = y - step
+                if np.abs(step).max() <= 1e-15 * max(1.0, np.abs(y).max()):
+                    break
+        dy, ly = 1.0 / slope(y), lm + r * y  # dy is +inf on a cell at a
+        top, live = ly.max(), ly > -math.inf
+        if not math.isfinite(top):
+            return y, dy, top, 0.0
+        e = np.exp(ly - top)
+        return y, dy, top + math.log(e.sum()), r * float(e[live] @ dy[live]) / float(e.sum())
+
+    ly = lm + r * lr / (q + r)  # from the root for a = 0, where the log modular is linear in s
+    s, y, lo, hi, width = -(q + r) / r * (ly.max() + math.log(np.exp(ly - ly.max()).sum())), None, -math.inf, math.inf, 1.0
+    with np.errstate(**_QUIET):
+        for _ in range(_KKT_STEPS):
+            y, dy, h, dh = level(s, y)
+            if abs(h) <= 1e-15:
+                break
+            lo, hi = (s, hi) if h < 0 else (lo, s)
+            nxt = s - h / dh if math.isfinite(h) and dh > 0 else math.nan
+            if not lo < nxt < hi:  # bisect, or widen where no modular (each r = 1 cell at a) or an overflow bounds it
+                nxt, width = (0.5 * (lo + hi), width) if math.isfinite(lo + hi) else (s + math.copysign(width, -h), 2.0 * width)
+            if nxt in (s, lo, hi):  # no float left between the ends
+                break
+            y, s = y + (nxt - s) * dy, nxt  # y is concave in s: its tangent starts right of the root
+        else:
+            h = math.nan
+        x = np.zeros_like(z.values)
+        x[pos] = a + np.exp(y - h / r)  # modular 1, off the optimum only to second order in h
+        mod = float(m[0] @ phi._eval(x[pos]))  # not 1 where x - a is below the resolution of x's floats
+    return x if abs(h) <= 1e-8 and abs(mod - 1.0) <= 1e-9 and np.all(np.isfinite(z.values[pos] / x[pos])) else None
+
+
+def _modular_split(E, F, z: StepFunction):
+    """E ⊙ F for a gauge of c (t - a)_+^r over L^1(u) and L^q(w), q finite,
+    in either order: the ``_bound`` of ``_modular_factor``'s split."""
+    for i, (O, L) in enumerate(((E, F), (F, E))):
+        gauge = isinstance(O, OrliczCL) and isinstance(O.phi, (ShiftedPower, Power)) and isinstance(O.base, Lp) and O.base.p == 1.0
+        x = _modular_factor(O, L, z) if gauge and isinstance(L, Lp) and math.isfinite(L.p) else None
+        if x is not None:
+            pair = (z.with_values(x), _safe_quotient(z, z.with_values(x)))
+            return _bound(E, F, "constructive", *(pair if i == 0 else pair[::-1]))
+
+
 # ---------------------------------------------------------------------------
 # public operations
 # ---------------------------------------------------------------------------
@@ -695,7 +766,7 @@ def product_norm(
         wit = _zero_witness(z)
         return NormResult(0.0, "exact", wit), wit
     Ec, Fc = canonical(E), canonical(F)
-    hit = _closed_form(Ec, Fc, z) or _sup_split(Ec, Fc, z, o)
+    hit = _closed_form(Ec, Fc, z) or _sup_split(Ec, Fc, z, o) or _modular_split(Ec, Fc, z)
     return hit if hit is not None else _bound(Ec, Fc, "optimizer", *_optimize_product(Ec, Fc, z, o))
 
 
@@ -773,6 +844,8 @@ def _default_test_family(mspace: MeasureSpace, m_vals: np.ndarray) -> list:
         # on sequences a unit vector at the largest multiplier cell
         # attains sup |m y|_F / |y|_E for l^p into l^q, q >= p
         out.append(np.eye(1, n, int(np.argmax(m_vals)))[0])
+    if n > 1:  # every other member lives on the first cell, where a space may be +inf on every function
+        out.append(np.r_[0.0, np.ones(n - 1)])
     return out
 
 
@@ -814,11 +887,6 @@ def _ratio_ascent(E, F, m: StepFunction, family: Sequence[np.ndarray], o: dict, 
     return math.inf if best >= _RATIO_CAP else best
 
 
-def _power_exponent(space) -> Optional[float]:
-    pw = simplify_power(space.phi) if hasattr(space, "phi") else None
-    return pw.alpha if pw is not None else None
-
-
 def _zero_or_inf(m: StepFunction, note: str) -> NormResult:
     """The multiplier norm of a space that admits no nonzero multipliers."""
     if float(np.max(m.values, initial=0.0)) == 0.0:
@@ -852,44 +920,25 @@ def _multiplier_table(E, F, m: StepFunction) -> Optional[NormResult]:
 
 
 def _multiplier_identification(E, F, m: StepFunction) -> Optional[NormResult]:
-    """Power-weight Lorentz/Marcinkiewicz identifications (approximate)."""
-    aE = _power_exponent(E) if isinstance(E, (LorentzLambda, Marcinkiewicz)) else None
-    aF = _power_exponent(F) if isinstance(F, (LorentzLambda, Marcinkiewicz)) else None
-    if aE is None or aF is None:
+    """Power-weight Lorentz/Marcinkiewicz identifications (approximate):
+    Lambda into Lambda and M into M as M* of the weight ratio, M into
+    Lambda as Lambda of it."""
+    pe, pf = (simplify_power(S.phi) if isinstance(S, (LorentzLambda, Marcinkiewicz)) else None for S in (E, F))
+    if pe is None or pf is None or (type(E) is not type(F) and isinstance(E, LorentzLambda)):
         return None
-    coefE = simplify_power(E.phi).coef
-    coefF = simplify_power(F.phi).coef
-    diff = aF - aE
-    ratio_w = PowerWeight(diff, coefF / coefE)
-    if isinstance(E, LorentzLambda) and isinstance(F, LorentzLambda):
-        if diff < 0:
-            return _zero_or_inf(m, "weight ratio unbounded near zero")
-        val = norm(MarcinkiewiczStar(ratio_w), m)
-        lo_const = aE if aE > 0 else None
-        notes = ("identified with the sup-form Marcinkiewicz space of the weight ratio",)
-        if lo_const:
-            notes = notes + (f"two-sided constants (1, {1.0 / lo_const:g})",)
-        return NormResult(val.value, "estimate", None, notes)
-    if isinstance(E, Marcinkiewicz) and isinstance(F, LorentzLambda):
+    diff = pf.alpha - pe.alpha
+    ratio_w = PowerWeight(diff, pf.coef / pe.coef)
+    if type(E) is not type(F):
         if diff <= 0:
             return _zero_or_inf(m, "weight ratio not increasing")
-        val = norm(LorentzLambda(ratio_w), m)
-        notes = (
-            "identified with the Lorentz space of the weight ratio",
-            f"two-sided constants (1, {1.0 / diff:g})",
-        )
-        return NormResult(val.value, "estimate", None, notes)
-    if isinstance(E, Marcinkiewicz) and isinstance(F, Marcinkiewicz):
+        target, notes = LorentzLambda(ratio_w), ("identified with the Lorentz space of the weight ratio", f"two-sided constants (1, {1.0 / diff:g})")
+    else:
         if diff < 0:
             return _zero_or_inf(m, "weight ratio unbounded near zero")
-        val = norm(MarcinkiewiczStar(ratio_w), m)
-        return NormResult(
-            val.value,
-            "estimate",
-            None,
-            ("identified with the sup-form Marcinkiewicz space of the weight ratio",),
-        )
-    return None
+        target, notes = MarcinkiewiczStar(ratio_w), ("identified with the sup-form Marcinkiewicz space of the weight ratio",)
+        if isinstance(E, LorentzLambda) and pe.alpha > 0:
+            notes += (f"two-sided constants (1, {1.0 / pe.alpha:g})",)
+    return NormResult(norm(target, m).value, "estimate", None, notes)
 
 
 def multiplier_norm(

@@ -649,6 +649,24 @@ def _singular_at_zero(v: np.ndarray) -> float:
     return _out(np.where((v > 0).any(-1), math.inf, 0.0))
 
 
+def _cell_masses(space: Lp, mspace: MeasureSpace) -> np.ndarray:
+    """What a Lebesgue kernel weighs ``v^p`` by in each cell: the widths,
+    or the integral of ``w^p`` over the cell (+inf where it is not
+    finite); for p = inf, the cell sups of w (1 unweighted)."""
+    w, bp = space.weight, mspace.breakpoints
+    if math.isinf(space.p):
+        return (w or PowerWeight(0.0)).cell_sup(bp[:-1], bp[1:])
+    if w is None:
+        return mspace.widths
+    out = []
+    for a, b in zip(bp[:-1], bp[1:]):
+        try:
+            out.append(w.cell_integral_pow(a, b, space.p))
+        except NonIntegrableWeight:
+            out.append(math.inf)
+    return np.asarray(out)
+
+
 def _trunc_notes(mspace: MeasureSpace) -> tuple:
     tr = mspace.truncation()
     if tr is None:
@@ -682,14 +700,7 @@ def _compile(space: SpaceDescriptor, mspace: MeasureSpace) -> Optional[_Compiled
                 return nrm, _lp_slope(v, wd, p, _col(nrm))
 
             return _CompiledNorm(_lp_plain, "exact", tn, grad=_lp_plain_grad)
-        cell_w = []
-        exact = simplify_power(w) is not None
-        for a, b in zip(bp0[:-1], bp0[1:]):
-            try:
-                cell_w.append(w.cell_integral_pow(a, b, p))
-            except NonIntegrableWeight:
-                cell_w.append(math.inf)
-        cell_w = np.asarray(cell_w)
+        cell_w, exact = _cell_masses(space, mspace), simplify_power(w) is not None
 
         def _lp_weighted(v, p=p, cw=cell_w):
             # a batch is summed over the live cells of its first row, so

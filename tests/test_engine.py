@@ -271,6 +271,8 @@ _SUP_PAIRS = {
     "lemma4_calderon",
     "mixed_lambda_wsup",
 }
+# a shifted-power gauge over L^1 with a Lebesgue partner: product_norm solves its Lagrange conditions, so the oracle checks the optimizer directly
+_MODULAR_PAIRS = {"orlicz_pair", "fd_orlicz_cubic"}
 # a sup pair whose partner is no lattice norm: product_norm runs the split and the optimizer, and keeps the lower
 _SPLIT_OR_OPTIMIZER = {"generic_lambda_mstar"}
 _GRIDS = {"unit16": lambda: unit_interval(16), "half16": lambda: half_line(16), "unit8": lambda: unit_interval(8)}
@@ -292,10 +294,11 @@ def _pair_profile(pair, grid):
 def test_product_norm_is_never_above_the_serial_oracle(monkeypatch, pair, grid):
     E, F = THEOREM_PAIRS[pair]
     z = _pair_profile(pair, grid)
-    run = _optimizer_product if pair in _SUP_PAIRS else product_norm
+    constructive = pair in _SUP_PAIRS or pair in _MODULAR_PAIRS
+    run = _optimizer_product if constructive else product_norm
     methods = ("optimizer", "constructive") if pair in _SPLIT_OR_OPTIMIZER else ("optimizer",)
     _never_above_the_oracle(monkeypatch, E, F, z, lambda: run(E, F, z, dict(_FAST)), methods)
-    if pair in _SUP_PAIRS:
+    if constructive:
         assert product_norm(E, F, z)[1].method == "constructive"
 
 
@@ -360,11 +363,12 @@ def test_every_m_lambda_product_of_a_suite_converges(monkeypatch, suite):
 
 
 def _sweeps_of(monkeypatch, pair, grid):
-    """``product_norm`` of a ``THEOREM_PAIRS`` pair on its profile: (result,
-    the number of ``_coordinate_descent`` calls it made)."""
+    """``product_norm``'s optimizer branch on a ``THEOREM_PAIRS`` pair and
+    its profile: (result, the number of ``_coordinate_descent`` calls it
+    made)."""
     calls, descent = [], P._coordinate_descent
     monkeypatch.setattr(P, "_coordinate_descent", lambda *a, **kw: calls.append(1) or descent(*a, **kw))
-    res, wit = product_norm(*THEOREM_PAIRS[pair], _pair_profile(pair, grid), dict(_FAST))
+    res, wit = _optimizer_product(*THEOREM_PAIRS[pair], _pair_profile(pair, grid), dict(_FAST))
     assert wit.method == "optimizer"
     return res, len(calls)
 
@@ -374,6 +378,8 @@ def test_bfgs_at_a_smooth_minimum_ends_the_run_without_a_sweep(monkeypatch):
     # gradient, the evidence a converged coordinate sweep would give
     res, sweeps = _sweeps_of(monkeypatch, "orlicz_pair", "unit8")
     assert (res.kind, sweeps) == ("upper_bound", 0)
+    # product_norm itself solves the pair's Lagrange conditions
+    assert product_norm(*THEOREM_PAIRS["orlicz_pair"], _pair_profile("orlicz_pair", "unit8"))[1].method == "constructive"
 
 
 @pytest.mark.parametrize("grid", ["half16", "unit16"])

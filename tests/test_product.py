@@ -613,6 +613,15 @@ def test_dual_norm_numeric_cross_checks_the_table():
     assert any("numeric ascent lower bound" in n for n in res.notes)
 
 
+def test_dual_norm_numeric_sees_a_space_that_is_infinite_on_the_first_cell():
+    # w^2 = t^-1.6 is not integrable on the first cell, so every function
+    # alive there has norm +inf: the family's member off that cell starts the ascent
+    y = StepFunction(unit_interval(8), np.random.default_rng(0).uniform(0.1, 2.0, 8))
+    res = dual_norm_numeric(Lp(2.0, PowerWeight(-0.8)), y)
+    lower = float(next(n for n in res.notes if n.startswith("numeric ascent lower bound")).split()[4])
+    assert 0.0 < lower <= res.value * (1.0 + 1e-12)
+
+
 def test_dual_norm_numeric_without_table_entry():
     # The ball of the weighted sup space is separable per cell, so the
     # discrete dual norm has the closed form sum of y_i w_i / sup_w(i).

@@ -38,7 +38,7 @@ from bfslab import (
     norm_evaluator,
     unit_interval,
 )
-from bfslab.spaces import _luxemburg_value
+from bfslab.spaces import _luxemburg_value, canonical
 
 GRIDS = [("counting", n) for n in (1, 3, 16, 1024)] + [(kind, n) for kind in ("unit", "half") for n in (4, 16, 257, 1024)]
 SHAPES = ("random", "zeros", "ties", "constant", "one_cell", "under_shift", "spread")
@@ -140,9 +140,11 @@ def _run(case):
         z = np.sort(rng.uniform(0.5, 1.5, 16) * np.maximum(ms.breakpoints[1:], 0.5) ** -0.3)[::-1]
         res, wit = product.product_norm(Marcinkiewicz(PowerWeight(0.3)), LorentzLambda(PowerWeight(0.4)), StepFunction(ms, z))
     elif case == "orlicz_pair":
-        z = np.sort(np.random.default_rng(1).uniform(0.2, 3.0, 8))[::-1]
-        E = OrliczCL(Lp(1.0), ShiftedPower(0.4, 1.0, 2.0))
-        res, wit = product.product_norm(E, square, StepFunction(unit_interval(8), z), opts=opts)
+        # product_norm's optimizer branch: product_norm itself solves this pair's Lagrange conditions
+        z = StepFunction(unit_interval(8), np.sort(np.random.default_rng(1).uniform(0.2, 3.0, 8))[::-1])
+        E, F = OrliczCL(Lp(1.0), ShiftedPower(0.4, 1.0, 2.0)), canonical(square)
+        assert product.product_norm(E, square, z)[1].method == "constructive"
+        res, wit = product._bound(E, F, "optimizer", *product._optimize_product(E, F, z, product._merge_opts(opts)))
     else:  # theorem 6's shifted gauge into a weighted sup: the ratio ascent ends at a kink, and polishes
         ms = unit_interval(8)
         m = StepFunction(ms, rng.uniform(0.2, 2.0, ms.n_cells))

@@ -347,9 +347,13 @@ def test_power_pairs_run_no_scan(monkeypatch):
 
 def _stationary_value(c, p, c1, q):
     # sup_v c v^p - c1 v^q at u = 1, from its stationary point
-    # p c v^p = q c1 v^q, that is v^(q-p) = p c / (q c1)
-    v = (p * c / (q * c1)) ** (1.0 / (q - p))
-    return c * v**p - c1 * v**q
+    # p c v^p = q c1 v^q, that is v^(q-p) = p c / (q c1); +inf where a
+    # float power overflows, which the caller's range check discards
+    try:
+        v = (p * c / (q * c1)) ** (1.0 / (q - p))
+        return c * v**p - c1 * v**q
+    except OverflowError:
+        return math.inf
 
 
 def _brute_sup(c, p, c1, q):

@@ -4,12 +4,13 @@ The product norm ``inf { |x|_E |y|_F : z = x y }`` has a closed form
 where ``canonical`` rewrites ``Product(E, F)`` by an exact identity
 (``spaces._product_rule``): the value is the norm of the rewritten
 space, and the witness splits z by the exponent share the rule reports.
-A sup-type factor (a weighted sup, or M*_psi with psi = c t^a, a >= 0)
-has a largest y of norm 1 in each cell order, 1/psi(T), T the measure up
-to each cell: the split is z = (z psi(T)) (1/psi(T)) in the cell order a
-descent over adjacent swaps reaches from z's decreasing order.  That
-split is least only where its partner is a lattice norm; where the
-partner is a Lorentz space whose weight fails the quasi-concavity check
+A sup-type factor (a weighted sup w, or M*_w for any w) has a largest y
+of norm 1 in each cell order, 1/L, L w's cell sups (for M*, their running
+max along the order: w(T) for w = c t^a, a >= 0, T the measure up to
+each cell): the split is z = (z L) (1/L) in the cell order a descent
+over adjacent swaps reaches from z's decreasing order.  That split is
+least only where its partner is a lattice norm; where the partner is a
+Lorentz space whose weight fails the quasi-concavity check
 (``_log_convex``), the optimizer also runs and the lower bound wins.
 The gauge of c (t - a)_+^r over L^1(u) against L^q(w), q finite, needs
 no optimizer either: min |z/x|_q over the modular ball is convex and
@@ -27,13 +28,13 @@ with golden line searches takes over from its end point, and hands back
 to BFGS while it still moves; the run has then converged once a
 coordinate sweep gains at most ``_SWEEP_RTOL``.  One run starts from the
 best seed, scored in one batched objective call; where a factor is no
-lattice norm (M*_phi, say) J may have several local minima, and every
-seed starts a run.  The gradient comes from the kernels' exact
+lattice norm (a convexified M*_phi, say) J may have several local
+minima, and every seed starts a run.  The gradient comes from the kernels' exact
 subgradients (``_CompiledNorm.grad``), or from forward differences for a
 kernel without one.  Where both kernels take a decreasing profile
-(``_CompiledNorm.profile``: Lambda_phi, and Lambda_{phi,p}, M_phi and
-M*_phi for a power phi), an objective call sorts x and y as one stack
-and hands each kernel its half, for values and gradients alike.  A
+(``_CompiledNorm.profile``: Lambda_phi, Lambda_{phi,p}, M_phi, M*_phi),
+an objective call sorts x and y as one stack and hands each kernel its
+half, for values and gradients alike.  A
 numeric result is an upper bound certified by its witness pair, whose
 norms are recomputed through the public norm evaluators, unless a
 factor norm is only an estimate or the optimizer stopped on its budget:
@@ -588,37 +589,40 @@ def _bound(E, F, method, x, y, converged=True, notes=()):
 
 
 def _sup_kind(S):
-    """(w, None) for a sup weighted by w, (None, c t^a) for M*_{c t^a}, a >= 0:
-    the sup-type factors, with a largest y of norm 1 (per cell order); else None."""
-    w = S.phi if isinstance(S, LInftyWeighted) else S.weight if isinstance(S, Lp) and math.isinf(S.p) else None
-    pw = simplify_power(S.phi) if isinstance(S, MarcinkiewiczStar) else None
-    return (w, None) if w is not None else (None, pw) if pw is not None and pw.alpha >= 0.0 else None
+    """(w, ordered) for the sup-type factors, with a largest y of norm 1 per
+    cell order: a sup weighted by w (False) and M*_w, any w (True); else None."""
+    w = S.phi if isinstance(S, (LInftyWeighted, MarcinkiewiczStar)) else S.weight if isinstance(S, Lp) and math.isinf(S.p) else None
+    return None if w is None else (w, isinstance(S, MarcinkiewiczStar))
 
 
 def _sup_levels(kind, P, z: StepFunction, descend: bool):
     """(|z l|_P, l) for a sup-type factor of ``_sup_kind`` ``kind``: y = 1/l
     is its largest y of norm 1 in y's cell order, so x = z l is the least x
-    there (P is a lattice norm).  l is a weighted sup's cell sups, or c T^a
-    for M*_{c t^a}, T the cumulative widths in a cell order: z's decreasing
-    one (the comonotone split), then, if ``descend``, a local minimum over
-    adjacent swaps.  A pass scores every swap in one call of P's kernel and
-    takes all disjoint improving ones where that beats the best alone."""
-    (w, pw), fn, v, pos, bp = kind, _norm_fn(P, z.space).fn, z.values, z.values > 0, z.space.breakpoints
-    if w is not None:
+    there (P is a lattice norm).  l is w's cell sups, for M*_w their running
+    max in a cell order (c T^a for w = c t^a, a >= 0, T the cumulative
+    widths): z's decreasing one (the comonotone split), then, if ``descend``,
+    a local minimum over adjacent swaps.  A pass scores every swap in one
+    call of P's kernel and takes all disjoint improving ones where that
+    beats the best alone."""
+    (w, ordered), fn, v, pos, bp = kind, _norm_fn(P, z.space).fn, z.values, z.values > 0, z.space.breakpoints
+    if not ordered:
         lv = np.where(pos, w.cell_sup(bp[:-1], bp[1:]), 0.0)
         return fn(v * lv), lv
 
-    def levels(O):  # l per row for the cell orders in the rows of O
+    def score(O):  # (|z l|_P, l) per row, l for the cell orders in the rows of O
+        T = np.cumsum(z.space.widths[O], axis=1)  # cell ends, contiguous: a strided power costs more
+        sups = w.cell_sup(np.concatenate((np.zeros((len(O), 1)), T[:, :-1]), axis=1), T)
         L = np.zeros((len(O), v.size))
-        L[np.arange(len(O))[:, None], O] = pw.coef * np.cumsum(z.space.widths[O], axis=1) ** pw.alpha
-        return L
+        L[np.arange(len(O))[:, None], O] = np.maximum.accumulate(sups, axis=1)
+        return fn(v * L), L
 
     order = np.flatnonzero(pos)[np.argsort(-v[pos], kind="stable")][None]
-    cur, r = fn(v * levels(order))[0], np.arange(order.size - 1)
+    (cur,), L = score(order)
+    r = np.arange(order.size - 1)
     while descend and r.size:
         O = np.repeat(order, r.size, axis=0)
         O[r, r], O[r, r + 1] = order[0, 1:], order[0, :-1]
-        f = fn(v * levels(O))
+        f, LO = score(O)
         better, free, take = np.flatnonzero(f < cur), np.ones(r.size + 2, bool), []
         for i in better[np.argsort(f[better], kind="stable")].tolist():
             if free[i] and free[i + 1]:
@@ -628,9 +632,9 @@ def _sup_levels(kind, P, z: StepFunction, descend: bool):
             break
         t, both = np.array(take), order.copy()
         both[0, t], both[0, t + 1] = order[0, t + 1], order[0, t]
-        f_both = fn(v * levels(both))[0] if t.size > 1 else math.inf
-        order, cur = (both, f_both) if f_both < f[t[0]] else (O[t[:1]], f[t[0]])
-    return cur, levels(order)[0]
+        (f_both,), Lb = score(both) if t.size > 1 else ((math.inf,), None)
+        order, cur, L = (both, f_both, Lb) if f_both < f[t[0]] else (O[t[:1]], f[t[0]], LO[t[:1]])
+    return cur, L[0]
 
 
 def _closed_form(E, F, z: StepFunction):
@@ -656,11 +660,11 @@ def _closed_form(E, F, z: StepFunction):
 
 
 def _sup_split(E, F, z: StepFunction, o: dict):
-    """E ⊙ F with a sup-type factor: the ``_bound`` of its split, with two
-    the lower of both (which descend on at most ``_PAIR_DESCENT_CELLS``
-    cells).  Where the partner is a Lorentz space that fails
-    ``_log_convex`` (no lattice norm), the optimizer's bound if lower.
-    None where no levels are finite and positive on supp z."""
+    """E ⊙ F with a sup-type factor (M*_w for any w): the ``_bound`` of its
+    ``_sup_levels`` split, with two the lower of both (which descend on at
+    most ``_PAIR_DESCENT_CELLS`` cells).  Where the partner is a Lorentz
+    space that fails ``_log_convex`` (no lattice norm), the optimizer's
+    bound if lower.  None where no levels are finite and positive on supp z."""
     pos, kinds = z.values > 0, (_sup_kind(E), _sup_kind(F))
     descend = None in kinds or np.count_nonzero(pos) <= _PAIR_DESCENT_CELLS
     hits = [_sup_levels(k, P, z, descend) + (i,) for i, (k, P) in enumerate(zip(kinds, (F, E))) if k is not None]

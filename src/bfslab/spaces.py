@@ -8,8 +8,8 @@ kernels, while composite descriptors (``Product``, ``Multiplier``,
 :mod:`bfslab.product`.  A Lorentz or Marcinkiewicz kernel reads the
 decreasing profile of x; its weight enters only through a per-cell
 table over the profile's breakpoints, picked at compile time: a closed
-form for a pure power (exact), else quadrature or cell suprema (an
-estimate).
+form for a pure power (exact), else quadrature (an estimate) or cell
+suprema (exact for a tree of powers or a ``PowerLogWeight``).
 
 Conventions baked into the evaluators:
 
@@ -22,10 +22,10 @@ Conventions baked into the evaluators:
   for a weight that is not a power, ``phi^p / t`` is integrated on
   each cell by the fixed-order rule of ``cell_integral_pow``.
 * Marcinkiewicz norms take the sup of ``phi * x**`` (or ``phi * x*``
-  for the starred variant) over the grid; for power ``phi`` the sup on
-  each cell is attained at an endpoint, so the value is exact.  For
-  any other weight, M*_phi takes ``phi.cell_sup`` of each cell and
-  M_phi samples ten points a cell.
+  for the starred variant) over the grid.  M*_phi takes
+  ``phi.cell_sup`` of each cell of the profile, for every weight.  M_phi
+  takes each cell's right end for a power ``phi``, where the sup on a
+  cell is attained, and samples ten points a cell otherwise.
 
 Each norm has one kernel.  ``canonical`` rewrites a descriptor onto
 the kernel's form through these identities, all exact on step
@@ -729,8 +729,8 @@ def _compile(space: SpaceDescriptor, mspace: MeasureSpace) -> Optional[_Compiled
 
     if isinstance(space, (LorentzLambda, LorentzLambdaP, Marcinkiewicz, MarcinkiewiczStar, LInftyWeighted)):
         phi, pw = space.phi, simplify_power(space.phi)
-        # how M*_phi and the weighted sup take phi's sup over a cell, phi no power
-        sup_note = "cell suprema at stationary points" if isinstance(phi, PowerLogWeight) else "cell suprema sampled"
+        # M*_phi and the weighted sup are exact where phi.cell_sup is: a power tree, or a PowerLogWeight
+        sup_kind = ("exact", tn) if pw is not None or isinstance(phi, PowerLogWeight) else ("estimate", tn + ("cell suprema sampled",))
         if pw is not None and pw.alpha < 0.0 and isinstance(space, (LorentzLambda, Marcinkiewicz, MarcinkiewiczStar)):
             return _CompiledNorm(_singular_at_zero, "exact", tn + ("weight singular at 0",))
 
@@ -873,17 +873,10 @@ def _compile(space: SpaceDescriptor, mspace: MeasureSpace) -> Optional[_Compiled
         return _CompiledNorm(_marc, "exact", tn, profile=True, grad=_profile_grad(_marc_valgrad, widths))
 
     if isinstance(space, MarcinkiewiczStar):
-        if pw is not None:
 
-            def levels(v, bp, coef=pw.coef, alpha=pw.alpha):
-                # phi's sup over each cell of the decreasing profile, at its right end
-                return coef * bp[..., 1:] ** alpha
-
-        else:
-
-            def levels(v, bp, phi=phi):
-                # dead cells count as 0, below every live v * sup, as in _wsup
-                return np.where(v > 0, phi.cell_sup(bp[..., :-1], bp[..., 1:]), 0.0)
+        def levels(v, bp, phi=phi):
+            # phi's sup over each profile cell; dead cells count as 0, below every live v * sup, as in _wsup
+            return np.where(v > 0, phi.cell_sup(bp[..., :-1], bp[..., 1:]), 0.0)
 
         def _mstar(v, wd=widths):
             v, _, bp, _ = _profile(v, wd)
@@ -894,12 +887,10 @@ def _compile(space: SpaceDescriptor, mspace: MeasureSpace) -> Optional[_Compiled
             cand = prof[0] * c
             return _out(np.maximum.reduce(cand, -1, initial=0.0)), _at_max(cand, c)  # the arg-max cell
 
-        kind, notes = ("exact", tn) if pw is not None else ("estimate", tn + (sup_note,))
-        return _CompiledNorm(_mstar, kind, notes, profile=True, grad=_profile_grad(_mstar_valgrad, widths))
+        return _CompiledNorm(_mstar, *sup_kind, profile=True, grad=_profile_grad(_mstar_valgrad, widths))
 
     if isinstance(space, LInftyWeighted):
         sups = phi.cell_sup(bp0[:-1], bp0[1:])
-        kind, notes = ("exact", tn) if pw is not None else ("estimate", tn + (sup_note,))
 
         def _wsup(v, s=sups):
             # dead cells count as 0, below every live v * s; masking s
@@ -910,7 +901,7 @@ def _compile(space: SpaceDescriptor, mspace: MeasureSpace) -> Optional[_Compiled
             live_s = np.where(v > 0, s, 0.0)
             return _wsup(v), _at_max(v * live_s, live_s)
 
-        return _CompiledNorm(_wsup, kind, notes, grad=_wsup_grad)
+        return _CompiledNorm(_wsup, *sup_kind, grad=_wsup_grad)
 
     if isinstance(space, OrliczCL):
         basec = norm_evaluator(space.base, mspace)

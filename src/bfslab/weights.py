@@ -81,10 +81,13 @@ class _WeightBase:
         return float(half * np.dot(wts, vals))
 
     def cell_sup(self, a, b):
-        """Supremum of the weight over ``[a, b]``, sampled: endpoints (a
-        only where a > 0), eight interior points and the potential kink
-        at t = 1.  ``a`` and ``b`` are floats, or arrays of cell ends
-        with one sup per cell."""
+        """Supremum of the weight over ``[a, b]``: exact for a tree of powers
+        (``simplify_power``), else sampled at the endpoints (a only where
+        a > 0), eight interior points and the potential kink at t = 1.
+        ``a`` and ``b`` are floats, or arrays of cell ends, one sup each."""
+        pw = simplify_power(self)
+        if pw is not None:
+            return pw.cell_sup(a, b)
         a, b = np.asarray(a, dtype=float)[..., None], np.asarray(b, dtype=float)[..., None]
         kink = np.where((a < 1.0) & (1.0 < b), 1.0, b)
         t = np.concatenate((np.where(a > 0, a, b), b, a + (b - a) * np.arange(1.0, 9.0) / 9.0, kink), -1)
@@ -142,8 +145,10 @@ class PowerWeight(_WeightBase):
         return c * (b ** (q + 1.0) - ap) / (q + 1.0)
 
     def cell_sup(self, a, b):
-        # monotone: the sup is at an end, where t = 0 gives the limit (0, coef or +inf)
-        return self(b if self.alpha >= 0 else a)
+        # monotone: the sup is at an end, where t = 0 gives the limit (0, coef or +inf); for
+        # alpha >= 0 the float ops of __call__ without its wrappers (b**0 is 1)
+        out = self(a) if self.alpha < 0 else self.coef * np.asarray(b, dtype=float) ** self.alpha
+        return out if np.ndim(out) else float(out)
 
 
 @dataclass(frozen=True)

@@ -43,7 +43,7 @@ from bfslab import (
     unit_interval,
 )
 from bfslab import spaces as S
-from bfslab.weights import NonIntegrableWeight, PowerLogWeight, WeightProduct
+from bfslab.weights import NonIntegrableWeight, PowerLogWeight, WeightProduct, WeightRatio
 
 PW = PowerWeight
 PLW = PowerLogWeight(0.5, 1.0)
@@ -387,6 +387,40 @@ def test_cell_sups_of_arrays_match_per_cell_calls(kind, n):
             for a, b, s in zip(bp[1:-1], bp[2:], sups[1:]):
                 dense = np.max(w(np.geomspace(a, b, 4001)))
                 assert dense <= s * (1.0 + 1e-12) and s <= dense * (1.0 + 1e-6), (w, a, b)
+
+
+# weights whose cell_sup is exact: power atoms and trees of them, and PowerLogWeight
+EXACT_SUP_WEIGHTS = {
+    "power": PW(0.4, 1.5),
+    "flat": PW(0.0, 2.0),
+    "power_tree": WeightProduct(PW(0.6), WeightRatio(PW(0.2, 2.0), PW(0.5))),
+    "peak": PLW,
+    "rising": PowerLogWeight(0.3, 0.5),
+    "singular": PowerLogWeight(-0.3, 1.0),
+    "flat_log": PowerLogWeight(0.0, 1.0),
+}
+
+
+@pytest.mark.parametrize("kind, n", [("counting", 7), ("unit", 16), ("half", 16)])
+@pytest.mark.parametrize("weight", sorted(EXACT_SUP_WEIGHTS))
+def test_exact_cell_sups_make_the_sup_kernels_exact(kind, n, weight):
+    # cell_sup tops 2 x 10^4 samples of each cell, by at most 1e-6; on a cell
+    # touching 0 an infinite sup is a weight rising without bound towards 0.
+    # Then M*_phi and the weighted sup give the exact norm of a step function
+    ms, w = _grid(kind, n), EXACT_SUP_WEIGHTS[weight]
+    bp = ms.breakpoints
+    for a, b, s in zip(bp[:-1], bp[1:], w.cell_sup(bp[:-1], bp[1:])):
+        lo = a if a > 0 else b * 1e-12
+        dense = float(np.max(w(np.concatenate((np.linspace(lo, b, 10_000), np.geomspace(lo, b, 10_000))))))
+        if math.isinf(s):
+            assert a == 0.0 and w(b * 1e-12) > w(b * 1e-6) > w(b), (w, b)
+        else:
+            assert dense <= s * (1.0 + 1e-12) and s <= dense * (1.0 + 1e-6), (w, a, b, s, dense)
+    for space in (MarcinkiewiczStar(w), LInftyWeighted(w), Lp(math.inf, w)):
+        assert norm_evaluator(space, ms).kind == "exact", space
+    sampled = GENERIC_WEIGHTS["sampled"]
+    for space in (MarcinkiewiczStar(sampled), LInftyWeighted(sampled)):
+        assert norm_evaluator(space, ms).kind == "estimate", space
 
 
 def test_a_lorentz_weight_that_fails_quasi_concavity_is_an_estimate():

@@ -49,6 +49,7 @@ from bfslab import (
     modular,
     norm,
     norm_evaluator,
+    product_norm,
     rearrange,
     space_from_json,
     space_to_json,
@@ -56,7 +57,7 @@ from bfslab import (
     unit_interval,
     weak_lp,
 )
-from bfslab.weights import NonIntegrableWeight, PowerLogWeight, WeightProduct, WeightRatio
+from bfslab.weights import NonIntegrableWeight, PowerLogWeight, WeightProduct, WeightRatio, simplify_power
 
 
 def _random_step(rng, mspace, lo=0.1, hi=3.0):
@@ -699,7 +700,34 @@ def test_weighted_lp_infinity_is_linfty_weighted(grid, w):
     want = norm(LInftyWeighted(w), x)
     assert (got.value, got.kind, got.notes) == (want.value, want.kind, want.notes)
     if isinstance(w, PowerLogWeight):
-        assert got.kind == "estimate"
+        assert got.kind == "exact"  # PowerLogWeight.cell_sup is exact
+
+
+@pytest.mark.parametrize(
+    "tree",
+    [
+        WeightProduct(PowerWeight(-0.3), PowerWeight(0.1)),
+        WeightRatio(PowerWeight(0.1), PowerWeight(0.4, 2.0)),
+        WeightProduct(PowerWeight(0.2, 1.5), PowerWeight(0.3)),
+    ],
+    ids=["neg_product", "neg_ratio", "pos_product"],
+)
+def test_a_power_tree_takes_its_power_cell_sups(tree):
+    # a tree that simplifies to one power takes that power's cell sups, bit
+    # for bit: +inf on the first cell where the exponent is negative, where
+    # sampling read finite sups and a finite norm tagged exact
+    pw, ms = simplify_power(tree), unit_interval(16)
+    bp, one = ms.breakpoints, StepFunction(ms, np.ones(16))
+    assert np.array_equal(tree.cell_sup(bp[:-1], bp[1:]), pw.cell_sup(bp[:-1], bp[1:]))
+    assert tree.cell_sup(0.0, 0.5) == pw.cell_sup(0.0, 0.5)
+    assert np.array_equal(spaces._cell_masses(Lp(math.inf, tree), ms), spaces._cell_masses(Lp(math.inf, pw), ms))
+    for S in (LInftyWeighted, lambda w: Lp(math.inf, w)):
+        got, want = norm(S(tree), one), norm(S(pw), one)
+        assert (got.value, got.kind) == (want.value, want.kind)
+        assert got.kind == "exact" and (got.value == math.inf) == (pw.alpha < 0.0)
+    z = _random_step(np.random.default_rng(34), ms)
+    got, want = (product_norm(LorentzLambda(PowerWeight(0.5)), LInftyWeighted(w), z)[0] for w in (tree, pw))
+    assert (got.value, got.kind) == (want.value, want.kind)
 
 
 @pytest.mark.parametrize("grid", ["unit", "half"])

@@ -40,6 +40,9 @@ seeds, index tables, compiled kernels) sees the rewritten space:
 * For a pure power ``w``, the star of ``LInftyWeighted(w)`` or of
   ``Lp(inf, w)`` is ``MarcinkiewiczStar(w)`` and its doublestar is
   ``Marcinkiewicz(w)``.
+* The p-convexification of ``MarcinkiewiczStar(w)`` or of
+  ``LInftyWeighted(w)`` is the same space over ``w^(1/p)``, for a pure
+  power or a ``PowerLogWeight`` ``w``.
 * The products of canonical factors (``_product_rule``, with
   ``1/r = 1/p + 1/q`` and ``1/inf = 0``): ``L^inf ⊙ F = F`` for the
   unweighted ``L^inf``; ``Lp(p, u) ⊙ Lp(q, v) = Lp(r, u*v)`` for pure
@@ -338,6 +341,16 @@ def _weight_pow(w: Optional[Weight], r: float) -> Optional[Weight]:
     return PowerWeight(pw.alpha * r, pw.coef**r)
 
 
+def _weight_root(w: Weight, p: float) -> Optional[Weight]:
+    """w**(1/p) for pure powers (``_weight_pow``) and for a ``PowerLogWeight``
+    c t^a (1 + |log t|)^b, whose root is c^(1/p) t^(a/p) (1 + |log t|)^(b/p);
+    None otherwise.  ``_weight_pow`` itself stays power-only: its callers
+    rebuild a ``PowerWeight`` from its alpha and coef."""
+    if isinstance(w, PowerLogWeight):
+        return PowerLogWeight(w.alpha / p, w.beta / p, w.coef ** (1.0 / p))
+    return _weight_pow(w, 1.0 / p)
+
+
 def _weight_or_none(w: Optional[Weight]) -> Optional[Weight]:
     if w is not None and isinstance(w, PowerWeight) and w.alpha == 0.0 and w.coef == 1.0:
         return None
@@ -396,14 +409,11 @@ def canonical(space: SpaceDescriptor) -> SpaceDescriptor:
             w = _weight_pow(base.weight, 1.0 / p)
             if w is not None and new_p >= 1.0:
                 return Lp(new_p, _weight_or_none(w))
-        if isinstance(base, MarcinkiewiczStar):
-            w = _weight_pow(base.phi, 1.0 / p)
+        if isinstance(base, (MarcinkiewiczStar, LInftyWeighted)):
+            # sup (w x)^p is (sup w^(1/p) x)^p
+            w = _weight_root(base.phi, p)
             if w is not None:
-                return MarcinkiewiczStar(w)
-        if isinstance(base, LInftyWeighted):
-            w = _weight_pow(base.phi, 1.0 / p)
-            if w is not None:
-                return LInftyWeighted(w)
+                return type(base)(w)
         if isinstance(base, LorentzLambdaP):
             w = _weight_pow(base.phi, 1.0 / p)
             if w is not None:

@@ -33,6 +33,7 @@ from bfslab import (
     ShiftedPower,
     StepFunction,
     Symmetrization,
+    calderon_norm,
     counting,
     dual_norm_numeric,
     half_line,
@@ -213,7 +214,8 @@ def _both(monkeypatch, name, oracle, call):
 
 def _optimizer_product(E, F, z, opts):
     """``product_norm``'s optimizer branch, run directly: ``product_norm``
-    gives a pair with a sup-type factor the cell-order split instead."""
+    gives a pair with a sup-type factor the cell-order split instead, and
+    Λ ⊙ Λ or M ⊙ Λ the pooled split."""
     Ec, Fc = S.canonical(E), S.canonical(F)
     return P._bound(Ec, Fc, "optimizer", *P._optimize_product(Ec, Fc, z, P._merge_opts(opts)))
 
@@ -273,6 +275,8 @@ _SUP_PAIRS = {
 }
 # a shifted-power gauge over L^1 with a Lebesgue partner: product_norm solves its Lagrange conditions, so the oracle checks the optimizer directly
 _MODULAR_PAIRS = {"orlicz_pair", "fd_orlicz_cubic"}
+# Λ ⊙ Λ and M ⊙ Λ over powers: product_norm takes the pooled split its dual bound certifies, so the oracle checks the optimizer directly
+_POOLED_PAIRS = {"thm10_marc_lambda", "thm7_lambdap_lambdap"}
 # a sup pair whose partner is no lattice norm: product_norm runs the split and the optimizer, and keeps the lower
 _SPLIT_OR_OPTIMIZER = {"generic_lambda_mstar"}
 _GRIDS = {"unit16": lambda: unit_interval(16), "half16": lambda: half_line(16), "unit8": lambda: unit_interval(8)}
@@ -294,7 +298,7 @@ def _pair_profile(pair, grid):
 def test_product_norm_is_never_above_the_serial_oracle(monkeypatch, pair, grid):
     E, F = THEOREM_PAIRS[pair]
     z = _pair_profile(pair, grid)
-    constructive = pair in _SUP_PAIRS or pair in _MODULAR_PAIRS
+    constructive = pair in _SUP_PAIRS or pair in _MODULAR_PAIRS or pair in _POOLED_PAIRS
     run = _optimizer_product if constructive else product_norm
     methods = ("optimizer", "constructive") if pair in _SPLIT_OR_OPTIMIZER else ("optimizer",)
     _never_above_the_oracle(monkeypatch, E, F, z, lambda: run(E, F, z, dict(_FAST)), methods)
@@ -331,6 +335,17 @@ def test_a_non_power_mstar_pair_is_never_above_the_serial_oracle(monkeypatch):
     assert res.value <= opt.value * (1.0 + 1e-12), (res.value, opt.value)
 
 
+def test_the_calderon_space_of_a_non_power_mstar_takes_the_sup_split():
+    # canonical rewrites the 2-convexification of M*_ψ as M*_{ψ^(1/2)} for
+    # a PowerLogWeight ψ too, so the convexified pair is a sup pair
+    E, F = LorentzLambda(PW(0.5)), MarcinkiewiczStar(PowerLogWeight(0.3, 0.5))
+    z = StepFunction(unit_interval(16), np.exp(-0.25 * np.arange(16)) * (1 + 0.5 * np.sin(np.arange(16))))
+    res = calderon_norm(E, F, 0.5, z, opts=dict(_FAST))
+    assert res.witness.method == "constructive" and res.kind == "upper_bound"
+    opt = _optimizer_product(Convexification(E, 2.0), Convexification(F, 2.0), z, dict(_FAST))[0]
+    assert res.value <= opt.value * (1.0 + 1e-12), (res.value, opt.value)
+
+
 def _dead_cells_never_above_the_oracle(monkeypatch, E, F):
     ms = counting(12)
     vals = _profile(ms, seed=3).values.copy()
@@ -348,21 +363,33 @@ def test_a_profile_pair_with_dead_cells_is_never_above_the_serial_oracle(monkeyp
     _dead_cells_never_above_the_oracle(monkeypatch, LorentzLambda(PW(0.5)), MarcinkiewiczStar(PW(0.3)))
 
 
-@pytest.mark.parametrize("suite", ["theorem10", "example3_4"])
-def test_every_m_lambda_product_of_a_suite_converges(monkeypatch, suite):
-    # M ⊙ Λ ends where M_φ's sup ties over several prefixes and BFGS
-    # crawls: coordinate descent carries each run on to the tolerance
-    kinds, bound = [], P._bound
+def _m_lambda_methods(monkeypatch, suite):
+    """Run ``suite`` and return (method, kind) of each of its M ⊙ Λ bounds."""
+    seen, bound = [], P._bound
 
     def recorded(E, F, method, *args, **kw):
         res, wit = bound(E, F, method, *args, **kw)
-        if method == "optimizer" and isinstance(E, Marcinkiewicz) and isinstance(F, LorentzLambda):
-            kinds.append(res.kind)
+        if isinstance(E, Marcinkiewicz) and isinstance(F, LorentzLambda):
+            seen.append((method, res.kind))
         return res, wit
 
-    monkeypatch.setattr(P, "_bound", recorded)
-    assert run_suite(suite, seed=7).passed
-    assert kinds and set(kinds) == {"upper_bound"}
+    with monkeypatch.context() as m:
+        m.setattr(P, "_bound", recorded)
+        assert run_suite(suite, seed=7).passed
+    return seen
+
+
+@pytest.mark.parametrize("suite", ["theorem10", "example3_4"])
+def test_every_m_lambda_product_of_a_suite_converges(monkeypatch, suite):
+    # M ⊙ Λ ends where M_φ's sup ties over several prefixes and BFGS
+    # crawls: coordinate descent carries each run on to the tolerance;
+    # without the pooled split, every such product runs the optimizer
+    with monkeypatch.context() as m:
+        m.setattr(P, "_pooled_split", lambda E, F, z: None)
+        kinds = _m_lambda_methods(monkeypatch, suite)
+    assert kinds and set(kinds) == {("optimizer", "upper_bound")}
+    # product_norm itself takes the pooled split on every one
+    assert set(_m_lambda_methods(monkeypatch, suite)) == {("constructive", "upper_bound")}
 
 
 def _sweeps_of(monkeypatch, pair, grid):
@@ -457,22 +484,28 @@ def test_one_sweep_stays_an_estimate_and_is_never_above_the_oracle(monkeypatch):
     E, F = LorentzLambdaP(PW(0.5), 1.0), LorentzLambdaP(PW(0.3), 1.0)
     z = _profile(unit_interval(16), seed=11)
     opts = dict(_FAST, max_sweeps=1)
-    res, _ = _never_above_the_oracle(monkeypatch, E, F, z, lambda: product_norm(E, F, z, opts=dict(opts)))
+    res, _ = _never_above_the_oracle(monkeypatch, E, F, z, lambda: _optimizer_product(E, F, z, dict(opts)))
     assert res.kind == "estimate"
     assert "optimizer stopped before the improvement tolerance" in res.notes
+    # product_norm takes the pooled split, which needs no sweep
+    assert product_norm(E, F, z, opts=dict(opts))[1].method == "constructive"
 
 
 @pytest.mark.parametrize("alpha", [0.3, 0.6])
-def test_lozanovskii_target_exit_stays_within_epsilon(alpha):
+def test_lozanovskii_target_exit_stays_within_epsilon(monkeypatch, alpha):
     # the run stops at the target, (1 + 0.9 eps) times the mass: it may
     # end above the oracle's value, never above (1 + eps) times the mass
     E, eps = LorentzLambda(PW(alpha)), 0.05
     z = _profile(unit_interval(16), seed=int(10 * alpha))
-    wit = lozanovskii_factorize(E, z, eps, opts=dict(_FAST))
     l1 = float(np.sum(z.values * z.space.widths))
-    assert wit.method == "optimizer" and "not_within_epsilon" not in wit.notes
-    assert l1 * (1.0 - 1e-9) <= wit.product <= (1.0 + eps) * l1
-    _certified_witness(E, S.dual_descriptor(E), z, wit.product, wit)
+    for pooled in (False, True):
+        with monkeypatch.context() as m:
+            if not pooled:  # the optimizer branch, as product_norm ran it before the pooled split
+                m.setattr(P, "_pooled_split", lambda E, F, z: None)
+            wit = lozanovskii_factorize(E, z, eps, opts=dict(_FAST))
+        assert wit.method == ("constructive" if pooled else "optimizer") and "not_within_epsilon" not in wit.notes
+        assert l1 * (1.0 - 1e-9) <= wit.product <= (1.0 + eps) * l1
+        _certified_witness(E, S.dual_descriptor(E), z, wit.product, wit)
 
 
 def test_an_unreachable_target_runs_to_convergence(monkeypatch):
@@ -481,9 +514,11 @@ def test_an_unreachable_target_runs_to_convergence(monkeypatch):
     E, F = LorentzLambda(PW(0.6)), Marcinkiewicz(PW(0.4))
     z = _profile(counting(10), seed=5)
     opts = dict(_FAST, max_sweeps=20, quick_sweeps=3, target=1e-6)
-    res, _ = _never_above_the_oracle(monkeypatch, E, F, z, lambda: product_norm(E, F, z, opts=dict(opts)))
-    untargeted = product_norm(E, F, z, opts=dict(opts, target=None))[0]
+    res, _ = _never_above_the_oracle(monkeypatch, E, F, z, lambda: _optimizer_product(E, F, z, dict(opts)))
+    untargeted = _optimizer_product(E, F, z, dict(opts, target=None))[0]
     assert (res.value, res.kind) == (untargeted.value, untargeted.kind) and res.kind == "upper_bound"
+    # product_norm takes the pooled split, which reads no target
+    assert product_norm(E, F, z, opts=dict(opts))[1].method == "constructive"
 
 
 # ---------------------------------------------------------------------------

@@ -479,7 +479,11 @@ def test_product_norm_rejects_invalid_option_values(key, val):
 def test_product_norm_accepts_boundary_option_values():
     z = StepFunction(unit_interval(8), np.linspace(2.0, 1.0, 8))
     opts = {"max_sweeps": np.int64(2), "quick_sweeps": 0, "golden_iters": 0, "target": -math.inf}
-    res, wit = product_norm(LorentzLambda(PowerWeight(0.5)), Marcinkiewicz(PowerWeight(0.3)), z, opts=opts)
+    E, F = LorentzLambda(PowerWeight(0.5)), Marcinkiewicz(PowerWeight(0.3))
+    res, wit = product_norm(E, F, z, opts=opts)
+    assert wit.method == "constructive" and math.isfinite(res.value)  # the pooled split
+    # the optimizer branch takes them too
+    res, wit = P._bound(E, F, "optimizer", *P._optimize_product(E, F, z, P._merge_opts(opts)))
     assert wit.method == "optimizer" and math.isfinite(res.value)
 
 
@@ -496,7 +500,9 @@ def test_optimizer_respects_the_duality_floor():
     F = Marcinkiewicz(PowerWeight(0.4))
     z = StepFunction(ms, np.sort(rng.uniform(0.1, 2.0, 16))[::-1].copy())
     l1 = norm(Lp(1.0), z).value
-    res, wit = product_norm(E, F, z, opts=dict(_FAST, target=l1 * 1.02))
+    # product_norm's optimizer branch: product_norm itself takes the pooled split on this pair
+    assert product_norm(E, F, z, opts=dict(_FAST, target=l1 * 1.02))[1].method == "constructive"
+    res, wit = P._bound(E, F, "optimizer", *P._optimize_product(E, F, z, P._merge_opts(dict(_FAST, target=l1 * 1.02))))
     assert res.kind in ("upper_bound", "estimate")
     assert wit.method == "optimizer"
     assert wit.product >= l1 * (1 - 1e-9)

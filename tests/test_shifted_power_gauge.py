@@ -137,8 +137,11 @@ def _run(case):
     opts = {"max_sweeps": 300, "golden_iters": 10}
     if case == "marc_lambda":
         ms = half_line(16)
-        z = np.sort(rng.uniform(0.5, 1.5, 16) * np.maximum(ms.breakpoints[1:], 0.5) ** -0.3)[::-1]
-        res, wit = product.product_norm(Marcinkiewicz(PowerWeight(0.3)), LorentzLambda(PowerWeight(0.4)), StepFunction(ms, z))
+        z = StepFunction(ms, np.sort(rng.uniform(0.5, 1.5, 16) * np.maximum(ms.breakpoints[1:], 0.5) ** -0.3)[::-1])
+        # product_norm's optimizer branch: product_norm itself takes the pooled split on this pair
+        E, F = Marcinkiewicz(PowerWeight(0.3)), LorentzLambda(PowerWeight(0.4))
+        assert product.product_norm(E, F, z)[1].method == "constructive"
+        res, wit = product._bound(E, F, "optimizer", *product._optimize_product(E, F, z, product._merge_opts(None)))
     elif case == "orlicz_pair":
         # product_norm's optimizer branch: product_norm itself solves this pair's Lagrange conditions
         z = StepFunction(unit_interval(8), np.sort(np.random.default_rng(1).uniform(0.2, 3.0, 8))[::-1])

@@ -263,6 +263,20 @@ def test_canonical_convexification_of_sup_scales():
     assert got == LorentzLambdaP(PowerWeight(0.25), 4.0)
 
 
+@pytest.mark.parametrize("sup", [MarcinkiewiczStar, LInftyWeighted])
+def test_canonical_convexification_of_a_power_log_sup_takes_the_root_weight(sup):
+    # sup (psi x)^p = (sup psi^(1/p) x)^p, and psi^(1/p) of c t^a (1 + |log t|)^b
+    # is c^(1/p) t^(a/p) (1 + |log t|)^(b/p)
+    psi, p = PowerLogWeight(0.3, 0.5, 4.0), 2.0
+    got = canonical(Convexification(sup(psi), p))
+    assert got == sup(PowerLogWeight(0.15, 0.25, 2.0))
+    x = _random_step(np.random.default_rng(5), unit_interval(16))
+    want = norm(sup(psi), x.with_values(x.values**p)).value ** (1.0 / p)
+    assert math.isclose(norm(got, x).value, want, rel_tol=1e-12)
+    # the power rule is untouched: it rebuilds a PowerWeight from alpha and coef alone
+    assert spaces._weight_pow(psi, 0.5) is None
+
+
 def test_canonical_orlicz_power_collapse():
     assert canonical(OrliczCL(Lp(1.0), Power(1.0, 1.0))) == Lp(1.0)
     got = canonical(OrliczCL(Lp(1.0), Power(3.0, 2.0)))

@@ -4,14 +4,16 @@ The product norm ``inf { |x|_E |y|_F : z = x y }`` has a closed form
 where ``canonical`` rewrites ``Product(E, F)`` by an exact identity
 (``spaces._product_rule``): the value is the norm of the rewritten
 space, and the witness splits z by the exponent share the rule reports.
-A sup-type factor (a weighted sup w, or M*_w for any w) has a largest y
-of norm 1 in each cell order, 1/L, L w's cell sups (for M*, their running
-max along the order: w(T) for w = c t^a, a >= 0, T the measure up to
-each cell): the split is z = (z L) (1/L) in the cell order a descent
-over adjacent swaps reaches from z's decreasing order.  That split is
-least only where its partner is a lattice norm; where the partner is a
-Lorentz space whose weight fails the quasi-concavity check
-(``_log_convex``), the optimizer also runs and the lower bound wins.
+A sup-type factor (a weighted sup w, or M*_w for any w, or the
+p-convexification of either, the same space over w^(1/p)) has a largest
+y of norm 1 in each cell order, 1/L, L w's cell sups (for M*, their
+running max along the order: w(T) for w = c t^a, a >= 0, T the measure
+up to each cell): the split is z = (z L) (1/L) in the cell order a
+descent over adjacent swaps reaches from z's decreasing order.  That
+split is least where its partner is a lattice norm, and elsewhere still
+a factorization; a Lorentz partner whose weight fails the quasi-concavity
+check has an ``estimate`` kernel, so the product is an ``estimate``, with
+that kernel's note.
 The gauge of c (t - a)_+^r over L^1(u) against L^q(w), q finite, needs
 no optimizer either: min |z/x|_q over the modular ball is convex and
 splits by cell, so its Lagrange conditions give x cell by cell, up to
@@ -30,23 +32,22 @@ except where the sorted profiles tie or a supremum changes hands, the
 case that BFGS with a weak Wolfe line search handles (Lewis & Overton,
 Math. Program. 141, 2013).  A run has converged once BFGS stops at a
 smooth minimum: its gradient at most ``_SMOOTH_GRAD`` and its last m
-steps (m = |supp z|) gaining at most ``_SWEEP_RTOL``.  Where BFGS stops
+steps (m = |supp z|) gaining at most ``_SWEEP_RTOL``, or before its
+first step at a start whose gradient rounds off 0.  Where BFGS stops
 anywhere else, crawling along a kink, say, cyclic coordinate descent
 with golden line searches takes over from its end point, and hands back
 to BFGS while it still moves; the run has then converged once a
 coordinate sweep gains at most ``_SWEEP_RTOL``.  One run starts from the
-best seed, scored in one batched objective call; where a factor is no
-lattice norm (a convexified M*_phi, say) J may have several local
-minima, and every seed starts a run.  The gradient comes from the kernels' exact
-subgradients (``_CompiledNorm.grad``), or from forward differences for a
-kernel without one.  Where both kernels take a decreasing profile
-(``_CompiledNorm.profile``: Lambda_phi, Lambda_{phi,p}, M_phi, M*_phi),
-an objective call sorts x and y as one stack and hands each kernel its
-half, for values and gradients alike.  A
-numeric result is an upper bound certified by its witness pair, whose
+best seed, scored in one batched objective call.  The gradient comes
+from the kernels' exact subgradients (``_CompiledNorm.grad``), or from
+forward differences for a kernel without one.  Where both kernels take
+a decreasing profile (``_CompiledNorm.profile``: Lambda_phi,
+Lambda_{phi,p}, M_phi, M*_phi), an objective call sorts x and y as one
+stack and hands each kernel its half, for values and gradients alike.
+A numeric result is an upper bound certified by its witness pair, whose
 norms are recomputed through the public norm evaluators, unless a
 factor norm is only an estimate or the optimizer stopped on its budget:
-then so is the product.
+then so is the product, with the notes that say why.
 
 Multiplier and dual norms run the same engine in the other direction:
 ratio ascent minimizes J(u) = log |e^u|_E - log |m e^u|_F over u = log y,
@@ -98,7 +99,7 @@ from .spaces import (
     norm,
     norm_evaluator,
 )
-from .weights import PowerWeight, is_quasiconcave_sampled, simplify_power
+from .weights import PowerWeight, simplify_power
 from .young import Power, ShiftedPower, YoungFunction, check_relation, inverse, inverse_batch
 
 __all__ = [
@@ -408,7 +409,8 @@ def _bfgs(fg, u: np.ndarray, f: float, g: np.ndarray, steps: int, floor: float):
     must gain at most ``_SWEEP_RTOL`` instead: a smooth minimum, the
     evidence a converged coordinate sweep gives.  Returns (u, f, g, steps
     taken, smooth): smooth is whether it stopped there (or at the floor)
-    with a gradient at most ``_SMOOTH_GRAD``."""
+    with a gradient at most ``_SMOOTH_GRAD``, or before its first step at
+    a stationary start, a gradient at most 1e-12."""
     H, past = None, []
     for k in range(steps):
         past.append(f)
@@ -420,7 +422,8 @@ def _bfgs(fg, u: np.ndarray, f: float, g: np.ndarray, steps: int, floor: float):
             H, d = None, -g
         step = _line_search(fg, u, f, g, d) if g @ d < 0.0 else None
         if step is None or not f - step[1] > _STEP_FTOL:
-            return u, f, g, k, False
+            # a start with a gradient at most 1e-12, rounding off an exact 0, is stationary: a sweep there gains nothing
+            return u, f, g, k, k == 0 and np.abs(g).max() <= 1e-12
         t, f1, g1 = step
         s, y = t * d, g1 - g
         sy = float(s @ y)
@@ -477,30 +480,14 @@ def _objective(E, F, z: StepFunction, supp: Optional[np.ndarray] = None, quotien
     return J, fg, _lookahead(ke, kf)
 
 
-@functools.lru_cache(maxsize=1024)
-def _log_convex(S) -> bool:
-    """Whether log |e^u|_S is convex in u, as it is for a lattice norm, by
-    S's family.  Not for M*_phi, for Lambda_phi over a weight that fails
-    the sampled quasi-concavity check, or for Lambda_{phi,p} where phi^p
-    fails it (then phi^p / t rises somewhere).  A convexification keeps
-    its base's answer: it scales u.  Cached: the sampled check costs
-    about 35 us, a quarter of a whole sup-type product at n = 16."""
-    if isinstance(S, Convexification):
-        return _log_convex(S.base)
-    if isinstance(S, LorentzLambda):
-        return is_quasiconcave_sampled(S.phi)
-    if isinstance(S, LorentzLambdaP):
-        return is_quasiconcave_sampled(lambda t: S.phi(t) ** S.p)
-    return not isinstance(S, MarcinkiewiczStar)
-
-
 def _descend(J, fg, u: np.ndarray, sweeps: int, floor: float, iters: int, lookahead: int):
     """BFGS and coordinate descent in turn from u: (u, log J(u), converged).
 
     BFGS runs on fg until its last m = u.size steps lower log J by at most
     ``_BFGS_RTOL`` (see _bfgs).  Where its gradient is at most
     ``_SMOOTH_GRAD`` and those m steps gained at most ``_SWEEP_RTOL``, it
-    stopped at a smooth minimum and has converged.  Else coordinate
+    stopped at a smooth minimum and has converged, as it has at a
+    stationary start, where it takes no step.  Else coordinate
     descent on J sweeps from its end point: at a kink where BFGS crawls, a
     golden search along one coordinate still moves.  A descent that moved
     u hands it back to BFGS, with a fresh inverse Hessian.  Converged once
@@ -526,30 +513,21 @@ def _descend(J, fg, u: np.ndarray, sweeps: int, floor: float, iters: int, lookah
 
 def _optimize_product(E, F, z: StepFunction, o: dict):
     """``_descend`` over u = log x on the m cells of supp z, with y = z / x,
-    on J(u) = log |x|_E + log |y|_F: (x, y, converged).  J is convex where
-    both factors are lattice norms (``_log_convex``): there one run starts
-    from the best ``_seed_vectors`` row, scored in one batched call.  Else
-    runs from different seeds may end in different local minima, so every
-    seed starts one, best first; the lowest end wins, with its
-    convergence.  Each run gets ``max_sweeps`` sweeps, and the runs stop
-    once one is at or below ``target``."""
+    on J(u) = log |x|_E + log |y|_F: (x, y, converged).  One run, from the
+    best ``_seed_vectors`` row, scored in one batched call; it gets
+    ``max_sweeps`` sweeps and stops once at or below ``target``.  J is
+    convex where both factors are lattice norms; a factor outside the
+    theory (Lambda over a weight that fails the quasi-concavity check) has
+    an ``estimate`` kernel, so its product is an ``estimate`` too."""
     mspace = z.space
     supp = z.values > 0.0
     zs = z.values[supp]
     J, fg, lookahead = _objective(E, F, z)
-    seeds = np.array(_seed_vectors(E, F, zs, mspace.breakpoints[1:][supp]))
     target = o["target"]
     floor = math.log(target) if target is not None and target > 0 else -math.inf
-    starts = 1 if _log_convex(E) and _log_convex(F) else len(seeds)
-    best = None
+    seeds = np.array(_seed_vectors(E, F, zs, mspace.breakpoints[1:][supp]))
     with np.errstate(**_QUIET):
-        for i in np.argsort(J(seeds), kind="stable")[:starts].tolist():
-            run = _descend(J, fg, seeds[i], o["max_sweeps"], floor, o["golden_iters"], lookahead)
-            if best is None or run[1] < best[1]:
-                best = run
-            if best[1] <= floor:
-                break
-    u, _, converged = best
+        u, _, converged = _descend(J, fg, seeds[np.argmin(J(seeds))], o["max_sweeps"], floor, o["golden_iters"], lookahead)
     xv, yv = _split(u, supp, zs)
     return StepFunction(mspace, xv), StepFunction(mspace, yv), converged
 
@@ -584,7 +562,8 @@ def _safe_quotient(z: StepFunction, x: StepFunction) -> StepFunction:
 def _bound(E, F, method, x, y, converged=True, notes=()):
     """z = xy as a product value: both norms recomputed through ``norm``,
     the witness equalized, its product an ``upper_bound`` if converged with
-    both factor norms ``exact`` or ``upper_bound``, else an ``estimate``."""
+    both factor norms ``exact`` or ``upper_bound``, else an ``estimate``,
+    with the notes of each factor norm that is an ``estimate``."""
     rx, ry = norm(E, x), norm(F, y)
     wit = FactorizationWitness(x, y, rx.value, ry.value, rx.value * ry.value, method, notes=notes)
     wit, certified = equalize_norms(wit, E, F), {rx.kind, ry.kind} <= {"exact", "upper_bound"}
@@ -593,33 +572,43 @@ def _bound(E, F, method, x, y, converged=True, notes=()):
     else:
         notes = (notes or ("certified by explicit factorization",)) if certified else notes + (_UNCERTIFIED,)
         notes += () if converged else ("optimizer stopped before the improvement tolerance",)
+    notes = tuple(dict.fromkeys(notes + sum((r.notes for r in (rx, ry) if r.kind == "estimate"), ())))
     return NormResult(wit.product, "upper_bound" if converged and certified else "estimate", wit, notes), wit
 
 
 def _sup_kind(S):
-    """(w, ordered) for the sup-type factors, with a largest y of norm 1 per
-    cell order: a sup weighted by w (False) and M*_w, any w (True); else None."""
+    """(w, ordered, p) for the sup-type factors, with a largest y of norm 1
+    per cell order: a sup weighted by w (ordered False) and M*_w, any w
+    (True), with p = 1, and the p-convexification of either, the same sup
+    over w^(1/p).  Else None."""
+    S, p = (S.base, S.p) if isinstance(S, Convexification) else (S, 1.0)
     w = S.phi if isinstance(S, (LInftyWeighted, MarcinkiewiczStar)) else S.weight if isinstance(S, Lp) and math.isinf(S.p) else None
-    return None if w is None else (w, isinstance(S, MarcinkiewiczStar))
+    return None if w is None else (w, isinstance(S, MarcinkiewiczStar), p)
 
 
 def _sup_levels(kind, P, z: StepFunction, descend: bool):
     """(|z l|_P, l) for a sup-type factor of ``_sup_kind`` ``kind``: y = 1/l
     is its largest y of norm 1 in y's cell order, so x = z l is the least x
-    there (P is a lattice norm).  l is w's cell sups, for M*_w their running
-    max in a cell order (c T^a for w = c t^a, a >= 0, T the cumulative
-    widths): z's decreasing one (the comonotone split), then, if ``descend``,
-    a local minimum over adjacent swaps.  A pass scores every swap in one
-    call of P's kernel and takes all disjoint improving ones where that
-    beats the best alone."""
-    (w, ordered), fn, v, pos, bp = kind, _norm_fn(P, z.space).fn, z.values, z.values > 0, z.space.breakpoints
+    there (P is a lattice norm).  l is w's cell sups, raised to 1/p (t ->
+    t^(1/p) is increasing, so it commutes with a sup and a running max),
+    for M*_w their running max in a cell order (c T^a for w = c t^a, a >=
+    0, T the cumulative widths): z's decreasing one (the comonotone split),
+    then, if ``descend``, a local minimum over adjacent swaps.  A pass
+    scores every swap in one call of P's kernel and takes all disjoint
+    improving ones where that beats the best alone."""
+    (w, ordered, p), fn, v, pos, bp = kind, _norm_fn(P, z.space).fn, z.values, z.values > 0, z.space.breakpoints
+
+    def cell_sups(a, b):
+        sups = w.cell_sup(a, b)
+        return sups if p == 1.0 else sups ** (1.0 / p)
+
     if not ordered:
-        lv = np.where(pos, w.cell_sup(bp[:-1], bp[1:]), 0.0)
+        lv = np.where(pos, cell_sups(bp[:-1], bp[1:]), 0.0)
         return fn(v * lv), lv
 
     def score(O):  # (|z l|_P, l) per row, l for the cell orders in the rows of O
         T = np.cumsum(z.space.widths[O], axis=1)  # cell ends, contiguous: a strided power costs more
-        sups = w.cell_sup(np.concatenate((np.zeros((len(O), 1)), T[:, :-1]), axis=1), T)
+        sups = cell_sups(np.concatenate((np.zeros((len(O), 1)), T[:, :-1]), axis=1), T)
         L = np.zeros((len(O), v.size))
         L[np.arange(len(O))[:, None], O] = np.maximum.accumulate(sups, axis=1)
         return fn(v * L), L
@@ -667,12 +656,14 @@ def _closed_form(E, F, z: StepFunction):
             return NormResult(res.value, res.kind, wit, res.notes + notes), wit
 
 
-def _sup_split(E, F, z: StepFunction, o: dict):
-    """E ⊙ F with a sup-type factor (M*_w for any w): the ``_bound`` of its
-    ``_sup_levels`` split, with two the lower of both (which descend on at
-    most ``_PAIR_DESCENT_CELLS`` cells).  Where the partner is a Lorentz
-    space that fails ``_log_convex`` (no lattice norm), the optimizer's
-    bound if lower.  None where no levels are finite and positive on supp z."""
+def _sup_split(E, F, z: StepFunction):
+    """E ⊙ F with a sup-type factor (M*_w for any w, or a convexification of
+    one): the ``_bound`` of its ``_sup_levels`` split, with two the lower of
+    both (which descend on at most ``_PAIR_DESCENT_CELLS`` cells).  Where
+    the partner is no lattice norm the split need not be least; Lambda
+    over a weight that fails the quasi-concavity check has an ``estimate``
+    kernel, so the product is an ``estimate`` too.  None where no levels
+    are finite and positive on supp z."""
     pos, kinds = z.values > 0, (_sup_kind(E), _sup_kind(F))
     descend = None in kinds or np.count_nonzero(pos) <= _PAIR_DESCENT_CELLS
     hits = [_sup_levels(k, P, z, descend) + (i,) for i, (k, P) in enumerate(zip(kinds, (F, E))) if k is not None]
@@ -681,12 +672,7 @@ def _sup_split(E, F, z: StepFunction, o: dict):
         return None
     _, lv, i = min(hits, key=lambda h: h[0])
     sup, partner = z.with_values(np.divide(1.0, lv, out=np.zeros_like(lv), where=pos)), z.with_values(z.values * lv)
-    split = _bound(E, F, "constructive", *((sup, partner) if i == 0 else (partner, sup)))
-    P = (F, E)[i]
-    if isinstance(P, (LorentzLambda, LorentzLambdaP)) and not _log_convex(P):
-        run = _bound(E, F, "optimizer", *_optimize_product(E, F, z, o))
-        return run if run[0].value < split[0].value else split
-    return split
+    return _bound(E, F, "constructive", *((sup, partner) if i == 0 else (partner, sup)))
 
 
 def _modular_factor(O: OrliczCL, L: Lp, z: StepFunction) -> Optional[np.ndarray]:
@@ -881,7 +867,7 @@ def product_norm(
         wit = _zero_witness(z)
         return NormResult(0.0, "exact", wit), wit
     Ec, Fc = canonical(E), canonical(F)
-    hit = _closed_form(Ec, Fc, z) or _sup_split(Ec, Fc, z, o) or _modular_split(Ec, Fc, z) or _pooled_split(Ec, Fc, z)
+    hit = _closed_form(Ec, Fc, z) or _sup_split(Ec, Fc, z) or _modular_split(Ec, Fc, z) or _pooled_split(Ec, Fc, z)
     return hit if hit is not None else _bound(Ec, Fc, "optimizer", *_optimize_product(Ec, Fc, z, o))
 
 

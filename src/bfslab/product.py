@@ -10,10 +10,10 @@ y of norm 1 in each cell order, 1/L, L w's cell sups (for M*, their
 running max along the order: w(T) for w = c t^a, a >= 0, T the measure
 up to each cell): the split is z = (z L) (1/L) in the cell order a
 descent over adjacent swaps reaches from z's decreasing order.  That
-split is least where its partner is a lattice norm, and elsewhere still
-a factorization; a Lorentz partner whose weight fails the quasi-concavity
-check has an ``estimate`` kernel, so the product is an ``estimate``, with
-that kernel's note.
+split is least only where its partner is a lattice norm; where the
+partner is a Lorentz space whose weight (phi^p for Lambda_{phi,p}) fails
+quasi-concavity (``_CompiledNorm.lattice``), the optimizer also runs and
+the lower bound wins, an ``estimate`` with that kernel's note.
 The gauge of c (t - a)_+^r over L^1(u) against L^q(w), q finite, needs
 no optimizer either: min |z/x|_q over the modular ball is convex and
 splits by cell, so its Lagrange conditions give x cell by cell, up to
@@ -32,8 +32,7 @@ except where the sorted profiles tie or a supremum changes hands, the
 case that BFGS with a weak Wolfe line search handles (Lewis & Overton,
 Math. Program. 141, 2013).  A run has converged once BFGS stops at a
 smooth minimum: its gradient at most ``_SMOOTH_GRAD`` and its last m
-steps (m = |supp z|) gaining at most ``_SWEEP_RTOL``, or before its
-first step at a start whose gradient rounds off 0.  Where BFGS stops
+steps (m = |supp z|) gaining at most ``_SWEEP_RTOL``.  Where BFGS stops
 anywhere else, crawling along a kink, say, cyclic coordinate descent
 with golden line searches takes over from its end point, and hands back
 to BFGS while it still moves; the run has then converged once a
@@ -409,8 +408,7 @@ def _bfgs(fg, u: np.ndarray, f: float, g: np.ndarray, steps: int, floor: float):
     must gain at most ``_SWEEP_RTOL`` instead: a smooth minimum, the
     evidence a converged coordinate sweep gives.  Returns (u, f, g, steps
     taken, smooth): smooth is whether it stopped there (or at the floor)
-    with a gradient at most ``_SMOOTH_GRAD``, or before its first step at
-    a stationary start, a gradient at most 1e-12."""
+    with a gradient at most ``_SMOOTH_GRAD``."""
     H, past = None, []
     for k in range(steps):
         past.append(f)
@@ -422,8 +420,7 @@ def _bfgs(fg, u: np.ndarray, f: float, g: np.ndarray, steps: int, floor: float):
             H, d = None, -g
         step = _line_search(fg, u, f, g, d) if g @ d < 0.0 else None
         if step is None or not f - step[1] > _STEP_FTOL:
-            # a start with a gradient at most 1e-12, rounding off an exact 0, is stationary: a sweep there gains nothing
-            return u, f, g, k, k == 0 and np.abs(g).max() <= 1e-12
+            return u, f, g, k, False
         t, f1, g1 = step
         s, y = t * d, g1 - g
         sy = float(s @ y)
@@ -486,8 +483,7 @@ def _descend(J, fg, u: np.ndarray, sweeps: int, floor: float, iters: int, lookah
     BFGS runs on fg until its last m = u.size steps lower log J by at most
     ``_BFGS_RTOL`` (see _bfgs).  Where its gradient is at most
     ``_SMOOTH_GRAD`` and those m steps gained at most ``_SWEEP_RTOL``, it
-    stopped at a smooth minimum and has converged, as it has at a
-    stationary start, where it takes no step.  Else coordinate
+    stopped at a smooth minimum and has converged.  Else coordinate
     descent on J sweeps from its end point: at a kink where BFGS crawls, a
     golden search along one coordinate still moves.  A descent that moved
     u hands it back to BFGS, with a fresh inverse Hessian.  Converged once
@@ -516,9 +512,10 @@ def _optimize_product(E, F, z: StepFunction, o: dict):
     on J(u) = log |x|_E + log |y|_F: (x, y, converged).  One run, from the
     best ``_seed_vectors`` row, scored in one batched call; it gets
     ``max_sweeps`` sweeps and stops once at or below ``target``.  J is
-    convex where both factors are lattice norms; a factor outside the
-    theory (Lambda over a weight that fails the quasi-concavity check) has
-    an ``estimate`` kernel, so its product is an ``estimate`` too."""
+    convex where both factors are lattice norms; elsewhere (Lambda over a
+    weight that fails quasi-concavity, say) the run may end at a local
+    minimum, and the factor's ``estimate`` kernel makes the product an
+    ``estimate`` too."""
     mspace = z.space
     supp = z.values > 0.0
     zs = z.values[supp]
@@ -586,19 +583,20 @@ def _sup_kind(S):
     return None if w is None else (w, isinstance(S, MarcinkiewiczStar), p)
 
 
-def _sup_levels(kind, P, z: StepFunction, descend: bool):
-    """(|z l|_P, l) for a sup-type factor of ``_sup_kind`` ``kind``: y = 1/l
-    is its largest y of norm 1 in y's cell order, so x = z l is the least x
-    there (P is a lattice norm).  l is w's cell sups, raised to 1/p (t ->
+def _sup_levels(kind, fn, z: StepFunction, descend: bool):
+    """(|z l|_P, l) for a sup-type factor of ``_sup_kind`` ``kind``, fn the
+    kernel of its partner P (``_norm_fn``): y = 1/l is its largest y of
+    norm 1 in y's cell order, so x = z l is the least x there where P is
+    a lattice norm.  l is w's cell sups, raised to 1/p (t ->
     t^(1/p) is increasing, so it commutes with a sup and a running max),
     for M*_w their running max in a cell order (c T^a for w = c t^a, a >=
     0, T the cumulative widths): z's decreasing one (the comonotone split),
     then, if ``descend``, a local minimum over adjacent swaps.  A pass
     scores every swap in one call of P's kernel and takes all disjoint
     improving ones where that beats the best alone."""
-    (w, ordered, p), fn, v, pos, bp = kind, _norm_fn(P, z.space).fn, z.values, z.values > 0, z.space.breakpoints
+    (w, ordered, p), v, pos, bp = kind, z.values, z.values > 0, z.space.breakpoints
 
-    def cell_sups(a, b):
+    def cell_sups(a, b):  # ** 1.0 is no free copy: M* ⊙ M* at unit_interval(32) ran 5 % slower with it (2-core VM)
         sups = w.cell_sup(a, b)
         return sups if p == 1.0 else sups ** (1.0 / p)
 
@@ -656,23 +654,28 @@ def _closed_form(E, F, z: StepFunction):
             return NormResult(res.value, res.kind, wit, res.notes + notes), wit
 
 
-def _sup_split(E, F, z: StepFunction):
+def _sup_split(E, F, z: StepFunction, o: dict):
     """E ⊙ F with a sup-type factor (M*_w for any w, or a convexification of
     one): the ``_bound`` of its ``_sup_levels`` split, with two the lower of
     both (which descend on at most ``_PAIR_DESCENT_CELLS`` cells).  Where
-    the partner is no lattice norm the split need not be least; Lambda
-    over a weight that fails the quasi-concavity check has an ``estimate``
-    kernel, so the product is an ``estimate`` too.  None where no levels
-    are finite and positive on supp z."""
+    the partner's kernel is no lattice norm (a Lorentz weight that fails
+    quasi-concavity; its kernel, and so the product, is an ``estimate``)
+    the split need not be least: the optimizer also runs, and the lower
+    bound wins.  None where no levels are finite and positive on supp z."""
     pos, kinds = z.values > 0, (_sup_kind(E), _sup_kind(F))
     descend = None in kinds or np.count_nonzero(pos) <= _PAIR_DESCENT_CELLS
-    hits = [_sup_levels(k, P, z, descend) + (i,) for i, (k, P) in enumerate(zip(kinds, (F, E))) if k is not None]
+    partners = [(k, _norm_fn(P, z.space), i) for i, (k, P) in enumerate(zip(kinds, (F, E))) if k is not None]
+    hits = [_sup_levels(k, kp.fn, z, descend) + (i, kp) for k, kp, i in partners]
     hits = [h for h in hits if np.all(np.isfinite(h[1][pos]) & (h[1][pos] > 0))]
     if not hits:
         return None
-    _, lv, i = min(hits, key=lambda h: h[0])
+    _, lv, i, kp = min(hits, key=lambda h: h[0])
     sup, partner = z.with_values(np.divide(1.0, lv, out=np.zeros_like(lv), where=pos)), z.with_values(z.values * lv)
-    return _bound(E, F, "constructive", *((sup, partner) if i == 0 else (partner, sup)))
+    split = _bound(E, F, "constructive", *((sup, partner) if i == 0 else (partner, sup)))
+    if kp.lattice:
+        return split
+    run = _bound(E, F, "optimizer", *_optimize_product(E, F, z, o))
+    return run if run[0].value < split[0].value else split
 
 
 def _modular_factor(O: OrliczCL, L: Lp, z: StepFunction) -> Optional[np.ndarray]:
@@ -867,7 +870,7 @@ def product_norm(
         wit = _zero_witness(z)
         return NormResult(0.0, "exact", wit), wit
     Ec, Fc = canonical(E), canonical(F)
-    hit = _closed_form(Ec, Fc, z) or _sup_split(Ec, Fc, z) or _modular_split(Ec, Fc, z) or _pooled_split(Ec, Fc, z)
+    hit = _closed_form(Ec, Fc, z) or _sup_split(Ec, Fc, z, o) or _modular_split(Ec, Fc, z) or _pooled_split(Ec, Fc, z)
     return hit if hit is not None else _bound(Ec, Fc, "optimizer", *_optimize_product(Ec, Fc, z, o))
 
 

@@ -531,6 +531,8 @@ class _CompiledNorm:
     profile: bool = False
     # exact subgradient: grad(x) is (fn(x), the subgradient at x in x's shape and cell order)
     grad: Optional[Callable] = None
+    # False for a Lorentz norm whose weight (phi^p for Lambda_{phi,p}) fails quasi-concavity: no lattice norm
+    lattice: bool = True
 
 
 # least recently used entries go first once the cache holds this many
@@ -767,14 +769,16 @@ def _compile(space: SpaceDescriptor, mspace: MeasureSpace) -> Optional[_Compiled
             notes = tn + ("weight fails the sampled quasi-concavity check: not a lattice norm",)
         else:
             return _CompiledNorm(_lam, "exact", tn, profile=True, grad=grad)
-        return _CompiledNorm(_lam, "estimate", notes, profile=True, grad=grad)
+        return _CompiledNorm(_lam, "estimate", notes, profile=True, grad=grad, lattice=False)
 
     if isinstance(space, LorentzLambdaP):
         p = space.p
         if pw is not None:
             # (cp * ∫ x*(t)^p t^q dt)^(1/p), exact on step functions; t^q is not integrable at 0 for q <= -1
             q, cp = pw.alpha * p - 1.0, pw.coef**p
-            singular, kind, notes = q <= -1.0, "exact", tn
+            singular, kind, notes, lattice = q <= -1.0, "exact", tn, q <= 0.0
+            if not lattice:  # t^q rises: phi^p = c^p t^(ap) is not quasi-concave
+                kind, notes = "estimate", tn + ("phi^p not quasi-concave: not a norm",)
 
             def masses(bp, q=q):
                 prim = bp ** (q + 1.0) / (q + 1.0)
@@ -782,8 +786,10 @@ def _compile(space: SpaceDescriptor, mspace: MeasureSpace) -> Optional[_Compiled
 
         else:
             # phi^p / t = (phi * t^(-1/p))^p by the fixed-order rule of cell_integral_pow
-            cp, kind = 1.0, "estimate"
+            cp, kind, lattice = 1.0, "estimate", is_quasiconcave_sampled(lambda t: phi(t) ** p)
             notes = tn + ("fixed-order quadrature for the weight; dt/t absorbed",)
+            if not lattice:
+                notes += ("phi^p fails the sampled quasi-concavity check: not a lattice norm",)
             nodes, gl_w = _leggauss(_QUAD_ORDER)
             if isinstance(phi, PowerLogWeight):
                 # t^a (1 + |log t|)^b: phi^p / t ~ t^(ap - 1) |log t|^(bp) is integrable at 0 iff
@@ -831,7 +837,8 @@ def _compile(space: SpaceDescriptor, mspace: MeasureSpace) -> Optional[_Compiled
                 return nrm, np.zeros(v.shape)
             return nrm, _lp_slope(v, cp * masses(bp), p, _col(nrm))
 
-        return _CompiledNorm(_lam_p, kind, notes, profile=True, grad=_profile_grad(_lam_p_valgrad, widths))
+        grad = _profile_grad(_lam_p_valgrad, widths)
+        return _CompiledNorm(_lam_p, kind, notes, profile=True, grad=grad, lattice=lattice)
 
     if isinstance(space, Marcinkiewicz):
         if pw is not None:

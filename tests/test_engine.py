@@ -13,6 +13,7 @@ the engine's values, kinds and notes must be its oracle's to the last
 bit, and the ascent's value at or above the oracle's (relative 1e-10).
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -277,8 +278,8 @@ _SUP_PAIRS = {
 _MODULAR_PAIRS = {"orlicz_pair", "fd_orlicz_cubic"}
 # Λ ⊙ Λ and M ⊙ Λ over powers: product_norm takes the pooled split its dual bound certifies, so the oracle checks the optimizer directly
 _POOLED_PAIRS = {"thm10_marc_lambda", "thm7_lambdap_lambdap"}
-# a sup pair whose partner is no lattice norm: the split need not be least, and J need not be convex, so no oracle bounds it
-_NO_LATTICE_PAIRS = {"generic_lambda_mstar"}
+# a sup pair whose partner is no lattice norm: product_norm runs the split and the optimizer, and keeps the lower
+_SPLIT_OR_OPTIMIZER = {"generic_lambda_mstar"}
 _GRIDS = {"unit16": lambda: unit_interval(16), "half16": lambda: half_line(16), "unit8": lambda: unit_interval(8)}
 
 
@@ -313,11 +314,7 @@ def _split_never_above_the_oracle(monkeypatch, E, F, z):
 
 @pytest.mark.parametrize(
     "pair, grid",
-    [
-        (pair, grid)
-        for pair in sorted(set(THEOREM_PAIRS) - _NO_LATTICE_PAIRS)
-        for grid in _PAIR_GRIDS.get(pair, ("half16", "unit16"))
-    ],
+    [(pair, grid) for pair in sorted(THEOREM_PAIRS) for grid in _PAIR_GRIDS.get(pair, ("half16", "unit16"))],
 )
 def test_product_norm_is_never_above_the_serial_oracle(monkeypatch, pair, grid):
     E, F = THEOREM_PAIRS[pair]
@@ -327,23 +324,47 @@ def test_product_norm_is_never_above_the_serial_oracle(monkeypatch, pair, grid):
         return
     constructive = pair in _MODULAR_PAIRS or pair in _POOLED_PAIRS
     run = _optimizer_product if constructive else product_norm
-    _never_above_the_oracle(monkeypatch, E, F, z, lambda: run(E, F, z, dict(_FAST)))
+    methods = ("optimizer", "constructive") if pair in _SPLIT_OR_OPTIMIZER else ("optimizer",)
+    _never_above_the_oracle(monkeypatch, E, F, z, lambda: run(E, F, z, dict(_FAST)), methods)
     if constructive:
         assert product_norm(E, F, z)[1].method == "constructive"
 
 
+def _one_candidate(monkeypatch, E, F, z, note):
+    """``product_norm`` of a sup pair whose partner is no lattice norm: the
+    lower of the cell-order split and the optimizer's bound, an estimate
+    with the partner kernel's note.  Returns the winning method."""
+    res, wit = product_norm(E, F, z, dict(_FAST))
+    optimized = _optimizer_product(E, F, z, dict(_FAST))[0]
+    with monkeypatch.context() as m:
+        m.setattr(P, "_norm_fn", lambda sp, ms, fn=P._norm_fn: dataclasses.replace(fn(sp, ms), lattice=True))
+        m.setattr(P, "_optimize_product", _no_optimizer)
+        split, split_wit = product_norm(E, F, z, dict(_FAST))
+    assert split_wit.method == "constructive"
+    assert res.value == min(split.value, optimized.value)
+    assert res.kind == "estimate" and note in res.notes
+    _certified_witness(E, F, z, res.value, wit)
+    return wit.method
+
+
 @pytest.mark.parametrize("grid", ["half16", "unit16"])
-def test_a_split_whose_partner_is_no_lattice_norm_is_an_estimate(monkeypatch, grid):
+def test_a_split_whose_partner_is_no_lattice_norm_is_one_candidate(monkeypatch, grid):
     # Λ over a falling weight is no lattice norm, so the cell-order split
-    # need not be least (on unit16 it lies 2 % above the oracle): its Λ
-    # kernel is an estimate, and so is the product, with that kernel's note
+    # need not be least: on unit16 it lies 2 % above the optimizer's bound,
+    # on half16 below it, and product_norm returns the lower of the two
     E, F = THEOREM_PAIRS["generic_lambda_mstar"]
     z = _pair_profile("generic_lambda_mstar", grid)
-    monkeypatch.setattr(P, "_optimize_product", _no_optimizer)
-    res, wit = product_norm(E, F, z, dict(_FAST))
-    assert (wit.method, res.kind) == ("constructive", "estimate")
-    assert "weight fails the sampled quasi-concavity check: not a lattice norm" in res.notes
-    _certified_witness(E, F, z, res.value, wit)
+    method = _one_candidate(monkeypatch, E, F, z, "weight fails the sampled quasi-concavity check: not a lattice norm")
+    assert method == ("optimizer" if grid == "unit16" else "constructive")
+
+
+@pytest.mark.parametrize("grid", ["half16", "unit16"])
+def test_a_lorentz_p_partner_whose_phi_p_is_not_quasi_concave_is_one_candidate(monkeypatch, grid):
+    # Λ_{t^0.8, 2}: t^1.6 is not quasi-concave, so the kernel is no norm
+    # and the optimizer runs beside the split (which wins on both grids)
+    E, F = LorentzLambdaP(PW(0.8), 2.0), MarcinkiewiczStar(PW(0.3))
+    z = _pair_profile("lambdap_mstar", grid)
+    assert _one_candidate(monkeypatch, E, F, z, "phi^p not quasi-concave: not a norm") == "constructive"
 
 
 def test_a_non_power_mstar_pair_is_never_above_the_serial_oracle(monkeypatch):
@@ -625,19 +646,17 @@ def test_dual_ratio_ascent_is_never_below_the_oracle(monkeypatch, E):
     assert f"numeric ascent lower bound {lower:.12g}" in got.notes[-1]
 
 
-def test_a_ratio_ascent_from_a_stationary_member_runs_no_sweep(monkeypatch):
-    # y = m maximizes |m y|_1 / |y|_2 (Cauchy-Schwarz): BFGS stops there
-    # before its first step, with a gradient that rounds off 0, and no
-    # coordinate sweep runs to confirm it
-    calls, descent = [], P._coordinate_descent
-    monkeypatch.setattr(P, "_coordinate_descent", lambda *a, **kw: calls.append(1) or descent(*a, **kw))
-    m = StepFunction(unit_interval(16), np.random.default_rng(3).uniform(0.5, 2.0, 16))
-    best = P._ratio_ascent(Lp(2.0), Lp(1.0), m, [m.values], P._merge_opts(None))
-    assert len(calls) == 0
-    assert math.isclose(best, norm(Lp(2.0), m).value, rel_tol=1e-12)
-    # a start with a larger gradient still takes its sweep
-    P._ratio_ascent(Lp(2.0), Lp(1.0), m, [np.ones(16)], P._merge_opts(None))
-    assert len(calls) >= 1
+def test_a_ratio_ascent_from_a_kinked_stationary_member_still_sweeps():
+    # from y = 1/m, m y ties on every cell, and the weighted sup's
+    # subgradient there makes the log ratio look stationary (a gradient
+    # that rounds off 0); yet y is no maximum: over one sup norm the sup of
+    # |m y| / |y| is max m.  BFGS stops before its first step, and only the
+    # coordinate sweep it hands over to climbs off the kink
+    W = LInftyWeighted(PW(0.3))
+    m = StepFunction(half_line(9), np.array([1.1, 1.1, 1.1, 0.85, 0.75, 0.75, 1.1, 1.1, 0.75]))
+    assert P._ratio_ascent(W, W, m, [1.0 / m.values], P._merge_opts(None), ascent=False) < 0.76
+    best = P._ratio_ascent(W, W, m, [1.0 / m.values], P._merge_opts(None))
+    assert math.isclose(best, 1.1, rel_tol=1e-9), best
 
 
 def test_ratio_ascent_passes_a_family_that_is_not_optimal():

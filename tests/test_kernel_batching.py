@@ -427,7 +427,12 @@ def test_a_lorentz_weight_that_fails_quasi_concavity_is_an_estimate():
     ms = unit_interval(16)
     falling = norm_evaluator(LorentzLambda(PLW), ms)
     assert falling.kind == "estimate" and any("quasi-concavity" in note for note in falling.notes)
+    assert not falling.lattice
     assert norm_evaluator(LorentzLambda(PowerLogWeight(0.5, -0.2)), ms).kind == "exact"
+    # Λ_{φ,p} asks it of φ^p: an estimate either way (quadrature), a lattice norm only where φ^p passes
+    falling_p = norm_evaluator(LorentzLambdaP(PLW, 2.0), ms)
+    assert not falling_p.lattice and any("quasi-concavity" in note for note in falling_p.notes)
+    assert norm_evaluator(LorentzLambdaP(PowerLogWeight(0.3, -0.2), 2.0), ms).lattice
 
 
 # families whose kernel is a Banach lattice norm on every grid: the

@@ -789,6 +789,22 @@ def test_lorentz_lambda_with_a_convex_power_is_an_estimate():
     assert "weight not concave: not a norm" in whole.notes
 
 
+def test_lorentz_lambda_p_whose_phi_p_is_not_quasi_concave_is_an_estimate():
+    # (∫ x*^p t^(ap-1) dt)^(1/p): for ap > 1 the weight t^(ap-1) rises, and
+    # x = (1, 1/2, 0, ...) and its swap y = (1/2, 1, 0, ...) sum to a flat
+    # profile that outweighs them both
+    ms = unit_interval(16)
+    x, y = np.zeros(16), np.zeros(16)
+    x[:2], y[:2] = (1.0, 0.5), (0.5, 1.0)
+    E = LorentzLambdaP(PowerWeight(0.8), 2.0)
+    whole = norm(E, StepFunction(ms, x + y))
+    assert whole.value > norm(E, StepFunction(ms, x)).value + norm(E, StepFunction(ms, y)).value
+    assert whole.kind == "estimate"
+    assert "phi^p not quasi-concave: not a norm" in whole.notes
+    assert norm(LorentzLambdaP(PowerWeight(0.5), 2.0), StepFunction(ms, x)).kind == "exact"
+    assert not norm_evaluator(E, ms).lattice and norm_evaluator(LorentzLambdaP(PowerWeight(0.5), 2.0), ms).lattice
+
+
 def test_negative_power_lorentz_lambda_is_infinite():
     ms = unit_interval(16)
     a, _ = _halves(ms)

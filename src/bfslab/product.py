@@ -27,26 +27,26 @@ from below by (sum sqrt(z alpha beta))^2 / (|alpha/w|_E' |beta/w|_F'),
 w the cell widths; the split is kept only where all four kernels are
 exact and its value is within 1e-9 of that bound at its multipliers.
 Elsewhere BFGS computes it, on J(u) = log |e^u|_E + log |z e^-u|_F over
-u = log x on the support of z: convex for lattice norms, and smooth
-except where the sorted profiles tie or a supremum changes hands, the
-case that BFGS with a weak Wolfe line search handles (Lewis & Overton,
-Math. Program. 141, 2013).  A run has converged once BFGS stops at a
-smooth minimum: its gradient at most ``_SMOOTH_GRAD`` and its last m
-steps (m = |supp z|) gaining at most ``_SWEEP_RTOL``.  Where BFGS stops
-anywhere else, crawling along a kink, say, cyclic coordinate descent
-with golden line searches takes over from its end point, and hands back
-to BFGS while it still moves; the run has then converged once a
-coordinate sweep gains at most ``_SWEEP_RTOL``.  One run starts from the
-best seed, scored in one batched objective call.  The gradient comes
-from the kernels' exact subgradients (``_CompiledNorm.grad``), or from
-forward differences for a kernel without one.  Where both kernels take
-a decreasing profile (``_CompiledNorm.profile``: Lambda_phi,
-Lambda_{phi,p}, M_phi, M*_phi), an objective call sorts x and y as one
-stack and hands each kernel its half, for values and gradients alike.
-A numeric result is an upper bound certified by its witness pair, whose
-norms are recomputed through the public norm evaluators, unless a
-factor norm is only an estimate or the optimizer stopped on its budget:
-then so is the product, with the notes that say why.
+u = log x on the support of z: convex where both factors are Banach
+lattice norms, since then |sqrt(x y)| <= sqrt(|x| |y|) (M*_phi is only
+a lattice quasi-norm, and not log-convex, but its pairs take the sup
+split, which needs only monotonicity), and smooth except where the
+sorted profiles tie or a supremum changes hands, the case that BFGS
+with a weak Wolfe line search handles (Lewis & Overton, Math. Program.
+141, 2013).  A run has converged once BFGS stops at a smooth minimum:
+its gradient at most ``_SMOOTH_GRAD`` and its last m steps (m = |supp
+z|) gaining at most ``_SWEEP_RTOL``.  Where BFGS stops anywhere else,
+crawling along a kink, say, cyclic coordinate descent with golden line
+searches takes over from its end point, and hands back to BFGS while it
+still moves; the run has then converged once a coordinate sweep gains
+at most ``_SWEEP_RTOL``.  One run starts from the best seed, scored in
+one batched objective call.  The gradient comes from the kernels' exact
+subgradients (``_CompiledNorm.grad``), or from forward differences for
+a kernel without one.  A numeric result is an upper bound certified by
+its witness pair, whose norms are recomputed through the public norm
+evaluators, unless a factor norm is only an estimate or the optimizer
+stopped on its budget: then so is the product, with the notes that say
+why.
 
 Multiplier and dual norms run the same engine in the other direction:
 ratio ascent minimizes J(u) = log |e^u|_E - log |m e^u|_F over u = log y,
@@ -87,7 +87,6 @@ from .spaces import (
     SpaceDescriptor,
     _CompiledNorm,
     _cell_masses,
-    _decreasing_profile,
     _is_plain_sup,
     _product_rule,
     _rowwise,
@@ -343,28 +342,21 @@ def _seed_vectors(E, F, z_supp, t_right_supp) -> list:
 def _split(u: np.ndarray, supp: np.ndarray, zs: np.ndarray, times: bool = False) -> np.ndarray:
     """x = e^u and y = z / x (z x if ``times``) on ``supp``, zero
     elsewhere, as one C-contiguous stack [x, y]; one pair per row of u."""
-    op = np.multiply if times else np.divide
     # np.clip's float ops, without its Python wrapper
-    clipped = np.minimum(np.maximum(u, -60.0), 60.0)
-    if zs.size == supp.size:
-        xy = np.empty((2,) + u.shape)
-        np.exp(clipped, out=xy[0])
-        op(zs, xy[0], out=xy[1])
-        return xy
+    eu = np.exp(np.minimum(np.maximum(u, -60.0), 60.0))
     xy = np.zeros((2,) + u.shape[:-1] + supp.shape)
-    eu = np.exp(clipped)
     xy[0][..., supp] = eu
-    xy[1][..., supp] = op(zs, eu)
+    xy[1][..., supp] = (np.multiply if times else np.divide)(zs, eu)
     return xy
 
 
-def _log_slopes(kernel: _CompiledNorm, x: np.ndarray, supp, prof=None):
-    """(N(x), d log N / d log x on supp) at one point x; supp indexes the
-    cells of supp z.  Exact through ``kernel.grad``, which reads ``prof``,
-    x's decreasing profile, where given.  Else forward differences, from
-    one call of the m + 1 rows x and x e^(h e_i), i over those m cells."""
+def _log_slopes(kernel: _CompiledNorm, x: np.ndarray, supp: np.ndarray):
+    """(N(x), d log N / d log x on supp) at one point x; supp masks the
+    cells of supp z.  Exact through ``kernel.grad``.  Else forward
+    differences, from one call of the m + 1 rows x and x e^(h e_i), i
+    over those m cells."""
     if kernel.grad is not None:
-        nrm, g = kernel.grad(x if prof is None else prof)
+        nrm, g = kernel.grad(x)
         return nrm, x[supp] * g[supp] / nrm
     idx = np.arange(x.size)[supp]
     X = np.repeat(x[None], idx.size + 1, axis=0)
@@ -440,37 +432,24 @@ def _objective(E, F, z: StepFunction, supp: Optional[np.ndarray] = None, quotien
     |y|_F.  J maps a (k, m) batch of u rows to J per row (+inf for a
     NaN); fg maps one u to (log J, its gradient), which is se - sf either
     way, se and sf the log slopes of the two norms; lookahead is the
-    golden steps one J call takes (see _lookahead)."""
+    golden steps one J call takes (see _lookahead).  Each call hands each
+    kernel its own half of the [x, y] stack, once."""
     mspace = z.space
     supp = z.values > 0.0 if supp is None else supp
     zs = z.values[supp]
     combine = np.divide if quotient else np.multiply
     ke, kf = _norm_fn(E, mspace), _norm_fn(F, mspace)
     fe, ff = ke.fn, kf.fn
-    shared = ke.profile and kf.profile
-    shared_grad = shared and ke.grad is not None and kf.grad is not None
-    cells = slice(None) if zs.size == supp.size else supp  # a view where z lives on every cell
 
     def J(U: np.ndarray) -> np.ndarray:
         xy = _split(U, supp, zs, quotient)
-        if shared:
-            # one sort for both factors: fe and ff read the halves of one profile
-            k = len(U)
-            v, w, bp, order = _decreasing_profile(xy.reshape(2 * k, -1), mspace.widths)
-            val = combine(fe((v[:k], w[:k], bp[:k], order[:k])), ff((v[k:], w[k:], bp[k:], order[k:])))
-        else:
-            val = combine(fe(xy[0]), ff(xy[1]))
+        val = combine(fe(xy[0]), ff(xy[1]))
         # norms are >= 0, so the one value that is not a number or +inf is NaN (0 * inf, 0 / 0, inf / inf): it becomes +inf
         return np.fmin(val, math.inf)
 
     def fg(u: np.ndarray):
         xy = _split(u, supp, zs, quotient)
-        px = py = None
-        if shared_grad:
-            # one sort for both values and both gradients
-            v, w, bp, order = _decreasing_profile(xy, mspace.widths)
-            px, py = (v[0], w[0], bp[0], order[0]), (v[1], w[1], bp[1], order[1])
-        (ne, se), (nf, sf) = _log_slopes(ke, xy[0], cells, px), _log_slopes(kf, xy[1], cells, py)
+        (ne, se), (nf, sf) = _log_slopes(ke, xy[0], supp), _log_slopes(kf, xy[1], supp)
         val = combine(ne, nf)  # >= 0, or NaN
         return (math.log(val) if val > 0.0 else (-math.inf if val == 0.0 else math.nan)), se - sf
 
@@ -512,10 +491,11 @@ def _optimize_product(E, F, z: StepFunction, o: dict):
     on J(u) = log |x|_E + log |y|_F: (x, y, converged).  One run, from the
     best ``_seed_vectors`` row, scored in one batched call; it gets
     ``max_sweeps`` sweeps and stops once at or below ``target``.  J is
-    convex where both factors are lattice norms; elsewhere (Lambda over a
-    weight that fails quasi-concavity, say) the run may end at a local
-    minimum, and the factor's ``estimate`` kernel makes the product an
-    ``estimate`` too."""
+    convex where both factors are Banach lattice norms (M*_phi, a
+    quasi-norm that is not log-convex, takes the sup split); elsewhere
+    (Lambda over a weight that fails quasi-concavity, say) the run may
+    end at a local minimum, and the factor's ``estimate`` kernel makes
+    the product an ``estimate`` too."""
     mspace = z.space
     supp = z.values > 0.0
     zs = z.values[supp]

@@ -519,7 +519,7 @@ def dual_descriptor(space: SpaceDescriptor) -> Optional[SpaceDescriptor]:
 
 @dataclass(eq=False, slots=True)
 class _CompiledNorm:
-    """A norm kernel ``fn`` (contract in ``norm_evaluator``): its kind, notes, batching and inputs.
+    """A norm kernel ``fn`` (contract in ``norm_evaluator``): its kind, notes and batching.
     Only the doublestar of L^p and the fallback of ``product._norm_fn`` run row by row."""
 
     fn: Callable[[np.ndarray], float]
@@ -527,8 +527,6 @@ class _CompiledNorm:
     notes: tuple = ()
     # fn runs a (k, n) batch row by row, k calls of the one-row kernel
     rowwise: bool = False
-    # fn (and grad) also take the (v, w, bp, order) tuple of _decreasing_profile in place of the values
-    profile: bool = False
     # exact subgradient: grad(x) is (fn(x), the subgradient at x in x's shape and cell order)
     grad: Optional[Callable] = None
     # False for a Lorentz norm whose weight (phi^p for Lambda_{phi,p}) fails quasi-concavity: no lattice norm
@@ -549,7 +547,7 @@ _COMPILE_CACHE: OrderedDict = OrderedDict()
 
 
 def _each_row(kernel: Callable, v: np.ndarray) -> np.ndarray:
-    """One call of ``kernel`` per row of ``v`` (or per profile row): the norms as an array."""
+    """One call of ``kernel`` per row of ``v``: the norms as an array."""
     return np.array([kernel(row) for row in v], dtype=float)
 
 
@@ -597,12 +595,6 @@ def _decreasing_profile(values: np.ndarray, widths: np.ndarray):
     return v, w, bp, order
 
 
-def _profile(v, widths: np.ndarray):
-    """What a profile kernel reads: ``v`` itself when it is already a
-    ``(v, w, bp)`` profile, else the decreasing profile of the values."""
-    return v if type(v) is tuple else _decreasing_profile(v, widths)
-
-
 # Subgradients.  A kernel's ``grad`` returns its ``fn`` value bit for bit
 # and a subgradient built from it by elementwise steps, so a batch gives
 # each row's one-row gradient bit for bit too.  Norms enter as a column
@@ -630,7 +622,7 @@ def _profile_grad(valgrad: Callable, widths: np.ndarray) -> Callable:
     through the sort."""
 
     def grad(x):
-        prof = _profile(x, widths)
+        prof = _decreasing_profile(x, widths)
         nrm, gs = valgrad(prof)
         return nrm, _unsort(gs, prof[3])
 
@@ -755,7 +747,7 @@ def _compile(space: SpaceDescriptor, mspace: MeasureSpace) -> Optional[_Compiled
             return ph[..., 1:] - ph[..., :-1]
 
         def _lam(v, wd=widths):
-            v, _, bp, _ = _profile(v, wd)
+            v, _, bp, _ = _decreasing_profile(v, wd)
             return _out(np.add.reduce(v * increments(bp), -1))
 
         def _lam_valgrad(prof):
@@ -768,8 +760,8 @@ def _compile(space: SpaceDescriptor, mspace: MeasureSpace) -> Optional[_Compiled
         elif pw is None and not is_quasiconcave_sampled(phi):
             notes = tn + ("weight fails the sampled quasi-concavity check: not a lattice norm",)
         else:
-            return _CompiledNorm(_lam, "exact", tn, profile=True, grad=grad)
-        return _CompiledNorm(_lam, "estimate", notes, profile=True, grad=grad, lattice=False)
+            return _CompiledNorm(_lam, "exact", tn, grad=grad)
+        return _CompiledNorm(_lam, "estimate", notes, grad=grad, lattice=False)
 
     if isinstance(space, LorentzLambdaP):
         p = space.p
@@ -815,12 +807,13 @@ def _compile(space: SpaceDescriptor, mspace: MeasureSpace) -> Optional[_Compiled
                     m[..., 0] = np.where(np.isfinite(near0).all(-1), m[..., 0], math.inf)
                 return m
 
-        def _lam_p(x, wd=widths, p=p):
-            v, w, bp, order = _profile(x, wd)
+        def _lam_p_prof(prof, p=p):
+            # the norm of a profile (v, w, bp, order), which the row fallback and valgrad share
+            v, w, bp, order = prof
             live = np.add.reduce(v > 0, -1)
             if live.ndim:
                 if (live != live[0]).any():
-                    return _each_row(_lam_p, zip(v, w, bp, order))
+                    return _each_row(_lam_p_prof, zip(v, w, bp, order))
                 live = live[0]
             if live == 0:
                 return _fill(v, 0.0)
@@ -830,15 +823,18 @@ def _compile(space: SpaceDescriptor, mspace: MeasureSpace) -> Optional[_Compiled
             terms.sort(-1)
             return _root(cp * np.add.reduce(terms, -1), p)
 
+        def _lam_p(x, wd=widths):
+            return _lam_p_prof(_decreasing_profile(x, wd))
+
         def _lam_p_valgrad(prof, p=p):
             v, _, bp, _ = prof
-            nrm = _lam_p(prof)
+            nrm = _lam_p_prof(prof)
             if singular:
                 return nrm, np.zeros(v.shape)
             return nrm, _lp_slope(v, cp * masses(bp), p, _col(nrm))
 
         grad = _profile_grad(_lam_p_valgrad, widths)
-        return _CompiledNorm(_lam_p, kind, notes, profile=True, grad=grad, lattice=lattice)
+        return _CompiledNorm(_lam_p, kind, notes, grad=grad, lattice=lattice)
 
     if isinstance(space, Marcinkiewicz):
         if pw is not None:
@@ -869,11 +865,11 @@ def _compile(space: SpaceDescriptor, mspace: MeasureSpace) -> Optional[_Compiled
             return np.maximum(best, lim0 * v[..., 0]) if lim0 else best
 
         def _marc(v, wd=widths):
-            v, w, bp, _ = _profile(v, wd)
+            v, w, bp, _ = _decreasing_profile(v, wd)
             return _out(peak(v, averages(v, w, bp)))
 
         if pw is None:
-            return _CompiledNorm(_marc, "estimate", tn + ("cell suprema sampled",), profile=True)
+            return _CompiledNorm(_marc, "estimate", tn + ("cell suprema sampled",))
 
         def _marc_valgrad(prof, coef=pw.coef, alpha=pw.alpha, lim0=lim0):
             # the active prefix: the cells up to the t where phi(t) x**(t) peaks
@@ -887,7 +883,7 @@ def _compile(space: SpaceDescriptor, mspace: MeasureSpace) -> Optional[_Compiled
                 g = np.where((lim0 * v[..., 0] >= cand.max(-1))[..., None], lim0 * (np.arange(v.shape[-1]) == 0), g)
             return _out(best), g
 
-        return _CompiledNorm(_marc, "exact", tn, profile=True, grad=_profile_grad(_marc_valgrad, widths))
+        return _CompiledNorm(_marc, "exact", tn, grad=_profile_grad(_marc_valgrad, widths))
 
     if isinstance(space, MarcinkiewiczStar):
 
@@ -896,7 +892,7 @@ def _compile(space: SpaceDescriptor, mspace: MeasureSpace) -> Optional[_Compiled
             return np.where(v > 0, phi.cell_sup(bp[..., :-1], bp[..., 1:]), 0.0)
 
         def _mstar(v, wd=widths):
-            v, _, bp, _ = _profile(v, wd)
+            v, _, bp, _ = _decreasing_profile(v, wd)
             return _out(np.maximum.reduce(v * levels(v, bp), -1, initial=0.0))
 
         def _mstar_valgrad(prof):
@@ -904,7 +900,7 @@ def _compile(space: SpaceDescriptor, mspace: MeasureSpace) -> Optional[_Compiled
             cand = prof[0] * c
             return _out(np.maximum.reduce(cand, -1, initial=0.0)), _at_max(cand, c)  # the arg-max cell
 
-        return _CompiledNorm(_mstar, *sup_kind, profile=True, grad=_profile_grad(_mstar_valgrad, widths))
+        return _CompiledNorm(_mstar, *sup_kind, grad=_profile_grad(_mstar_valgrad, widths))
 
     if isinstance(space, LInftyWeighted):
         sups = phi.cell_sup(bp0[:-1], bp0[1:])
@@ -1099,10 +1095,8 @@ def norm_evaluator(space: SpaceDescriptor, mspace: MeasureSpace) -> Optional[_Co
     a bit: ``fn(V)[i] == fn(V[i])`` exactly, for any memory layout of V.
     Callers in the variational engine hold on to ``fn`` across thousands
     of evaluations, and batch them unless ``rowwise`` says ``fn`` runs a
-    batch one row at a time.  Where ``profile`` is set (every Lorentz and
-    Marcinkiewicz kernel, for every weight), ``fn`` also takes the
-    ``_decreasing_profile`` of the values (or rows of one of a larger
-    stack), bit for bit alike.
+    batch one row at a time.  ``fn`` and ``grad`` take values only: a
+    Lorentz or Marcinkiewicz kernel sorts its own input.
     """
     key = (space, mspace)
     hit = _COMPILE_CACHE.get(key)

@@ -256,7 +256,7 @@ THEOREM_PAIRS = {
     "lemma4_calderon": (Convexification(Lp(1.0, PW(-0.4)), 2.0), Convexification(LInftyWeighted(PW(0.4)), 2.0)),
     "thm7_lambdap_lambdap": (LorentzLambdaP(PW(0.5), 1.0), LorentzLambdaP(PW(0.3), 1.0)),
     "orlicz_pair": (OrliczCL(Lp(1.0), ShiftedPower(0.4, 1.0, 2.0)), OrliczCL(Lp(1.0), Power(1.0, 2.0))),
-    # a non-power Λ also reads the shared profile; a weighted sup does not, so its pair's J hands each kernel its values
+    # a Λ over a non-power weight; and a Λ against a weighted sup, the one kernel of its pair that sorts nothing
     "generic_lambda_mstar": (LorentzLambda(PowerLogWeight(0.5, 1.0)), MarcinkiewiczStar(PW(0.3))),
     "mixed_lambda_wsup": (LorentzLambda(PW(0.5)), LInftyWeighted(PW(0.3))),
     # the cubic gauge has no subgradient: the engine takes forward differences of its kernel
@@ -480,59 +480,58 @@ def test_bfgs_at_a_kink_still_hands_over_to_coordinate_descent(monkeypatch, grid
 
 
 def _objective_calls(monkeypatch, E, F, ms):
-    """The product objective (J, fg) of (E, F) on ``ms``, and the lists that
-    record its sorts (row shapes) and its kernel calls ((fn or grad,
-    argument type))."""
-    sorts, calls = [], []
+    """The product objective (J, fg) of (E, F) on ``ms``, and the list that
+    records, in order, its kernel calls ((fn or grad, argument type)) and
+    the sorts they make (("sort", row shape))."""
+    events = []
     sort = S._decreasing_profile
 
     def counted_sort(values, widths):
-        sorts.append(values.shape)
+        events.append(("sort", values.shape))
         return sort(values, widths)
 
-    for module in (S, P):
-        monkeypatch.setattr(module, "_decreasing_profile", counted_sort)
+    monkeypatch.setattr(S, "_decreasing_profile", counted_sort)
     for space in (E, F):
         compiled = P._norm_fn(space, ms)
         for name in ("fn", "grad"):
             inner = getattr(compiled, name)
             if inner is not None:
-                monkeypatch.setattr(compiled, name, lambda v, f=inner, n=name: calls.append((n, type(v))) or f(v))
+                monkeypatch.setattr(compiled, name, lambda v, f=inner, n=name: events.append((n, type(v))) or f(v))
     J, fg, _ = P._objective(S.canonical(E), S.canonical(F), _profile(ms, seed=1))
-    return J, fg, sorts, calls
+    return J, fg, events
 
 
-def test_a_profile_pair_sorts_once_per_objective_call(monkeypatch):
-    # both kernels take a profile: J, and fg for values and gradients,
-    # sort the x and y rows as one stack and call each kernel once, on
-    # its half, where a tracer sees it
+def test_each_kernel_of_a_profile_pair_sorts_its_own_values(monkeypatch):
+    # J calls each fn once and fg each grad once, on its half of the
+    # [x, y] stack; each kernel sorts that half itself, and product.py sorts nothing
     ms = unit_interval(16)
-    J, fg, sorts, calls = _objective_calls(monkeypatch, *THEOREM_PAIRS["thm7_lambda_mstar"], ms)
+    J, fg, events = _objective_calls(monkeypatch, *THEOREM_PAIRS["thm7_lambda_mstar"], ms)
     J(np.zeros((5, 16)))
-    assert sorts == [(10, 16)] and calls == [("fn", tuple), ("fn", tuple)]
-    del sorts[:], calls[:]
+    assert events == [("fn", np.ndarray), ("sort", (5, 16))] * 2
+    del events[:]
     fg(np.zeros(16))
-    assert sorts == [(2, 16)] and calls == [("grad", tuple), ("grad", tuple)]
+    assert events == [("grad", np.ndarray), ("sort", (16,))] * 2
+    assert not hasattr(P, "_decreasing_profile")
 
 
 def test_a_pair_with_a_values_kernel_hands_each_kernel_its_values(monkeypatch):
     # the Λ kernel sorts its own rows; the weighted sup needs no sort
     ms = unit_interval(16)
-    J, fg, sorts, calls = _objective_calls(monkeypatch, *THEOREM_PAIRS["mixed_lambda_wsup"], ms)
+    J, fg, events = _objective_calls(monkeypatch, *THEOREM_PAIRS["mixed_lambda_wsup"], ms)
     J(np.zeros((5, 16)))
-    assert sorts == [(5, 16)] and calls == [("fn", np.ndarray), ("fn", np.ndarray)]
-    del sorts[:], calls[:]
+    assert events == [("fn", np.ndarray), ("sort", (5, 16)), ("fn", np.ndarray)]
+    del events[:]
     fg(np.zeros(16))
-    assert sorts == [(16,)] and calls == [("grad", np.ndarray), ("grad", np.ndarray)]
+    assert events == [("grad", np.ndarray), ("sort", (16,)), ("grad", np.ndarray)]
 
 
 def test_a_kernel_without_a_subgradient_takes_one_call_of_forward_differences(monkeypatch):
     # the cubic gauge has no grad: its slopes come from one call of m + 1 rows
     ms = unit_interval(8)
-    J, fg, _, calls = _objective_calls(monkeypatch, *THEOREM_PAIRS["fd_orlicz_cubic"], ms)
+    J, fg, events = _objective_calls(monkeypatch, *THEOREM_PAIRS["fd_orlicz_cubic"], ms)
     u = np.log(_profile(ms, seed=1).values) / 2.0
     f, g = fg(u)
-    assert calls == [("fn", np.ndarray), ("grad", np.ndarray)]
+    assert events == [("fn", np.ndarray), ("grad", np.ndarray)]
     # against central differences of log J
     h = 1e-5
     num = [(math.log(J((u + h * e)[None])[0]) - math.log(J((u - h * e)[None])[0])) / (2 * h) for e in np.eye(8)]

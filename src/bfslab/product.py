@@ -821,7 +821,10 @@ def _pooled_factor(C, L, z: StepFunction):
 def _pooled_split(E, F, z: StepFunction):
     """E ⊙ F for Lambda_psi and Lambda_phi or M_phi, in either order: the
     ``_bound`` of ``_pooled_factor``'s split (Lambda ⊙ Lambda tries both
-    roles), kept only where it is within 1e-9 of its lower bound."""
+    roles), kept only where it is within 1e-9 of its lower bound: a role
+    within 1e-12 at once, else the least value among the roles within 1e-9,
+    as a role whose x rises in z's decreasing order can land in between."""
+    best = None
     for i, (C, L) in enumerate(((E, F), (F, E))):
         hit = _pooled_factor(C, L, z)
         if hit is not None:
@@ -829,8 +832,11 @@ def _pooled_split(E, F, z: StepFunction):
             pair = (x, _safe_quotient(z, x))
             notes = ("certified by explicit factorization", f"Hölder dual lower bound {hit[1]:.12g}")
             res = _bound(E, F, "constructive", *(pair if i == 0 else pair[::-1]), notes=notes)
-            if res[0].value <= hit[1] * (1.0 + 1e-9):
+            if res[0].value <= hit[1] * (1.0 + 1e-12):
                 return res
+            if res[0].value <= hit[1] * (1.0 + 1e-9) and (best is None or res[0].value < best[0].value):
+                best = res
+    return best
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,9 @@ suprema (exact for a tree of powers or a ``PowerLogWeight``).
 
 Conventions baked into the evaluators:
 
-* ``Lp(p, w)`` is the norm of ``x*w`` in ``L^p``.
+* ``Lp(p, w)`` is the norm of ``x*w`` in ``L^p``.  For finite p it
+  weighs ``v^p`` by ``_cell_masses``, the widths when w is None; a dead
+  cell adds 0, and a live cell of infinite mass makes the norm +inf.
 * ``LorentzLambda(phi)`` integrates the decreasing rearrangement
   against ``d(phi)`` and charges a ``phi(0+) * max(x)`` atom when the
   weight does not vanish at 0.
@@ -541,21 +543,16 @@ _COMPILE_CACHE: OrderedDict = OrderedDict()
 # Kernels take one row (n,) or a batch (k, n).  A batch must give each
 # row's one-row value bit for bit: kernels that sum over a row first make
 # their input C-contiguous (numpy groups a row sum differently on other
-# layouts), and rows whose live cells differ go one at a time.  Profile
-# kernels call the ufuncs behind .sum, .cumsum, .max and np.sort: the
-# same float operations, without wrappers that cost more at n = 16.
-
-
-def _each_row(kernel: Callable, v: np.ndarray) -> np.ndarray:
-    """One call of ``kernel`` per row of ``v``: the norms as an array."""
-    return np.array([kernel(row) for row in v], dtype=float)
+# layouts), and sum every cell, a dead one as a zero term.  L^p and the
+# profile kernels call the ufuncs behind .sum, .cumsum, .max and np.sort:
+# the same float operations, without wrappers that cost more at n = 16.
 
 
 def _rowwise(kernel: Callable[[np.ndarray], float], kind: str, notes: tuple = ()) -> _CompiledNorm:
     """A one-row kernel with the batched ``(k, n)`` contract: k rows cost k calls."""
 
     def batched(v):
-        return kernel(v) if v.ndim == 1 else _each_row(kernel, v)
+        return kernel(v) if v.ndim == 1 else np.array([kernel(row) for row in v], dtype=float)
 
     return _CompiledNorm(batched, kind, notes, rowwise=True)
 
@@ -574,11 +571,6 @@ def _root(s, p: float):
     if s.ndim:
         return np.array([x ** (1.0 / p) for x in s])
     return float(s ** (1.0 / p))
-
-
-def _fill(v: np.ndarray, value: float):
-    """``value`` for one row, or for every row of a batch."""
-    return value if v.ndim == 1 else np.full(v.shape[0], value)
 
 
 def _decreasing_profile(values: np.ndarray, widths: np.ndarray):
@@ -693,43 +685,23 @@ def _compile(space: SpaceDescriptor, mspace: MeasureSpace) -> Optional[_Compiled
 
                 return _CompiledNorm(_sup, "exact", tn, grad=lambda v: (_sup(v), _at_max(v, 1.0)))
             return _compile(LInftyWeighted(w), mspace)
-        if w is None:
+        masses = _cell_masses(space, mspace)
+        hot = np.isinf(masses).nonzero()[0]  # a cell of infinite mass weighs 0, and a row live on one is +inf
+        cw, hot = (np.where(np.isinf(masses), 0.0, masses), hot) if hot.size else (masses, None)
 
-            def _lp_plain(v, p=p, wd=widths):
-                terms = np.sort(np.ascontiguousarray(v) ** p * wd)
-                return _root(terms.sum(-1), p)
+        def _lp(v, p=p, cw=cw, hot=hot):
+            terms = np.ascontiguousarray(v) ** p * cw
+            terms.sort(-1)
+            s = np.add.reduce(terms, -1)
+            return _root(s if hot is None else np.where((v[..., hot] > 0).any(-1), math.inf, s)[()], p)  # [()]: a row's sum stays a scalar
 
-            def _lp_plain_grad(v, p=p, wd=widths):
-                nrm = _lp_plain(v)
-                return nrm, _lp_slope(v, wd, p, _col(nrm))
-
-            return _CompiledNorm(_lp_plain, "exact", tn, grad=_lp_plain_grad)
-        cell_w, exact = _cell_masses(space, mspace), simplify_power(w) is not None
-
-        def _lp_weighted(v, p=p, cw=cell_w):
-            # a batch is summed over the live cells of its first row, so
-            # rows with other live cells go one by one
-            v = np.ascontiguousarray(v)
-            live = v > 0
-            if v.ndim > 1:
-                if (live != live[0]).any():
-                    return _each_row(_lp_weighted, v)
-                live = live[0]
-            idx = live.nonzero()[0]
-            if not idx.size:
-                return _fill(v, 0.0)
-            cwl = cw[idx]
-            if np.isinf(cwl).any():
-                return _fill(v, math.inf)
-            terms = np.sort(v.take(idx, -1) ** p * cwl)
-            return _root(terms.sum(-1), p)
-
-        def _lp_weighted_grad(v, p=p, cw=cell_w):
-            nrm = _lp_weighted(v)
+        def _lp_grad(v, p=p, cw=cw):
+            nrm = _lp(v)
             return nrm, _lp_slope(v, cw, p, _col(nrm))
 
-        notes = tn if exact else tn + ("fixed-order quadrature for the weight",)
-        return _CompiledNorm(_lp_weighted, "exact" if exact else "estimate", notes, grad=_lp_weighted_grad)
+        if w is None or simplify_power(w) is not None:
+            return _CompiledNorm(_lp, "exact", tn, grad=_lp_grad)
+        return _CompiledNorm(_lp, "estimate", tn + ("fixed-order quadrature for the weight",), grad=_lp_grad)
 
     if isinstance(space, (LorentzLambda, LorentzLambdaP, Marcinkiewicz, MarcinkiewiczStar, LInftyWeighted)):
         phi, pw = space.phi, simplify_power(space.phi)
@@ -772,7 +744,7 @@ def _compile(space: SpaceDescriptor, mspace: MeasureSpace) -> Optional[_Compiled
             if not lattice:  # t^q rises: phi^p = c^p t^(ap) is not quasi-concave
                 kind, notes = "estimate", tn + ("phi^p not quasi-concave: not a norm",)
 
-            def masses(bp, q=q):
+            def masses(bp, v=None, q=q):  # finite on every cell: a dead one's term is 0 without v
                 prim = bp ** (q + 1.0) / (q + 1.0)
                 return prim[..., 1:] - prim[..., :-1]
 
@@ -795,7 +767,7 @@ def _compile(space: SpaceDescriptor, mspace: MeasureSpace) -> Optional[_Compiled
                 # probe that misses a singularity too mild to overflow there
                 singular, probe = False, np.array([1e-12, 1e-6, 1.0])
 
-            def masses(bp, phi=WeightProduct(phi, PowerWeight(-1.0 / p)), p=p, probe=probe):
+            def masses(bp, v=None, phi=WeightProduct(phi, PowerWeight(-1.0 / p)), p=p, probe=probe):
                 a, b = bp[..., :-1, None], bp[..., 1:, None]
                 half = 0.5 * (b - a)
                 with np.errstate(over="ignore", invalid="ignore"):
@@ -805,21 +777,15 @@ def _compile(space: SpaceDescriptor, mspace: MeasureSpace) -> Optional[_Compiled
                     with np.errstate(over="ignore", invalid="ignore"):
                         near0 = np.asarray(phi(bp[..., 1:2] * probe), dtype=float) ** max(p, 1.0)
                     m[..., 0] = np.where(np.isfinite(near0).all(-1), m[..., 0], math.inf)
-                return m
+                return m if v is None else np.where(v > 0, m, 0.0)  # given v, a dead cell's term is 0, not 0 * inf
+
+        if singular:
+            return _CompiledNorm(_singular_at_zero, kind, notes, grad=lambda v: (_singular_at_zero(v), np.zeros(v.shape)), lattice=lattice)
 
         def _lam_p_prof(prof, p=p):
-            # the norm of a profile (v, w, bp, order), which the row fallback and valgrad share
-            v, w, bp, order = prof
-            live = np.add.reduce(v > 0, -1)
-            if live.ndim:
-                if (live != live[0]).any():
-                    return _each_row(_lam_p_prof, zip(v, w, bp, order))
-                live = live[0]
-            if live == 0:
-                return _fill(v, 0.0)
-            if singular:
-                return _fill(v, math.inf)
-            terms = v[..., :live] ** p * masses(bp[..., : live + 1])
+            # the norm of a profile (v, w, bp, order); the dead tail adds 0
+            v, _, bp, _ = prof
+            terms = v**p * masses(bp, v)
             terms.sort(-1)
             return _root(cp * np.add.reduce(terms, -1), p)
 
@@ -827,14 +793,10 @@ def _compile(space: SpaceDescriptor, mspace: MeasureSpace) -> Optional[_Compiled
             return _lam_p_prof(_decreasing_profile(x, wd))
 
         def _lam_p_valgrad(prof, p=p):
-            v, _, bp, _ = prof
             nrm = _lam_p_prof(prof)
-            if singular:
-                return nrm, np.zeros(v.shape)
-            return nrm, _lp_slope(v, cp * masses(bp), p, _col(nrm))
+            return nrm, _lp_slope(prof[0], cp * masses(prof[2]), p, _col(nrm))
 
-        grad = _profile_grad(_lam_p_valgrad, widths)
-        return _CompiledNorm(_lam_p, kind, notes, grad=grad, lattice=lattice)
+        return _CompiledNorm(_lam_p, kind, notes, grad=_profile_grad(_lam_p_valgrad, widths), lattice=lattice)
 
     if isinstance(space, Marcinkiewicz):
         if pw is not None:
@@ -1096,7 +1058,9 @@ def norm_evaluator(space: SpaceDescriptor, mspace: MeasureSpace) -> Optional[_Co
     Callers in the variational engine hold on to ``fn`` across thousands
     of evaluations, and batch them unless ``rowwise`` says ``fn`` runs a
     batch one row at a time.  ``fn`` and ``grad`` take values only: a
-    Lorentz or Marcinkiewicz kernel sorts its own input.
+    Lorentz or Marcinkiewicz kernel sorts its own input.  Finite-p L^p
+    weighs v^p by ``_cell_masses`` for every weight, and Lambda_{phi,p}
+    sums its whole profile: a dead cell adds 0.
     """
     key = (space, mspace)
     hit = _COMPILE_CACHE.get(key)

@@ -8,7 +8,8 @@ sliced batches.  A kernel's exact subgradient (``grad``) is checked the
 same way, against central differences, and, for Banach kernels, by the
 subgradient inequality.  The Lorentz and Marcinkiewicz kernels over a
 weight that is not a power are also checked against the row-by-row
-closures they replaced.
+closures they replaced, and the L^p and Lambda_{phi,p} kernels, which
+sum a dead cell as a zero term, against sums over the live cells only.
 """
 
 import math
@@ -369,6 +370,59 @@ def test_generic_kernels_match_their_row_by_row_oracles(kind, n, weight):
         for row in V:
             got, want = fn(row), _lam_p_quad(row, ms.widths, psi, p)
             assert got == want or abs(got - want) <= 1e-14 * want, (p, got, want)
+
+
+# L^p and Lambda_{phi,p} summed over the live cells only: the references
+# for the kernels' summation order, which adds the dead cells' zeros too.
+
+
+def _lp_live_cells(v, space, ms):
+    cw = S._cell_masses(space, ms)
+    live = np.flatnonzero(v > 0)
+    if not live.size:
+        return 0.0
+    if np.isinf(cw[live]).any():
+        return math.inf
+    return float(np.sort(v[live] ** space.p * cw[live]).sum() ** (1.0 / space.p))
+
+
+def _lam_p_live_cells(v, space, ms):
+    # a pure power c t^a: (c^p sum_i v_i^p ∫_cell t^q dt)^(1/p), q = ap - 1 > -1
+    p, (a, c) = space.p, (space.phi.alpha, space.phi.coef)
+    vs, _, bp, _ = S._decreasing_profile(v, ms.widths)
+    live = np.count_nonzero(vs > 0)
+    if not live:
+        return 0.0
+    prim = bp[: live + 1] ** (a * p) / (a * p)
+    return float((c**p * np.sort(vs[:live] ** p * (prim[1:] - prim[:-1])).sum()) ** (1.0 / p))
+
+
+LIVE_CELL_REFERENCES = {
+    "lp_weighted": _lp_live_cells,
+    "lp_weighted_inf_first_cell": _lp_live_cells,
+    "lorentz_lambda_p": _lam_p_live_cells,
+}
+
+
+@pytest.mark.parametrize("kind, n", GRIDS, ids=[f"{k}{n}" for k, n in GRIDS])
+def test_dead_cells_as_zero_terms_match_the_live_cells_sum(kind, n):
+    # bit for bit on rows without a dead cell; within 4 n eps where the
+    # zeros regroup the sum.  Lp(1.5, t^-0.8) weighs its first cell +inf:
+    # a row live there is +inf, a row dead there finite
+    ms, tol = _grid(kind, n), 4 * n * np.finfo(float).eps
+    rng = np.random.default_rng(n)
+    V = np.concatenate((_batch(rng, n), _stack(rng, 3, n)))
+    for name, reference in LIVE_CELL_REFERENCES.items():
+        space = FAMILIES[name]
+        fn = norm_evaluator(space, ms).fn
+        for row in V:
+            got, want = fn(row), reference(row, space, ms)
+            if (row > 0).all():
+                assert _bits(got) == _bits(want), (name, got, want)
+            else:
+                assert got == want or abs(got - want) <= tol * want, (name, got, want)
+            if name == "lp_weighted_inf_first_cell":
+                assert math.isinf(got) == (row[0] > 0), (got, row[0])
 
 
 @pytest.mark.parametrize("kind, n", ORACLE_GRIDS, ids=[f"{k}{n}" for k, n in ORACLE_GRIDS])

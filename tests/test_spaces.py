@@ -269,6 +269,43 @@ def test_lattice_norms_are_midpoint_log_convex(grid, space):
         assert mid**2 <= norm(space, StepFunction(ms, x)).value * norm(space, StepFunction(ms, y)).value * (1 + 1e-12)
 
 
+# symmetric Banach lattice norms; M*_phi, a quasi-norm, is left out
+_SUBMAJORIZATION_SPACES = [
+    Lp(1.0),
+    Lp(2.3),
+    LorentzLambda(PowerWeight(0.6)),
+    Marcinkiewicz(PowerWeight(0.3)),
+    weak_lp(2.0),
+    LorentzLambdaP(PowerWeight(0.4), 2.0),
+    OrliczCL(Lp(1.0), ShiftedPower(0.3, 1.0, 2.0)),
+]
+
+
+def _weakly_submajorized(rng, x):
+    """A y with y ≺_w x on equal cells: T-transforms of x, each averaging
+    two cells (y ≺ x), then a cellwise factor in [0, 1], then a permutation."""
+    y = x.copy()
+    for _ in range(int(rng.integers(1, 2 * x.size + 1))):
+        i, j = rng.choice(x.size, 2, replace=False)
+        lam = rng.uniform()
+        y[i], y[j] = lam * y[i] + (1.0 - lam) * y[j], lam * y[j] + (1.0 - lam) * y[i]
+    return rng.permutation(y * np.minimum(rng.uniform(0.0, 2.0, x.size), 1.0))
+
+
+@pytest.mark.parametrize("n", [5, 12, 33])
+@pytest.mark.parametrize("space", _SUBMAJORIZATION_SPACES, ids=repr)
+def test_symmetric_norms_are_monotone_under_weak_submajorization(n, space):
+    # y ≺_w x gives |y| <= |x| for a symmetric Banach lattice norm on equal cells (Calderón–Ryff)
+    rng = np.random.default_rng(19 + n)
+    ms = counting(n)
+    for _ in range(30):
+        x = np.exp(rng.uniform(-3.0, 3.0, n)) * (rng.uniform(size=n) > 0.2)
+        y = _weakly_submajorized(rng, x)
+        top_y, top_x = (np.cumsum(np.sort(v)[::-1]) for v in (y, x))
+        assert np.all(top_y <= top_x * (1 + 1e-12))  # the top-k sums: y ≺_w x indeed
+        assert norm(space, StepFunction(ms, y)).value <= norm(space, StepFunction(ms, x)).value * (1 + 1e-12), (x, y)
+
+
 def test_marcinkiewicz_star_is_not_midpoint_log_convex():
     # M*_phi is only a quasi-norm: its products take the sup split, which needs no convexity
     ms = counting(3)

@@ -91,7 +91,7 @@ from .weights import (
     weight_from_json,
     weight_to_json,
 )
-from .young import Power, ShiftedPower, YoungFunction, _as_power, _hoelder, _log, _threshold, young_from_json, young_to_json
+from .young import Power, ShiftedPower, YoungFunction, _as_power, _hoelder, _log, _power_pieces, _threshold, young_from_json, young_to_json
 
 __all__ = [
     "Lp",
@@ -883,14 +883,16 @@ def _compile(space: SpaceDescriptor, mspace: MeasureSpace) -> Optional[_Compiled
         if basec is None:
             return None
         phi = space.phi
-        closed = isinstance(phi, ShiftedPower) and phi.p in (1.0, 2.0) and space.base == Lp(1.0)
+        closed = space.base == Lp(1.0) and _power_pieces(phi) is not None
 
         def _lux(v, base_fn=basec.fn, phi=phi, wd=widths if closed else None):
             return _luxemburg_value(base_fn, phi, v, wd)
 
-        note = "shifted-power gauge in closed form" if closed else f"luxemburg gauge, secant bracket search, rtol {_LUX_RTOL:g}"
+        note = "power-piece gauge in closed form" if closed else f"luxemburg gauge, secant bracket search, rtol {_LUX_RTOL:g}"
         if not closed:
             return _CompiledNorm(_lux, "estimate", basec.notes + (note,), basec.rowwise)
+        if not isinstance(phi, ShiftedPower):
+            return _CompiledNorm(_lux, "exact", basec.notes + (note,))
 
         def _lux_grad(v, wd=widths, a=phi.a, c=phi.c, p=phi.p):
             # implicit differentiation of sum wd phi(v / lam) = 1 in v and lam
@@ -964,20 +966,24 @@ def _compile(space: SpaceDescriptor, mspace: MeasureSpace) -> Optional[_Compiled
 
 def _luxemburg_value(base_fn: Callable, phi: YoungFunction, v: np.ndarray, widths=None):
     """Per row, the least ``lam`` with ``|phi(row / lam)|_base <= 1``, from
-    above, so the modular at it is <= 1.  Given the grid's ``widths`` (phi
-    a ``ShiftedPower`` with p in {1, 2}, the base unweighted L^1), in closed
-    form (``_shifted_power_rows``).  Else to relative width ``_LUX_RTOL``,
-    all rows searching in lockstep: one step is one ``phi`` call and one
+    above, so the modular at it is <= 1.  Given the grid's ``widths`` (the
+    base unweighted L^1, and phi built from power atoms, as
+    ``_power_pieces`` reads it), by the closed pass ``_power_gauge_rows``,
+    to the least float.  Else to relative width ``_LUX_RTOL``, all rows
+    searching in lockstep: one step is one ``phi`` call and one
     ``base_fn`` call over every row still searching."""
     V = np.atleast_2d(v)
-    if (V < 0).any():
+    if V.min() < 0:
         raise ValueError("Young functions take nonnegative arguments")
     top = V.max(-1)
-    pos = (V > 0).any(-1)
-    out = np.where(pos, math.inf, 0.0)
-    rows = np.flatnonzero(pos & np.isfinite(top))
-    if rows.size and widths is not None:
-        out[rows] = _shifted_power_rows(base_fn, phi, widths, V[rows], top[rows])
+    pieces = None if widths is None else _power_pieces(phi)
+    if pieces is not None and 0.0 < top.min() and top.max() < math.inf:  # every row live and finite
+        out = _power_gauge_rows(base_fn, phi, pieces, widths, V, top)
+        return _out(out if v.ndim > 1 else out[0])
+    out = np.where((V > 0).any(-1), math.inf, 0.0)
+    rows = np.flatnonzero((top > 0.0) & (top < math.inf))
+    if rows.size and pieces is not None:
+        out[rows] = _power_gauge_rows(base_fn, phi, pieces, widths, V[rows], top[rows])
     elif rows.size:
         Vr = V[rows]
 
@@ -1001,51 +1007,148 @@ def _luxemburg_value(base_fn: Callable, phi: YoungFunction, v: np.ndarray, width
     return _out(out if v.ndim > 1 else out[0])
 
 
-def _shifted_power_rows(base_fn: Callable, phi: ShiftedPower, widths: np.ndarray, Vr: np.ndarray, top: np.ndarray):
-    """The gauge of ``c*(u - a)_+^p`` over L^1 (p in {1, 2}) of rows with
-    top cells ``top > 0``.  With mu = 1/lam and a row sorted down (x*,
-    widths w alike), the top-j piece ``c * sum_{i<=j} w_i (x*_i mu - a)^p``
-    is at most the modular where mu >= a/x*_j, with equality at the j
-    active at the gauge: so mu = min_j max(mu_j, a/x*_j), mu_j the piece's
-    (larger) root.  A Newton step on the modular polishes it, to within 4
-    ulps of the result on every optimizer row measured.  The modular through ``base_fn`` is
-    monotone in lam (each rounding is), and the result is the least float
-    where it is <= 1: each step probes nine points a row, lam and 4 ulps
-    either side, then growing strides past the one known end of the
-    bracket or tenths inside it, until the ends are adjacent.  A root that
-    is not finite and positive goes to the search."""
-    a, c, p, K = phi.a, phi.c, phi.p, np.arange(1.0, 10.0)
-    order = (-Vr).argsort(-1)
-    x, w = Vr[np.arange(len(Vr))[:, None], order] / top[:, None], widths[order]  # rows scaled to top 1
-    wx = w * x
-    s0, s1, s2 = w.cumsum(-1), wx.cumsum(-1), (wx * x).cumsum(-1)
+def _power_gauge_rows(base_fn: Callable, phi: YoungFunction, pieces, widths: np.ndarray, Vr: np.ndarray, top: np.ndarray):
+    """The gauge over unweighted L^1 of rows with top cells ``top > 0``,
+    for phi in ``pieces``: on piece j, ``phi(u) = sum_e C[j, e] u^P_e``.
+    With mu = 1/lam and the row scaled to top 1 (x, widths w), the
+    modular ``sum_i w_i phi(x_i mu)`` is ``sum_e A_e mu^P_e`` between two
+    consecutive kinks ``mu = kink / x_i``: from 0, where every cell is on
+    piece 0 (``A_e = C[0, e] sum w x^P_e``), each kink passed moves one
+    cell a piece up and adds its moment ``w_i x_i^P_e`` times the step
+    of C to ``A_e``.  A cumulative sum over the sorted kinks gives the
+    modular at every kink, the count of kinks where it is below 1 the
+    piece where it crosses 1, and ``_piece_root`` solves it there.  Those
+    sums run in order and expand ``c (u - a)^p``, so on kinked pieces one
+    Newton step on the modular summed from phi itself polishes the root.
+    A cap b_phi makes the gauge at least top / b_phi.  A root that is
+    not finite and positive goes to the search, from whose bracket end
+    ``_least_float`` then certifies the row, as it does every other row."""
+    k, n = Vr.shape
+    P, m = pieces.exps, pieces.kinks.size
+    T = m * n
+    x, w = Vr / top[:, None], widths
+    if m:
+        order = (-x).argsort(-1)
+        x, w = x[np.arange(k)[:, None], order], widths[order]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if p == 1.0:
-            mu = (1.0 / c + a * s0) / s1
+        xp = x ** pieces.powers  # (K, k, n), exponent first
+        mom = w * xp  # a dead cell stays on piece 0, where C is 0 at x^0
+        A, i = np.add.reduce(mom, -1) * pieces.first, [0] * k
+        if m:
+            # the kinks, kink by kink (each run ascending), what a cell adds to A as it passes one, and kink^P
+            kink = (pieces.kinks[:, None] / x[:, None, :]).reshape(k, T)  # +inf on dead cells
+            step = (mom[:, :, None, :] * pieces.steps).reshape(len(P), k, T)
+            kpow = (pieces.kink_pows / xp[:, :, None, :]).reshape(len(P), k, T)
+            if m > 1:
+                korder = kink.argsort(-1, kind="stable")
+                r = np.arange(k)[:, None]
+                kink, step, kpow = kink[r, korder], step[:, r, korder], kpow[:, r, korder]
+            At = A[..., None] + np.cumsum(step, -1)  # the coefficients just past each kink
+            # the modular at each kink (it is continuous there) below 1; at the
+            # +inf kinks of dead cells it is +inf or NaN, never below 1, as the
+            # top piece's highest power has a positive coefficient
+            i = (np.add.reduce(At * kpow, 0) < 1.0).sum(-1).tolist()
+        mu, d = np.array(
+            [
+                _piece_root((At[:, row, j - 1] if j else A[:, row]).tolist(), P, float(kink[row, j - 1]) if j else 0.0, float(kink[row, j]) if j < T else math.inf)
+                for row, j in enumerate(i)
+            ]
+        ).T
+        cap = pieces.cap
+        if cap < math.inf:
+            mu = np.minimum(mu, cap)  # the top cell at most at the cap
+        if m:
+            mu = mu - (np.add.reduce(w * phi._eval(x * mu[:, None]), -1) - 1.0) / d
+            mu = np.minimum(mu, cap) if cap < math.inf else mu
+        lam = top / mu
+        bad = [row for row, v in enumerate(lam.tolist()) if not 0.0 < v < math.inf]
+        if bad:
+            lam[bad] = _luxemburg_value(base_fn, phi, Vr[bad])
+            fin = np.isfinite(lam)
+            if not fin.all():  # the search found no finite gauge: those rows stay +inf
+                lam[fin] = _least_float(base_fn, phi, Vr[fin], lam[fin])
+                return lam
+        # a probe far below the gauge may overflow phi: a verdict, not an error
+        return _least_float(base_fn, phi, Vr, lam)
+
+
+def _piece_root(A: list, P: list, lo: float, hi: float) -> tuple:
+    """(mu, f'(mu)) for the mu in [lo, hi] where ``f(mu) = sum_e A_e
+    mu^P_e`` is 1, for f convex and increasing there with ``f(lo) < 1 <=
+    f(hi)``.  A quadratic (P_e in {0, 1, 2}) has its larger root in
+    closed form.  Otherwise Newton steps from above the root fall
+    monotonically onto it, in (log mu, log f) where every A_e > 0 (log f
+    is convex there, and nearly straight), from the least of hi, the
+    Newton step from lo, and the least mu where one term alone is 1,
+    doubled until f is: each at or above the root.  They stop once one
+    no longer falls, falls below lo (rounding there), or falls by less
+    than 1e-9 of mu.  mu is inf where a power leaves the float range."""
+    terms = [(a, p) for a, p in zip(A, P) if a != 0.0]
+
+    def f(mu):  # f(mu) - 1 and mu f'(mu)
+        y, g = -1.0, 0.0
+        for a, p in terms:
+            t = a * mu**p
+            y, g = y + t, g + p * t
+        return y, g
+
+    try:
+        c = {0.0: 0.0, 1.0: 0.0, 2.0: 0.0}
+        for a, p in terms:
+            c[p] = c.get(p, math.nan) + a
+        if len(c) == 3:
+            c0, c1, c2 = c[0.0], c[1.0], c[2.0]
+            r = math.sqrt(c1 * c1 - 4.0 * c2 * (c0 - 1.0))
+            mu = (r - c1) / (2.0 * c2) if c1 < 0.0 else 2.0 * (1.0 - c0) / (c1 + r)  # without cancellation
         else:
-            mu = (a * s1 + np.sqrt(np.maximum(s2 / c - a * a * (s0 * s2 - s1 * s1), 0.0))) / s2
-        mu = np.where(x > 0, np.maximum(mu, a / x), math.inf).min(-1)
-        t = np.maximum(x * mu[:, None] - a, 0.0)
-        g = t if p == 2.0 else (t > 0)  # t^(p-1) on the live cells
-        slope = p * c * (wx * g).sum(-1)
-        lam = top / np.where(slope > 0, mu - (c * (w * t * g).sum(-1) - 1.0) / slope, mu)
-    good = np.isfinite(lam) & (lam > 0)
-    lo, hi, step = np.zeros_like(lam), np.full_like(lam, math.inf), np.spacing(lam)[:, None]
-    T = lam[:, None] + step * (K - 5.0)
-    idx = np.flatnonzero(good)
-    while idx.size:
-        Ti = T[idx]
-        ok = base_fn(phi._eval((Vr[idx, None, :] / Ti[..., None]).reshape(-1, Vr.shape[1]))).reshape(Ti.shape) <= 1.0
-        hi[idx] = np.minimum(hi[idx], np.where(ok, Ti, math.inf).min(-1))
-        lo[idx] = np.maximum(lo[idx], np.where(ok, 0.0, Ti).max(-1))
-        idx = idx[~(hi[idx] - lo[idx] <= np.spacing(hi[idx]))]
-        if idx.size:
-            l, h, s = lo[idx, None], hi[idx, None], step[idx]
-            T[idx] = np.where(h == math.inf, l + s * K, np.where(l == 0.0, np.maximum(h - s * K, 0.5 * h), l + (h - l) * K / 10.0))
-            step[idx] *= 8.0
-    if not good.all():
-        hi[~good] = _luxemburg_value(base_fn, phi, Vr[~good])
-    return hi
+            mu = max(lo, min(a ** (-1.0 / p) for a, p in terms if a > 0.0 and p > 0.0), math.ulp(0.0))
+            while f(mu)[0] < 0.0 and mu < math.inf:
+                mu *= 2.0
+            if lo > 0.0:
+                y, g = f(lo)
+                mu = min(mu, lo - y * lo / g) if g > 0.0 else mu
+            mu = min(mu, hi)
+        positive = all(a > 0.0 for a, _ in terms)
+        for _ in range(100):
+            y, g = f(mu)
+            if not (y > 0.0 and g > 0.0):
+                break
+            # with every A_e > 0, log f is convex in log mu: Newton steps there
+            nxt = mu * math.exp(-math.log1p(y) * (1.0 + y) / g) if positive else mu - y * mu / g
+            if not lo <= nxt < mu:
+                break
+            mu = nxt
+            if y < 1e-9 * g:  # the next step is below the rounding of mu
+                break
+    except (OverflowError, ValueError, ZeroDivisionError):
+        return math.inf, math.nan
+    return mu, g / mu
+
+
+_ULPS = np.arange(-3, 3)
+_INF_BITS = int(np.float64(math.inf).view(np.int64))
+
+
+def _least_float(base_fn: Callable, phi: YoungFunction, Vr: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Per row, the least float ``t`` where ``base_fn(phi(row / t)) <= 1``,
+    from a start ``lam`` near it.  The modular through ``base_fn`` is
+    monotone in t (each rounding is), so the result does not depend on
+    the start or on the batch.  Read as integers, the bit patterns of the
+    floats from +0 to +inf count them in order, so the search runs on
+    those: each step probes six floats a row, lam, the three below it and
+    the two above, then strides that grow 8-fold past the one known end
+    of the bracket (0 fails, inf holds), or sevenths inside it, until its
+    ends are adjacent floats.  A settled row probes its lower end again."""
+    n, s = Vr.shape[1], 1
+    T, lo, hi = lam.view(np.int64)[:, None] + _ULPS, None, None
+    while True:
+        ok = base_fn(phi._eval((Vr[:, None, :] / T.view(np.float64)[..., None]).reshape(-1, n))).reshape(T.shape) <= 1.0
+        h, l = np.where(ok, T, _INF_BITS).min(-1), np.where(ok, 0, T).max(-1)
+        hi, lo = (h, l) if hi is None else (np.minimum(hi, h), np.maximum(lo, l))
+        if (hi - lo).max() <= 1:
+            return hi.view(np.float64)
+        l, h, K, s = lo[:, None], hi[:, None], _ULPS + 4, min(8 * s, 1 << 48)
+        T = np.where(h == _INF_BITS, np.minimum(l + s * K, _INF_BITS), np.where(l == 0, np.maximum(h - s * K, 1), l + (h - l) * K // 7))
 
 
 def norm_evaluator(space: SpaceDescriptor, mspace: MeasureSpace) -> Optional[_CompiledNorm]:
@@ -1170,9 +1273,9 @@ def luxemburg_norm(base: SpaceDescriptor, phi: YoungFunction, x: StepFunction) -
     """Gauge ``inf{lam : modular(x/lam) <= 1}``: ``norm(OrliczCL(base, phi), x)``.
 
     The compiled gauge returns the upper end of a bracket of relative
-    width 1e-10 (the least such float, for a shifted power over L^1), so
-    the modular at the result is guaranteed <= 1.  An infinite gauge
-    carries a note that x is outside the space.
+    width 1e-10 (the least such float, for phi built from power atoms
+    over unweighted L^1), so the modular at the result is guaranteed
+    <= 1.  An infinite gauge carries a note that x is outside the space.
     """
     res = norm(OrliczCL(base, phi), x)
     if math.isinf(res.value):

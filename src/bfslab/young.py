@@ -41,19 +41,28 @@ sampled convexity checks exempt them.
 
 Inverses are right-continuous: ``inverse(phi, v) = inf { u : phi(u) > v }``,
 computed in closed form for power atoms (a (+) or (-) of two powers
-among them) and otherwise by ``_threshold``, the one bracket search,
-which the Luxemburg gauges of :mod:`bfslab.spaces` share.  It runs many
-rows in lockstep and narrows each bracket by safeguarded secant steps of
-the Illinois kind on (log t, log residual), falling back to the
-geometric midpoint; it returns the bracket's upper end.
+among them) and otherwise by ``_threshold``, the one bracket search.  It
+runs many rows in lockstep and narrows each bracket by safeguarded
+secant steps of the Illinois kind on (log t, log residual), falling
+back to the geometric midpoint; it returns the bracket's upper end.
+
+The Luxemburg gauges of :mod:`bfslab.spaces` over unweighted L^1 take a
+closed pass instead wherever ``_power_pieces`` reads phi as power sums
+between kinks: phi built by ``YoungSum``, ``YoungMax`` and ``Capped``
+from power atoms and shifted powers with p in {1, 2}.  ``_threshold``
+still serves the gauges over other bases, of numeric (+) and (-) nodes,
+and of shifted powers with p outside {1, 2}.
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -372,6 +381,158 @@ def _as_power(phi: "YoungFunction") -> "Power | None":
     except OverflowError:  # K past the float range
         return None
     return Power(K, r) if 1.0 <= r < math.inf and 0.0 < K < math.inf else None
+
+
+class _Pieces(NamedTuple):
+    """A Young function as power sums between kinks: on piece j, the
+    arguments in (kinks[j-1], kinks[j]] (kinks[-1] read as 0, the last
+    piece open above), ``phi(u) = sum_e C[j, e] * u**exps[e]``, up to
+    ``cap`` (``b_phi``), past which phi is infinite.  The arrays are laid
+    out exponent first, for the gauge pass of :mod:`bfslab.spaces`."""
+
+    kinks: np.ndarray  # (m,)
+    exps: list  # the K exponents
+    powers: np.ndarray  # (K, 1, 1): the exponents
+    first: np.ndarray  # (K, 1): C[0], piece 0
+    steps: np.ndarray  # (K, 1, m, 1): C[j + 1] - C[j], what a cell adds to C as it passes kink j
+    kink_pows: np.ndarray  # (K, 1, m, 1): kink j to each power
+    cap: float
+
+
+def _gp_sign(g: dict, u: float) -> int:
+    """The sign of ``sum c u^e`` over the items (e, c) of ``g`` at
+    ``0 < u <= inf``; where that leaves the float range, the sign of the
+    term of largest exponent."""
+    try:
+        v = sum(c * u**e for e, c in g.items())
+    except OverflowError:
+        v = math.nan
+    if v != v:
+        v = g[max(g)]
+    return (v > 0.0) - (v < 0.0)
+
+
+def _gp_bisect(g: dict, lo: float, s_lo: int, hi: float) -> float:
+    """The point where ``g`` (as in ``_gp_sign``), monotone on (lo, hi)
+    with sign ``s_lo`` near lo and the other sign near hi, changes sign,
+    to the float: an open end moves by factors of 2 until its sign is
+    right, then the bracket halves, geometrically while it is wide.  inf
+    where the sign changes past the largest float."""
+    if hi == math.inf:
+        hi = max(2.0 * lo, 1.0)
+        while _gp_sign(g, hi) == s_lo:
+            hi *= 2.0
+        if hi == math.inf:
+            return hi
+    if lo == 0.0:
+        lo = 0.5 * hi
+        while (s := _gp_sign(g, lo)) != s_lo:
+            if s == 0 or lo == 0.0:
+                return lo if s == 0 else hi
+            lo *= 0.5
+    while True:
+        mid = math.sqrt(lo) * math.sqrt(hi) if hi > 4.0 * lo else 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return hi
+        s = _gp_sign(g, mid)
+        if s == 0:
+            return mid
+        lo, hi = (mid, hi) if s == s_lo else (lo, mid)
+
+
+def _gp_roots(f: dict, lo: float, hi: float) -> list:
+    """The points of (lo, hi), ``0 <= lo < hi <= inf``, where
+    ``sum c u^e`` over the items (e, c) of ``f`` vanishes or changes sign.
+    Divided by ``u^e_min`` it keeps its roots and gains a constant term,
+    so its derivative has one term less; the roots of that (by recursion,
+    at most one fewer term) cut (lo, hi) into runs where it is monotone,
+    each holding at most one root (Rolle), found by ``_gp_bisect``; a
+    root past the float range is no point of (lo, hi)."""
+    f = {e: c for e, c in f.items() if c != 0.0}
+    if len(f) < 2:
+        return []
+    e0 = min(f)
+    g = {e - e0: c for e, c in f.items()}
+    crit = _gp_roots({e - 1.0: c * e for e, c in g.items() if e > 0.0}, lo, hi)
+    ends = [lo, *crit, hi]
+    signs = [(g[0.0] > 0.0) - (g[0.0] < 0.0) if u == 0.0 else _gp_sign(g, u) for u in ends]
+    roots = [u for u, s in zip(crit, signs[1:-1]) if s == 0]
+    for i in range(len(ends) - 1):
+        if signs[i] * signs[i + 1] < 0:
+            roots.append(_gp_bisect(g, ends[i], signs[i], ends[i + 1]))
+    return sorted(u for u in roots if lo < u < hi)
+
+
+def _pieces_of(phi: "YoungFunction"):
+    """(kinks, pieces, cap) for ``_power_pieces``, a piece a dict
+    {exponent: coefficient}; None where phi is not covered."""
+    atom = _as_power(phi)
+    if atom is not None:
+        return [], [{atom.p: atom.c}], math.inf
+    if isinstance(phi, ShiftedPower):
+        a, c = phi.a, phi.c
+        if phi.p == 1.0:
+            return [a], [{}, {1.0: c, 0.0: -c * a}], math.inf
+        if phi.p == 2.0:
+            return [a], [{}, {2.0: c, 1.0: -2.0 * c * a, 0.0: c * a * a}], math.inf
+        return None
+    if isinstance(phi, Capped):
+        inner = _pieces_of(phi.inner)
+        return None if inner is None else (inner[0], inner[1], min(inner[2], phi.b))
+    if not isinstance(phi, (YoungSum, YoungMax)):
+        return None
+    parts = [_pieces_of(t) for t in phi.terms]
+    if None in parts:
+        return None
+    kinks = sorted({u for ks, _, _ in parts for u in ks})
+    cap = min(c for _, _, c in parts)
+    lefts, rights = [0.0] + kinks, kinks + [math.inf]
+    # each term's piece on each merged piece, read at the merged piece's left end
+    per = [[ps[bisect.bisect_right(ks, left)] for ks, ps, _ in parts] for left in lefts]
+    if isinstance(phi, YoungSum):
+        return kinks, [_merged(fs, 1.0) for fs in per], cap
+    # a maximum: cut each merged piece where two terms cross, and keep the larger term on each part
+    out_k, out_p = [], []
+    for left, right, fs in zip(lefts, rights, per):
+        cuts = sorted({u for f, g in itertools.combinations(fs, 2) for u in _gp_roots(_merged((f, g), -1.0), left, right)})
+        for lo, hi in zip([left] + cuts, cuts + [right]):
+            t = (2.0 * lo if lo > 0.0 else 1.0) if hi == math.inf else 0.5 * (lo + hi)
+            best = fs[0]
+            for f in fs[1:]:
+                if _gp_sign(_merged((f, best), -1.0), t) > 0:
+                    best = f
+            out_p.append(best)
+        out_k += cuts + ([right] if right < math.inf else [])
+    return out_k, out_p, cap
+
+
+def _merged(fs, sign: float) -> dict:
+    """The sum of the power sums ``fs`` (dicts), or with ``sign`` -1 the first less the second."""
+    out = dict(fs[0])
+    for f in fs[1:]:
+        for e, c in f.items():
+            out[e] = out.get(e, 0.0) + sign * c
+    return out
+
+
+@lru_cache(maxsize=256)
+def _power_pieces(phi: "YoungFunction") -> "_Pieces | None":
+    """``phi`` as ``_Pieces``, where it is built by ``YoungSum``,
+    ``YoungMax`` and ``Capped`` from power atoms (``_as_power``: any p >= 1)
+    and shifted powers with p in {1, 2}; else None.  A shift a is a kink,
+    where the expanded ``c (u - a)^p`` starts; a maximum cuts its pieces
+    where two terms cross (``_gp_roots``, to the float); a cap is ``cap``.
+    Cached: built once per Young function."""
+    built = _pieces_of(phi)
+    if built is None:
+        return None
+    kinks, pieces, cap = built
+    exps = sorted({e for f in pieces for e in f})
+    C = np.array([[f.get(e, 0.0) for e in exps] for f in pieces], dtype=float).reshape(len(pieces), len(exps)).T
+    U, E = np.array(kinks, dtype=float), np.array(exps, dtype=float)[:, None]
+    with np.errstate(over="ignore"):  # a kink's power past the float range is +inf
+        powers = (U**E)[:, None, :, None]
+    return _Pieces(U, exps, E[..., None], C[:, :1], np.diff(C, axis=1)[:, None, :, None], powers, cap)
 
 
 class _Splitting(_YoungBase):

@@ -154,15 +154,20 @@ def test_collapsed_products_have_batched_kernels():
 
 
 GAUGE_PHIS = {
+    # built from power atoms: the closed gauge pass over L^1, each row
+    # certified to the least float
     "shifted": ShiftedPower(0.3, 1.0, 2.0),
-    "shifted_cubic": ShiftedPower(0.3, 1.0, 3.0),
     "sum": YoungSum((Power(1.0, 2.0), Power(0.5, 3.0))),
     "max": YoungMax((Power(1.0, 2.0), Power(0.5, 3.0))),
     # values reach 3, so the cap binds on some rows and not on others
     "capped": Capped(Power(1.0, 2.0), 2.0),
+    # a shifted power with p outside {1, 2}: the gauge search
+    "shifted_cubic": ShiftedPower(0.3, 1.0, 3.0),
+    # a Hoelder pair is a power atom, so the space is a Lebesgue space
     "oplus": oplus(Power(1.0, 3.0), Power(1.0, 1.5)),
     # no Hoelder pair: the numeric scan under the gauge search
     "oplus_shifted": oplus(ShiftedPower(0.3, 1.0, 2.0), Power(1.0, 2.0)),
+    # a power pair is a power atom too: a Lebesgue space
     "ominus": ominus(Power(1.0, 2.0), Power(1.0, 4.0)),
     # no power pair: the numeric (-) scan under the gauge search
     "ominus_shifted": ominus(ShiftedPower(0.3, 1.0, 2.0), Power(1.0, 4.0)),
@@ -171,9 +176,9 @@ GAUGE_PHIS = {
 
 @pytest.mark.parametrize("name", sorted(GAUGE_PHIS))
 def test_lockstep_gauge_rows_match_row_calls_bit_for_bit(name):
-    # the rows of a batch search their brackets in lockstep, next to
-    # all-zero rows and rows with other live cells; each ends where its
-    # one-row search ends
+    # the rows of a batch search their brackets in lockstep, or take the
+    # closed pass and its certification together, next to all-zero rows
+    # and rows with other live cells; each ends where its one-row call ends
     fn = norm_evaluator(OrliczCL(Lp(1.0), GAUGE_PHIS[name]), unit_interval(8)).fn
     V = _batch(np.random.default_rng(11), 8)
     for W in (V, np.asfortranarray(V[::-1]), V[[2, 5, 2, 0]]):

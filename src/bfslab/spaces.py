@@ -977,14 +977,15 @@ def _luxemburg_value(base_fn: Callable, phi: YoungFunction, v: np.ndarray, width
         raise ValueError("Young functions take nonnegative arguments")
     top = V.max(-1)
     pieces = None if widths is None else _power_pieces(phi)
-    if pieces is not None and 0.0 < top.min() and top.max() < math.inf:  # every row live and finite
-        out = _power_gauge_rows(base_fn, phi, pieces, widths, V, top)
-        return _out(out if v.ndim > 1 else out[0])
-    out = np.where((V > 0).any(-1), math.inf, 0.0)
-    rows = np.flatnonzero((top > 0.0) & (top < math.inf))
-    if rows.size and pieces is not None:
+    rows = [row for row, t in enumerate(top.tolist()) if 0.0 < t < math.inf]
+    live = len(rows)
+    if live == len(top):  # every row live: views of V and top, not copies
+        out, rows = np.empty(live), slice(None)
+    else:  # a row without a positive cell has gauge 0, one with an infinite cell inf
+        out = np.where((V > 0).any(-1), math.inf, 0.0)
+    if live and pieces is not None:
         out[rows] = _power_gauge_rows(base_fn, phi, pieces, widths, V[rows], top[rows])
-    elif rows.size:
+    elif live:
         Vr = V[rows]
 
         def probe(idx, lam):
@@ -1017,7 +1018,8 @@ def _power_gauge_rows(base_fn: Callable, phi: YoungFunction, pieces, widths: np.
     cell a piece up and adds its moment ``w_i x_i^P_e`` times the step
     of C to ``A_e``.  A cumulative sum over the sorted kinks gives the
     modular at every kink, the count of kinks where it is below 1 the
-    piece where it crosses 1, and ``_piece_root`` solves it there.  Those
+    piece where it crosses 1.  A quadratic piece has its root in closed
+    form, every row at once; ``_piece_root`` solves any other.  Those
     sums run in order and expand ``c (u - a)^p``, so on kinked pieces one
     Newton step on the modular summed from phi itself polishes the root.
     A cap b_phi makes the gauge at least top / b_phi.  A root that is
@@ -1043,17 +1045,28 @@ def _power_gauge_rows(base_fn: Callable, phi: YoungFunction, pieces, widths: np.
                 korder = kink.argsort(-1, kind="stable")
                 r = np.arange(k)[:, None]
                 kink, step, kpow = kink[r, korder], step[:, r, korder], kpow[:, r, korder]
-            At = A[..., None] + np.cumsum(step, -1)  # the coefficients just past each kink
+            # the coefficients on each piece: before the first kink, and just past each
+            At = np.cumsum(np.concatenate((A[..., None], step), -1), -1)
             # the modular at each kink (it is continuous there) below 1; at the
             # +inf kinks of dead cells it is +inf or NaN, never below 1, as the
             # top piece's highest power has a positive coefficient
-            i = (np.add.reduce(At * kpow, 0) < 1.0).sum(-1).tolist()
-        mu, d = np.array(
-            [
-                _piece_root((At[:, row, j - 1] if j else A[:, row]).tolist(), P, float(kink[row, j - 1]) if j else 0.0, float(kink[row, j]) if j < T else math.inf)
-                for row, j in enumerate(i)
-            ]
-        ).T
+            i = (np.add.reduce(At[..., 1:] * kpow, 0) < 1.0).sum(-1)
+            A = At[:, np.arange(k), i]
+        # each row's power sum on its piece, A; a quadratic one (every P_e in
+        # {0, 1, 2}) has its larger root in closed form, every row at once
+        higher = [e for e, p in enumerate(P) if p not in (0.0, 1.0, 2.0)]
+        newton = [row for row, c in enumerate(zip(*A[higher].tolist())) if any(c)] if higher else []
+        if len(newton) < k:
+            c0, c1, c2 = (A[P.index(e)] if e in P else np.zeros(k) for e in (0.0, 1.0, 2.0))
+            c0 = c0 - 1.0  # the coefficients of f - 1
+            d = np.sqrt(c1 * c1 - 4.0 * c2 * c0)  # f' at the larger root
+            q = -0.5 * (c1 + np.copysign(d, c1))
+            mu = np.maximum(q / c2, c0 / q)  # the roots q / c2 and c0 / q, each without cancellation
+        else:
+            mu, d = np.empty(k), np.empty(k)
+        for row in newton:
+            j = i[row]
+            mu[row], d[row] = _piece_root(A[:, row].tolist(), P, float(kink[row, j - 1]) if j else 0.0, float(kink[row, j]) if j < T else math.inf)
         cap = pieces.cap
         if cap < math.inf:
             mu = np.minimum(mu, cap)  # the top cell at most at the cap
@@ -1075,14 +1088,13 @@ def _power_gauge_rows(base_fn: Callable, phi: YoungFunction, pieces, widths: np.
 def _piece_root(A: list, P: list, lo: float, hi: float) -> tuple:
     """(mu, f'(mu)) for the mu in [lo, hi] where ``f(mu) = sum_e A_e
     mu^P_e`` is 1, for f convex and increasing there with ``f(lo) < 1 <=
-    f(hi)``.  A quadratic (P_e in {0, 1, 2}) has its larger root in
-    closed form.  Otherwise Newton steps from above the root fall
-    monotonically onto it, in (log mu, log f) where every A_e > 0 (log f
-    is convex there, and nearly straight), from the least of hi, the
-    Newton step from lo, and the least mu where one term alone is 1,
-    doubled until f is: each at or above the root.  They stop once one
-    no longer falls, falls below lo (rounding there), or falls by less
-    than 1e-9 of mu.  mu is inf where a power leaves the float range."""
+    f(hi)``.  Newton steps from above the root fall monotonically onto
+    it, in (log mu, log f) where every A_e > 0 (log f is convex there,
+    and nearly straight), from the least of hi, the Newton step from lo,
+    and the least mu where one term alone is 1, doubled until f is: each
+    at or above the root.  They stop once one no longer falls, falls
+    below lo (rounding there), or falls by less than 1e-9 of mu.  mu is
+    inf where a power leaves the float range."""
     terms = [(a, p) for a, p in zip(A, P) if a != 0.0]
 
     def f(mu):  # f(mu) - 1 and mu f'(mu)
@@ -1093,21 +1105,13 @@ def _piece_root(A: list, P: list, lo: float, hi: float) -> tuple:
         return y, g
 
     try:
-        c = {0.0: 0.0, 1.0: 0.0, 2.0: 0.0}
-        for a, p in terms:
-            c[p] = c.get(p, math.nan) + a
-        if len(c) == 3:
-            c0, c1, c2 = c[0.0], c[1.0], c[2.0]
-            r = math.sqrt(c1 * c1 - 4.0 * c2 * (c0 - 1.0))
-            mu = (r - c1) / (2.0 * c2) if c1 < 0.0 else 2.0 * (1.0 - c0) / (c1 + r)  # without cancellation
-        else:
-            mu = max(lo, min(a ** (-1.0 / p) for a, p in terms if a > 0.0 and p > 0.0), math.ulp(0.0))
-            while f(mu)[0] < 0.0 and mu < math.inf:
-                mu *= 2.0
-            if lo > 0.0:
-                y, g = f(lo)
-                mu = min(mu, lo - y * lo / g) if g > 0.0 else mu
-            mu = min(mu, hi)
+        mu = max(lo, min(a ** (-1.0 / p) for a, p in terms if a > 0.0 and p > 0.0), math.ulp(0.0))
+        while f(mu)[0] < 0.0 and mu < math.inf:
+            mu *= 2.0
+        if lo > 0.0:
+            y, g = f(lo)
+            mu = min(mu, lo - y * lo / g) if g > 0.0 else mu
+        mu = min(mu, hi)
         positive = all(a > 0.0 for a, _ in terms)
         for _ in range(100):
             y, g = f(mu)
@@ -1136,11 +1140,12 @@ def _least_float(base_fn: Callable, phi: YoungFunction, Vr: np.ndarray, lam: np.
     the start or on the batch.  Read as integers, the bit patterns of the
     floats from +0 to +inf count them in order, so the search runs on
     those: each step probes six floats a row, lam, the three below it and
-    the two above, then strides that grow 8-fold past the one known end
-    of the bracket (0 fails, inf holds), or sevenths inside it, until its
-    ends are adjacent floats.  A settled row probes its lower end again."""
+    the two above (none past +inf), then strides that grow 8-fold past
+    the one known end of the bracket (0 fails, inf holds), or sevenths
+    inside it, until its ends are adjacent floats.  A settled row probes
+    its lower end again."""
     n, s = Vr.shape[1], 1
-    T, lo, hi = lam.view(np.int64)[:, None] + _ULPS, None, None
+    T, lo, hi = np.minimum(np.maximum(lam.view(np.int64)[:, None] + _ULPS, 1), _INF_BITS), None, None
     while True:
         ok = base_fn(phi._eval((Vr[:, None, :] / T.view(np.float64)[..., None]).reshape(-1, n))).reshape(T.shape) <= 1.0
         h, l = np.where(ok, T, _INF_BITS).min(-1), np.where(ok, 0, T).max(-1)

@@ -46,7 +46,7 @@ from bfslab import (
     oplus,
     unit_interval,
 )
-from bfslab.spaces import _luxemburg_value, canonical
+from bfslab.spaces import _least_float, _luxemburg_value, canonical
 from bfslab.young import _power_pieces
 
 GRIDS = [("counting", n) for n in (1, 3, 16, 1024)] + [(kind, n) for kind in ("unit", "half") for n in (4, 16, 257, 1024)]
@@ -230,6 +230,24 @@ def test_closed_pass_edge_rows(phi):
     assert got[2] < 1e-308
     _least_float_checks(base, phi, V[2], got[2])
     assert got[2] <= _luxemburg_value(base, phi, V[2]) <= got[2] * (1.0 + 1e-10)
+
+
+def test_gauges_next_to_the_largest_float():
+    # the ulp probe's first window ends at +inf: the bit patterns past it
+    # are NaNs, which would read as failing probes above the passing ones
+    big = np.finfo(float).max
+    base = norm_evaluator(Lp(1.0), counting(1)).fn
+    x = (np.array([[big]]).view(np.int64) - 5).view(np.float64)  # its own gauge under u
+    for start in (big, np.nextafter(big, 0.0)):
+        assert _least_float(base, Power(1.0, 1.0), x, np.array([start]))[0] == x[0, 0]
+    # through the closed pass: a gauge within 2^-40 of the largest float
+    ms = counting(4)
+    base = norm_evaluator(Lp(1.0), ms).fn
+    x = np.full(4, 0.5 * big * (1.0 - 2.0**-40))
+    for phi in (Power(1.0, 2.0), YoungSum((Power(1.0, 2.0), Power(1e-300, 3.0))), Capped(Power(1.0, 2.0), 2.0)):
+        value = _luxemburg_value(base, phi, x, ms.widths)
+        _least_float_checks(base, phi, x, value)
+        assert big * (1.0 - 2.0**-39) < value < big
 
 
 def test_a_crossing_past_the_float_range_is_no_kink():
